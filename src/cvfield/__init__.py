@@ -26,7 +26,6 @@ from .metrics import (EvalReport, GridEvalReport, dtw_distance, evaluate,
                       grid_evaluate, trajectory_error, velocity_error)
 from .modelfile import load_model, save_model
 from .solver import (ADMMSettings, ConstrainedLSQProblem, SolveReport,
-                     admm_solve, assemble_problem, interior_point_solve,
-                     psd_project)
+                     assemble_problem, interior_point_solve)
 
 __version__ = "0.1.0"

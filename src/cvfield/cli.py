@@ -2,7 +2,7 @@
 
 Commands: train, eval, rollout, export-field, grid-eval.  Configuration
 comes from a JSON file (--config) with --set key=value overrides; nested
-keys use dots (e.g. --set admm.rho=2.0).  Command-specific parameters
+keys use dots (e.g. --set admm.max_iters=200).  Command-specific parameters
 (rollout start point, export bounds, ...) also travel through --set.
 """
 
@@ -26,6 +26,9 @@ from .features import build_vanishing_projector, sample_feature_map
 from .kernels import CURL_FREE, GAUSSIAN_SEPARABLE, KernelKind
 from .solver import ADMMSettings, assemble_problem, interior_point_solve
 
+# settings of the former ADMM solver, still present in older config files
+_RETIRED_ADMM_KEYS = ("rho", "adapt_rho")
+
 
 @dataclass
 class TrainConfig:
@@ -35,7 +38,8 @@ class TrainConfig:
     runs `interior_point_solve`, which reads `max_iters` as its cap on
     Newton steps, `eps_abs` + `eps_rel` |objective| as its duality-gap
     tolerance and `slack_weight` > 0 as the switch to soft constraints.
-    `rho` and `adapt_rho` only affect `admm_solve`.
+    `from_dict` drops the retired `admm` keys in `_RETIRED_ADMM_KEYS`,
+    which older config files still carry.
     """
 
     kernel: str = CURL_FREE
@@ -67,8 +71,8 @@ class TrainConfig:
             self.preprocess.validate()
         except ValueError as exc:
             raise ConfigError(str(exc))
-        if self.admm.rho <= 0 or self.admm.max_iters < 1:
-            raise ConfigError("admm.rho must be positive and admm.max_iters >= 1")
+        if self.admm.max_iters < 1:
+            raise ConfigError("admm.max_iters must be at least 1")
         if self.admm.eps_abs < 0 or self.admm.eps_rel < 0 or self.admm.slack_weight < 0:
             raise ConfigError("admm tolerances and slack_weight must be nonnegative")
         return self
@@ -89,11 +93,12 @@ class TrainConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, sub in (("admm", ADMMSettings), ("preprocess", PreprocessConfig)):
             if key in d and not isinstance(d[key], sub):
-                subknown = {f.name for f in fields(sub)}
-                bad = set(d[key]) - subknown
+                subd = {k: v for k, v in d[key].items()
+                        if not (key == "admm" and k in _RETIRED_ADMM_KEYS)}
+                bad = set(subd) - {f.name for f in fields(sub)}
                 if bad:
                     raise ConfigError(f"unknown {key} keys: {sorted(bad)}")
-                d[key] = sub(**d[key])
+                d[key] = sub(**subd)
         return cls(**d).validate()
 
 

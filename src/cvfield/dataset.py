@@ -15,6 +15,7 @@ original frame) is kept for reference.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,6 +120,8 @@ def _parse_file(path, has_velocities):
                 vals = [float(c) for c in (row[1:] if has_id else row)]
             except ValueError as exc:
                 raise ParseError(f"{path}: {exc}", line=lineno)
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(f"{path}: non-finite value in {row}", line=lineno)
             key = row[0].strip() if has_id else None
             if key not in groups:
                 groups[key] = []

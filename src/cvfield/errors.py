@@ -27,10 +27,6 @@ class ConditioningError(RuntimeError):
     """A linear system was too ill-conditioned to solve reliably."""
 
 
-class NumericalError(RuntimeError):
-    """An eigensolver or factorization failed to converge."""
-
-
 class IntegrationError(RuntimeError):
     """ODE integration failed.  Carries the last valid state and time."""
 

@@ -164,23 +164,26 @@ def build_vanishing_projector(fm, Z):
     return VanishingProjector(L, Q, Z)
 
 
-def symmetrized_jacobian_basis(fm, proj, x):
+def symmetrized_jacobian_basis(fm, proj, X):
     """Per-component symmetrized Jacobians of the vanished features.
 
-    Returns E of shape (feature_dim, n, n) with
-    E[j] = sym(d/dx of the j-th vanished feature field at x), so the
-    symmetrized Jacobian of f = Phi^Z(x)^T theta is sum_j theta_j E[j].
+    For points X of shape (m, n), returns E of shape (m, feature_dim, n, n)
+    with E[i, j] = sym(d/dx of the j-th vanished feature field at x_i), so
+    the symmetrized Jacobian of f = Phi^Z(x_i)^T theta is
+    sum_j theta_j E[i, j].
     """
-    x = np.asarray(x, dtype=float).ravel()
-    a = fm.freqs @ x + fm.phases
+    X = np.asarray(X, dtype=float).reshape(-1, fm.n)
+    m, n, p = X.shape[0], fm.n, fm.feature_dim
+    a = _angles(fm, X)                                               # (m, s)
     if fm.kind.variant == GAUSSIAN_SEPARABLE:
-        dphi = -fm.scale * np.sin(a)[:, None] * fm.freqs        # (s, n)
-        Lr = proj.L.reshape(fm.s, fm.n, fm.feature_dim)
-        M = np.einsum("kaj,kb->jab", Lr, dphi)
-        return 0.5 * (M + M.transpose(0, 2, 1))
-    c = fm.scale * np.cos(a)                                     # (s,)
+        dphi = -fm.scale * np.sin(a)[:, :, None] * fm.freqs          # (m, s, n)
+        M = np.einsum("kaj,ikb->ijab", proj.L.reshape(fm.s, n, p), dphi, optimize=True)
+        return 0.5 * (M + M.transpose(0, 1, 3, 2))
     # raw curl-free Jacobians c_k w_k w_k^T are already symmetric
-    return np.einsum("kj,k,ka,kb->jab", proj.L, c, fm.freqs, fm.freqs)
+    ww = fm.freqs.T[:, None, :] * fm.freqs.T[None, :, :]             # (n, n, s)
+    raw = (fm.scale * np.cos(a))[:, None, None, :] * ww              # (m, n, n, s)
+    E = raw.reshape(m * n * n, fm.s) @ proj.L
+    return np.ascontiguousarray(E.reshape(m, n, n, p).transpose(0, 3, 1, 2))
 
 
 def potential_from_features(fm, proj, theta, x):

@@ -1,4 +1,4 @@
-"""PSD-constrained least squares: an interior-point solver and an ADMM loop.
+"""PSD-constrained least squares by a primal-dual interior-point method.
 
 The training problem is
 
@@ -9,28 +9,26 @@ for i = 1..m constraint points, where C_i is the linear map
 C_i(theta) = sum_j theta_j E_ij built from symmetrized per-component
 feature Jacobians E_ij.
 
-`interior_point_solve` is the solver training uses.  It is a primal-dual
-path-following method with Nesterov-Todd scaling and Mehrotra's
-predictor-corrector, after CVXOPT's `coneqp` (Vandenberghe, "The CVXOPT
-linear and quadratic cone program solvers", 2010).  It works in the
-problem's own structure: m blocks of n x n, and one p x p Schur complement
-2 A^T A + 2 lam I + F^T F per Newton step, where the (n^2 m, p) matrix F
-holds the scaled operators r_i^T E_ij r_i.  Every iterate is strictly
-feasible: a phase I first pushes the largest constraint eigenvalue below
-zero, and phase II then keeps s_i = -C_i(theta) - tau_i I positive
-definite.  The constraints are imposed with a small margin,
+`interior_point_solve` is a primal-dual path-following method with
+Nesterov-Todd scaling and Mehrotra's predictor-corrector, after CVXOPT's
+`coneqp` (Vandenberghe, "The CVXOPT linear and quadratic cone program
+solvers", 2010).  It works in the problem's own structure: m blocks of
+n x n, and one p x p Schur complement 2 A^T A + 2 lam I + F^T F per Newton
+step, where the (n^2 m, p) matrix F holds the scaled operators
+r_i^T E_ij r_i.  Every iterate is strictly feasible: a phase I first
+pushes the largest constraint eigenvalue below zero, and phase II then
+keeps s_i = -C_i(theta) - tau_i I positive definite.  The constraints are
+imposed with a small margin,
 C_i(theta) + tau_i I <= -CONTRACTION_MARGIN (1 + tau_i) I, so that a
 Jacobian evaluated in another summation order still meets the rate; the
 duality gap is certified for this tightened problem.
 
-`ADMMSettings` drives both solvers:
+`ADMMSettings` keeps its historical name and holds the solver settings:
 
-- `max_iters` caps the Newton steps (phase I and phase II together), or
-  the ADMM iterations;
-- `eps_abs` and `eps_rel` set the interior-point stopping rule: the
-  certified duality gap, an upper bound on objective minus optimum, must
-  fall to eps_abs + eps_rel |objective|.  ADMM reads them as its residual
-  tolerances;
+- `max_iters` caps the Newton steps, phase I and phase II together;
+- `eps_abs` and `eps_rel` set the stopping rule: the certified duality
+  gap, an upper bound on objective minus optimum, must fall to
+  eps_abs + eps_rel |objective|;
 - `slack_weight` w > 0 selects soft constraints
   C_i(theta) + tau_i I <= s_i I with the penalty w s_i^2 added to the
   objective; the start (ridge fit, large s) is feasible, so no phase I
@@ -38,46 +36,29 @@ duality gap is certified for this tightened problem.
   points: it minimizes t + rho f(theta) subject to
   C_i(theta) + tau_i I <= t I until t < 0.  If t stays positive at its
   optimum while rho shrinks to 1e-15 t0 / ||b||^2, the rate is reported
-  infeasible: any theta that meets it costs f(theta) + t / rho or more;
-- `rho` and `adapt_rho` only affect `admm_solve`.
+  infeasible: any theta that meets it costs f(theta) + t / rho or more.
 
-In the interior-point report, `primal_residual` is the feasibility
-residual, the largest eigenvalue of C_i(theta) + tau_i I - s_i I when it
-is positive and 0 otherwise, and `dual_residual` is the certified duality
-gap of the phase the run ended in.  `stop_reason` says why the run
-stopped: "converged", "max_iters", "infeasible" or "stalled" (rounding
-stopped progress before the gap met its tolerance).  A stalled phase I is
-caught only when its Newton system or its step fails, so `max_iters`
-still bounds it.
+In the report, `primal_residual` is the feasibility residual, the largest
+eigenvalue of C_i(theta) + tau_i I - s_i I when it is positive and 0
+otherwise, and `dual_residual` is the certified duality gap of the phase
+the run ended in.  `stop_reason` says why the run stopped: "converged",
+"max_iters", "infeasible" or "stalled" (rounding stopped progress before
+the gap met its tolerance).  A stalled phase I is caught only when its
+Newton system or its step fails, so `max_iters` still bounds it.
 
-`admm_solve` is a first-order alternative.  Splitting on the slack
-matrices S_i = -C_i(theta) - tau_i I >= 0 gives a three-step scaled-form
-ADMM:
-
-    1. theta <- solve  (2 A^T A + 2 lam I + rho sum_i C_i* C_i) theta
-                     = 2 A^T b + rho sum_i C_i*(-tau_i I - M_i - U_i)
-       (the system matrix is factored once and reused)
-    2. M_i  <- psd_project(-C_i(theta) - tau_i I - U_i)
-    3. U_i  <- U_i + M_i + C_i(theta) + tau_i I
-
-With slack_weight w > 0 the constraints soften to
--C_i(theta) - tau_i I + s_i I >= 0 with s_i >= 0 penalized by w s_i^2;
-the scalar slacks join the quadratic step and project onto the
-nonnegative orthant through a second splitting variable.
-
-Both solvers use only deterministic dense linear algebra: identical inputs
+The solver uses only deterministic dense linear algebra: identical inputs
 and settings reproduce bitwise-identical results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import features
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError
 
 
 @dataclass
@@ -102,12 +83,10 @@ class ConstrainedLSQProblem:
 
 @dataclass
 class ADMMSettings:
-    rho: float = 1.0
     max_iters: int = 4000
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
     slack_weight: float = 0.0   # 0 = hard constraints
-    adapt_rho: bool = False     # residual balancing (x2 / /2 at ratio > 10)
 
 
 @dataclass
@@ -120,7 +99,6 @@ class SolveReport:
     max_constraint_violation: float
     converged: bool
     slacks: np.ndarray | None = None
-    al_values: np.ndarray = field(default=None, repr=False)
     stop_reason: str | None = None
 
 
@@ -141,52 +119,10 @@ def assemble_problem(fm, proj, pairs, cpoints, lam, tau):
     if X.shape != Xdot.shape or X.shape[1] != fm.n:
         raise DimensionError("positions and velocities must be (N, n) with n matching the map")
     A = features.feature_rows(fm, X) @ proj.L
-    cpoints = np.asarray(cpoints, dtype=float).reshape(-1, fm.n) if np.size(cpoints) else np.empty((0, fm.n))
-    if cpoints.shape[0]:
-        ops = np.stack([features.symmetrized_jacobian_basis(fm, proj, c) for c in cpoints])
-    else:
-        ops = np.empty((0, fm.feature_dim, fm.n, fm.n))
+    cpoints = np.asarray(cpoints, dtype=float).reshape(-1, fm.n)
+    ops = features.symmetrized_jacobian_basis(fm, proj, cpoints)
     return ConstrainedLSQProblem(A, Xdot.ravel(), float(lam), cpoints, ops,
                                  np.full(cpoints.shape[0], float(tau)))
-
-
-def psd_project(M):
-    """Frobenius-nearest positive semidefinite matrix: clamp negative eigenvalues."""
-    M = 0.5 * (M + M.T)
-    try:
-        w, V = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}")
-    return (V * np.maximum(w, 0.0)) @ V.T
-
-
-def _psd_project_batch(Ms):
-    Ms = 0.5 * (Ms + Ms.transpose(0, 2, 1))
-    if Ms.shape[1] == 2:
-        # closed-form symmetric 2x2 spectral clamp, no LAPACK round trip
-        a, bb, c = Ms[:, 0, 0], Ms[:, 0, 1], Ms[:, 1, 1]
-        mean = 0.5 * (a + c)
-        rad = np.sqrt((0.5 * (a - c)) ** 2 + bb**2)
-        lo = np.maximum(mean - rad, 0.0)
-        hi = np.maximum(mean + rad, 0.0)
-        # eigenvector for the larger eigenvalue; (1, 0) when the gap vanishes
-        ux = np.where(a - c >= 0.0, rad + 0.5 * (a - c), bb)
-        uy = np.where(a - c >= 0.0, bb, rad - 0.5 * (a - c))
-        nrm = np.hypot(ux, uy)
-        safe = nrm > 0.0
-        ux = np.where(safe, ux / np.where(safe, nrm, 1.0), 1.0)
-        uy = np.where(safe, uy / np.where(safe, nrm, 1.0), 0.0)
-        out = np.empty_like(Ms)
-        out[:, 0, 0] = lo + (hi - lo) * ux * ux
-        out[:, 1, 1] = lo + (hi - lo) * uy * uy
-        out[:, 0, 1] = (hi - lo) * ux * uy
-        out[:, 1, 0] = out[:, 0, 1]
-        return out
-    try:
-        w, V = np.linalg.eigh(Ms)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}")
-    return np.einsum("iak,ik,ibk->iab", V, np.maximum(w, 0.0), V)
 
 
 def _max_violation(C, tau):
@@ -194,128 +130,6 @@ def _max_violation(C, tau):
         return float("-inf")
     shifted = C + tau[:, None, None] * np.eye(C.shape[1])
     return float(np.max(np.linalg.eigvalsh(shifted)[:, -1]))
-
-
-def admm_solve(problem, settings=None):
-    """Run the ADMM iteration until the residual tolerances or max_iters.
-
-    Stopping: primal residual max_i ||M_i + C_i(theta) + tau_i I||_F below
-    eps_abs + eps_rel * max(||M||, ||C(theta)||), and dual residual
-    rho ||sum_i C_i*(M_i - M_i_prev)|| below eps_abs + eps_rel ||2 A^T b||.
-    Returns the last iterate flagged non-converged if max_iters is hit.
-    """
-    s = settings or ADMMSettings()
-    A, b, lam = problem.design, problem.targets, problem.lam
-    p = A.shape[1]
-    m = problem.constraint_ops.shape[0]
-    n = problem.constraint_ops.shape[2] if m else 1
-    nn = n * n
-    P = problem.constraint_ops.reshape(m, p, nn)
-    P2 = P.transpose(1, 0, 2).reshape(p, m * nn)      # adjoint as a single GEMV
-    tauI = problem.tau[:, None, None] * np.eye(n)
-    eye_flat = np.eye(n).ravel()
-
-    AtA2 = 2.0 * (A.T @ A) + 2.0 * lam * np.eye(p)
-    c0 = 2.0 * (A.T @ b)
-    btb = float(b @ b)
-    SPP = np.einsum("ipk,iqk->pq", P, P) if m else np.zeros((p, p))
-    G = (P @ eye_flat).T if m else np.zeros((p, 0))   # columns C_i*(I)
-
-    rho = float(s.rho)
-    w = float(s.slack_weight)
-    soft = w > 0.0 and m > 0
-
-    def factor(r):
-        if soft:
-            H = np.block([
-                [AtA2 + r * SPP, -r * G],
-                [-r * G.T, (2.0 * w + r * (n + 1)) * np.eye(m)],
-            ])
-        else:
-            H = AtA2 + r * SPP
-        return cho_factor(H)
-
-    fac = factor(rho)
-    M = np.zeros((m, n, n))
-    U = np.zeros((m, n, n))
-    sl = np.zeros(m)          # slack values s_i
-    sig = np.zeros(m)         # splitting copy of the slacks
-    usl = np.zeros(m)         # scaled duals for sigma = s
-    theta = np.zeros(p)
-    dual_scale = float(np.linalg.norm(c0))
-    al_values = []
-    primal = dual = np.inf
-    converged = False
-    it = 0
-
-    def adjoint(W):
-        return P2 @ W.ravel() if m else np.zeros(p)
-
-    for it in range(1, s.max_iters + 1):
-        offset = tauI + M + U
-        rhs = c0 - rho * adjoint(offset)
-        if soft:
-            rhs_s = rho * (np.einsum("ik,k->i", offset.reshape(m, nn), eye_flat) + sig + usl)
-            sol = cho_solve(fac, np.concatenate([rhs, rhs_s]))
-            theta, sl = sol[:p], sol[p:]
-        else:
-            theta = cho_solve(fac, rhs)
-        C = (P2.T @ theta).reshape(m, n, n) if m else np.zeros((0, n, n))
-        slI = sl[:, None, None] * np.eye(n) if soft else 0.0
-        M_prev = M
-        M = _psd_project_batch(slI - C - tauI - U) if m else M
-        R = M + C + tauI - slI
-        U = U + R
-        if soft:
-            sig = np.maximum(0.0, sl - usl)
-            usl = usl + sig - sl
-
-        primal = float(np.max(np.linalg.norm(R.reshape(m, nn), axis=1))) if m else 0.0
-        if soft:
-            primal = max(primal, float(np.max(np.abs(sig - sl))))
-        dual = rho * float(np.linalg.norm(adjoint(M - M_prev))) if m else 0.0
-
-        # ||A theta - b||^2 + lam ||theta||^2 through the cached normal matrix
-        obj = 0.5 * float(theta @ (AtA2 @ theta)) - float(c0 @ theta) + btb + w * float(sl @ sl)
-        al = obj + 0.5 * rho * float(
-            np.sum((R + U) ** 2) - np.sum(U**2)
-            + (np.sum((sig - sl + usl) ** 2) - np.sum(usl**2) if soft else 0.0))
-        al_values.append(al)
-
-        if m == 0:
-            converged = True
-            break
-        scale = max(float(np.max(np.linalg.norm(M.reshape(m, nn), axis=1))),
-                    float(np.max(np.linalg.norm(C.reshape(m, nn), axis=1))))
-        if primal <= s.eps_abs + s.eps_rel * scale and dual <= s.eps_abs + s.eps_rel * dual_scale:
-            converged = True
-            break
-
-        if s.adapt_rho and it % 10 == 0:
-            if primal > 10.0 * dual and rho < 1e6:
-                rho *= 2.0
-                U /= 2.0
-                usl /= 2.0
-                fac = factor(rho)
-            elif dual > 10.0 * primal and rho > 1e-6:
-                rho /= 2.0
-                U *= 2.0
-                usl *= 2.0
-                fac = factor(rho)
-
-    C = (P2.T @ theta).reshape(m, n, n) if m else np.zeros((0, n, n))
-    obj = float(np.sum((A @ theta - b) ** 2) + lam * np.sum(theta**2) + w * np.sum(sl**2))
-    return SolveReport(
-        theta=theta,
-        iters=it,
-        primal_residual=primal if m else 0.0,
-        dual_residual=dual if m else 0.0,
-        objective=obj,
-        max_constraint_violation=_max_violation(C, problem.tau),
-        converged=converged,
-        slacks=sl.copy() if soft else None,
-        al_values=np.asarray(al_values),
-    )
 
 
 # phase II imposes C_i(theta) + tau_i I <= -CONTRACTION_MARGIN (1 + tau_i) I

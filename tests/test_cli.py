@@ -7,7 +7,7 @@ import pytest
 
 from _synth import write_demo_csv
 from cvfield import modelfile
-from cvfield.cli import TrainConfig, cmd_export_field, main
+from cvfield.cli import TrainConfig, cmd_export_field, main, train_field
 from cvfield.dataset import (load_demonstrations, resample_and_average,
                              subsample_constraint_points)
 from cvfield.dynamics import max_contraction_eigenvalue
@@ -53,12 +53,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(sigma=-1.0).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(admm=ADMMSettings(rho=0.0)).validate()
+        TrainConfig(admm=ADMMSettings(max_iters=0)).validate()
 
 
 def test_config_dict_round_trip():
     cfg = TrainConfig.from_dict(CLI_CONFIG)
-    assert cfg.lam == 0.01 and cfg.admm.adapt_rho is True
+    assert cfg.lam == 0.01 and cfg.admm.max_iters == 60000
     d = cfg.to_dict()
     assert d["lambda"] == 0.01 and "lam" not in d
     again = TrainConfig.from_dict(d)
@@ -67,6 +67,23 @@ def test_config_dict_round_trip():
         TrainConfig.from_dict({"lambda": 0.01, "bogus": 1})
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"admm": {"rho": 1.0, "momentum": 0.9}})
+
+
+def test_retired_admm_keys_are_dropped(angle_train):
+    # older configs carry the ADMM-only "rho" and "adapt_rho"; they are read
+    # and discarded, so they change nothing and are not written back
+    retired = TrainConfig.from_dict(CLI_CONFIG)
+    current = TrainConfig.from_dict(dict(CLI_CONFIG, admm={
+        k: v for k, v in CLI_CONFIG["admm"].items() if k not in ("rho", "adapt_rho")}))
+    assert retired == current
+    assert set(retired.to_dict()["admm"]) == {"max_iters", "eps_abs", "eps_rel", "slack_weight"}
+    theta_retired = train_field(angle_train, retired)[0].theta
+    theta_current = train_field(angle_train, current)[0].theta
+    assert np.array_equal(theta_retired, theta_current)
+    with pytest.raises(ConfigError):
+        TrainConfig.from_dict({"admm": {"momentum": 0.9}})
+    with pytest.raises(ConfigError):
+        TrainConfig.from_dict({"preprocess": {"rho": 1.0}})
 
 
 def test_train_reports_and_persists(workspace, capsys):

@@ -92,6 +92,17 @@ def test_load_rejects_malformed_input(tmp_path):
         load_demonstrations(empty_dir)
 
 
+def test_load_rejects_non_finite_values(tmp_path):
+    # a NaN time would slip past the strictly-increasing check, since every
+    # comparison with NaN is false
+    with pytest.raises(ParseError) as exc:
+        load_demonstrations(_write(tmp_path, "t,x1,x2\n0,0,0\nnan,1,1\n2,2,2\n", "nan.csv"))
+    assert exc.value.line == 3
+    with pytest.raises(ParseError) as exc:
+        load_demonstrations(_write(tmp_path, "t,x1,x2\n0,0,0\n1,1,1\n2,inf,2\n", "inf.csv"))
+    assert exc.value.line == 4
+
+
 def test_load_rejects_nonmonotone_times(tmp_path):
     p = _write(tmp_path, "t,x1,x2\n0,0,0\n2,1,1\n1,2,2\n")
     with pytest.raises(DataError):

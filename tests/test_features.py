@@ -5,7 +5,7 @@ import pytest
 
 from cvfield import features
 from cvfield.kernels import KernelKind, eval_kernel, exact_field_eval, exact_ridge_fit
-from cvfield.solver import ADMMSettings, admm_solve, assemble_problem
+from cvfield.solver import ADMMSettings, assemble_problem, interior_point_solve
 
 GS = KernelKind("gaussian_separable", 1.0)
 CF = KernelKind("curl_free", 1.0)
@@ -101,21 +101,27 @@ def test_projector_idempotent_and_vanishing():
 
 
 def test_symmetrized_jacobian_basis_consistency():
-    # contracting the basis with theta reproduces the symmetrized jacobian
-    # of the projected field, and the adjoint identity holds exactly
+    # at every point of a batch, contracting the basis with theta reproduces
+    # the symmetrized jacobian of the projected field, and the adjoint
+    # identity holds exactly
     rng = np.random.default_rng(12)
-    fm = features.sample_feature_map(CF, 40, 2, seed=4)
-    proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
-    x = rng.normal(size=2) * 2
-    B = features.symmetrized_jacobian_basis(fm, proj, x)
-    theta = rng.normal(size=B.shape[0])
-    J = features.eval_feature_jacobians(fm, x, proj.L @ theta)
-    np.testing.assert_allclose(np.tensordot(theta, B, axes=1),
-                               0.5 * (J + J.T), atol=1e-12)
-    M = rng.normal(size=(2, 2))
-    lhs = float(np.sum(np.tensordot(theta, B, axes=1) * M))
-    rhs = float(theta @ np.tensordot(B, M, axes=([1, 2], [0, 1])))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    X = rng.normal(size=(7, 2)) * 2
+    for kind in (CF, GS):
+        fm = features.sample_feature_map(kind, 40, 2, seed=4)
+        proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
+        B = features.symmetrized_jacobian_basis(fm, proj, X)
+        assert B.shape == (7, fm.feature_dim, 2, 2)
+        theta = rng.normal(size=fm.feature_dim)
+        J = features.field_jacobians(fm, proj.L @ theta, X)
+        np.testing.assert_allclose(np.einsum("ipab,p->iab", B, theta),
+                                   0.5 * (J + J.transpose(0, 2, 1)), atol=1e-12)
+        M = rng.normal(size=(2, 2))
+        for Bi in B:
+            lhs = float(np.sum(np.tensordot(theta, Bi, axes=1) * M))
+            rhs = float(theta @ np.tensordot(Bi, M, axes=([1, 2], [0, 1])))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    assert features.symmetrized_jacobian_basis(fm, proj, np.empty((0, 2))).shape == (
+        0, fm.feature_dim, 2, 2)
 
 
 def test_potential_zero_coefficients():
@@ -170,7 +176,7 @@ def test_feature_ridge_approaches_exact_ridge():
         fm = features.sample_feature_map(kind, num, 2, seed=6)
         proj = features.build_vanishing_projector(fm, np.zeros((0, 2)))
         prob = assemble_problem(fm, proj, (X, Xdot), np.zeros((0, 2)), 0.01, 0.0)
-        rep = admm_solve(prob, ADMMSettings())
+        rep = interior_point_solve(prob, ADMMSettings())
         got = features.field_values(fm, rep.theta, holdout)
         rel[num] = np.sqrt(np.mean(np.sum((got - ref) ** 2, axis=1))) / rms_ref
 

@@ -1,4 +1,4 @@
-"""PSD projection, problem assembly, the ADMM iteration and the interior-point solver."""
+"""Problem assembly and the interior-point solver."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from cvfield import features
 from cvfield.errors import DimensionError
 from cvfield.kernels import KernelKind
 from cvfield.solver import (CONTRACTION_MARGIN, ADMMSettings, ConstrainedLSQProblem,
-                            admm_solve, assemble_problem, interior_point_solve,
-                            psd_project)
+                            assemble_problem, interior_point_solve)
 
 CF = KernelKind("curl_free", 1.0)
 
@@ -24,50 +23,6 @@ def _scalar_problem(target=2.0, lam=0.01, tau=0.5):
         constraint_ops=np.ones((1, 1, 1, 1)),
         tau=np.array([tau]),
     )
-
-
-def test_psd_project_clamps_negative_eigenvalue():
-    got = psd_project(np.diag([1.0, -1.0]))
-    np.testing.assert_allclose(got, np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_psd_project_keeps_psd_input():
-    rng = np.random.default_rng(0)
-    B = rng.normal(size=(2, 2))
-    M = B @ B.T
-    np.testing.assert_allclose(psd_project(M), M, atol=1e-12)
-
-
-def test_psd_project_matches_eigh_reference():
-    # the 2x2 path uses a closed form; pin it to the eigendecomposition
-    # clamp including the degenerate a == c and zero-gap cases
-    rng = np.random.default_rng(1)
-    mats = [rng.normal(size=(2, 2)) for _ in range(50)]
-    mats += [np.diag([3.0, 3.0]), np.zeros((2, 2)), np.diag([-1.0, -1.0]),
-             np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])]
-    for raw in mats:
-        M = 0.5 * (raw + raw.T)
-        w, V = np.linalg.eigh(M)
-        ref = (V * np.maximum(w, 0.0)) @ V.T
-        np.testing.assert_allclose(psd_project(M), ref, atol=1e-12)
-
-
-def test_psd_project_is_frobenius_nearest():
-    rng = np.random.default_rng(2)
-    raw = rng.normal(size=(2, 2))
-    M = 0.5 * (raw + raw.T)
-    P = psd_project(M)
-    d0 = np.linalg.norm(M - P)
-    for _ in range(1000):
-        B = rng.normal(size=(2, 2))
-        S = B @ B.T
-        assert d0 <= np.linalg.norm(M - S) + 1e-12
-
-
-def test_psd_project_generic_size():
-    M = np.diag([2.0, -3.0, 0.5])
-    np.testing.assert_allclose(psd_project(M), np.diag([2.0, 0.0, 0.5]),
-                               atol=1e-12)
 
 
 def test_problem_validation():
@@ -99,78 +54,6 @@ def test_assemble_problem_shapes_and_design():
     np.testing.assert_allclose(prob.design @ theta,
                                features.field_values(fm, proj.L @ theta, X).ravel(),
                                atol=1e-10)
-
-
-def test_admm_unconstrained_equals_ridge():
-    rng = np.random.default_rng(4)
-    A = rng.normal(size=(20, 6))
-    b = rng.normal(size=20)
-    lam = 0.1
-    prob = ConstrainedLSQProblem(A, b, lam, np.zeros((0, 2)),
-                                 np.empty((0, 6, 2, 2)), np.zeros(0))
-    rep = admm_solve(prob, ADMMSettings())
-    ref = np.linalg.solve(A.T @ A + lam * np.eye(6), A.T @ b)
-    np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
-    assert rep.converged and rep.max_constraint_violation == float("-inf")
-
-
-def test_admm_scalar_clamp():
-    prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
-    rep = admm_solve(prob, ADMMSettings(rho=5.0, eps_abs=1e-8, eps_rel=1e-8,
-                                        max_iters=20000))
-    assert rep.converged
-    assert abs(rep.theta[0] + 0.5) <= 1e-5
-    assert rep.max_constraint_violation <= 1e-5
-
-
-def test_admm_augmented_lagrangian_monotone():
-    # after the first few iterations the AL value must never increase by
-    # more than numerical jitter
-    prob = _scalar_problem()
-    rep = admm_solve(prob, ADMMSettings(rho=5.0, eps_abs=0.0, eps_rel=0.0,
-                                        max_iters=500))
-    al = rep.al_values
-    # the scalar problem converges bitwise well before the cap, so the
-    # recorded trace is just the prefix up to that point
-    assert 10 < al.size <= 500
-    diffs = np.diff(al[10:])
-    assert diffs.max() <= 1e-9
-
-
-def test_admm_flags_nonconvergence():
-    prob = _scalar_problem()
-    rep = admm_solve(prob, ADMMSettings(rho=5.0, max_iters=3))
-    assert not rep.converged
-    assert rep.iters == 3
-
-
-def test_admm_deterministic():
-    rng = np.random.default_rng(5)
-    A = rng.normal(size=(16, 4))
-    b = rng.normal(size=16)
-    ops = rng.normal(size=(2, 4, 2, 2))
-    ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
-    prob = ConstrainedLSQProblem(A, b, 0.05, np.zeros((2, 2)), ops,
-                                 np.full(2, 0.1))
-    r1 = admm_solve(prob, ADMMSettings(rho=2.0, max_iters=300))
-    r2 = admm_solve(prob, ADMMSettings(rho=2.0, max_iters=300))
-    assert np.array_equal(r1.theta, r2.theta)
-    assert r1.objective == r2.objective
-
-
-def test_admm_slack_mode_closed_form():
-    # soft version of the scalar clamp: minimize (t-2)^2 + 0.01 t^2 + w s^2
-    # with t + 0.5 <= s.  Eliminating the active constraint gives the
-    # stationary point of (t-2)^2 + 0.01 t^2 + w (t+0.5)^2.
-    w = 10.0
-    prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
-    rep = admm_solve(prob, ADMMSettings(rho=5.0, eps_abs=1e-9, eps_rel=1e-9,
-                                        max_iters=50000, slack_weight=w))
-    t_star = (2 * 2.0) / (2 + 0.02 + 2 * w) - (2 * w * 0.5) / (2 + 0.02 + 2 * w)
-    assert rep.converged
-    assert abs(rep.theta[0] - t_star) <= 1e-5
-    assert rep.slacks is not None
-    assert abs(rep.slacks[0] - (t_star + 0.5)) <= 1e-5
 
 
 def _zoom_oracle(prob, start, half, rounds=45, pts=7):
@@ -205,40 +88,6 @@ def _zoom_oracle(prob, start, half, rounds=45, pts=7):
         center = best
         half *= 0.6
     return best, best_val
-
-
-def test_admm_matches_grid_search_oracle():
-    rng = np.random.default_rng(6)
-    p = 4
-    A = rng.normal(size=(10, p))
-    b = rng.normal(size=10) * 2
-    ops = rng.normal(size=(1, p, 2, 2))
-    ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
-    # anchor one coordinate to -I so the strictly feasible cone is nonempty
-    ops[0, 0] = -np.eye(2)
-    prob = ConstrainedLSQProblem(A, b, 0.1, np.zeros((1, 2)), ops,
-                                 np.array([0.2]))
-    rep = admm_solve(prob, ADMMSettings(rho=2.0, eps_abs=1e-10, eps_rel=1e-10,
-                                        max_iters=200000, adapt_rho=True))
-    assert rep.converged
-    half = 2.0 * np.linalg.norm(rep.theta) + 1.0
-    _, oracle_val = _zoom_oracle(prob, np.zeros(p), half)
-    admm_val = float(np.sum((A @ rep.theta - b) ** 2) + 0.1 * rep.theta @ rep.theta)
-    # ADMM must not be beaten by more than the grid resolution allows, and
-    # must itself come within 1e-4 relative of the oracle value
-    assert admm_val <= oracle_val * (1 + 1e-4) + 1e-8
-    assert abs(admm_val - oracle_val) <= 1e-4 * max(1.0, oracle_val)
-
-
-def test_admm_rho_adaptation_still_converges():
-    prob = _scalar_problem()
-    plain = admm_solve(prob, ADMMSettings(rho=0.05, eps_abs=1e-9, eps_rel=1e-9,
-                                          max_iters=100000))
-    adapt = admm_solve(prob, ADMMSettings(rho=0.05, eps_abs=1e-9, eps_rel=1e-9,
-                                          max_iters=100000, adapt_rho=True))
-    assert plain.converged and adapt.converged
-    assert abs(adapt.theta[0] + 0.5) <= 1e-5
-    assert adapt.iters <= plain.iters
 
 
 def _random_lmi_problem(rng, p, m, rows=12, tau=0.2):
@@ -283,7 +132,9 @@ def test_ipm_scalar_clamp():
 
 
 def test_ipm_slack_mode_closed_form():
-    # same soft problem and closed form as test_admm_slack_mode_closed_form
+    # soft version of the scalar clamp: minimize (t-2)^2 + 0.01 t^2 + w s^2
+    # with t + 0.5 <= s.  Eliminating the active constraint gives the
+    # stationary point of (t-2)^2 + 0.01 t^2 + w (t+0.5)^2.
     w = 10.0
     prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
     rep = interior_point_solve(prob, ADMMSettings(eps_abs=1e-9, eps_rel=1e-9,
