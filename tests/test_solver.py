@@ -1,9 +1,16 @@
-"""Problem assembly and the interior-point solver."""
+"""Problem assembly and the interior-point solver.
+
+The `test_admm_*` tests solve the problems of the former ADMM solver's tests
+with `interior_point_solve`, taking the settings from the tests' original
+`admm` config blocks through `TrainConfig.from_dict`, so the retired `rho`
+and `adapt_rho` keys ride along and must change nothing.
+"""
 
 import numpy as np
 import pytest
 
 from cvfield import features
+from cvfield.cli import TrainConfig
 from cvfield.errors import DimensionError
 from cvfield.kernels import KernelKind
 from cvfield.solver import (CONTRACTION_MARGIN, ADMMSettings, ConstrainedLSQProblem,
@@ -204,3 +211,87 @@ def test_ipm_matches_grid_search_oracle():
         half = 2.0 * np.linalg.norm(rep.theta) + 1.0
         _, oracle_val = _zoom_oracle(prob, np.zeros(p), half, rounds=50, pts=pts)
         assert abs(val - oracle_val) <= 1e-4 * max(1.0, oracle_val)
+
+
+def _admm_block(**block):
+    # the solver settings an "admm" config block loads to
+    return TrainConfig.from_dict({"admm": block}).admm
+
+
+def test_admm_unconstrained_equals_ridge():
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(20, 6))
+    b = rng.normal(size=20)
+    lam = 0.1
+    prob = ConstrainedLSQProblem(A, b, lam, np.zeros((0, 2)),
+                                 np.empty((0, 6, 2, 2)), np.zeros(0))
+    rep = interior_point_solve(prob, _admm_block())
+    ref = np.linalg.solve(A.T @ A + lam * np.eye(6), A.T @ b)
+    np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
+    assert rep.converged and rep.max_constraint_violation == float("-inf")
+
+
+def test_admm_scalar_clamp():
+    prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
+    rep = interior_point_solve(prob, _admm_block(rho=5.0, eps_abs=1e-8, eps_rel=1e-8,
+                                                 max_iters=20000))
+    assert rep.converged
+    assert abs(rep.theta[0] + 0.5) <= 1e-5
+    assert rep.max_constraint_violation <= 1e-5
+
+
+def test_admm_flags_nonconvergence():
+    prob = _scalar_problem()
+    rep = interior_point_solve(prob, _admm_block(rho=5.0, max_iters=3))
+    assert not rep.converged
+    assert rep.iters == 3
+
+
+def test_admm_deterministic():
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(16, 4))
+    b = rng.normal(size=16)
+    ops = rng.normal(size=(2, 4, 2, 2))
+    ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
+    prob = ConstrainedLSQProblem(A, b, 0.05, np.zeros((2, 2)), ops,
+                                 np.full(2, 0.1))
+    r1 = interior_point_solve(prob, _admm_block(rho=2.0, max_iters=300))
+    r2 = interior_point_solve(prob, _admm_block(rho=2.0, max_iters=300))
+    assert np.array_equal(r1.theta, r2.theta)
+    assert r1.objective == r2.objective
+
+
+def test_admm_slack_mode_closed_form():
+    # the soft scalar clamp of test_ipm_slack_mode_closed_form
+    w = 10.0
+    prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
+    rep = interior_point_solve(prob, _admm_block(rho=5.0, eps_abs=1e-9, eps_rel=1e-9,
+                                                 max_iters=50000, slack_weight=w))
+    t_star = (2 * 2.0) / (2 + 0.02 + 2 * w) - (2 * w * 0.5) / (2 + 0.02 + 2 * w)
+    assert rep.converged
+    assert abs(rep.theta[0] - t_star) <= 1e-5
+    assert rep.slacks is not None
+    assert abs(rep.slacks[0] - (t_star + 0.5)) <= 1e-5
+
+
+def test_admm_matches_grid_search_oracle():
+    rng = np.random.default_rng(6)
+    p = 4
+    A = rng.normal(size=(10, p))
+    b = rng.normal(size=10) * 2
+    ops = rng.normal(size=(1, p, 2, 2))
+    ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
+    # anchor one coordinate to -I so the strictly feasible cone is nonempty
+    ops[0, 0] = -np.eye(2)
+    prob = ConstrainedLSQProblem(A, b, 0.1, np.zeros((1, 2)), ops,
+                                 np.array([0.2]))
+    rep = interior_point_solve(prob, _admm_block(rho=2.0, eps_abs=1e-10, eps_rel=1e-10,
+                                                 max_iters=200000, adapt_rho=True))
+    assert rep.converged
+    half = 2.0 * np.linalg.norm(rep.theta) + 1.0
+    _, oracle_val = _zoom_oracle(prob, np.zeros(p), half)
+    val = float(np.sum((A @ rep.theta - b) ** 2) + 0.1 * rep.theta @ rep.theta)
+    # the solve must not be beaten by more than the grid resolution allows,
+    # and must itself come within 1e-4 relative of the oracle value
+    assert val <= oracle_val * (1 + 1e-4) + 1e-8
+    assert abs(val - oracle_val) <= 1e-4 * max(1.0, oracle_val)
