@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -93,6 +94,9 @@ class TrainConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, sub in (("admm", ADMMSettings), ("preprocess", PreprocessConfig)):
             if key in d and not isinstance(d[key], sub):
+                if not isinstance(d[key], Mapping):
+                    raise ConfigError(f"{key} must be a mapping of settings, "
+                                      f"not {type(d[key]).__name__}")
                 subd = {k: v for k, v in d[key].items()
                         if not (key == "admm" and k in _RETIRED_ADMM_KEYS)}
                 bad = set(subd) - {f.name for f in fields(sub)}
@@ -211,26 +215,18 @@ def _integrator_settings(params):
     return s
 
 
-def cmd_eval(model_path, data_path, test_path, out=None, grid_k=16, seed=0):
+def cmd_eval(model_path, data_path, test_path=None, out=None, grid_k=16, seed=0,
+             grid_only=False):
+    """`eval` writes {"eval": ..., "grid_eval": ...}; with grid_only, as for
+    `grid-eval`, only the grid block, on the training demonstrations."""
     fieldobj, _, _ = modelfile.load_model(model_path)
     train = load_demonstrations(data_path)
-    test = load_demonstrations(test_path) if test_path else train
-    report = metrics.evaluate(fieldobj, train, test)
-    grid = metrics.grid_evaluate(fieldobj, train, grid_k=grid_k, seed=seed)
-    doc = {"eval": asdict(report), "grid_eval": asdict(grid)}
+    if not grid_only:
+        test = load_demonstrations(test_path) if test_path else train
+        report = asdict(metrics.evaluate(fieldobj, train, test))
+    grid = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=grid_k, seed=seed))
+    doc = grid if grid_only else {"eval": report, "grid_eval": grid}
     text = json.dumps(doc, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return 0
-
-
-def cmd_grid_eval(model_path, data_path, out=None, grid_k=16, seed=0):
-    fieldobj, _, _ = modelfile.load_model(model_path)
-    demos = load_demonstrations(data_path)
-    grid = metrics.grid_evaluate(fieldobj, demos, grid_k=grid_k, seed=seed)
-    text = json.dumps(asdict(grid), indent=2, sort_keys=True)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -315,16 +311,12 @@ def main(argv=None):
             _require(args, "data", "model")
             config, _ = _load_config(args)
             return cmd_train(config, args.data, args.model)
-        if args.command == "eval":
+        if args.command in ("eval", "grid-eval"):
             _require(args, "model", "data")
             params = _params_from_set(args)
             return cmd_eval(args.model, args.data, args.test, args.out,
-                            grid_k=int(params.get("grid_k", 16)), seed=args.seed or 0)
-        if args.command == "grid-eval":
-            _require(args, "model", "data")
-            params = _params_from_set(args)
-            return cmd_grid_eval(args.model, args.data, args.out,
-                                 grid_k=int(params.get("grid_k", 16)), seed=args.seed or 0)
+                            grid_k=int(params.get("grid_k", 16)), seed=args.seed or 0,
+                            grid_only=args.command == "grid-eval")
         if args.command == "rollout":
             _require(args, "model")
             return cmd_rollout(args.model, _params_from_set(args), args.out)

@@ -122,7 +122,11 @@ def max_contraction_eigenvalue(f, x):
 
 
 def _dense_eval(y0, h, k, theta):
-    """Quartic dense-output polynomial on one accepted step, theta in [0, 1]."""
+    """Quartic dense-output polynomial on one accepted step.
+
+    theta in [0, 1] is a scalar, giving one state, or an (S, 1) column,
+    giving S states.
+    """
     ydiff = h * (_B5 @ k)
     bspl = h * k[0] - ydiff
     r4 = ydiff - h * k[6] - bspl
@@ -218,11 +222,13 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
             ts.append(t_stop)
             xs.append(_dense_eval(y, h, k, theta_stop) if reached else y_new.copy())
         else:
-            while ptr < t_eval.size and t_eval[ptr] <= t_stop + 1e-12:
-                th = np.clip((t_eval[ptr] - t) / h, 0.0, 1.0)
-                ts.append(t_eval[ptr])
-                xs.append(_dense_eval(y, h, k, th))
-                ptr += 1
+            # every requested sample inside this step, in one dense evaluation
+            end = int(np.searchsorted(t_eval, t_stop + 1e-12, side="right"))
+            if end > ptr:
+                th = np.clip((t_eval[ptr:end] - t) / h, 0.0, 1.0)
+                ts.extend(t_eval[ptr:end])
+                xs.extend(_dense_eval(y, h, k, th[:, None]))
+                ptr = end
             if reached:
                 ts.append(t_stop)
                 xs.append(_dense_eval(y, h, k, theta_stop))

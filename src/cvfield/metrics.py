@@ -7,6 +7,11 @@ more over a 30x horizon with the goal event to score convergence.
 demonstration bounding box and reports how many reach the goal ball, how
 long they take, and how far (in DTW cost) they stray from the closest
 demonstration.
+
+`dtw_distance` is batched: it scores a (K, T, n) stack of equal-length
+sequences against one demonstration in a single row recurrence over (K, M)
+arrays, so `grid_evaluate` makes one call per demonstration for all of its
+resampled rollouts.  A single (T, n) sequence is a batch of one.
 """
 
 from __future__ import annotations
@@ -76,33 +81,52 @@ def dtw_distance(a, b):
     """Classic dynamic-time-warping cost with Euclidean local distances.
 
     Full window, no normalization: the summed cost along the optimal
-    monotone alignment path.
+    monotone alignment path.  `a` is one sequence, (T, n) or (T,) for a
+    scalar sequence, or a batch (K, T, n) of K sequences of equal length;
+    `b` is one sequence, (M, n) or (M,).  Returns a float for a single `a`
+    and a (K,) array, one cost per sequence, for a batch.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    single = a.ndim < 3
     if a.ndim == 1:
         a = a[:, None]    # scalar sequence
+    if single:
+        a = a[None]       # a batch of one
     if b.ndim == 1:
         b = b[:, None]
-    if a.shape[1] != b.shape[1]:
+    if a.ndim != 3 or b.ndim != 2:
+        raise DimensionError("a must be (T,), (T, n) or (K, T, n) and b (M,) or (M, n)")
+    if a.shape[2] != b.shape[1]:
         raise DimensionError("sequences must share their state dimension")
-    if a.shape[0] == 0 or b.shape[0] == 0:
+    if a.shape[0] == 0 or a.shape[1] == 0 or b.shape[0] == 0:
         raise DataError("empty sequence")
-    # direct differences: the Gram expansion loses ~1e-8 per entry to
-    # cancellation, which a summed alignment cost cannot afford
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    bT = b.T
+    d, diff = np.empty((2, a.shape[0], b.shape[0]))
+
+    def cost_row(i):
+        # distances from row i of every sequence to all of b, into d; direct
+        # differences, as the Gram expansion loses ~1e-8 per entry to
+        # cancellation, which a summed alignment cost cannot afford
+        np.square(np.subtract(a[:, i, 0, None], bT[0], out=d), out=d)
+        for c in range(1, bT.shape[0]):
+            np.add(d, np.square(np.subtract(a[:, i, c, None], bT[c], out=diff), out=diff), out=d)
+        return np.sqrt(d, out=d)
+
     # row recurrence D[i, j] = d[i, j] + min(D[i-1, j], D[i-1, j-1], D[i, j-1])
     # solved per row by a prefix trick: with S = cumsum(d_row) the row is
     # S + cummin(q - S_shifted), q holding the best entry cost per column.
-    prev = np.cumsum(d[0])
-    for i in range(1, d.shape[0]):
-        q = np.empty_like(prev)
-        q[0] = prev[0]
-        q[1:] = np.minimum(prev[1:], prev[:-1])
-        S = np.cumsum(d[i])
-        shifted = np.concatenate(([0.0], S[:-1]))
-        prev = S + np.minimum.accumulate(q - shifted)
-    return float(prev[-1])
+    # Rows are (K, M), one per sequence, updated in place.
+    prev = np.cumsum(cost_row(0), axis=1)
+    q, S, shifted = np.zeros((3,) + prev.shape)
+    for i in range(1, a.shape[1]):
+        q[:, 0] = prev[:, 0]
+        np.minimum(prev[:, 1:], prev[:, :-1], out=q[:, 1:])
+        np.cumsum(cost_row(i), axis=1, out=S)
+        shifted[:, 1:] = S[:, :-1]
+        q -= shifted
+        np.add(S, np.minimum.accumulate(q, axis=1, out=q), out=prev)
+    return float(prev[0, -1]) if single else prev[:, -1].copy()
 
 
 def evaluate(f, train, test, settings=None):
@@ -168,13 +192,14 @@ def grid_evaluate(f, demos, settings=None, grid_k=16, seed=0, jitter=0.0):
 
     The grid spans the demonstration bounding box inflated by 10% per
     side; each start is integrated for 30x the mean demonstration duration
-    with the goal event active.  DTW compares each rollout, resampled
-    uniformly, against the closest demonstration.
+    with the goal event active.  Each rollout is resampled uniformly to
+    GRID_DTW_SAMPLES points; its DTW cost is the minimum over
+    demonstrations, from one batched `dtw_distance` call per demonstration.
     """
     s = settings or dynamics.IntegratorSettings()
     starts = _grid_starts(demos, grid_k, seed, jitter)
     horizon = 30.0 * float(np.mean([d.duration for d in demos.demos]))
-    reached, durations, distances, dtwds = 0, [], [], []
+    reached, durations, distances, paths = 0, [], [], []
     for x0 in starts:
         try:
             ro = dynamics.rollout(f, x0, replace(s, horizon=horizon))
@@ -186,12 +211,16 @@ def grid_evaluate(f, demos, settings=None, grid_k=16, seed=0, jitter=0.0):
             durations.append(ro.time_to_goal)
         distances.append(float(np.linalg.norm(ro.states[-1])))
         grid_t = np.linspace(ro.times[0], ro.times[-1], GRID_DTW_SAMPLES)
-        path = np.stack([np.interp(grid_t, ro.times, ro.states[:, c])
-                         for c in range(ro.states.shape[1])], axis=1)
-        dtwds.append(min(dtw_distance(path, d.positions) for d in demos.demos))
+        paths.append(np.stack([np.interp(grid_t, ro.times, ro.states[:, c])
+                               for c in range(ro.states.shape[1])], axis=1))
+    grid_dtwd = float("nan")
+    if paths:
+        P = np.stack(paths)
+        grid_dtwd = float(np.mean(np.min(
+            [dtw_distance(P, d.positions) for d in demos.demos], axis=0)))
     return GridEvalReport(
         grid_fraction_reached=reached / starts.shape[0],
         grid_duration=float(np.mean(durations)) if durations else None,
         grid_distance_to_goal=float(np.mean(distances)),
-        grid_dtwd=float(np.mean(dtwds)) if dtwds else float("nan"),
+        grid_dtwd=grid_dtwd,
     )

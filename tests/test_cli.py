@@ -146,6 +146,16 @@ def test_train_infeasible_tau_message(workspace, capsys, monkeypatch):
     assert "slack_weight" in out.err and "step cap" not in out.err
 
 
+@pytest.mark.parametrize("override", ["admm=5", "preprocess=[1]"])
+def test_train_rejects_non_mapping_sections(workspace, capsys, override):
+    rc = main(["train", "--config", str(workspace / "config.json"),
+               "--data", str(workspace / "train.csv"),
+               "--model", str(workspace / "bad_section_model.json"), "--set", override])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error:" in err and "mapping" in err
+
+
 def test_train_requires_data_and_model(capsys):
     assert main(["train"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -5,10 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _synth import decay_demos
 from cvfield.dataset import Demonstration, DemoSet
-from cvfield.dynamics import IntegratorSettings
+from cvfield.dynamics import IntegratorSettings, rollout
 from cvfield.errors import DataError, DimensionError
 from cvfield.metrics import (GRID_DTW_SAMPLES, dtw_distance, evaluate,
                              grid_evaluate, trajectory_error, velocity_error)
@@ -118,6 +120,44 @@ def test_dtw_matches_brute_force_enumeration():
         assert dtw_distance(a, b) == pytest.approx(_dtw_brute(a, b), abs=1e-10)
 
 
+@st.composite
+def _dtw_batches(draw):
+    """A (K, T, n) batch of small integer sequences and one (M, n) sequence."""
+    dim = draw(st.integers(1, 3))
+    k, t, m = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.integers(-3, 3)
+    P = np.array(draw(st.lists(cells, min_size=k * t * dim, max_size=k * t * dim)),
+                 dtype=float).reshape(k, t, dim)
+    b = np.array(draw(st.lists(cells, min_size=m * dim, max_size=m * dim)),
+                 dtype=float).reshape(m, dim)
+    return P, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dtw_batches())
+def test_dtw_batch_matches_single_pairs_and_brute_force(batch):
+    P, b = batch
+    costs = dtw_distance(P, b)
+    assert costs.shape == (P.shape[0],)
+    for k in range(P.shape[0]):
+        single = dtw_distance(P[k], b)
+        assert isinstance(single, float)
+        assert costs[k] == single    # bitwise: a single pair is a batch of one
+        assert abs(single - _dtw_brute(P[k], b)) <= 1e-10
+
+
+def test_dtw_batch_validation():
+    b = np.zeros((4, 2))
+    with pytest.raises(DimensionError):
+        dtw_distance(np.zeros((3, 5, 3)), b)
+    with pytest.raises(DimensionError):
+        dtw_distance(np.zeros((2, 3, 5, 2)), b)
+    with pytest.raises(DataError):
+        dtw_distance(np.empty((0, 5, 2)), b)
+    with pytest.raises(DataError):
+        dtw_distance(np.empty((3, 0, 2)), b)
+
+
 def test_dtw_symmetry_and_validation():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(12, 2))
@@ -194,6 +234,26 @@ def test_grid_evaluate_trained_model(angle_model, angle_train):
     grid = grid_evaluate(field, angle_train, grid_k=16, seed=0)
     assert grid.grid_fraction_reached == 1.0
     assert np.isfinite(grid.grid_dtwd)
+
+
+def test_grid_dtwd_matches_per_pair_oracle(angle_model, angle_train):
+    # rebuild grid_dtwd from single rollouts and one dtw_distance call per
+    # (rollout, demonstration) pair: mean over starts of the closest demo
+    field, _, _ = angle_model
+    grid = grid_evaluate(field, angle_train, grid_k=16, seed=0)
+    pts = np.vstack([d.positions for d in angle_train.demos])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    pad = 0.1 * (hi - lo)
+    ax = [np.linspace(lo[d] - pad[d], hi[d] + pad[d], 4) for d in range(2)]
+    starts = np.stack([np.repeat(ax[0], 4), np.tile(ax[1], 4)], axis=1)
+    horizon = 30.0 * float(np.mean([d.duration for d in angle_train.demos]))
+    minima = []
+    for x0 in starts:
+        ro = rollout(field, x0, IntegratorSettings(horizon=horizon))
+        grid_t = np.linspace(ro.times[0], ro.times[-1], GRID_DTW_SAMPLES)
+        path = np.stack([np.interp(grid_t, ro.times, ro.states[:, c]) for c in range(2)], axis=1)
+        minima.append(min(dtw_distance(path, d.positions) for d in angle_train.demos))
+    assert grid.grid_dtwd == float(np.mean(minima))
 
 
 def test_grid_evaluate_deterministic(angle_model, angle_train):
