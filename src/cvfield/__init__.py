@@ -13,7 +13,7 @@ from .cli import TrainConfig, train_field
 from .dataset import (DemoSet, Demonstration, PreprocessConfig,
                       finite_difference_velocities, load_demonstrations,
                       resample_and_average, subsample_constraint_points)
-from .dynamics import (IntegratorSettings, RolloutResult, TrainedField,
+from .dynamics import (IntegratorSettings, RolloutBatch, RolloutResult, TrainedField,
                        export_field_grid, field_eval, field_jacobian,
                        max_contraction_eigenvalue, rollout)
 from .features import (FeatureMap, VanishingProjector, build_vanishing_projector,

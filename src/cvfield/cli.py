@@ -215,10 +215,19 @@ def _integrator_settings(params):
     return s
 
 
+#: exit status of `eval` when some demonstration rollouts failed to integrate
+EXIT_ROLLOUT_FAILURES = 3
+
+
 def cmd_eval(model_path, data_path, test_path=None, out=None, grid_k=16, seed=0,
              grid_only=False):
     """`eval` writes {"eval": ..., "grid_eval": ...}; with grid_only, as for
-    `grid-eval`, only the grid block, on the training demonstrations."""
+    `grid-eval`, only the grid block, on the training demonstrations.
+
+    The error means of `eval` leave out demonstrations whose rollout failed
+    to integrate; when there are any, it warns on stderr and returns
+    EXIT_ROLLOUT_FAILURES after writing the report.
+    """
     fieldobj, _, _ = modelfile.load_model(model_path)
     train = load_demonstrations(data_path)
     if not grid_only:
@@ -231,6 +240,11 @@ def cmd_eval(model_path, data_path, test_path=None, out=None, grid_k=16, seed=0,
         with open(out, "w") as fh:
             fh.write(text + "\n")
     print(text)
+    failures = 0 if grid_only else report["integration_failures"]
+    if failures:
+        print(f"warning: {failures} demonstration rollout(s) failed to integrate and are "
+              "left out of the error means", file=sys.stderr)
+        return EXIT_ROLLOUT_FAILURES
     return 0
 
 

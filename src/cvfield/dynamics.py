@@ -4,12 +4,20 @@ A TrainedField packages a feature map, a vanishing projector and solved
 coefficients; its field is f(x) = Phi(x)^T (L theta).  The rollout
 integrator is a Dormand-Prince 4(5) embedded pair with proportional step
 control and a quartic dense-output interpolant; a goal event terminates
-integration when the state enters the ball ||x|| <= goal_radius, with the
-crossing time localized by bisection on the dense output.
+integration when the state enters the ball ||x|| <= goal_radius anywhere
+along an accepted step, with the crossing time localized by bisection on
+the dense output.
+
+`rollout` integrates a (K, n) batch of starts in lock-step, one field
+evaluation per stage over the starts still running; a single start is a
+batch of one.  Every per-start operation is row by row (elementwise, or a
+sum over a fixed axis, never a BLAS product), so a start's result has the
+same bits alone or in any batch.
 
 Synthetic fields can be passed anywhere a TrainedField is accepted: any
-object with `eval(x)` (and `jacobian(x)` where Jacobians are needed), or a
-bare callable x -> xdot for evaluation-only uses.
+object whose `eval` maps a batch (N, n) to (N, n) (and `jacobian(x)`
+where Jacobians are needed), or a bare callable x -> xdot, called one
+point at a time, for evaluation-only uses.
 """
 
 from __future__ import annotations
@@ -42,6 +50,21 @@ _D = np.array([
     -10690763975 / 1880347072, 701980252875 / 199316789632,
     -1453857185 / 822651844, 69997945 / 29380423,
 ])
+_E0, _E6 = np.eye(7)[0], np.eye(7)[6]
+# the dense output y(theta) = y0 + sum_p C_p theta^p on an accepted step
+# (contd5 in monomial form): h times these rows of weights on the stage
+# slopes give C_1..C_4
+_DENSE = np.array([_E0, 3 * _B5 - 2 * _E0 - _E6 + _D, _E0 + _E6 - 2 * _B5 - 2 * _D, _D])
+# the same polynomial in powers of u = theta - 1/2: c_0 - y0, c_1, .., c_4
+_MIDPOINT = np.array([[1 / 2, 1 / 4, 1 / 8, 1 / 16],
+                      [1, 1, 3 / 4, 1 / 2],
+                      [0, 1, 3 / 2, 3 / 2],
+                      [0, 0, 1, 2],
+                      [0, 0, 0, 1]]) @ _DENSE
+# per attempted step, h times these weights give the increment y(1) - y0,
+# the error estimate, C_1..C_4 and the midpoint coefficients
+_STEP_WEIGHTS = np.vstack([_B5, _ERR, _DENSE, _MIDPOINT])
+_HALVES = 0.5 ** np.arange(1, 5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,19 +117,26 @@ class RolloutResult:
     n_field_evals: int
 
 
+@dataclass
+class RolloutBatch:
+    """Rollouts of a (K, n) batch of starts, in start order."""
+
+    results: list             # per start: a RolloutResult, or the IntegrationError that ended it
+    n_field_evals: int        # point evaluations summed over the starts
+
+
 def field_eval(f, x):
-    """Evaluate a trained or synthetic field; accepts a point or a batch."""
-    if isinstance(f, TrainedField):
-        return f.eval(x)
+    """Evaluate a trained or synthetic field at a point (n,) or a batch (N, n).
+
+    A TrainedField, or any object with an `eval` method, gets the whole
+    batch in one call; a bare callable is called once per row.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return field_eval(f, x[None])[0]
     if hasattr(f, "eval"):
         return np.asarray(f.eval(x), dtype=float)
-    return np.asarray(f(x), dtype=float)
-
-
-def _eval_many(f, X):
-    if isinstance(f, TrainedField):
-        return f.eval(np.atleast_2d(X))
-    return np.stack([field_eval(f, x) for x in np.atleast_2d(X)])
+    return np.stack([np.asarray(f(row), dtype=float) for row in x])
 
 
 def field_jacobian(f, x):
@@ -121,128 +151,237 @@ def max_contraction_eigenvalue(f, x):
     return float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
 
 
-def _dense_eval(y0, h, k, theta):
-    """Quartic dense-output polynomial on one accepted step.
+def _norms(v):
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
 
-    theta in [0, 1] is a scalar, giving one state, or an (S, 1) column,
-    giving S states.
+
+def _stage_sum(w, k):
+    """sum_j w[:, j] k[:, :, j] for weights w (P, i) and slopes k (R, n, 7), as (R, P, n).
+
+    Elementwise products summed over the last axis reduce every row the
+    same way whatever R is; a matrix product rounds a row differently
+    depending on how many rows share it.
     """
-    ydiff = h * (_B5 @ k)
-    bspl = h * k[0] - ydiff
-    r4 = ydiff - h * k[6] - bspl
-    r5 = h * (_D @ k)
-    return y0 + theta * (ydiff + (1.0 - theta) * (bspl + theta * (r4 + (1.0 - theta) * r5)))
+    return np.add.reduce(k[:, None, :, :w.shape[1]] * w[:, None, :], axis=-1)
 
 
-def _locate_crossing(y0, h, k, radius, tol_t):
-    # first entry of ||x|| - radius into the nonpositive range, by bisection
-    lo, hi = 0.0, 1.0
-    while h * (hi - lo) > tol_t:
+def _dense_eval(C, theta):
+    """Dense output sum_p C[:, p] theta^p of accepted steps, C (R, 5, n).
+
+    theta is (R, 1), one value per step, or (S, 1) for a single step
+    (R = 1), giving S states.
+    """
+    y = C[:, 4]
+    for p in (3, 2, 1, 0):
+        y = y * theta + C[:, p]
+    return y
+
+
+def _closest_theta(C):
+    """theta in [0, 1] where ||sum_p C[p] theta^p|| is least, C (5, n).
+
+    The candidates are the ends and the real parts of the critical points
+    of ||y||^2, a polynomial of degree 8; picking among more candidates
+    than needed only lowers the minimum found.  Leading coefficients of the
+    derivative that are negligible next to the largest one (a step that is
+    nearly a straight line) are dropped first, as they would only make the
+    companion matrix ill-conditioned.
+    """
+    P = np.polynomial.polynomial
+    g = sum(np.convolve(C[:, c], C[:, c]) for c in range(C.shape[1]))
+    dg = P.polyder(g)
+    dg = P.polytrim(dg, 1e-12 * np.abs(dg).max())
+    crit = np.clip(P.polyroots(dg).real, 0.0, 1.0)
+    cand = np.concatenate(([0.0, 1.0], crit))
+    return float(cand[np.argmin(P.polyval(cand, g))])
+
+
+def _goal_entries(C, mid, y1, radius):
+    """Per accepted step, a theta at which the dense output is inside the
+    goal ball of the given radius, or nan when the whole step stays out.
+
+    An endpoint y1 inside gives theta = 1.  Otherwise the step is bounded
+    by a ball about its midpoint: `mid` (R, 5, n) holds the coefficients
+    c_j of y in powers of u = theta - 1/2 in [-1/2, 1/2], so ||y - c_0|| <=
+    sum_j ||c_j|| / 2^j.  Only a step whose ball meets the goal ball gets
+    its exact closest point.
+    """
+    hit = np.where(_norms(y1) <= radius, 1.0, np.nan)
+    reach = np.add.reduce(_norms(mid[:, 1:]) * _HALVES, axis=-1)
+    near = np.isnan(hit) & (_norms(mid[:, 0]) - reach <= radius)
+    for r in np.flatnonzero(near & np.isfinite(reach)):
+        theta = _closest_theta(C[r])
+        if _norms(_dense_eval(C[r:r + 1], theta))[0] <= radius:
+            hit[r] = theta
+    return hit
+
+
+def _locate_crossing(C, h, radius, hi, tol_t):
+    """Entry into the goal ball by bisection on [0, hi], row by row.
+
+    Each row halves its own bracket until h * width <= tol_t, so its
+    result does not depend on the other rows.
+    """
+    lo = np.zeros_like(hi)
+    while True:
+        go = h * (hi - lo) > tol_t
+        if not go.any():
+            return hi
         mid = 0.5 * (lo + hi)
-        if np.linalg.norm(_dense_eval(y0, h, k, mid)) <= radius:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        inside = _norms(_dense_eval(C, mid[:, None])) <= radius
+        hi = np.where(go & inside, mid, hi)
+        lo = np.where(go & ~inside, mid, lo)
 
 
 def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
     """Integrate xdot = f(x) from x0 until the horizon or the goal event.
 
+    x0 is one start (n,), giving a RolloutResult, or a batch (K, n) of
+    starts, giving a RolloutBatch.  A batch is integrated in lock-step:
+    every start keeps its own step size, accept/reject decision, FSAL
+    stage, goal event and horizon, and each stage evaluates the field once
+    over the starts still running.  All per-start arithmetic is row by row,
+    so a start's result is bitwise the same alone or in any batch, provided
+    the field's own arithmetic does not depend on the batch size (a
+    TrainedField's does not).  A single start is a batch of one.
+
     t_eval requests dense-output samples at the given times (seconds,
     relative to the start); otherwise the accepted integrator steps are
     returned.  fixed_step disables error control and uses the given step
-    size (used to probe integrator order).  The event crossing time, when
-    reached, is localized to 1e-6 s and appended as the final sample.
+    size (used to probe integrator order).  The goal event is checked over
+    the whole of each accepted step, not only at its end; the crossing
+    time, when reached, is localized to 1e-6 s and appended as the final
+    sample.  A start whose step size underflows raises IntegrationError;
+    in a batch, that error takes the start's place in the results and the
+    other starts run on.
     """
     s = settings or IntegratorSettings()
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = np.asarray(x0, dtype=float)
+    single = x0.ndim < 2
+    X0 = x0.reshape(1, -1) if single else x0
+    if X0.ndim != 2:
+        raise DimensionError("x0 must be one start (n,) or a batch of starts (K, n)")
     if s.horizon <= 0:
         raise DataError("horizon must be positive")
-    nev = 0
-
-    def rhs(x):
-        nonlocal nev
-        nev += 1
-        return np.asarray(field_eval(f, x), dtype=float)
-
-    event_on = s.goal_radius > 0.0
-    ts, xs = [0.0], [x0.copy()]
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float).ravel()
         if t_eval.size and (np.any(np.diff(t_eval) <= 0) or t_eval[0] < 0 or t_eval[-1] > s.horizon + 1e-12):
             raise DataError("t_eval must be increasing and inside [0, horizon]")
-        ts, xs = [], []
+    K, n = X0.shape
+    event_on = s.goal_radius > 0.0
 
-    if event_on and np.linalg.norm(x0) <= s.goal_radius:
-        states = np.atleast_2d(x0)
-        return RolloutResult(np.array([0.0]), states, _eval_many(f, states), True, 0.0, 0)
+    t, y = np.zeros(K), X0.copy()
+    nev = np.zeros(K, dtype=int)
+    ptr = np.zeros(K, dtype=int)
+    reached, t_goal = np.zeros(K, dtype=bool), np.full(K, np.nan)
+    failures = [None] * K
+    ts, xs = [[] for _ in range(K)], [[] for _ in range(K)]
+    if event_on:
+        reached = _norms(X0) <= s.goal_radius
+        t_goal[reached] = 0.0
+    active = ~reached
+    for r in range(K):
+        if t_eval is None or reached[r]:
+            ts[r].append(0.0)
+            xs[r].append(X0[r].copy())
 
-    t, y = 0.0, x0.copy()
-    f0 = rhs(y)
+    f0 = np.zeros((K, n))
+    if active.any():
+        f0[active] = field_eval(f, y[active])
+    nev[active] += 1
     if fixed_step is not None:
-        h = float(fixed_step)
+        h = np.full(K, float(fixed_step))
     else:
         # cheap standard guess, refined immediately by the controller
         sc = s.abs_tol + s.rel_tol * np.abs(y)
-        d0 = np.sqrt(np.mean((y / sc) ** 2))
-        d1 = np.sqrt(np.mean((f0 / sc) ** 2))
-        h = 0.01 * d0 / d1 if d0 > 1e-12 and d1 > 1e-12 else 1e-6 * s.horizon
-        h = min(h, s.max_step, s.horizon)
-    ptr = 0
-    reached, t_goal = False, None
-    k = np.empty((7, y.shape[0]))
+        d0 = np.sqrt(np.mean((y / sc) ** 2, axis=1))
+        d1 = np.sqrt(np.mean((f0 / sc) ** 2, axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.where((d0 > 1e-12) & (d1 > 1e-12), 0.01 * d0 / d1, 1e-6 * s.horizon)
+        h = np.minimum(np.minimum(h, s.max_step), s.horizon)
 
     while True:
         rem = s.horizon - t
-        if rem <= 1e-12 * max(1.0, s.horizon):
+        active &= rem > 1e-12 * max(1.0, s.horizon)
+        h = np.where(active, np.minimum(np.minimum(h, rem), s.max_step), h)
+        under = active & (h < 1e-14 * np.maximum(1.0, np.abs(t)))
+        for r in np.flatnonzero(under):
+            failures[r] = IntegrationError("step size underflow",
+                                           last_time=float(t[r]), last_state=y[r].copy())
+        active &= ~under
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
-        h = min(h, rem, s.max_step)
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError("step size underflow", last_time=t, last_state=y.copy())
-        k[0] = f0
+        # one lock-step attempt by every running start
+        y0, hc = y[idx], h[idx, None]
+        k = np.empty((idx.size, n, 7))
+        k[:, :, 0] = f0[idx]
         for i in range(1, 7):
-            k[i] = rhs(y + h * (_A[i] @ k[:i]))
-        y_new = y + h * (_B5 @ k)
+            k[:, :, i] = field_eval(f, y0 + hc * _stage_sum(_A[i][None], k)[:, 0])
+        nev[idx] += 6
+        hS = hc[:, :, None] * _stage_sum(_STEP_WEIGHTS, k)
+        y1 = y0 + hS[:, 0]
         if fixed_step is None:
-            sc = s.abs_tol + s.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = np.sqrt(np.mean((h * (_ERR @ k) / sc) ** 2))
-            if err > 1.0:
-                h *= max(0.2, 0.9 * err ** -0.2)
-                continue
-        t_new = t + h
-
-        t_stop, theta_stop = t_new, 1.0
-        if event_on and np.linalg.norm(y_new) <= s.goal_radius:
-            theta_stop = _locate_crossing(y, h, k, s.goal_radius, 1e-6)
-            t_stop = t + theta_stop * h
-            reached, t_goal = True, t_stop
-
-        if t_eval is None:
-            ts.append(t_stop)
-            xs.append(_dense_eval(y, h, k, theta_stop) if reached else y_new.copy())
+            sc = s.abs_tol + s.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
+            err = np.sqrt(np.mean((hS[:, 1] / sc) ** 2, axis=1))
+            # a nan error (the field returned nan or inf) rejects the step too,
+            # so such a start ends in step size underflow, not a nan trajectory
+            rej = ~(err <= 1.0)
+            if rej.any():
+                h[idx[rej]] *= np.fmax(0.2, 0.9 * err[rej] ** -0.2)
+                acc = ~rej
+                idx, y0, hc, k, hS, y1, err = (v[acc] for v in (idx, y0, hc, k, hS, y1, err))
+                if not idx.size:
+                    continue
+        C = np.concatenate([y0[:, None], hS[:, 2:6]], axis=1)
+        theta, x_stop = np.ones(idx.size), y1.copy()
+        if event_on:
+            mid = np.concatenate([(y0 + hS[:, 6])[:, None], hS[:, 7:]], axis=1)
+            entry = _goal_entries(C, mid, y1, s.goal_radius)
         else:
-            # every requested sample inside this step, in one dense evaluation
-            end = int(np.searchsorted(t_eval, t_stop + 1e-12, side="right"))
-            if end > ptr:
-                th = np.clip((t_eval[ptr:end] - t) / h, 0.0, 1.0)
-                ts.extend(t_eval[ptr:end])
-                xs.extend(_dense_eval(y, h, k, th[:, None]))
-                ptr = end
-            if reached:
-                ts.append(t_stop)
-                xs.append(_dense_eval(y, h, k, theta_stop))
+            entry = np.full(idx.size, np.nan)
+        hit = ~np.isnan(entry)
+        if hit.any():
+            theta[hit] = _locate_crossing(C[hit], hc[hit, 0], s.goal_radius, entry[hit], 1e-6)
+            x_stop[hit] = _dense_eval(C[hit], theta[hit, None])
+        t_stop = t[idx] + theta * hc[:, 0]
 
-        if reached:
-            break
-        t, y, f0 = t_new, y_new, k[6].copy()   # FSAL
+        for p, r in enumerate(idx):
+            if t_eval is not None:
+                # every requested sample inside this step, in one dense evaluation
+                end = int(np.searchsorted(t_eval, t_stop[p] + 1e-12, side="right"))
+                if end > ptr[r]:
+                    th = np.clip((t_eval[ptr[r]:end] - t[r]) / hc[p, 0], 0.0, 1.0)
+                    ts[r].extend(t_eval[ptr[r]:end])
+                    xs[r].extend(_dense_eval(C[p:p + 1], th[:, None]))
+                    ptr[r] = end
+                if not hit[p]:
+                    continue
+            ts[r].append(t_stop[p])
+            xs[r].append(x_stop[p])
+
+        done, go = idx[hit], idx[~hit]
+        reached[done], t_goal[done], active[done] = True, t_stop[hit], False
+        t[go], y[go], f0[go] = t_stop[~hit], y1[~hit], k[~hit, :, 6]   # FSAL
         if fixed_step is None:
-            h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
+            h[go] *= np.minimum(5.0, np.maximum(0.2, 0.9 * (err + 1e-16) ** -0.2))[~hit]
 
-    times = np.asarray(ts)
-    states = np.atleast_2d(np.asarray(xs)) if xs else np.empty((0, x0.shape[0]))
-    vels = _eval_many(f, states) if states.shape[0] else np.empty_like(states)
-    return RolloutResult(times, states, vels, reached, t_goal, nev)
+    # velocities at every sampled state, in one field evaluation
+    states = [np.asarray(xs[r]).reshape(-1, n) for r in range(K)]
+    ok = [r for r in range(K) if failures[r] is None]
+    stacked = np.concatenate([states[r] for r in ok]) if ok else np.empty((0, n))
+    vels = field_eval(f, stacked) if stacked.shape[0] else np.empty_like(stacked)
+    bounds = np.cumsum([0] + [states[r].shape[0] for r in ok])
+    results = list(failures)
+    for i, r in enumerate(ok):
+        results[r] = RolloutResult(
+            np.asarray(ts[r], dtype=float), states[r], vels[bounds[i]:bounds[i + 1]],
+            bool(reached[r]), float(t_goal[r]) if reached[r] else None, int(nev[r]))
+    if single:
+        if failures[0] is not None:
+            raise failures[0]
+        return results[0]
+    return RolloutBatch(results, int(nev.sum()))
 
 
 def export_field_grid(f, bounds, resolution):
@@ -263,7 +402,7 @@ def export_field_grid(f, bounds, resolution):
     g1 = np.linspace(b[0], b[1], resolution)
     g2 = np.linspace(b[2], b[3], resolution)
     X = np.stack([np.tile(g1, resolution), np.repeat(g2, resolution)], axis=1)
-    vals = _eval_many(f, X)
+    vals = field_eval(f, X)
     if vals.shape[1] != 2:
         raise DimensionError("grid export supports 2-D fields only")
     if isinstance(f, TrainedField):

@@ -78,7 +78,13 @@ def sample_feature_map(kind, s, n, seed):
 
 
 def _angles(fm, X):
-    return X @ fm.freqs.T + fm.phases
+    # the feature products are einsums, not BLAS products: BLAS rounds a row
+    # differently depending on how many rows share the call, and a point's
+    # field value must have the same bits alone or in a batch (a batch of
+    # rollouts relies on it)
+    a = np.einsum("nd,ds->ns", X, np.ascontiguousarray(fm.freqs.T))
+    a += fm.phases
+    return a
 
 
 def eval_features(fm, x):
@@ -111,13 +117,17 @@ def feature_rows(fm, X):
 
 
 def field_values(fm, coeffs, X):
-    """Fields f(x_t) = Phi(x_t)^T coeffs for a batch of points, (N, n)."""
+    """Fields f(x_t) = Phi(x_t)^T coeffs for a batch of points, (N, n).
+
+    Each row is computed independently of the others (see `_angles`).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     a = _angles(fm, X)
     if fm.kind.variant == GAUSSIAN_SEPARABLE:
         theta = np.asarray(coeffs).reshape(fm.s, fm.n)
-        return (fm.scale * np.cos(a)) @ theta
-    return fm.scale * (np.sin(a) * coeffs) @ fm.freqs
+        return np.einsum("ns,ds->nd", fm.scale * np.cos(a), np.ascontiguousarray(theta.T))
+    return np.einsum("ns,ds->nd", fm.scale * (np.sin(a) * coeffs),
+                     np.ascontiguousarray(fm.freqs.T))
 
 
 def eval_feature_jacobians(fm, x, theta):

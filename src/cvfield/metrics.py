@@ -8,10 +8,13 @@ demonstration bounding box and reports how many reach the goal ball, how
 long they take, and how far (in DTW cost) they stray from the closest
 demonstration.
 
-`dtw_distance` is batched: it scores a (K, T, n) stack of equal-length
-sequences against one demonstration in a single row recurrence over (K, M)
-arrays, so `grid_evaluate` makes one call per demonstration for all of its
-resampled rollouts.  A single (T, n) sequence is a batch of one.
+`grid_evaluate` is two batched passes: one `dynamics.rollout` call
+integrates every grid start in lock-step, and `dtw_distance` scores the
+(K, T, n) stack of resampled rollouts against each demonstration in one
+call.  `dtw_distance` fills the cost table by anti-diagonals: every cell on
+diagonal i + j = k depends only on diagonals k - 1 and k - 2, so one
+diagonal of all K tables is a few elementwise operations on (K, <= T)
+slices.  A single (T, n) sequence is a batch of one.
 """
 
 from __future__ import annotations
@@ -85,6 +88,11 @@ def dtw_distance(a, b):
     scalar sequence, or a batch (K, T, n) of K sequences of equal length;
     `b` is one sequence, (M, n) or (M,).  Returns a float for a single `a`
     and a (K,) array, one cost per sequence, for a batch.
+
+    D[i, j] = d(a_i, b_j) + min(D[i-1, j], D[i, j-1], D[i-1, j-1]) is
+    solved one anti-diagonal at a time for all K sequences together; the
+    arithmetic of each sequence is elementwise, so its cost has the same
+    bits alone or in any batch.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -101,32 +109,38 @@ def dtw_distance(a, b):
         raise DimensionError("sequences must share their state dimension")
     if a.shape[0] == 0 or a.shape[1] == 0 or b.shape[0] == 0:
         raise DataError("empty sequence")
-    bT = b.T
-    d, diff = np.empty((2, a.shape[0], b.shape[0]))
-
-    def cost_row(i):
-        # distances from row i of every sequence to all of b, into d; direct
-        # differences, as the Gram expansion loses ~1e-8 per entry to
+    K, T, n = a.shape
+    M = b.shape[0]
+    aT = np.ascontiguousarray(a.transpose(2, 0, 1))   # (n, K, T)
+    br = np.ascontiguousarray(b[::-1].T)               # (n, M), b reversed
+    # anti-diagonal wavefront: cell (i, j) lies on diagonal k = i + j and
+    # needs (i-1, j) and (i, j-1) from diagonal k-1 and (i-1, j-1) from k-2.
+    # A diagonal is stored by row index i at column i+1 of a (K, T+1)
+    # buffer; column 0 (i = -1) and every column a diagonal has not reached
+    # yet hold +inf, so the boundary needs no special case.  With b reversed,
+    # b[k-i] for i in [lo, hi] is the plain slice br[M-1-k+lo : M-k+hi].
+    diag = np.full((3, K, T + 1), np.inf)
+    dist, tmp = np.empty((2, K, T))
+    for k in range(T + M - 1):
+        lo, hi = max(0, k - M + 1), min(k, T - 1)
+        w, off = hi - lo + 1, M - 1 - k + lo
+        d, t = dist[:, :w], tmp[:, :w]
+        # direct differences, as the Gram expansion loses ~1e-8 per entry to
         # cancellation, which a summed alignment cost cannot afford
-        np.square(np.subtract(a[:, i, 0, None], bT[0], out=d), out=d)
-        for c in range(1, bT.shape[0]):
-            np.add(d, np.square(np.subtract(a[:, i, c, None], bT[c], out=diff), out=diff), out=d)
-        return np.sqrt(d, out=d)
-
-    # row recurrence D[i, j] = d[i, j] + min(D[i-1, j], D[i-1, j-1], D[i, j-1])
-    # solved per row by a prefix trick: with S = cumsum(d_row) the row is
-    # S + cummin(q - S_shifted), q holding the best entry cost per column.
-    # Rows are (K, M), one per sequence, updated in place.
-    prev = np.cumsum(cost_row(0), axis=1)
-    q, S, shifted = np.zeros((3,) + prev.shape)
-    for i in range(1, a.shape[1]):
-        q[:, 0] = prev[:, 0]
-        np.minimum(prev[:, 1:], prev[:, :-1], out=q[:, 1:])
-        np.cumsum(cost_row(i), axis=1, out=S)
-        shifted[:, 1:] = S[:, :-1]
-        q -= shifted
-        np.add(S, np.minimum.accumulate(q, axis=1, out=q), out=prev)
-    return float(prev[0, -1]) if single else prev[:, -1].copy()
+        np.square(np.subtract(aT[0, :, lo:hi + 1], br[0, off:off + w], out=d), out=d)
+        for c in range(1, n):
+            np.add(d, np.square(np.subtract(aT[c, :, lo:hi + 1], br[c, off:off + w], out=t),
+                                out=t), out=d)
+        np.sqrt(d, out=d)
+        cur, prev, prev2 = diag[k % 3], diag[(k - 1) % 3], diag[(k - 2) % 3]
+        if k == 0:
+            cur[:, 1] = d[:, 0]
+            continue
+        np.minimum(prev[:, lo:hi + 1], prev[:, lo + 1:hi + 2], out=t)
+        np.minimum(t, prev2[:, lo:hi + 1], out=t)
+        np.add(d, t, out=cur[:, lo + 1:hi + 2])
+    last = diag[(T + M - 2) % 3][:, T]
+    return float(last[0]) if single else last.copy()
 
 
 def evaluate(f, train, test, settings=None):
@@ -173,6 +187,8 @@ def _grid_starts(dset, grid_k, seed, jitter):
     pts = np.vstack([d.positions for d in dset.demos])
     if pts.shape[1] != 2:
         raise DimensionError("grid evaluation supports 2-D data only")
+    if not grid_k >= 1:
+        raise DataError(f"grid_k must be a positive perfect square, got {grid_k}")
     g = round(np.sqrt(grid_k))
     if g * g != grid_k:
         raise DataError("grid_k must be a perfect square")
@@ -192,19 +208,20 @@ def grid_evaluate(f, demos, settings=None, grid_k=16, seed=0, jitter=0.0):
 
     The grid spans the demonstration bounding box inflated by 10% per
     side; each start is integrated for 30x the mean demonstration duration
-    with the goal event active.  Each rollout is resampled uniformly to
-    GRID_DTW_SAMPLES points; its DTW cost is the minimum over
-    demonstrations, from one batched `dtw_distance` call per demonstration.
+    with the goal event active, all starts in one batched
+    `dynamics.rollout` call; a start that fails to integrate counts toward
+    the goal distance with its last state and has no DTW cost.  Each rollout
+    is resampled uniformly to GRID_DTW_SAMPLES points; its DTW cost is the
+    minimum over demonstrations, from one batched `dtw_distance` call per
+    demonstration.
     """
     s = settings or dynamics.IntegratorSettings()
     starts = _grid_starts(demos, grid_k, seed, jitter)
     horizon = 30.0 * float(np.mean([d.duration for d in demos.demos]))
     reached, durations, distances, paths = 0, [], [], []
-    for x0 in starts:
-        try:
-            ro = dynamics.rollout(f, x0, replace(s, horizon=horizon))
-        except IntegrationError as exc:
-            distances.append(float(np.linalg.norm(exc.last_state)))
+    for ro in dynamics.rollout(f, starts, replace(s, horizon=horizon)).results:
+        if isinstance(ro, IntegrationError):
+            distances.append(float(np.linalg.norm(ro.last_state)))
             continue
         if ro.reached_goal:
             reached += 1

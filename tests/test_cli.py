@@ -203,6 +203,45 @@ def test_grid_eval_json(workspace, capsys):
     assert doc["grid_fraction_reached"] == 1.0
 
 
+@pytest.mark.parametrize("grid_k", ["0", "-4"])
+@pytest.mark.parametrize("command", ["eval", "grid-eval"])
+def test_eval_rejects_nonpositive_grid_k(workspace, capsys, command, grid_k):
+    rc = main([command, "--model", str(workspace / "model.json"),
+               "--data", str(workspace / "train.csv"), "--set", f"grid_k={grid_k}"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: grid_k must be a positive perfect square")
+    assert "Traceback" not in err
+
+
+class _EscapesRightOfOne:
+    """xdot = -x where x1 <= 1; elsewhere xdot = (1 + x1^2, 0), which leaves
+    for infinity in finite time, so rollouts started at x1 > 1 end in step
+    size underflow.  A trained field is bounded and cannot do this."""
+
+    def eval(self, x):
+        x = np.asarray(x, dtype=float)
+        escape = np.stack([1.0 + x[:, 0] ** 2, np.zeros(len(x))], axis=1)
+        return np.where(x[:, :1] > 1.0, escape, -x)
+
+
+def test_eval_reports_failed_rollouts_in_exit_status(workspace, capsys, monkeypatch, angle_train,
+                                                     angle_test):
+    monkeypatch.setattr(modelfile, "load_model", lambda path: (_EscapesRightOfOne(), {}, {}))
+    out = workspace / "eval_failures.json"
+    rc = main(["eval", "--model", str(workspace / "model.json"),
+               "--data", str(workspace / "train.csv"),
+               "--test", str(workspace / "test.csv"), "--out", str(out)])
+    err = capsys.readouterr().err
+    starts = [d.positions[0, 0] for d in angle_train.demos + angle_test.demos]
+    expected = sum(x > 1.0 for x in starts)
+    assert 0 < expected < len(starts)
+    assert rc == 3
+    assert json.loads(out.read_text())["eval"]["integration_failures"] == expected
+    assert err.count("\n") == 1
+    assert f"warning: {expected} demonstration rollout(s) failed" in err
+
+
 def test_rollout_csv(workspace, capsys):
     out = workspace / "ro.csv"
     rc = main(["rollout", "--model", str(workspace / "model.json"),

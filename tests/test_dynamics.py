@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cvfield.dataset import subsample_constraint_points
-from cvfield.dynamics import (IntegratorSettings, TrainedField, export_field_grid,
-                              field_eval, field_jacobian,
+from cvfield.dynamics import (IntegratorSettings, RolloutBatch, TrainedField,
+                              export_field_grid, field_eval, field_jacobian,
                               max_contraction_eigenvalue, rollout)
 from cvfield.errors import DataError, DimensionError, IntegrationError
 from cvfield import features
@@ -20,13 +22,18 @@ TIGHT = dict(rel_tol=1e-8, abs_tol=1e-12)
 
 
 class Linear:
-    """Analytic linear field xdot = A x, duck-typed like a trained field."""
+    """Analytic linear field xdot = A x, duck-typed like a trained field.
+
+    A x is computed row by row (products summed over the last axis), so a
+    row's bits do not depend on how many rows share the call; a BLAS product
+    `x @ A.T` does not have that property.
+    """
 
     def __init__(self, A):
         self.A = np.asarray(A, dtype=float)
 
     def eval(self, x):
-        return np.asarray(x, dtype=float) @ self.A.T
+        return np.add.reduce(np.asarray(x, dtype=float)[..., None, :] * self.A, axis=-1)
 
     def jacobian(self, x):
         return self.A
@@ -264,3 +271,149 @@ def test_contraction_tube(decay_model):
     d = np.diff(sep)
     assert d[inside[:-1]].max() <= 1e-12
     assert sep[-1] < 0.1 * sep[0]
+
+
+class Constant:
+    """xdot = v everywhere: straight-line motion at constant speed."""
+
+    def __init__(self, v):
+        self.v = np.asarray(v, dtype=float)
+
+    def eval(self, x):
+        return np.broadcast_to(self.v, np.shape(x)).copy()
+
+
+def _assert_same_rollout(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.velocities, b.velocities)
+    assert a.reached_goal == b.reached_goal
+    assert a.time_to_goal == b.time_to_goal
+    assert a.n_field_evals == b.n_field_evals
+
+
+def _assert_batch_matches_singles(f, starts, settings, t_eval=None):
+    batch = rollout(f, starts, settings, t_eval=t_eval)
+    assert isinstance(batch, RolloutBatch)
+    assert len(batch.results) == starts.shape[0]
+    for x0, got in zip(starts, batch.results):
+        _assert_same_rollout(got, rollout(f, x0, settings, t_eval=t_eval))
+    assert batch.n_field_evals == sum(r.n_field_evals for r in batch.results)
+
+
+@st.composite
+def _linear_batches(draw):
+    n = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 6))
+    cells = st.floats(-3.0, 3.0, allow_nan=False)
+    A = np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n)
+    A -= draw(st.floats(0.0, 3.0)) * np.eye(n)
+    starts = np.array(draw(st.lists(st.floats(-20.0, 20.0, allow_nan=False),
+                                    min_size=K * n, max_size=K * n))).reshape(K, n)
+    radius = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    horizon = draw(st.floats(0.5, 6.0))
+    dense = draw(st.booleans())
+    return A, starts, IntegratorSettings(goal_radius=radius, horizon=horizon), dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(_linear_batches())
+def test_batch_rollout_equals_single_rollouts_linear(case):
+    A, starts, s, dense = case
+    t_eval = np.linspace(0.0, s.horizon, 17) if dense else None
+    _assert_batch_matches_singles(Linear(A), starts, s, t_eval)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.floats(-35.0, 35.0), st.floats(-10.0, 40.0)),
+                min_size=1, max_size=5))
+def test_batch_rollout_equals_single_rollouts_trained(angle_model, points):
+    field, _, _ = angle_model
+    _assert_batch_matches_singles(field, np.array(points), IntegratorSettings(horizon=20.0))
+
+
+def test_batch_rollout_keeps_going_past_a_failed_start():
+    # xdot = 1 + x^2 escapes at t = pi/2 - atan(x0): only the start at 0
+    # escapes before the horizon
+    starts = np.array([[-10.0], [0.0], [-5.0]])
+    s = IntegratorSettings(goal_radius=0.0, horizon=2.0, **TIGHT)
+    batch = rollout(Riccati(), starts, s)
+    failed = batch.results[1]
+    assert isinstance(failed, IntegrationError)
+    assert abs(failed.last_time - np.pi / 2) <= 0.1
+    for i in (0, 2):
+        ro = batch.results[i]
+        assert abs(ro.times[-1] - 2.0) <= 1e-9
+        exact = np.tan(2.0 + np.arctan(starts[i, 0]))
+        assert abs(ro.states[-1, 0] - exact) <= 1e-6 * max(1.0, abs(exact))
+        _assert_same_rollout(ro, rollout(Riccati(), starts[i], s))
+    with pytest.raises(IntegrationError):
+        rollout(Riccati(), starts[1], s)
+    assert batch.n_field_evals > batch.results[0].n_field_evals + batch.results[2].n_field_evals
+
+
+class NanBelowTwo:
+    """xdot = -x, but nan wherever x1 < 2."""
+
+    def eval(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x[:, :1] < 2.0, np.nan, -x)
+
+
+def test_rollout_non_finite_field_fails_only_that_start():
+    # from (5, 0) the flow reaches x1 = 2 at t = ln 2.5; from (30, 0) it
+    # stays above x1 = 4 until the horizon
+    s = IntegratorSettings(goal_radius=0.5, horizon=2.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(IntegrationError) as exc:
+            rollout(NanBelowTwo(), np.array([5.0, 0.0]), s)
+        batch = rollout(NanBelowTwo(), np.array([[5.0, 0.0], [30.0, 0.0]]), s)
+    assert np.all(np.isfinite(exc.value.last_state)) and exc.value.last_state[0] >= 2.0
+    assert isinstance(batch.results[0], IntegrationError)
+    ro = batch.results[1]
+    assert abs(ro.times[-1] - 2.0) <= 1e-9 and np.all(np.isfinite(ro.states))
+
+
+def test_rollout_catches_goal_crossing_inside_a_step():
+    # the straight path from (-5, 0) passes through the goal ball between
+    # two step ends; entry is at t = 4.5
+    ro = rollout(Constant([1.0, 0.0]), np.array([-5.0, 0.0]),
+                 IntegratorSettings(goal_radius=0.5, horizon=10.0))
+    assert ro.reached_goal
+    assert abs(ro.time_to_goal - 4.5) <= 2e-6
+    assert np.linalg.norm(ro.states[-1]) <= 0.5 + 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(0.5, 60.0), st.floats(-0.9, 0.9), st.floats(0.1, 3.0),
+       st.floats(0.2, 5.0), st.floats(0.0, 2 * np.pi))
+def test_goal_crossing_on_straight_paths(gap, offset, radius, speed, heading):
+    # x(t) = x0 + v t enters the ball ||x|| <= r at the smaller root of
+    # ||x0 + v t|| = r; the path is rotated by `heading` so every direction
+    # of approach is tried
+    dist = radius + gap
+    c, s_ = np.cos(heading), np.sin(heading)
+    R = np.array([[c, -s_], [s_, c]])
+    x0 = R @ np.array([-dist, offset * radius])
+    v = R @ np.array([speed, 0.0])
+    t_enter = (dist - radius * np.sqrt(1.0 - offset ** 2)) / speed
+    ro = rollout(Constant(v), x0,
+                 IntegratorSettings(goal_radius=radius, horizon=2.0 * dist / speed + 1.0))
+    assert ro.reached_goal
+    assert abs(ro.time_to_goal - t_enter) <= 2e-6
+    assert np.linalg.norm(ro.states[-1]) <= radius * (1.0 + 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(2.0, 100.0), st.floats(0.0, 2 * np.pi), st.floats(0.2, 2.0),
+       st.floats(-3.0, 3.0), st.floats(0.1, 2.0))
+def test_goal_crossing_on_spiral_fields(r0, angle, rate, spin, radius):
+    # xdot = [[-a, -w], [w, -a]] x shrinks ||x|| as r0 exp(-a t), so the
+    # goal ball is entered at t = ln(r0 / radius) / a
+    A = np.array([[-rate, -spin], [spin, -rate]])
+    x0 = r0 * np.array([np.cos(angle), np.sin(angle)])
+    t_enter = np.log(r0 / radius) / rate
+    ro = rollout(Linear(A), x0,
+                 IntegratorSettings(goal_radius=radius, horizon=t_enter + 1.0, **TIGHT))
+    assert ro.reached_goal
+    assert abs(ro.time_to_goal - t_enter) <= 1e-5

@@ -146,6 +146,20 @@ def test_dtw_batch_matches_single_pairs_and_brute_force(batch):
         assert abs(single - _dtw_brute(P[k], b)) <= 1e-10
 
 
+@pytest.mark.parametrize("t, m", [(300, 4), (4, 300), (1, 200), (200, 1)])
+def test_dtw_skewed_lengths_match_brute_force(t, m):
+    # far more rows than columns and the reverse: the wavefront's diagonals
+    # are then clipped by one sequence for almost their whole length
+    rng = np.random.default_rng(t * 1000 + m)
+    P = rng.normal(size=(3, t, 2))
+    b = rng.normal(size=(m, 2))
+    costs = dtw_distance(P, b)
+    for k in range(P.shape[0]):
+        single = dtw_distance(P[k], b)
+        assert costs[k] == single
+        assert single == pytest.approx(_dtw_brute(P[k], b), rel=1e-12, abs=1e-12)
+
+
 def test_dtw_batch_validation():
     b = np.zeros((4, 2))
     with pytest.raises(DimensionError):
