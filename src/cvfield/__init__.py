@@ -14,14 +14,10 @@ from .dataset import (DemoSet, Demonstration, PreprocessConfig,
                       finite_difference_velocities, load_demonstrations,
                       resample_and_average, subsample_constraint_points)
 from .dynamics import (IntegratorSettings, RolloutBatch, RolloutResult, TrainedField,
-                       export_field_grid, field_eval, field_jacobian,
-                       max_contraction_eigenvalue, rollout)
+                       export_field_grid, max_contraction_eigenvalues, rollout)
 from .features import (FeatureMap, VanishingProjector, build_vanishing_projector,
-                       eval_feature_jacobians, eval_features,
                        potential_from_features, sample_feature_map)
-from .kernels import (CURL_FREE, GAUSSIAN_SEPARABLE, ExactModel, KernelKind,
-                      eval_kernel, eval_vanishing_kernel, exact_field_eval,
-                      exact_potential_eval, exact_ridge_fit, gram_matrix)
+from .kernels import CURL_FREE, GAUSSIAN_SEPARABLE, KernelKind
 from .metrics import (EvalReport, GridEvalReport, dtw_distance, evaluate,
                       grid_evaluate, trajectory_error, velocity_error)
 from .modelfile import load_model, save_model

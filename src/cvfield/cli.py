@@ -1,9 +1,9 @@
 """Command line interface.
 
 Commands: train, eval, rollout, export-field, grid-eval.  Configuration
-comes from a JSON file (--config) with --set key=value overrides; nested
-keys use dots (e.g. --set admm.max_iters=200).  Command-specific parameters
-(rollout start point, export bounds, ...) also travel through --set.
+comes from a JSON object file (--config) with --set key=value overrides;
+nested keys use dots (e.g. --set admm.max_iters=200).  Command-specific
+parameters (rollout start point, export bounds, ...) travel the same way.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from .features import build_vanishing_projector, sample_feature_map
 from .kernels import CURL_FREE, GAUSSIAN_SEPARABLE, KernelKind
 from .solver import ADMMSettings, assemble_problem, interior_point_solve
 
-# settings of the former ADMM solver, still present in older config files
-_RETIRED_ADMM_KEYS = ("rho", "adapt_rho")
+# keys in older config files that nothing reads: the former ADMM solver's, and
+# a point count that the top-level `constraint_points` has always overridden
+_RETIRED_KEYS = {"admm": ("rho", "adapt_rho"), "preprocess": ("constraint_points",)}
 
 
 @dataclass
@@ -39,8 +40,8 @@ class TrainConfig:
     runs `interior_point_solve`, which reads `max_iters` as its cap on
     Newton steps, `eps_abs` + `eps_rel` |objective| as its duality-gap
     tolerance and `slack_weight` > 0 as the switch to soft constraints.
-    `from_dict` drops the retired `admm` keys in `_RETIRED_ADMM_KEYS`,
-    which older config files still carry.
+    `from_dict` drops the retired keys in `_RETIRED_KEYS`, which older
+    config files still carry.
     """
 
     kernel: str = CURL_FREE
@@ -97,8 +98,7 @@ class TrainConfig:
                 if not isinstance(d[key], Mapping):
                     raise ConfigError(f"{key} must be a mapping of settings, "
                                       f"not {type(d[key]).__name__}")
-                subd = {k: v for k, v in d[key].items()
-                        if not (key == "admm" and k in _RETIRED_ADMM_KEYS)}
+                subd = {k: v for k, v in d[key].items() if k not in _RETIRED_KEYS[key]}
                 bad = set(subd) - {f.name for f in fields(sub)}
                 if bad:
                     raise ConfigError(f"unknown {key} keys: {sorted(bad)}")
@@ -131,18 +131,6 @@ def train_field(demos, config):
     return fieldobj, report, avg
 
 
-def _apply_overrides(tree, overrides):
-    for key, value in overrides:
-        node = tree
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"cannot descend into {key!r}")
-        node[parts[-1]] = value
-    return tree
-
-
 def _parse_set_value(raw):
     try:
         return json.loads(raw)
@@ -155,24 +143,39 @@ def _parse_set_value(raw):
         return raw
 
 
-def _load_config(args):
+def _settings(args):
+    """Settings of every command: the --config object, then --set and --seed."""
     tree = {}
     if args.config:
         with open(args.config) as fh:
             tree = json.load(fh)
-    overrides = [(k, _parse_set_value(v)) for k, v in
-                 (item.split("=", 1) for item in args.set or [])]
-    _apply_overrides(tree, overrides)
+        if not isinstance(tree, dict):
+            raise ConfigError(f"{args.config}: a config file holds a JSON object, "
+                              f"not {type(tree).__name__}")
+    for key, raw in (item.split("=", 1) for item in args.set or []):
+        node = tree
+        parts = key.split(".")
+        for part in parts[:-1]:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"cannot descend into {key!r}")
+        node[parts[-1]] = _parse_set_value(raw)
     if args.seed is not None:
         tree["seed"] = args.seed
-    return TrainConfig.from_dict(tree), tree
+    return tree
 
 
-def _params_from_set(args):
-    params = {}
-    _apply_overrides(params, [(k, _parse_set_value(v)) for k, v in
-                              (item.split("=", 1) for item in args.set or [])])
-    return params
+def _param(params, key, convert, what, default=None):
+    """Command parameter `key`, converted by `convert`, or a ConfigError."""
+    value = params.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
+
+
+def _point(value):
+    return np.asarray(value, dtype=float).ravel()
 
 
 _NOT_CONVERGED = {
@@ -211,7 +214,7 @@ def _integrator_settings(params):
     s = IntegratorSettings()
     for key in ("rel_tol", "abs_tol", "max_step", "goal_radius", "horizon"):
         if key in params:
-            setattr(s, key, float(params[key]))
+            setattr(s, key, _param(params, key, float, "a number"))
     return s
 
 
@@ -252,7 +255,7 @@ def cmd_rollout(model_path, params, out=None):
     if "x0" not in params:
         raise ConfigError("rollout needs a start point: --set x0=x1,x2,...")
     fieldobj, _, _ = modelfile.load_model(model_path)
-    x0 = np.asarray(params["x0"], dtype=float).ravel()
+    x0 = _param(params, "x0", _point, "a list of numbers")
     ro = rollout(fieldobj, x0, _integrator_settings(params))
     n = ro.states.shape[1]
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)]
@@ -267,8 +270,9 @@ def cmd_export_field(model_path, params, out):
     if "bounds" not in params:
         raise ConfigError("export-field needs --set bounds=x1min,x1max,x2min,x2max")
     fieldobj, _, _ = modelfile.load_model(model_path)
-    resolution = int(params.get("resolution", 50))
-    cols, rows = export_field_grid(fieldobj, np.asarray(params["bounds"], dtype=float), resolution)
+    resolution = _param(params, "resolution", int, "an integer", 50)
+    bounds = _param(params, "bounds", _point, "a list of numbers")
+    cols, rows = export_field_grid(fieldobj, bounds, resolution)
     _write_csv(out, cols, rows)
     print(f"wrote {rows.shape[0]} grid rows to {out}")
     return 0
@@ -323,20 +327,19 @@ def main(argv=None):
     try:
         if args.command == "train":
             _require(args, "data", "model")
-            config, _ = _load_config(args)
-            return cmd_train(config, args.data, args.model)
+            return cmd_train(TrainConfig.from_dict(_settings(args)), args.data, args.model)
         if args.command in ("eval", "grid-eval"):
             _require(args, "model", "data")
-            params = _params_from_set(args)
+            grid_k = _param(_settings(args), "grid_k", int, "an integer", 16)
             return cmd_eval(args.model, args.data, args.test, args.out,
-                            grid_k=int(params.get("grid_k", 16)), seed=args.seed or 0,
+                            grid_k=grid_k, seed=args.seed or 0,
                             grid_only=args.command == "grid-eval")
         if args.command == "rollout":
             _require(args, "model")
-            return cmd_rollout(args.model, _params_from_set(args), args.out)
+            return cmd_rollout(args.model, _settings(args), args.out)
         if args.command == "export-field":
             _require(args, "model", "out")
-            return cmd_export_field(args.model, _params_from_set(args), args.out)
+            return cmd_export_field(args.model, _settings(args), args.out)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

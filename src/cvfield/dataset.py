@@ -71,15 +71,12 @@ class DemoSet:
 class PreprocessConfig:
     smoothing_window: int = 5     # odd, >= 1
     resample_len: int = 1000
-    constraint_points: int = 250
 
     def validate(self):
         if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
             raise DataError("smoothing_window must be odd and >= 1")
         if self.resample_len < 2:
             raise DataError("resample_len must be at least 2")
-        if self.constraint_points < 1:
-            raise DataError("constraint_points must be at least 1")
 
 
 def _parse_header(fields):

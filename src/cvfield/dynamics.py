@@ -15,9 +15,9 @@ sum over a fixed axis, never a BLAS product), so a start's result has the
 same bits alone or in any batch.
 
 Synthetic fields can be passed anywhere a TrainedField is accepted: any
-object whose `eval` maps a batch (N, n) to (N, n) (and `jacobian(x)`
-where Jacobians are needed), or a bare callable x -> xdot, called one
-point at a time, for evaluation-only uses.
+object whose `eval` maps a batch (N, n) to (N, n) and, where Jacobians are
+needed, whose `jacobian` maps a batch (N, n) to (N, n, n).  Both are only
+ever called on a batch; a bare callable x -> xdot is not a field.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class TrainedField:
         vals = features.field_values(self.map, self.eta, np.atleast_2d(x))
         return vals[0] if x.ndim == 1 else vals
 
-    def jacobian(self, x):
-        return features.eval_feature_jacobians(self.map, x, self.eta)
+    def jacobian(self, X):
+        return features.field_jacobians(self.map, self.eta, X)
 
 
 @dataclass
@@ -125,30 +125,10 @@ class RolloutBatch:
     n_field_evals: int        # point evaluations summed over the starts
 
 
-def field_eval(f, x):
-    """Evaluate a trained or synthetic field at a point (n,) or a batch (N, n).
-
-    A TrainedField, or any object with an `eval` method, gets the whole
-    batch in one call; a bare callable is called once per row.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return field_eval(f, x[None])[0]
-    if hasattr(f, "eval"):
-        return np.asarray(f.eval(x), dtype=float)
-    return np.stack([np.asarray(f(row), dtype=float) for row in x])
-
-
-def field_jacobian(f, x):
-    if isinstance(f, TrainedField) or hasattr(f, "jacobian"):
-        return np.asarray(f.jacobian(x), dtype=float)
-    raise TypeError("field object does not expose a jacobian")
-
-
-def max_contraction_eigenvalue(f, x):
-    """Largest eigenvalue of the symmetrized Jacobian at x."""
-    J = field_jacobian(f, x)
-    return float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
+def max_contraction_eigenvalues(f, X):
+    """Largest eigenvalue of the symmetrized Jacobian at each point of X (N, n)."""
+    J = f.jacobian(X)
+    return np.linalg.eigvalsh(0.5 * (J + J.transpose(0, 2, 1)))[:, -1]
 
 
 def _norms(v):
@@ -287,7 +267,7 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
 
     f0 = np.zeros((K, n))
     if active.any():
-        f0[active] = field_eval(f, y[active])
+        f0[active] = f.eval(y[active])
     nev[active] += 1
     if fixed_step is not None:
         h = np.full(K, float(fixed_step))
@@ -317,7 +297,7 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
         k = np.empty((idx.size, n, 7))
         k[:, :, 0] = f0[idx]
         for i in range(1, 7):
-            k[:, :, i] = field_eval(f, y0 + hc * _stage_sum(_A[i][None], k)[:, 0])
+            k[:, :, i] = f.eval(y0 + hc * _stage_sum(_A[i][None], k)[:, 0])
         nev[idx] += 6
         hS = hc[:, :, None] * _stage_sum(_STEP_WEIGHTS, k)
         y1 = y0 + hS[:, 0]
@@ -370,7 +350,7 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
     states = [np.asarray(xs[r]).reshape(-1, n) for r in range(K)]
     ok = [r for r in range(K) if failures[r] is None]
     stacked = np.concatenate([states[r] for r in ok]) if ok else np.empty((0, n))
-    vels = field_eval(f, stacked) if stacked.shape[0] else np.empty_like(stacked)
+    vels = f.eval(stacked) if stacked.shape[0] else np.empty_like(stacked)
     bounds = np.cumsum([0] + [states[r].shape[0] for r in ok])
     results = list(failures)
     for i, r in enumerate(ok):
@@ -402,14 +382,10 @@ def export_field_grid(f, bounds, resolution):
     g1 = np.linspace(b[0], b[1], resolution)
     g2 = np.linspace(b[2], b[3], resolution)
     X = np.stack([np.tile(g1, resolution), np.repeat(g2, resolution)], axis=1)
-    vals = field_eval(f, X)
+    vals = f.eval(X)
     if vals.shape[1] != 2:
         raise DimensionError("grid export supports 2-D fields only")
-    if isinstance(f, TrainedField):
-        J = features.field_jacobians(f.map, f.eta, X)
-    else:
-        J = np.stack([field_jacobian(f, x) for x in X])
-    lam = np.linalg.eigvalsh(0.5 * (J + J.transpose(0, 2, 1)))[:, -1]
+    lam = max_contraction_eigenvalues(f, X)
     cols = ["x1", "x2", "f1", "f2", "lambda_max"]
     out = [X[:, 0], X[:, 1], vals[:, 0], vals[:, 1], lam]
     if isinstance(f, TrainedField) and f.map.kind.variant == CURL_FREE:

@@ -23,10 +23,6 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration value."""
 
 
-class ConditioningError(RuntimeError):
-    """A linear system was too ill-conditioned to solve reliably."""
-
-
 class IntegrationError(RuntimeError):
     """ODE integration failed.  Carries the last valid state and time."""
 

@@ -87,18 +87,6 @@ def _angles(fm, X):
     return a
 
 
-def eval_features(fm, x):
-    """Feature matrix Phi(x), shape (feature_dim, n), at a single point."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != fm.n:
-        raise DimensionError(f"x must live in R^{fm.n}")
-    a = fm.freqs @ x + fm.phases
-    if fm.kind.variant == GAUSSIAN_SEPARABLE:
-        # row order must match the flat (s, n) coefficient layout
-        return np.kron((fm.scale * np.cos(a))[:, None], np.eye(fm.n))
-    return fm.scale * np.sin(a)[:, None] * fm.freqs
-
-
 def feature_rows(fm, X):
     """Stacked transposed features [Phi(x_1)^T; ...], shape (N n, feature_dim).
 
@@ -130,11 +118,6 @@ def field_values(fm, coeffs, X):
                      np.ascontiguousarray(fm.freqs.T))
 
 
-def eval_feature_jacobians(fm, x, theta):
-    """Jacobian of f(x) = Phi(x)^T theta at a single point, (n, n)."""
-    return field_jacobians(fm, theta, np.asarray(x, dtype=float)[None, :])[0]
-
-
 def field_jacobians(fm, coeffs, X):
     """Jacobians of f at a batch of points, shape (N, n, n)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -161,7 +144,7 @@ def build_vanishing_projector(fm, Z):
     if p <= fm.n * Z.shape[0]:
         raise DimensionError(
             f"need feature_dim > n |Z| ({p} <= {fm.n * Z.shape[0]}) to retain capacity")
-    block = np.hstack([eval_features(fm, z) for z in Z])
+    block = feature_rows(fm, Z).T                      # [Phi(z_1) ... Phi(z_p)]
     U, sv, _ = np.linalg.svd(block, full_matrices=False)
     tol = max(block.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > tol))

@@ -72,6 +72,8 @@ def load_model(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}")
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a model file holds a JSON object, not {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
     try:

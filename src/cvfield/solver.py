@@ -105,17 +105,11 @@ class SolveReport:
 def assemble_problem(fm, proj, pairs, cpoints, lam, tau):
     """Build the regression design and constraint operators.
 
-    `pairs` is a list of (position, velocity) tuples or a (X, Xdot) pair of
-    arrays; `cpoints` the constraint points; `tau` the scalar contraction
+    `pairs` is the (X, Xdot) pair of position and velocity arrays, each
+    (N, n); `cpoints` the constraint points; `tau` the scalar contraction
     rate applied at every constraint point.
     """
-    if isinstance(pairs, tuple) and len(pairs) == 2:
-        X, Xdot = (np.atleast_2d(np.asarray(a, dtype=float)) for a in pairs)
-    else:
-        arr = np.asarray(pairs, dtype=float)
-        if arr.ndim != 3 or arr.shape[1] != 2:
-            raise DimensionError("pairs must be (X, Xdot) or a list of (x, xdot)")
-        X, Xdot = arr[:, 0, :], arr[:, 1, :]
+    X, Xdot = (np.atleast_2d(np.asarray(a, dtype=float)) for a in pairs)
     if X.shape != Xdot.shape or X.shape[1] != fm.n:
         raise DimensionError("positions and velocities must be (N, n) with n matching the map")
     A = features.feature_rows(fm, X) @ proj.L

@@ -11,16 +11,17 @@ import time
 import numpy as np
 import pytest
 
+from _exact import eval_kernel
 from _synth import angle_demos, s_demos, write_demo_csv
 from cvfield import modelfile
 from cvfield.cli import TrainConfig, main, train_field
 from cvfield.dataset import DemoSet, resample_and_average, subsample_constraint_points
 from cvfield.dynamics import (IntegratorSettings, TrainedField,
-                              max_contraction_eigenvalue, rollout)
-from cvfield.features import (build_vanishing_projector, eval_features,
-                              field_values, potential_from_features,
+                              max_contraction_eigenvalues, rollout)
+from cvfield.features import (build_vanishing_projector, feature_rows,
+                              field_jacobians, field_values, potential_from_features,
                               sample_feature_map)
-from cvfield.kernels import KernelKind, eval_kernel
+from cvfield.kernels import KernelKind
 from cvfield.metrics import evaluate, grid_evaluate
 from cvfield.solver import (ADMMSettings, ConstrainedLSQProblem, assemble_problem,
                             interior_point_solve)
@@ -111,7 +112,7 @@ def test_criterion_01_kernel_feature_fidelity():
                 fm = sample_feature_map(kind, int(s), 2, seed=100 + rep)
                 e = 0.0
                 for (x, y), K in zip(pairs, exact):
-                    Khat = eval_features(fm, x).T @ eval_features(fm, y)
+                    Khat = feature_rows(fm, x) @ feature_rows(fm, y).T
                     e += np.linalg.norm(Khat - K)
                 tot += e / len(pairs)
             errs.append(tot / 3)
@@ -144,8 +145,8 @@ def test_criterion_03_contraction_constraints(tau0_bundle, tau100_bundle):
     f1, r1, avg1, w1 = tau100_bundle
     cp0 = subsample_constraint_points(avg0, 250)
     cp1 = subsample_constraint_points(avg1, 50)
-    lam0 = max(max_contraction_eigenvalue(f0, c) for c in cp0)
-    lam1 = max(max_contraction_eigenvalue(f1, c) for c in cp1)
+    lam0 = float(max_contraction_eigenvalues(f0, cp0).max())
+    lam1 = float(max_contraction_eigenvalues(f1, cp1).max())
     total = w0 + w1
     ok = (lam0 <= 1e-5) and (lam1 <= -100.0 + 1e-3) and total < 120.0
     _verdict(3, "contraction constraints", ok,
@@ -161,7 +162,7 @@ def test_criterion_04_jacobian_correctness():
     for variant in ("gaussian_separable", "curl_free"):
         kind = KernelKind(variant, 3.0)
         fm = sample_feature_map(kind, 60, 2, seed=7)
-        p = eval_features(fm, np.zeros(2)).shape[0]
+        p = fm.feature_dim
         for _ in range(50):
             x = rng.normal(size=2) * 3
             theta = rng.normal(size=p)
@@ -171,8 +172,7 @@ def test_criterion_04_jacobian_correctness():
                 e[c] = h
                 J[:, c] = (field_values(fm, theta, (x + e)[None])[0]
                            - field_values(fm, theta, (x - e)[None])[0]) / (2 * h)
-            from cvfield.features import eval_feature_jacobians
-            Ja = eval_feature_jacobians(fm, x, theta)
+            Ja = field_jacobians(fm, theta, x[None])[0]
             worst = max(worst, np.linalg.norm(Ja - J) / max(1.0, np.linalg.norm(Ja)))
     ok = worst <= 1e-5
     _verdict(4, "jacobian correctness", ok,

@@ -10,7 +10,7 @@ from cvfield import modelfile
 from cvfield.cli import TrainConfig, cmd_export_field, main, train_field
 from cvfield.dataset import (load_demonstrations, resample_and_average,
                              subsample_constraint_points)
-from cvfield.dynamics import max_contraction_eigenvalue
+from cvfield.dynamics import max_contraction_eigenvalues
 from cvfield.errors import ConfigError, ParseError
 from cvfield.features import field_values
 from cvfield.solver import ADMMSettings
@@ -70,13 +70,15 @@ def test_config_dict_round_trip():
 
 
 def test_retired_admm_keys_are_dropped(angle_train):
-    # older configs carry the ADMM-only "rho" and "adapt_rho"; they are read
-    # and discarded, so they change nothing and are not written back
-    retired = TrainConfig.from_dict(CLI_CONFIG)
+    # older configs carry the ADMM-only "rho" and "adapt_rho", and a
+    # preprocess.constraint_points that nothing read; they are read and
+    # discarded, so they change nothing and are not written back
+    retired = TrainConfig.from_dict(dict(CLI_CONFIG, preprocess={"constraint_points": 7}))
     current = TrainConfig.from_dict(dict(CLI_CONFIG, admm={
         k: v for k, v in CLI_CONFIG["admm"].items() if k not in ("rho", "adapt_rho")}))
     assert retired == current
     assert set(retired.to_dict()["admm"]) == {"max_iters", "eps_abs", "eps_rel", "slack_weight"}
+    assert set(retired.to_dict()["preprocess"]) == {"smoothing_window", "resample_len"}
     theta_retired = train_field(angle_train, retired)[0].theta
     theta_current = train_field(angle_train, current)[0].theta
     assert np.array_equal(theta_retired, theta_current)
@@ -154,6 +156,38 @@ def test_train_rejects_non_mapping_sections(workspace, capsys, override):
     err = capsys.readouterr().err
     assert rc == 1
     assert "error:" in err and "mapping" in err
+
+
+@pytest.mark.parametrize("role", ["config", "model"])
+@pytest.mark.parametrize("text", ["[1, 2]", "3"])
+def test_non_object_json_files_are_errors(workspace, capsys, tmp_path, role, text):
+    bad = tmp_path / f"{role}.json"
+    bad.write_text(text)
+    if role == "config":
+        argv = ["train", "--config", str(bad), "--data", str(workspace / "train.csv"),
+                "--model", str(tmp_path / "model.json")]
+    else:
+        argv = ["rollout", "--model", str(bad), "--set", "x0=10,20"]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {bad}: a {role} file holds a JSON object")
+
+
+@pytest.mark.parametrize("command, sets", [
+    ("rollout", ["x0=10,20", "horizon=1,2"]),
+    ("rollout", ['x0={"a": 1}']),
+    ("grid-eval", ["grid_k=null"]),
+    ("export-field", ["bounds=-5,5,-5,5", "resolution=null"]),
+], ids=["horizon-list", "x0-object", "grid_k-null", "resolution-null"])
+def test_malformed_command_parameters_are_errors(workspace, capsys, command, sets):
+    argv = [command, "--model", str(workspace / "model.json"),
+            "--data", str(workspace / "train.csv"), "--out", str(workspace / "unwritten.out")]
+    rc = main(argv + [arg for s in sets for arg in ("--set", s)])
+    err = capsys.readouterr().err
+    key = sets[-1].split("=")[0]
+    assert rc == 1
+    assert err.startswith(f"error: {key} must be")
 
 
 def test_train_requires_data_and_model(capsys):
@@ -298,7 +332,7 @@ def test_export_field_lambda_column(workspace):
         mid = rows[4]
         np.testing.assert_allclose(mid[:2], cp, atol=1e-12)
         assert mid[4] <= 1e-5
-        assert abs(mid[4] - max_contraction_eigenvalue(field, cp)) <= 1e-10
+        assert abs(mid[4] - max_contraction_eigenvalues(field, cp[None])[0]) <= 1e-10
 
 
 def test_model_file_round_trip(workspace):

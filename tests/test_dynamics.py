@@ -8,8 +8,7 @@ from scipy.linalg import expm
 
 from cvfield.dataset import subsample_constraint_points
 from cvfield.dynamics import (IntegratorSettings, RolloutBatch, TrainedField,
-                              export_field_grid, field_eval, field_jacobian,
-                              max_contraction_eigenvalue, rollout)
+                              export_field_grid, max_contraction_eigenvalues, rollout)
 from cvfield.errors import DataError, DimensionError, IntegrationError
 from cvfield import features
 from cvfield.kernels import KernelKind
@@ -36,7 +35,7 @@ class Linear:
         return np.add.reduce(np.asarray(x, dtype=float)[..., None, :] * self.A, axis=-1)
 
     def jacobian(self, x):
-        return self.A
+        return np.broadcast_to(self.A, (len(x),) + self.A.shape)
 
 
 class Riccati:
@@ -56,7 +55,7 @@ def test_trained_field_zero_coefficients():
     fm = features.sample_feature_map(KernelKind("curl_free", 3.0), 40, 2, seed=0)
     proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
     f = TrainedField(fm, proj, np.zeros(40), np.zeros((1, 2)))
-    assert np.linalg.norm(field_eval(f, np.array([5.0, -3.0]))) == 0.0
+    assert np.linalg.norm(f.eval(np.array([5.0, -3.0]))) == 0.0
 
 
 def test_trained_field_jacobian_symmetric_and_fd(angle_model):
@@ -65,7 +64,7 @@ def test_trained_field_jacobian_symmetric_and_fd(angle_model):
     h = 1e-6
     for _ in range(5):
         x = rng.normal(size=2) * 5
-        J = field_jacobian(field, x)
+        J = field.jacobian(x[None])[0]
         np.testing.assert_allclose(J, J.T, atol=1e-10)
         Jfd = np.zeros((2, 2))
         for c in range(2):
@@ -76,10 +75,10 @@ def test_trained_field_jacobian_symmetric_and_fd(angle_model):
 
 
 def test_max_contraction_eigenvalue_known_values():
-    assert max_contraction_eigenvalue(Linear([[-3.0, 1.0], [1.0, -3.0]]),
-                                      np.zeros(2)) == pytest.approx(-2.0, abs=1e-12)
-    assert max_contraction_eigenvalue(Linear(np.diag([-2.0, -1.0])),
-                                      np.zeros(2)) == pytest.approx(-1.0, abs=1e-12)
+    assert max_contraction_eigenvalues(Linear([[-3.0, 1.0], [1.0, -3.0]]),
+                                       np.zeros((1, 2)))[0] == pytest.approx(-2.0, abs=1e-12)
+    assert max_contraction_eigenvalues(Linear(np.diag([-2.0, -1.0])),
+                                       np.zeros((1, 2)))[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_rollout_exponential_time_to_goal():
@@ -214,7 +213,7 @@ def test_export_grid_trained_field(angle_model):
     assert np.linalg.norm(rows[mid, 2:4]) <= 1e-8
     # lambda_max column agrees with direct evaluation
     for i in (0, mid, res * res - 1):
-        assert abs(rows[i, 4] - max_contraction_eigenvalue(field, rows[i, :2])) <= 1e-10
+        assert abs(rows[i, 4] - max_contraction_eigenvalues(field, rows[i:i + 1, :2])[0]) <= 1e-10
     # numerical gradient of the exported potential reproduces -f
     h = 10.0 / (res - 1)
     V = rows[:, 5].reshape(res, res)
@@ -244,7 +243,7 @@ def test_export_grid_validation():
     with pytest.raises(DataError):
         export_field_grid(f, (0.0, 1.0, 0.0, 1.0), 1)
     with pytest.raises(DimensionError):
-        export_field_grid(lambda x: np.zeros(3), (0.0, 1.0, 0.0, 1.0), 4)
+        export_field_grid(Linear(np.zeros((3, 2))), (0.0, 1.0, 0.0, 1.0), 4)
 
 
 def test_contraction_tube(decay_model):
@@ -253,7 +252,7 @@ def test_contraction_tube(decay_model):
     field, report, avg, train, _ = decay_model
     assert field.tau == pytest.approx(0.3)
     cp = subsample_constraint_points(avg, 60)
-    lams = np.array([max_contraction_eigenvalue(field, c) for c in cp])
+    lams = max_contraction_eigenvalues(field, cp)
     assert lams.max() <= -0.3 + 1e-5
 
     tgrid = np.linspace(0.0, 6.0, 301)
@@ -262,11 +261,8 @@ def test_contraction_tube(decay_model):
     ra = rollout(field, x0, st, t_eval=tgrid)
     rb = rollout(field, x0 + np.array([0.0, 1.0]), st, t_eval=tgrid)
     sep = np.linalg.norm(ra.states - rb.states, axis=1)
-    inside = np.array(
-        [max_contraction_eigenvalue(field, x) <= -0.3 for x in ra.states]
-    ) & np.array(
-        [max_contraction_eigenvalue(field, x) <= -0.3 for x in rb.states]
-    )
+    inside = ((max_contraction_eigenvalues(field, ra.states) <= -0.3)
+              & (max_contraction_eigenvalues(field, rb.states) <= -0.3))
     assert inside.mean() > 0.9
     d = np.diff(sep)
     assert d[inside[:-1]].max() <= 1e-12

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from _exact import eval_kernel, exact_field_eval, exact_ridge_fit
 from cvfield import features
-from cvfield.kernels import KernelKind, eval_kernel, exact_field_eval, exact_ridge_fit
+from cvfield.kernels import KernelKind
 from cvfield.solver import ADMMSettings, assemble_problem, interior_point_solve
 
 GS = KernelKind("gaussian_separable", 1.0)
@@ -32,7 +33,7 @@ def test_frequency_scale_matches_bandwidth():
 def test_separable_features_zero_frequency():
     # w = 0, b = 0 collapses cos(wx + b) to 1: rows are sqrt(2) I
     fm = features.FeatureMap(GS, np.zeros((1, 2)), np.array([0.0]))
-    F = features.eval_features(fm, np.array([0.3, -0.7]))
+    F = features.feature_rows(fm, np.array([0.3, -0.7])).T
     np.testing.assert_allclose(F, np.sqrt(2.0) * np.eye(2), atol=1e-15)
 
 
@@ -46,7 +47,7 @@ def test_monte_carlo_kernel_error_decays():
         fm = features.sample_feature_map(kind, s, 2, seed=1)
         tot = 0.0
         for x, y in pairs:
-            Khat = features.eval_features(fm, x).T @ features.eval_features(fm, y)
+            Khat = features.feature_rows(fm, x) @ features.feature_rows(fm, y).T
             tot += np.linalg.norm(Khat - eval_kernel(kind, x, y))
         return tot / len(pairs)
 
@@ -58,10 +59,10 @@ def test_jacobians_match_finite_differences():
     rng = np.random.default_rng(4)
     for kind in (GS, CF):
         fm = features.sample_feature_map(kind, 50, 2, seed=3)
-        p = features.eval_features(fm, np.zeros(2)).shape[0]
+        p = fm.feature_dim
         theta = rng.normal(size=p)
         x = rng.normal(size=2)
-        J = features.eval_feature_jacobians(fm, x, theta)
+        J = features.field_jacobians(fm, theta, x[None])[0]
         h = 1e-6
         Jfd = np.zeros((2, 2))
         for c in range(2):
@@ -77,7 +78,7 @@ def test_jacobians_match_finite_differences():
 
 def test_jacobian_zero_coefficients():
     fm = features.sample_feature_map(CF, 30, 2, seed=0)
-    J = features.eval_feature_jacobians(fm, np.ones(2), np.zeros(30))
+    J = features.field_jacobians(fm, np.zeros(30), np.ones((1, 2)))
     np.testing.assert_allclose(J, 0.0, atol=0.0)
 
 

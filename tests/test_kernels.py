@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from cvfield.errors import ConditioningError, DimensionError
-from cvfield.kernels import (ExactModel, KernelKind, eval_kernel,
-                             eval_vanishing_kernel, exact_field_eval,
-                             exact_potential_eval, exact_ridge_fit,
-                             gram_matrix)
+from _exact import (ConditioningError, ExactModel, eval_kernel, eval_vanishing_kernel,
+                    exact_field_eval, exact_potential_eval, exact_ridge_fit, gram_matrix)
+from cvfield.errors import DimensionError
+from cvfield.kernels import KernelKind
 
 GS = KernelKind("gaussian_separable", 1.0)
 CF = KernelKind("curl_free", 1.0)
