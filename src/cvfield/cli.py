@@ -174,8 +174,17 @@ def _param(params, key, convert, what, default=None):
         raise ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
 
 
-def _point(value):
-    return np.asarray(value, dtype=float).ravel()
+def _point(value, n):
+    x = np.asarray(value, dtype=float).ravel()
+    if x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise ValueError
+    return x
+
+
+def _integer(value):
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError
+    return int(value)
 
 
 _NOT_CONVERGED = {
@@ -255,11 +264,11 @@ def cmd_rollout(model_path, params, out=None):
     if "x0" not in params:
         raise ConfigError("rollout needs a start point: --set x0=x1,x2,...")
     fieldobj, _, _ = modelfile.load_model(model_path)
-    x0 = _param(params, "x0", _point, "a list of numbers")
+    n = fieldobj.map.n
+    x0 = _param(params, "x0", lambda v: _point(v, n), f"a list of {n} finite numbers")
     ro = rollout(fieldobj, x0, _integrator_settings(params))
-    n = ro.states.shape[1]
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)]
-    rows = np.hstack([ro.times[:, None], ro.states, ro.velocities])
+    rows = np.hstack([ro.times[:, None], ro.states, fieldobj.eval(ro.states)])
     _write_csv(out, header, rows)
     print(f"reached_goal={ro.reached_goal} time_to_goal={ro.time_to_goal} "
           f"n_field_evals={ro.n_field_evals} samples={ro.times.size}")
@@ -270,8 +279,8 @@ def cmd_export_field(model_path, params, out):
     if "bounds" not in params:
         raise ConfigError("export-field needs --set bounds=x1min,x1max,x2min,x2max")
     fieldobj, _, _ = modelfile.load_model(model_path)
-    resolution = _param(params, "resolution", int, "an integer", 50)
-    bounds = _param(params, "bounds", _point, "a list of numbers")
+    resolution = _param(params, "resolution", _integer, "an integer", 50)
+    bounds = _param(params, "bounds", lambda v: _point(v, 4), "a list of 4 finite numbers")
     cols, rows = export_field_grid(fieldobj, bounds, resolution)
     _write_csv(out, cols, rows)
     print(f"wrote {rows.shape[0]} grid rows to {out}")
@@ -330,7 +339,7 @@ def main(argv=None):
             return cmd_train(TrainConfig.from_dict(_settings(args)), args.data, args.model)
         if args.command in ("eval", "grid-eval"):
             _require(args, "model", "data")
-            grid_k = _param(_settings(args), "grid_k", int, "an integer", 16)
+            grid_k = _param(_settings(args), "grid_k", _integer, "an integer", 16)
             return cmd_eval(args.model, args.data, args.test, args.out,
                             grid_k=grid_k, seed=args.seed or 0,
                             grid_only=args.command == "grid-eval")

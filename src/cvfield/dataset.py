@@ -95,17 +95,14 @@ def _parse_header(fields):
     return has_id, n, bool(vcols)
 
 
-def _parse_file(path, has_velocities):
+def _parse_file(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file", line=1)
-        has_id, n, file_has_v = _parse_header(header)
-        if has_velocities is True and not file_has_v:
-            raise ParseError(f"{path}: velocity columns required but absent", line=1)
-        want_v = file_has_v if has_velocities is None else bool(has_velocities)
+        has_id, n, has_v = _parse_header(header)
         ncols = len(header)
         groups, order = {}, []
         for lineno, row in enumerate(reader, start=2):
@@ -127,7 +124,7 @@ def _parse_file(path, has_velocities):
     demos = []
     for key in order:
         block = np.asarray(groups[key], dtype=float)
-        vel = block[:, 1 + n:1 + 2 * n] if (want_v and file_has_v) else None
+        vel = block[:, 1 + n:1 + 2 * n] if has_v else None
         try:
             demos.append(Demonstration(block[:, 0], block[:, 1:1 + n], vel))
         except (DataError, DimensionError) as exc:
@@ -137,11 +134,11 @@ def _parse_file(path, has_velocities):
     return demos
 
 
-def load_demonstrations(path, has_velocities=None):
+def load_demonstrations(path):
     """Load one or more demonstrations and move every goal to the origin.
 
-    `path` is a CSV file or a directory of CSV files.  `has_velocities`
-    forces the expectation of velocity columns (None = infer from header).
+    `path` is a CSV file or a directory of CSV files.  Velocities are read
+    when the header has velocity columns.
     """
     path = Path(path)
     if path.is_dir():
@@ -152,7 +149,7 @@ def load_demonstrations(path, has_velocities=None):
         files = [path]
     demos = []
     for f in files:
-        demos.extend(_parse_file(f, has_velocities))
+        demos.extend(_parse_file(f))
     dim = demos[0].dim
     for d in demos:
         if d.dim != dim:

@@ -10,9 +10,10 @@ the dense output.
 
 `rollout` integrates a (K, n) batch of starts in lock-step, one field
 evaluation per stage over the starts still running; a single start is a
-batch of one.  Every per-start operation is row by row (elementwise, or a
-sum over a fixed axis, never a BLAS product), so a start's result has the
-same bits alone or in any batch.
+batch of one, and each start may have its own horizon and sample times.
+Every per-start operation is row by row (elementwise, or a sum over a fixed
+axis, never a BLAS product), so a start's result has the same bits alone or
+in any batch.  Results hold states, not velocities: evaluate the field there.
 
 Synthetic fields can be passed anywhere a TrainedField is accepted: any
 object whose `eval` maps a batch (N, n) to (N, n) and, where Jacobians are
@@ -104,14 +105,13 @@ class IntegratorSettings:
     abs_tol: float = 1e-6       # mm
     max_step: float = np.inf    # seconds
     goal_radius: float = 1.0    # mm; <= 0 disables the goal event
-    horizon: float = 10.0       # seconds
+    horizon: float = 10.0       # seconds; or a (K,) array, one per start of a batch
 
 
 @dataclass
 class RolloutResult:
     times: np.ndarray         # (T,)
     states: np.ndarray        # (T, n)
-    velocities: np.ndarray    # (T, n), field evaluated at the sampled states
     reached_goal: bool
     time_to_goal: float | None
     n_field_evals: int
@@ -225,8 +225,10 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
     the field's own arithmetic does not depend on the batch size (a
     TrainedField's does not).  A single start is a batch of one.
 
-    t_eval requests dense-output samples at the given times (seconds,
-    relative to the start); otherwise the accepted integrator steps are
+    settings.horizon is one positive, finite horizon or a (K,) array of
+    them.  t_eval requests dense-output samples at the given times (seconds,
+    relative to the start): one increasing 1-D array, or a list of K such
+    arrays, one per start; otherwise the accepted integrator steps are
     returned.  fixed_step disables error control and uses the given step
     size (used to probe integrator order).  The goal event is checked over
     the whole of each accepted step, not only at its end; the crossing
@@ -241,13 +243,21 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
     X0 = x0.reshape(1, -1) if single else x0
     if X0.ndim != 2:
         raise DimensionError("x0 must be one start (n,) or a batch of starts (K, n)")
-    if s.horizon <= 0:
-        raise DataError("horizon must be positive")
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float).ravel()
-        if t_eval.size and (np.any(np.diff(t_eval) <= 0) or t_eval[0] < 0 or t_eval[-1] > s.horizon + 1e-12):
-            raise DataError("t_eval must be increasing and inside [0, horizon]")
     K, n = X0.shape
+    H = np.asarray(s.horizon, dtype=float)
+    if H.shape not in ((), (K,)):
+        raise DimensionError("horizon must be one number or one per start")
+    H = np.broadcast_to(H, (K,))
+    if not np.all((H > 0) & np.isfinite(H)):
+        raise DataError("horizon must be positive and finite")
+    if t_eval is not None:
+        per_start = isinstance(t_eval, (list, tuple)) and len(t_eval) > 0 and np.ndim(t_eval[0]) > 0
+        t_eval = [np.asarray(te, float).ravel() for te in (t_eval if per_start else [t_eval] * K)]
+        if len(t_eval) != K:
+            raise DimensionError("t_eval must be one array of times or one per start")
+        for te, hz in zip(t_eval, H):
+            if te.size and (np.any(np.diff(te) <= 0) or te[0] < 0 or te[-1] > hz + 1e-12):
+                raise DataError("t_eval must be increasing and inside [0, horizon]")
     event_on = s.goal_radius > 0.0
 
     t, y = np.zeros(K), X0.copy()
@@ -277,12 +287,12 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
         d0 = np.sqrt(np.mean((y / sc) ** 2, axis=1))
         d1 = np.sqrt(np.mean((f0 / sc) ** 2, axis=1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            h = np.where((d0 > 1e-12) & (d1 > 1e-12), 0.01 * d0 / d1, 1e-6 * s.horizon)
-        h = np.minimum(np.minimum(h, s.max_step), s.horizon)
+            h = np.where((d0 > 1e-12) & (d1 > 1e-12), 0.01 * d0 / d1, 1e-6 * H)
+        h = np.minimum(np.minimum(h, s.max_step), H)
 
     while True:
-        rem = s.horizon - t
-        active &= rem > 1e-12 * max(1.0, s.horizon)
+        rem = H - t
+        active &= rem > 1e-12 * np.maximum(1.0, H)
         h = np.where(active, np.minimum(np.minimum(h, rem), s.max_step), h)
         under = active & (h < 1e-14 * np.maximum(1.0, np.abs(t)))
         for r in np.flatnonzero(under):
@@ -329,10 +339,11 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
         for p, r in enumerate(idx):
             if t_eval is not None:
                 # every requested sample inside this step, in one dense evaluation
-                end = int(np.searchsorted(t_eval, t_stop[p] + 1e-12, side="right"))
+                te = t_eval[r]
+                end = int(np.searchsorted(te, t_stop[p] + 1e-12, side="right"))
                 if end > ptr[r]:
-                    th = np.clip((t_eval[ptr[r]:end] - t[r]) / hc[p, 0], 0.0, 1.0)
-                    ts[r].extend(t_eval[ptr[r]:end])
+                    th = np.clip((te[ptr[r]:end] - t[r]) / hc[p, 0], 0.0, 1.0)
+                    ts[r].extend(te[ptr[r]:end])
                     xs[r].extend(_dense_eval(C[p:p + 1], th[:, None]))
                     ptr[r] = end
                 if not hit[p]:
@@ -346,17 +357,10 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
         if fixed_step is None:
             h[go] *= np.minimum(5.0, np.maximum(0.2, 0.9 * (err + 1e-16) ** -0.2))[~hit]
 
-    # velocities at every sampled state, in one field evaluation
-    states = [np.asarray(xs[r]).reshape(-1, n) for r in range(K)]
-    ok = [r for r in range(K) if failures[r] is None]
-    stacked = np.concatenate([states[r] for r in ok]) if ok else np.empty((0, n))
-    vels = f.eval(stacked) if stacked.shape[0] else np.empty_like(stacked)
-    bounds = np.cumsum([0] + [states[r].shape[0] for r in ok])
-    results = list(failures)
-    for i, r in enumerate(ok):
-        results[r] = RolloutResult(
-            np.asarray(ts[r], dtype=float), states[r], vels[bounds[i]:bounds[i + 1]],
-            bool(reached[r]), float(t_goal[r]) if reached[r] else None, int(nev[r]))
+    results = [failures[r] if failures[r] is not None else RolloutResult(
+        np.asarray(ts[r], dtype=float), np.asarray(xs[r]).reshape(-1, n),
+        bool(reached[r]), float(t_goal[r]) if reached[r] else None, int(nev[r]))
+        for r in range(K)]
     if single:
         if failures[0] is not None:
             raise failures[0]

@@ -179,17 +179,12 @@ def symmetrized_jacobian_basis(fm, proj, X):
     return np.ascontiguousarray(E.reshape(m, n, n, p).transpose(0, 3, 1, 2))
 
 
-def potential_from_features(fm, proj, theta, x):
-    """Scalar potential V with f = -grad V, for the curl-free map.
+def potential_from_features(fm, proj, theta, X):
+    """Scalar potential V with f = -grad V, for the curl-free map, at (N, n) points.
 
     With eta = L theta,  V(x) = sqrt(2/s) sum_j eta_j cos(w_j^T x + b_j).
-    Accepts a single point or a batch of points.
     """
     if fm.kind.variant != CURL_FREE:
         raise ValueError("potentials are defined for the curl-free map only")
     eta = proj.L @ np.asarray(theta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    a = _angles(fm, np.atleast_2d(x))
-    V = fm.scale * (np.cos(a) @ eta)
-    return float(V[0]) if single else V
+    return fm.scale * (np.cos(_angles(fm, np.asarray(X, dtype=float))) @ eta)

@@ -1,12 +1,12 @@
 """Reproduction metrics: trajectory/velocity error, DTW, goal statistics.
 
-`evaluate` rolls the field out once per demonstration, sampled exactly at
-the demonstration timestamps, to score reproduction accuracy, and once
-more over a 30x horizon with the goal event to score convergence.
-`grid_evaluate` starts rollouts from a uniform grid spanning the inflated
-demonstration bounding box and reports how many reach the goal ball, how
-long they take, and how far (in DTW cost) they stray from the closest
-demonstration.
+`evaluate` rolls the field out from each demonstration's start, sampled at
+its timestamps, to score reproduction, and over 30x its duration with the
+goal event to score convergence: two batched `dynamics.rollout` calls per
+demonstration set.  `grid_evaluate` starts rollouts from a uniform grid
+spanning the inflated demonstration bounding box and reports how many
+reach the goal ball, how long they take, and how far (in DTW cost) they
+stray from the closest demonstration.
 
 `grid_evaluate` is two batched passes: one `dynamics.rollout` call
 integrates every grid start in lock-step, and `dtw_distance` scores the
@@ -50,34 +50,31 @@ class GridEvalReport:
     grid_dtwd: float
 
 
-def _pairwise_mean_error(a, b):
-    if a.shape != b.shape:
-        raise DimensionError(f"trajectories disagree in shape: {a.shape} vs {b.shape}")
-    return float(np.mean(np.linalg.norm(a - b, axis=1)))
+def _mean_error(reference, values):
+    """Mean over pairs of (T, n) arrays of their time-averaged distance."""
+    if len(reference) != len(values):
+        raise DimensionError("need one rollout per demonstration")
+    if not reference:
+        raise DataError("no demonstrations")
+    errs = []
+    for a, b in zip(reference, values):
+        if a.shape != b.shape:
+            raise DimensionError(f"trajectories disagree in shape: {a.shape} vs {b.shape}")
+        errs.append(np.mean(np.linalg.norm(a - b, axis=1)))
+    return float(np.mean(errs))
 
 
 def trajectory_error(demos, rollouts):
     """Mean over demos of the time-averaged position error (mm)."""
-    if len(demos) != len(rollouts):
-        raise DimensionError("need one rollout per demonstration")
-    if not demos:
-        raise DataError("no demonstrations")
-    return float(np.mean([
-        _pairwise_mean_error(d.positions, r.states) for d, r in zip(demos, rollouts)]))
+    return _mean_error([d.positions for d in demos], [r.states for r in rollouts])
 
 
-def velocity_error(demos, rollouts):
-    """Mean over demos of the time-averaged velocity error (mm/s)."""
-    if len(demos) != len(rollouts):
-        raise DimensionError("need one rollout per demonstration")
-    if not demos:
-        raise DataError("no demonstrations")
-    errs = []
-    for d, r in zip(demos, rollouts):
-        if d.velocities is None:
-            raise DataError("demonstration lacks velocities")
-        errs.append(_pairwise_mean_error(d.velocities, r.velocities))
-    return float(np.mean(errs))
+def velocity_error(demos, velocities):
+    """Mean over demos of the time-averaged velocity error (mm/s), where
+    velocities holds, per demo, the field at its rollout's states."""
+    if any(d.velocities is None for d in demos):
+        raise DataError("demonstration lacks velocities")
+    return _mean_error([d.velocities for d in demos], velocities)
 
 
 def dtw_distance(a, b):
@@ -144,33 +141,29 @@ def dtw_distance(a, b):
 
 
 def evaluate(f, train, test, settings=None):
-    """Score reproduction and convergence against train and test sets."""
+    """Score reproduction and convergence against train and test sets; a demo
+    whose rollouts fail is left out and counted once in integration_failures."""
     s = settings or dynamics.IntegratorSettings()
     per_set = {}
-    distances, durations, reached, failures = [], [], 0, 0
+    distances, durations, failures = [], [], 0
     for name, dset in (("train", train), ("test", test)):
-        demos, rollouts = [], []
-        for demo in dset.demos:
-            t_eval = demo.times - demo.times[0]
-            try:
-                repro = dynamics.rollout(
-                    f, demo.positions[0],
-                    replace(s, horizon=demo.duration, goal_radius=0.0),
-                    t_eval=t_eval)
-                longrun = dynamics.rollout(
-                    f, demo.positions[0], replace(s, horizon=30.0 * demo.duration))
-            except IntegrationError:
-                failures += 1
-                continue
-            demos.append(demo)
-            rollouts.append(repro)
-            distances.append(float(np.linalg.norm(repro.states[-1])))
-            if longrun.reached_goal:
-                reached += 1
-                durations.append(longrun.time_to_goal)
-        if not demos:
+        if not dset.demos:
+            raise DataError(f"no {name} demonstrations")
+        starts = np.stack([d.positions[0] for d in dset.demos])
+        spans = np.array([d.duration for d in dset.demos])
+        repros = dynamics.rollout(f, starts, replace(s, horizon=spans, goal_radius=0.0),
+                                  t_eval=[d.times - d.times[0] for d in dset.demos]).results
+        longruns = dynamics.rollout(f, starts, replace(s, horizon=30.0 * spans)).results
+        kept = [(d, r, lr) for d, r, lr in zip(dset.demos, repros, longruns)
+                if not isinstance(r, IntegrationError) and not isinstance(lr, IntegrationError)]
+        failures += len(dset.demos) - len(kept)
+        if not kept:
             raise DataError(f"all {name} rollouts failed")
-        per_set[name] = (trajectory_error(demos, rollouts), velocity_error(demos, rollouts))
+        demos, rollouts, longs = zip(*kept)
+        distances += [float(np.linalg.norm(r.states[-1])) for r in rollouts]
+        durations += [lr.time_to_goal for lr in longs if lr.reached_goal]
+        per_set[name] = (trajectory_error(demos, rollouts),
+                         velocity_error(demos, [f.eval(r.states) for r in rollouts]))
     return EvalReport(
         training_trajectory_error=per_set["train"][0],
         training_velocity_error=per_set["train"][1],
@@ -178,7 +171,7 @@ def evaluate(f, train, test, settings=None):
         test_velocity_error=per_set["test"][1],
         distance_to_goal=float(np.mean(distances)),
         duration_to_goal=float(np.mean(durations)) if durations else None,
-        number_reached_goal=reached,
+        number_reached_goal=len(durations),
         integration_failures=failures,
     )
 

@@ -203,8 +203,8 @@ def test_criterion_05_gradient_flow(tau0_bundle):
         for c2 in range(2):
             e = np.zeros(2)
             e[c2] = h
-            vp = potential_from_features(field.map, field.proj, field.theta, x + e)
-            vm = potential_from_features(field.map, field.proj, field.theta, x - e)
+            vp = potential_from_features(field.map, field.proj, field.theta, (x + e)[None])[0]
+            vm = potential_from_features(field.map, field.proj, field.theta, (x - e)[None])[0]
             g[c2] = float(vp - vm) / (2 * h)
         f = field.eval(x)
         worst_grad = max(worst_grad, np.linalg.norm(g + f) / max(1.0, np.linalg.norm(f)))

@@ -179,7 +179,14 @@ def test_non_object_json_files_are_errors(workspace, capsys, tmp_path, role, tex
     ("rollout", ['x0={"a": 1}']),
     ("grid-eval", ["grid_k=null"]),
     ("export-field", ["bounds=-5,5,-5,5", "resolution=null"]),
-], ids=["horizon-list", "x0-object", "grid_k-null", "resolution-null"])
+    ("rollout", ["x0=10,20", "horizon=inf"]),
+    ("rollout", ["x0=10,20", "horizon=nan"]),
+    ("rollout", ["x0=1,2,3"]),
+    ("rollout", ["x0=null"]),
+    ("export-field", ["bounds=-5,5,-5,5", "resolution=2.9"]),
+    ("grid-eval", ["grid_k=16.5"]),
+], ids=["horizon-list", "x0-object", "grid_k-null", "resolution-null", "horizon-inf",
+        "horizon-nan", "x0-length", "x0-null", "resolution-fraction", "grid_k-fraction"])
 def test_malformed_command_parameters_are_errors(workspace, capsys, command, sets):
     argv = [command, "--model", str(workspace / "model.json"),
             "--data", str(workspace / "train.csv"), "--out", str(workspace / "unwritten.out")]

@@ -67,10 +67,7 @@ def test_load_velocity_column_handling(tmp_path):
     with_v = write_demo_csv(tmp_path / "v.csv", dset, velocities=True, demo_id=False)
     no_v = write_demo_csv(tmp_path / "nov.csv", dset, velocities=False, demo_id=False)
     assert load_demonstrations(with_v).demos[0].velocities is not None
-    # has_velocities=False ignores present columns, True demands them
-    assert load_demonstrations(with_v, has_velocities=False).demos[0].velocities is None
-    with pytest.raises(ParseError):
-        load_demonstrations(no_v, has_velocities=True)
+    assert load_demonstrations(no_v).demos[0].velocities is None
 
 
 def test_load_rejects_malformed_input(tmp_path):

@@ -1,5 +1,7 @@
 """Trained-field evaluation, the adaptive integrator and grid export."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,7 +119,6 @@ def test_rollout_result_consistency():
     np.testing.assert_allclose(ro.states[0], [3.0, -1.0])
     assert ro.times[0] == 0.0
     assert np.all(np.diff(ro.times) > 0)
-    np.testing.assert_allclose(ro.velocities, ro.states @ A.T, atol=1e-12)
     # six fresh evaluations per accepted step (FSAL reuses the seventh)
     assert ro.n_field_evals >= 6 * (ro.times.size - 2)
 
@@ -160,6 +161,24 @@ def test_rollout_rejects_bad_t_eval():
     with pytest.raises(DataError):
         rollout(f, np.ones(2), IntegratorSettings(horizon=1.0),
                 t_eval=np.array([0.0, 2.0]))
+
+
+@pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, -1.0, np.array([1.0, np.inf])])
+def test_rollout_rejects_bad_horizons(horizon):
+    with pytest.raises(DataError, match="horizon"):
+        rollout(Linear(-np.eye(2)), np.ones((2, 2)), IntegratorSettings(horizon=horizon))
+
+
+def test_rollout_per_start_shapes():
+    f, starts = Linear(-np.eye(2)), np.ones((3, 2))
+    with pytest.raises(DimensionError):
+        rollout(f, starts, IntegratorSettings(horizon=np.ones(2)))
+    with pytest.raises(DimensionError):
+        rollout(f, starts, t_eval=[np.zeros(1), np.zeros(1)])
+    # each start's samples must lie inside its own horizon
+    with pytest.raises(DataError):
+        rollout(f, starts, IntegratorSettings(horizon=np.array([1.0, 2.0, 1.0])),
+                t_eval=[np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.array([0.0, 2.0])])
 
 
 def test_fixed_step_order():
@@ -282,18 +301,22 @@ class Constant:
 def _assert_same_rollout(a, b):
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.velocities, b.velocities)
     assert a.reached_goal == b.reached_goal
     assert a.time_to_goal == b.time_to_goal
     assert a.n_field_evals == b.n_field_evals
 
 
 def _assert_batch_matches_singles(f, starts, settings, t_eval=None):
+    """Each start of a batch against its single rollout, with that start's
+    own horizon and t_eval (t_eval: None, one array, or a list per start)."""
     batch = rollout(f, starts, settings, t_eval=t_eval)
     assert isinstance(batch, RolloutBatch)
     assert len(batch.results) == starts.shape[0]
-    for x0, got in zip(starts, batch.results):
-        _assert_same_rollout(got, rollout(f, x0, settings, t_eval=t_eval))
+    horizons = np.broadcast_to(settings.horizon, (starts.shape[0],))
+    for i, (x0, got) in enumerate(zip(starts, batch.results)):
+        own = replace(settings, horizon=float(horizons[i]))
+        te = t_eval[i] if isinstance(t_eval, list) else t_eval
+        _assert_same_rollout(got, rollout(f, x0, own, t_eval=te))
     assert batch.n_field_evals == sum(r.n_field_evals for r in batch.results)
 
 
@@ -307,16 +330,23 @@ def _linear_batches(draw):
     starts = np.array(draw(st.lists(st.floats(-20.0, 20.0, allow_nan=False),
                                     min_size=K * n, max_size=K * n))).reshape(K, n)
     radius = draw(st.sampled_from([0.0, 0.5, 2.0]))
-    horizon = draw(st.floats(0.5, 6.0))
-    dense = draw(st.booleans())
-    return A, starts, IntegratorSettings(goal_radius=radius, horizon=horizon), dense
+    horizons = st.floats(0.5, 6.0)
+    if draw(st.booleans()):
+        horizon = draw(horizons)
+    else:
+        horizon = np.array(draw(st.lists(horizons, min_size=K, max_size=K)))
+    H = np.broadcast_to(horizon, (K,))
+    t_eval = draw(st.sampled_from([
+        None,
+        np.linspace(0.0, H.min(), 17),
+        [np.linspace(0.0, h, 5 + 3 * i) for i, h in enumerate(H)]]))
+    return A, starts, IntegratorSettings(goal_radius=radius, horizon=horizon), t_eval
 
 
 @settings(max_examples=60, deadline=None)
 @given(_linear_batches())
 def test_batch_rollout_equals_single_rollouts_linear(case):
-    A, starts, s, dense = case
-    t_eval = np.linspace(0.0, s.horizon, 17) if dense else None
+    A, starts, s, t_eval = case
     _assert_batch_matches_singles(Linear(A), starts, s, t_eval)
 
 

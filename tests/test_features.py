@@ -128,7 +128,7 @@ def test_symmetrized_jacobian_basis_consistency():
 def test_potential_zero_coefficients():
     fm = features.sample_feature_map(CF, 25, 2, seed=0)
     proj = features.build_vanishing_projector(fm, np.zeros((0, 2)))
-    V = features.potential_from_features(fm, proj, np.zeros(25), np.ones(2))
+    V = features.potential_from_features(fm, proj, np.zeros(25), np.ones((1, 2)))[0]
     assert float(V) == 0.0
 
 
@@ -136,7 +136,7 @@ def test_potential_single_feature_value():
     # one unit frequency, zero phase, theta = 1 at the origin: sqrt(2)
     fm = features.FeatureMap(CF, np.array([[1.0, 0.0]]), np.array([0.0]))
     proj = features.build_vanishing_projector(fm, np.zeros((0, 2)))
-    V = features.potential_from_features(fm, proj, np.array([1.0]), np.zeros(2))
+    V = features.potential_from_features(fm, proj, np.array([1.0]), np.zeros((1, 2)))[0]
     assert abs(float(V) - 1.4142135623730951) <= 1e-15
 
 
@@ -152,8 +152,8 @@ def test_potential_gradient_is_negative_field():
         for c in range(2):
             e = np.zeros(2)
             e[c] = h
-            vp = features.potential_from_features(fm, proj, theta, x + e)
-            vm = features.potential_from_features(fm, proj, theta, x - e)
+            vp = features.potential_from_features(fm, proj, theta, (x + e)[None])[0]
+            vm = features.potential_from_features(fm, proj, theta, (x - e)[None])[0]
             g[c] = float(vp - vm) / (2 * h)
         f = features.field_values(fm, theta, x[None, :])[0]
         assert np.linalg.norm(g + f) <= 1e-5 * max(1.0, np.linalg.norm(f))

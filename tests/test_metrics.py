@@ -12,7 +12,7 @@ from _synth import decay_demos
 from cvfield.dataset import Demonstration, DemoSet
 from cvfield.dynamics import IntegratorSettings, rollout
 from cvfield.errors import DataError, DimensionError
-from cvfield.metrics import (GRID_DTW_SAMPLES, dtw_distance, evaluate,
+from cvfield.metrics import (GRID_DTW_SAMPLES, EvalReport, dtw_distance, evaluate,
                              grid_evaluate, trajectory_error, velocity_error)
 
 
@@ -34,11 +34,12 @@ def _demo(pos, vel=None):
                          np.atleast_2d(np.asarray(vel, dtype=float).T).T)
 
 
-def _ro(states, velocities=None):
-    states = np.atleast_2d(np.asarray(states, dtype=float).T).T
-    return SimpleNamespace(states=states,
-                           velocities=None if velocities is None else
-                           np.atleast_2d(np.asarray(velocities, dtype=float).T).T)
+def _col(values):
+    return np.atleast_2d(np.asarray(values, dtype=float).T).T
+
+
+def _ro(states):
+    return SimpleNamespace(states=_col(states))
 
 
 def test_trajectory_error_values():
@@ -54,8 +55,8 @@ def test_trajectory_error_values():
 
 def test_velocity_error_values():
     d = _demo([0.0, 1.0], vel=[1.0, 1.0])
-    assert velocity_error([d], [_ro([0.0, 1.0], velocities=[1.0, 1.0])]) == 0.0
-    assert velocity_error([d], [_ro([0.0, 1.0], velocities=[0.0, 2.0])]) == pytest.approx(1.0, abs=1e-12)
+    assert velocity_error([d], [_col([1.0, 1.0])]) == 0.0
+    assert velocity_error([d], [_col([0.0, 2.0])]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_error_metric_validation():
@@ -67,7 +68,7 @@ def test_error_metric_validation():
     with pytest.raises(DataError):
         trajectory_error([], [])
     with pytest.raises(DataError):
-        velocity_error([d], [_ro([0.0, 1.0], velocities=[0.0, 0.0])])
+        velocity_error([d], [_col([0.0, 0.0])])
 
 
 def test_error_metric_invariances():
@@ -216,6 +217,60 @@ def test_evaluate_reaches_goal_on_all_seven(angle_model, angle_train, angle_test
     assert ev.number_reached_goal == 7
     assert ev.integration_failures == 0
     assert ev.training_trajectory_error < ev.test_trajectory_error * 10
+
+
+def test_evaluate_matches_single_rollout_oracle(angle_model, angle_train, angle_test):
+    # rebuild the report from two single rollouts per demonstration: the
+    # reproduction at the demo's timestamps and the 30x run to the goal
+    field, _, _ = angle_model
+    ev = evaluate(field, angle_train, angle_test)
+    errors, distances, durations = {}, [], []
+    for name, dset in (("train", angle_train), ("test", angle_test)):
+        pos, vel = [], []
+        for d in dset.demos:
+            repro = rollout(field, d.positions[0],
+                            IntegratorSettings(horizon=d.duration, goal_radius=0.0),
+                            t_eval=d.times - d.times[0])
+            longrun = rollout(field, d.positions[0], IntegratorSettings(horizon=30.0 * d.duration))
+            pos.append(float(np.mean(np.linalg.norm(d.positions - repro.states, axis=1))))
+            vel.append(float(np.mean(np.linalg.norm(d.velocities - field.eval(repro.states),
+                                                    axis=1))))
+            distances.append(float(np.linalg.norm(repro.states[-1])))
+            if longrun.reached_goal:
+                durations.append(longrun.time_to_goal)
+        errors[name] = (float(np.mean(pos)), float(np.mean(vel)))
+    assert ev == EvalReport(*errors["train"], *errors["test"],
+                            distance_to_goal=float(np.mean(distances)),
+                            duration_to_goal=float(np.mean(durations)),
+                            number_reached_goal=len(durations), integration_failures=0)
+
+
+class EscapeAbove:
+    """x1dot = 1 + x1^2 where x2 > 0, which escapes at t = pi/2 - atan(x1(0));
+    xdot = -x elsewhere."""
+
+    def eval(self, x):
+        x = np.asarray(x, dtype=float)
+        up = np.stack([1.0 + x[:, 0] ** 2, np.zeros(len(x))], axis=1)
+        return np.where(x[:, 1:] > 0, up, -x)
+
+
+def test_evaluate_counts_a_failed_long_run_once():
+    # from (-10, 2) the escape comes at 3.04 s, after the 1 s reproduction
+    # ends and before the 30 s long run does; x2 = 2 keeps it off the goal
+    def demo(x0):
+        t = np.linspace(0.0, 1.0, 11)
+        return Demonstration(t, np.tile(x0, (11, 1)), np.zeros((11, 2)))
+
+    train = DemoSet([demo([-10.0, 2.0]), demo([-5.0, -5.0])], np.zeros(2))
+    test = DemoSet([demo([4.0, -3.0])], np.zeros(2))
+    ev = evaluate(EscapeAbove(), train, test)
+    assert ev.integration_failures == 1
+    assert ev.number_reached_goal == 2
+    # the failed demo is left out of the means
+    expect = np.mean([np.linalg.norm(d.positions[0]) * np.exp(-1.0)
+                      for d in (train.demos[1], test.demos[0])])
+    assert ev.distance_to_goal == pytest.approx(expect, rel=1e-3)
 
 
 def test_grid_evaluate_zero_field():
