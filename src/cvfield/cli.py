@@ -25,7 +25,7 @@ from .dynamics import IntegratorSettings, TrainedField, export_field_grid, rollo
 from .errors import ConfigError
 from .features import build_vanishing_projector, sample_feature_map
 from .kernels import CURL_FREE, GAUSSIAN_SEPARABLE, KernelKind
-from .solver import ADMMSettings, assemble_problem, interior_point_solve
+from .solver import ADMMSettings, assemble_problem, interior_point_solve, single_blas_thread
 
 # keys in older config files that nothing reads: the former ADMM solver's, and
 # a point count that the top-level `constraint_points` has always overridden
@@ -124,9 +124,10 @@ def train_field(demos, config):
     fm = sample_feature_map(kind, config.num_features, demos.dim, config.seed)
     Z = np.zeros((1, demos.dim))          # goal sits at the origin after loading
     proj = build_vanishing_projector(fm, Z)
-    problem = assemble_problem(fm, proj, (avg.positions, avg.velocities),
-                               cpoints, config.lam, config.tau)
-    report = interior_point_solve(problem, config.admm)
+    with single_blas_thread():        # model bytes independent of the core count
+        problem = assemble_problem(fm, proj, (avg.positions, avg.velocities),
+                                   cpoints, config.lam, config.tau)
+        report = interior_point_solve(problem, config.admm)
     fieldobj = TrainedField(fm, proj, report.theta, Z, config.tau)
     return fieldobj, report, avg
 

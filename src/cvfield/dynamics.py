@@ -226,16 +226,17 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
     TrainedField's does not).  A single start is a batch of one.
 
     settings.horizon is one positive, finite horizon or a (K,) array of
-    them.  t_eval requests dense-output samples at the given times (seconds,
-    relative to the start): one increasing 1-D array, or a list of K such
-    arrays, one per start; otherwise the accepted integrator steps are
-    returned.  fixed_step disables error control and uses the given step
-    size (used to probe integrator order).  The goal event is checked over
-    the whole of each accepted step, not only at its end; the crossing
-    time, when reached, is localized to 1e-6 s and appended as the final
-    sample.  A start whose step size underflows raises IntegrationError;
-    in a batch, that error takes the start's place in the results and the
-    other starts run on.
+    them; rel_tol and abs_tol are finite, nonnegative and not both 0,
+    max_step is positive and goal_radius is not nan.  t_eval requests
+    dense-output samples at the given times (seconds, relative to the
+    start): one increasing 1-D array, or a list of K such arrays, one per
+    start; otherwise the accepted integrator steps are returned.  fixed_step
+    disables error control and uses the given step size (used to probe
+    integrator order).  The goal event is checked over the whole of each
+    accepted step, not only at its end; the crossing time, when reached, is
+    localized to 1e-6 s and appended as the final sample.  A start whose
+    step size underflows raises IntegrationError; in a batch, that error
+    takes the start's place in the results and the other starts run on.
     """
     s = settings or IntegratorSettings()
     x0 = np.asarray(x0, dtype=float)
@@ -248,8 +249,14 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
     if H.shape not in ((), (K,)):
         raise DimensionError("horizon must be one number or one per start")
     H = np.broadcast_to(H, (K,))
-    if not np.all((H > 0) & np.isfinite(H)):
-        raise DataError("horizon must be positive and finite")
+    for key, ok, what in (("horizon", np.all((H > 0) & np.isfinite(H)), "positive and finite"),
+                          ("rel_tol", 0.0 <= s.rel_tol < np.inf, "finite and nonnegative"),
+                          ("abs_tol", 0.0 <= s.abs_tol < np.inf, "finite and nonnegative"),
+                          ("abs_tol", s.abs_tol > 0.0 or s.rel_tol > 0.0, "positive when rel_tol is 0"),
+                          ("max_step", s.max_step > 0.0, "positive"),
+                          ("goal_radius", not np.isnan(s.goal_radius), "a number")):
+        if not ok:
+            raise DataError(f"{key} must be {what}, got {getattr(s, key)}")
     if t_eval is not None:
         per_start = isinstance(t_eval, (list, tuple)) and len(t_eval) > 0 and np.ndim(t_eval[0]) > 0
         t_eval = [np.asarray(te, float).ravel() for te in (t_eval if per_start else [t_eval] * K)]

@@ -46,16 +46,19 @@ the run ended in.  `stop_reason` says why the run stopped: "converged",
 the gap met its tolerance).  A stalled phase I is caught only when its
 Newton system or its step fails, so `max_iters` still bounds it.
 
-The solver uses only deterministic dense linear algebra: identical inputs
-and settings reproduce bitwise-identical results.
+The solver uses only deterministic dense linear algebra, from numpy.  Inside
+`single_blas_thread`, where `cli.train_field` runs it, identical inputs and
+settings reproduce bitwise-identical results on any number of cores.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import features
 from .errors import DimensionError
@@ -119,6 +122,27 @@ def assemble_problem(fm, proj, pairs, cpoints, lam, tau):
                                  np.full(cpoints.shape[0], float(tau)))
 
 
+@contextmanager
+def single_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its count.
+
+    The count is process-wide, so two threads must not be inside at once.
+    numpy.libs/lib<name>64_-<hash>.so exports <name>_{get,set}_num_threads64_;
+    where it does not, the block runs unchanged.
+    """
+    fns = None
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas64_*"):
+        base, dll = lib.name[3:].split("64_")[0], ctypes.CDLL(str(lib))
+        fns = [getattr(dll, f"{base}_{op}_num_threads64_", None) for op in ("get", "set")]
+    get, put = fns if fns and None not in fns else (lambda: None, lambda n: None)
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _max_violation(C, tau):
     if C.shape[0] == 0:
         return float("-inf")
@@ -148,18 +172,18 @@ def _step_to_boundary(lam, X):
     return -1.0 / low if low < 0.0 else np.inf
 
 
-def _interior_point(P, q, G, h, x, max_steps, done, Pfac=None, gap0=0.0, floor=None):
+def _interior_point(P, q, G, h, x, max_steps, done, Pinv=None, gap0=0.0, floor=None):
     """Feasible-start primal-dual interior-point method.
 
     Solves  minimize 1/2 x^T P x + q^T x  subject to  s_i = h_i - G_i(x) >= 0
     for m symmetric k x k blocks, G of shape (m, d, k, k), from a strictly
-    feasible x.  Each step factors the Schur complement P + F^T F once and
-    solves it for the affine and for the combined Mehrotra direction.
+    feasible x.  Each step tests the Schur complement P + F^T F for positive
+    definiteness and solves it for the affine and the Mehrotra direction.
     `done(x, gap, rd)` returns a stop reason or None, where rd is the dual
     residual P x + q + G^T z and gap is <s, z>, plus rd^T P^-1 rd / 2 when
-    `Pfac` factors P: that sum bounds the objective's distance to the
+    `Pinv` is P^-1: that sum bounds the objective's distance to the
     optimum, and a run whose bound sets no new low for _STALL_STEPS steps
-    has stalled.  `gap0` sizes the starting duals when P is not factored,
+    has stalled.  `gap0` sizes the starting duals when P is not inverted,
     as an estimate of how far x is from optimal.  No step takes x[-1]
     below `floor`.  Returns (x, steps, gap, reason).
     """
@@ -182,8 +206,8 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pfac=None, gap0=0.0, floor=N
     v = Gop.T @ sinv.ravel()
     vv = float(v @ v)
     mu0 = -float(grad @ v) / vv if vv > 0.0 else 0.0
-    if Pfac is not None:
-        gap0 = 0.5 * float(grad @ cho_solve(Pfac, grad))
+    if Pinv is not None:
+        gap0 = 0.5 * float(grad @ Pinv @ grad)
     mu0 = max(mu0, gap0 / (m * k))
     z = (mu0 if mu0 > 0.0 else 1.0) * sinv
 
@@ -192,13 +216,13 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pfac=None, gap0=0.0, floor=N
     while True:
         rd = P @ x + q + Gop.T @ z.ravel()
         sz = float(np.sum(s * z))
-        gap = sz + (0.5 * float(rd @ cho_solve(Pfac, rd)) if Pfac is not None else 0.0)
+        gap = sz + (0.5 * float(rd @ Pinv @ rd) if Pinv is not None else 0.0)
         if gap < best:
             best, best_step = gap, steps
         reason = done(x, gap, rd)
         if reason is None and steps == max_steps:
             reason = "max_iters"
-        if reason is None and Pfac is not None and steps - best_step >= _STALL_STEPS:
+        if reason is None and Pinv is not None and steps - best_step >= _STALL_STEPS:
             reason = "stalled"          # the certified gap stopped shrinking
         if reason is not None:
             return x, steps, gap, reason
@@ -212,9 +236,8 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pfac=None, gap0=0.0, floor=N
         # F rows vec(r_i^T G_ij r_i), through kron(r_i, r_i)^T block by block
         kron = np.einsum("iba,icd->iadbc", r, r).reshape(m, kk, kk)
         F = np.matmul(kron, Gblk).reshape(m * kk, d)
-        try:
-            fac = cho_factor(P + F.T @ F)
-        except np.linalg.LinAlgError:
+        S = P + F.T @ F
+        if not _posdef(S):
             return x, steps, gap, "stalled"
         Lam = lam[:, :, None] * eye
         lsum = lam[:, :, None] + lam[:, None, :]
@@ -222,7 +245,7 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pfac=None, gap0=0.0, floor=N
         def direction(rc):
             # scaled ds + dz = lam <> rc,  G dx + ds = 0,  P dx + G^T dz = -rd
             dm = 2.0 * rc / lsum
-            dx = cho_solve(fac, -rd - F.T @ dm.ravel())
+            dx = np.linalg.solve(S, -rd - F.T @ dm.ravel())
             Fdx = (F @ dx).reshape(m, k, k)
             return dx, -Fdx, dm + Fdx
 
@@ -273,8 +296,7 @@ def interior_point_solve(problem, settings=None):
     P = 2.0 * (A.T @ A) + 2.0 * lam * np.eye(p)
     q = -2.0 * (A.T @ b)
     btb = float(b @ b)
-    Pfac = cho_factor(P)
-    theta = cho_solve(Pfac, -q)          # the unconstrained ridge optimum
+    theta = np.linalg.solve(P, -q)       # the unconstrained ridge optimum
 
     def objective(x):
         th, sl = x[:p], x[p:]
@@ -311,7 +333,7 @@ def interior_point_solve(problem, settings=None):
         x0 = np.concatenate([theta, np.maximum(worst, 0.0) + 1.0])
         x, steps, gap, reason = _interior_point(
             Px, np.concatenate([q, np.zeros(m)]), Gx, h, x0, st.max_iters, converged,
-            Pfac=cho_factor(Px))
+            Pinv=np.linalg.inv(Px))
         return report(x, steps, gap, reason)
 
     steps1 = 0
@@ -348,5 +370,5 @@ def interior_point_solve(problem, settings=None):
         theta = x1[:p]
 
     x, steps, gap, reason = _interior_point(
-        P, q, ops, h, theta, st.max_iters - steps1, converged, Pfac=Pfac)
+        P, q, ops, h, theta, st.max_iters - steps1, converged, Pinv=np.linalg.inv(P))
     return report(x, steps1 + steps, gap, reason)

@@ -1,12 +1,18 @@
 """Command-line round trips, configuration parsing and model persistence."""
 
+import ctypes
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _synth import write_demo_csv
-from cvfield import modelfile
+import cvfield
+from _synth import s_demos, write_demo_csv
+from cvfield import cli, modelfile
 from cvfield.cli import TrainConfig, cmd_export_field, main, train_field
 from cvfield.dataset import (load_demonstrations, resample_and_average,
                              subsample_constraint_points)
@@ -185,8 +191,17 @@ def test_non_object_json_files_are_errors(workspace, capsys, tmp_path, role, tex
     ("rollout", ["x0=null"]),
     ("export-field", ["bounds=-5,5,-5,5", "resolution=2.9"]),
     ("grid-eval", ["grid_k=16.5"]),
+    ("rollout", ["x0=10,20", "max_step=nan"]),
+    ("rollout", ["x0=10,20", "max_step=0"]),
+    ("rollout", ["x0=10,20", "abs_tol=-1"]),
+    ("rollout", ["x0=10,20", "rel_tol=nan"]),
+    ("rollout", ["x0=10,20", "rel_tol=inf"]),
+    ("rollout", ["x0=10,20", "rel_tol=0", "abs_tol=0"]),
+    ("rollout", ["x0=10,20", "goal_radius=nan"]),
 ], ids=["horizon-list", "x0-object", "grid_k-null", "resolution-null", "horizon-inf",
-        "horizon-nan", "x0-length", "x0-null", "resolution-fraction", "grid_k-fraction"])
+        "horizon-nan", "x0-length", "x0-null", "resolution-fraction", "grid_k-fraction",
+        "max_step-nan", "max_step-zero", "abs_tol-negative", "rel_tol-nan", "rel_tol-inf",
+        "tolerances-zero", "goal_radius-nan"])
 def test_malformed_command_parameters_are_errors(workspace, capsys, command, sets):
     argv = [command, "--model", str(workspace / "model.json"),
             "--data", str(workspace / "train.csv"), "--out", str(workspace / "unwritten.out")]
@@ -388,3 +403,78 @@ def test_report_summary_null_for_unconstrained():
     text = json.dumps(doc)
     assert "Infinity" not in text
     assert json.loads(text)["max_constraint_violation"] is None
+
+
+SRC = Path(cvfield.__file__).resolve().parent.parent
+
+
+def _python(*args, **env):
+    """Run a fresh interpreter that imports cvfield from this source tree."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, timeout=300, check=True)
+
+
+def test_package_imports_without_scipy():
+    out = _python("-c", "import sys, cvfield, cvfield.cli; "
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.stdout.strip() == "[]"
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # shaped like the benchmark's train-scurve workload: 4 S-curve
+    # demonstrations of 1000 samples, s = 200, 100 constraint points
+    write_demo_csv(tmp_path / "train.csv", s_demos(num=4, samples=1000, seed=1))
+    cfg = {"kernel": "curl_free", "sigma": 20.0, "num_features": 200, "lambda": 0.01,
+           "tau": 0.0, "constraint_points": 100, "seed": 0,
+           "admm": {"eps_abs": 1e-4, "eps_rel": 1e-9, "max_iters": 2000}}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    models = []
+    for threads in ("1", "2"):
+        models.append(tmp_path / f"model_{threads}.json")
+        _python("-c", "import sys; from cvfield.cli import main; sys.exit(main(sys.argv[1:]))",
+                "train", "--config", str(tmp_path / "config.json"),
+                "--data", str(tmp_path / "train.csv"), "--model", str(models[-1]),
+                OPENBLAS_NUM_THREADS=threads)
+    assert models[0].read_bytes() == models[1].read_bytes()
+
+
+def _openblas_threads():
+    """get and set of numpy's bundled OpenBLAS thread count, read independently
+    of the package; the test is skipped where numpy exports neither."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        dll = ctypes.CDLL(str(lib))
+        get = getattr(dll, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(dll, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            return get, put
+    pytest.skip("numpy's OpenBLAS exports no thread controls")
+
+
+@pytest.mark.parametrize("solve_raises", [False, True])
+def test_train_field_restores_blas_threads(monkeypatch, angle_train, solve_raises):
+    get, put = _openblas_threads()
+    inside = []
+
+    def solve(problem, settings):
+        inside.append(get())
+        if solve_raises:
+            raise RuntimeError("solver failure")
+        return real_solve(problem, settings)
+
+    real_solve = cli.interior_point_solve
+    monkeypatch.setattr(cli, "interior_point_solve", solve)
+    cfg = TrainConfig(sigma=10.0, num_features=50, constraint_points=20)
+    original = get()
+    try:
+        put(2)
+        before = get()
+        if solve_raises:
+            with pytest.raises(RuntimeError, match="solver failure"):
+                train_field(angle_train, cfg)
+        else:
+            train_field(angle_train, cfg)
+        assert inside == [1]
+        assert get() == before
+    finally:
+        put(original)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from _synth import angle_demos, write_demo_csv, write_demo_dir
 from cvfield.dataset import (Demonstration, DemoSet, PreprocessConfig,
@@ -230,3 +232,79 @@ def test_subsample_edge_counts():
     np.testing.assert_allclose(subsample_constraint_points(demo, 99), pos)
     with pytest.raises(DataError):
         subsample_constraint_points(demo, 0)
+
+
+# finite doubles, subnormals and -0.0 included, within 1e300 of zero so that
+# moving the goal to the origin cannot overflow
+_FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@st.composite
+def _csv_demos(draw):
+    """1 to 3 demonstrations of dimension n as (times, columns) pairs, where
+    columns holds the positions and, if drawn, the velocities."""
+    n = draw(st.integers(1, 3))
+    width = n * draw(st.sampled_from([1, 2]))
+    demos = []
+    for _ in range(draw(st.integers(1, 3))):
+        times = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8, unique=True)))
+        cols = draw(st.lists(st.lists(_FINITE, min_size=width, max_size=width),
+                             min_size=len(times), max_size=len(times)))
+        demos.append((np.array(times), np.array(cols).reshape(len(times), width)))
+    return n, width > n, demos
+
+
+def _csv_lines(n, has_v, demos, demo_id):
+    """Header and data rows of the demos, every number written with repr."""
+    header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)] * has_v
+    lines = [["demo_id"] * demo_id + header]
+    for k, (times, cols) in enumerate(demos):
+        for t, row in zip(times, cols):
+            lines.append([f"d{k}"] * demo_id + [repr(float(v)) for v in (t, *row)])
+    return lines
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_demos(), st.booleans())
+def test_csv_round_trip_is_bit_exact(tmp_path, drawn, demo_id):
+    n, has_v, demos = drawn
+    if not demo_id:
+        demos = demos[:1]
+    path = tmp_path / "demos.csv"
+    path.write_text("".join(",".join(line) + "\n" for line in _csv_lines(n, has_v, demos, demo_id)))
+    loaded = load_demonstrations(path)
+    assert len(loaded.demos) == len(demos)
+    assert np.array_equal(_bits(loaded.goal), _bits(demos[0][1][-1, :n]))
+    for (times, cols), got in zip(demos, loaded.demos):
+        X = cols[:, :n]
+        assert np.array_equal(_bits(got.times), _bits(times))
+        assert np.array_equal(_bits(got.positions), _bits(X - X[-1]))
+        if has_v:
+            assert np.array_equal(_bits(got.velocities), _bits(cols[:, n:]))
+        else:
+            assert got.velocities is None
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_demos(), st.booleans(), st.data())
+def test_csv_malformed_cell_names_its_line(tmp_path, drawn, demo_id, data):
+    n, has_v, demos = drawn
+    lines = _csv_lines(n, has_v, demos, demo_id)
+    row = data.draw(st.integers(1, len(lines) - 1), label="data row")
+    col = data.draw(st.integers(int(demo_id), len(lines[0]) - 1), label="column")
+    fault = data.draw(st.sampled_from(["zap", "", "nan", "-inf", "missing"]), label="fault")
+    if fault == "missing":
+        del lines[row][col]
+    else:
+        lines[row][col] = fault
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(",".join(line) + "\n" for line in lines))
+    with pytest.raises(ParseError) as exc:
+        load_demonstrations(path)
+    assert exc.value.line == row + 1
