@@ -3,7 +3,8 @@
 Commands: train, eval, rollout, export-field, grid-eval.  Configuration
 comes from a JSON object file (--config) with --set key=value overrides;
 nested keys use dots (e.g. --set admm.max_iters=200).  Command-specific
-parameters (rollout start point, export bounds, ...) travel the same way.
+parameters (rollout start point, export bounds, ...) travel the same way,
+and a key that the command does not read is an error.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import metrics, modelfile
-from .dataset import (DemoSet, PreprocessConfig, finite_difference_velocities,
-                      load_demonstrations, resample_and_average,
-                      subsample_constraint_points)
+from .dataset import (PreprocessConfig, fill_velocities, load_demonstrations,
+                      resample_and_average, subsample_constraint_points)
 from .dynamics import IntegratorSettings, TrainedField, export_field_grid, rollout
-from .errors import ConfigError
+from .errors import ConfigError, IntegrationError
 from .features import build_vanishing_projector, sample_feature_map
 from .kernels import CURL_FREE, GAUSSIAN_SEPARABLE, KernelKind
 from .solver import ADMMSettings, assemble_problem, interior_point_solve, single_blas_thread
@@ -114,11 +114,7 @@ def train_field(demos, config):
     regression.  Returns (field, report, averaged_demo).
     """
     config.validate()
-    filled = DemoSet(
-        [d if d.velocities is not None else finite_difference_velocities(d, config.preprocess)
-         for d in demos.demos],
-        demos.goal)
-    avg = resample_and_average(filled, config.preprocess)
+    avg = resample_and_average(fill_velocities(demos, config.preprocess), config.preprocess)
     cpoints = subsample_constraint_points(avg, config.constraint_points)
     kind = KernelKind(config.kernel, config.sigma)
     fm = sample_feature_map(kind, config.num_features, demos.dim, config.seed)
@@ -144,8 +140,9 @@ def _parse_set_value(raw):
         return raw
 
 
-def _settings(args):
-    """Settings of every command: the --config object, then --set and --seed."""
+def _settings(args, reads=None):
+    """Settings of a command: the --config object, then --set and --seed.
+    A key outside `reads`, when given, is an error (TrainConfig checks its own)."""
     tree = {}
     if args.config:
         with open(args.config) as fh:
@@ -163,6 +160,10 @@ def _settings(args):
         node[parts[-1]] = _parse_set_value(raw)
     if args.seed is not None:
         tree["seed"] = args.seed
+    unread = sorted(set(tree) - set(tree if reads is None else reads))
+    if unread:
+        raise ConfigError(f"{unread[0]} must be one of the keys {args.command} reads: "
+                          f"{', '.join(reads)}")
     return tree
 
 
@@ -220,9 +221,12 @@ def cmd_train(config, data_path, model_path):
     return 0
 
 
+_INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorSettings))
+
+
 def _integrator_settings(params):
     s = IntegratorSettings()
-    for key in ("rel_tol", "abs_tol", "max_step", "goal_radius", "horizon"):
+    for key in _INTEGRATOR_KEYS:
         if key in params:
             setattr(s, key, _param(params, key, float, "a number"))
     return s
@@ -232,21 +236,21 @@ def _integrator_settings(params):
 EXIT_ROLLOUT_FAILURES = 3
 
 
-def cmd_eval(model_path, data_path, test_path=None, out=None, grid_k=16, seed=0,
-             grid_only=False):
+def cmd_eval(model_path, data_path, test_path=None, out=None, grid_k=16, grid_only=False):
     """`eval` writes {"eval": ..., "grid_eval": ...}; with grid_only, as for
     `grid-eval`, only the grid block, on the training demonstrations.
 
-    The error means of `eval` leave out demonstrations whose rollout failed
-    to integrate; when there are any, it warns on stderr and returns
-    EXIT_ROLLOUT_FAILURES after writing the report.
+    Missing velocities are filled as in training.  The error means of `eval`
+    leave out demonstrations whose rollout failed to integrate; when there
+    are any, it warns on stderr and returns EXIT_ROLLOUT_FAILURES.
     """
-    fieldobj, _, _ = modelfile.load_model(model_path)
-    train = load_demonstrations(data_path)
+    fieldobj, config, _ = modelfile.load_model(model_path)
+    preprocess = TrainConfig.from_dict(config).preprocess
+    train = fill_velocities(load_demonstrations(data_path), preprocess)
     if not grid_only:
-        test = load_demonstrations(test_path) if test_path else train
+        test = fill_velocities(load_demonstrations(test_path), preprocess) if test_path else train
         report = asdict(metrics.evaluate(fieldobj, train, test))
-    grid = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=grid_k, seed=seed))
+    grid = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=grid_k))
     doc = grid if grid_only else {"eval": report, "grid_eval": grid}
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out:
@@ -267,7 +271,9 @@ def cmd_rollout(model_path, params, out=None):
     fieldobj, _, _ = modelfile.load_model(model_path)
     n = fieldobj.map.n
     x0 = _param(params, "x0", lambda v: _point(v, n), f"a list of {n} finite numbers")
-    ro = rollout(fieldobj, x0, _integrator_settings(params))
+    ro = rollout(fieldobj, x0[None], _integrator_settings(params)).results[0]
+    if isinstance(ro, IntegrationError):
+        raise ro
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)]
     rows = np.hstack([ro.times[:, None], ro.states, fieldobj.eval(ro.states)])
     _write_csv(out, header, rows)
@@ -340,16 +346,17 @@ def main(argv=None):
             return cmd_train(TrainConfig.from_dict(_settings(args)), args.data, args.model)
         if args.command in ("eval", "grid-eval"):
             _require(args, "model", "data")
-            grid_k = _param(_settings(args), "grid_k", _integer, "an integer", 16)
-            return cmd_eval(args.model, args.data, args.test, args.out,
-                            grid_k=grid_k, seed=args.seed or 0,
+            grid_k = _param(_settings(args, ("grid_k",)), "grid_k", _integer, "an integer", 16)
+            return cmd_eval(args.model, args.data, args.test, args.out, grid_k=grid_k,
                             grid_only=args.command == "grid-eval")
         if args.command == "rollout":
             _require(args, "model")
-            return cmd_rollout(args.model, _settings(args), args.out)
+            return cmd_rollout(args.model, _settings(args, ("x0",) + _INTEGRATOR_KEYS),
+                               args.out)
         if args.command == "export-field":
             _require(args, "model", "out")
-            return cmd_export_field(args.model, _settings(args), args.out)
+            return cmd_export_field(args.model, _settings(args, ("bounds", "resolution")),
+                                    args.out)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,7 +104,7 @@ def _parse_file(path):
             raise ParseError(f"{path}: empty file", line=1)
         has_id, n, has_v = _parse_header(header)
         ncols = len(header)
-        groups, order = {}, []
+        groups = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -117,13 +117,10 @@ def _parse_file(path):
             if not all(map(math.isfinite, vals)):
                 raise ParseError(f"{path}: non-finite value in {row}", line=lineno)
             key = row[0].strip() if has_id else None
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(vals)
+            groups.setdefault(key, []).append(vals)
     demos = []
-    for key in order:
-        block = np.asarray(groups[key], dtype=float)
+    for key, rows in groups.items():
+        block = np.asarray(rows, dtype=float)
         vel = block[:, 1 + n:1 + 2 * n] if has_v else None
         try:
             demos.append(Demonstration(block[:, 0], block[:, 1:1 + n], vel))
@@ -189,6 +186,12 @@ def finite_difference_velocities(demo, cfg=None):
     return Demonstration(t.copy(), x.copy(), _moving_average(v, cfg.smoothing_window))
 
 
+def fill_velocities(dset, cfg=None):
+    """The set with missing velocities estimated by `finite_difference_velocities`."""
+    return DemoSet([d if d.velocities is not None else finite_difference_velocities(d, cfg)
+                    for d in dset.demos], dset.goal)
+
+
 def resample_and_average(dset, cfg=None):
     """Pointwise average of all demonstrations on a common time grid.
 
@@ -233,10 +236,5 @@ def subsample_constraint_points(demo, k):
     if k < 1:
         raise DataError("k must be at least 1")
     T = demo.length
-    if k >= T:
-        idx = np.arange(T)
-    elif k == 1:
-        idx = np.array([0])
-    else:
-        idx = np.unique(np.round(np.linspace(0, T - 1, k)).astype(int))
-    return demo.positions[idx].copy()
+    idx = np.unique(np.round(np.linspace(0, T - 1, min(k, T))).astype(int))
+    return demo.positions[idx]

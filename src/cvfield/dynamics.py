@@ -9,11 +9,11 @@ along an accepted step, with the crossing time localized by bisection on
 the dense output.
 
 `rollout` integrates a (K, n) batch of starts in lock-step, one field
-evaluation per stage over the starts still running; a single start is a
-batch of one, and each start may have its own horizon and sample times.
-Every per-start operation is row by row (elementwise, or a sum over a fixed
-axis, never a BLAS product), so a start's result has the same bits alone or
-in any batch.  Results hold states, not velocities: evaluate the field there.
+evaluation per stage over the starts still running; one start is a batch of
+one, and each start may have its own horizon and sample times.  Every
+per-start operation is row by row (elementwise, or a sum over a fixed axis,
+never a BLAS product), so a start's result has the same bits alone or in any
+batch.  Results hold states, not velocities: evaluate the field there.
 
 Synthetic fields can be passed anywhere a TrainedField is accepted: any
 object whose `eval` maps a batch (N, n) to (N, n) and, where Jacobians are
@@ -32,7 +32,6 @@ from .errors import DataError, DimensionError, IntegrationError
 from .kernels import CURL_FREE
 
 #:  Dormand-Prince 4(5) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -90,10 +89,8 @@ class TrainedField:
             if worst > 1e-8:
                 raise DataError(f"field is {worst:.3e} at an equilibrium (must be <= 1e-8)")
 
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        vals = features.field_values(self.map, self.eta, np.atleast_2d(x))
-        return vals[0] if x.ndim == 1 else vals
+    def eval(self, X):
+        return features.field_values(self.map, self.eta, X)
 
     def jacobian(self, X):
         return features.field_jacobians(self.map, self.eta, X)
@@ -213,37 +210,30 @@ def _locate_crossing(C, h, radius, hi, tol_t):
         lo = np.where(go & ~inside, mid, lo)
 
 
-def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
-    """Integrate xdot = f(x) from x0 until the horizon or the goal event.
+def rollout(f, X0, settings=None, t_eval=None):
+    """Integrate xdot = f(x) from each start of X0 (K, n) until its horizon
+    or the goal event, giving a RolloutBatch.
 
-    x0 is one start (n,), giving a RolloutResult, or a batch (K, n) of
-    starts, giving a RolloutBatch.  A batch is integrated in lock-step:
-    every start keeps its own step size, accept/reject decision, FSAL
-    stage, goal event and horizon, and each stage evaluates the field once
-    over the starts still running.  All per-start arithmetic is row by row,
-    so a start's result is bitwise the same alone or in any batch, provided
-    the field's own arithmetic does not depend on the batch size (a
-    TrainedField's does not).  A single start is a batch of one.
+    The starts run in lock-step, each with its own step size, accept/reject
+    decision, FSAL stage, goal event and horizon; a start's result is
+    bitwise the same alone or in any batch, provided the field's arithmetic
+    does not depend on the batch size (a TrainedField's does not).
 
     settings.horizon is one positive, finite horizon or a (K,) array of
     them; rel_tol and abs_tol are finite, nonnegative and not both 0,
-    max_step is positive and goal_radius is not nan.  t_eval requests
-    dense-output samples at the given times (seconds, relative to the
-    start): one increasing 1-D array, or a list of K such arrays, one per
-    start; otherwise the accepted integrator steps are returned.  fixed_step
-    disables error control and uses the given step size (used to probe
-    integrator order).  The goal event is checked over the whole of each
-    accepted step, not only at its end; the crossing time, when reached, is
-    localized to 1e-6 s and appended as the final sample.  A start whose
-    step size underflows raises IntegrationError; in a batch, that error
-    takes the start's place in the results and the other starts run on.
+    max_step is positive and goal_radius is not nan.  t_eval is a list of K
+    increasing 1-D arrays, one per start, requesting dense-output samples at
+    those times (seconds, relative to the start); without it the accepted
+    integrator steps are returned.  The goal event is checked over the whole
+    of each accepted step, not only at its end; the crossing time, when
+    reached, is localized to 1e-6 s and appended as the final sample.  A
+    start whose step size underflows ends with an IntegrationError in its
+    place in the results, and the other starts run on.
     """
     s = settings or IntegratorSettings()
-    x0 = np.asarray(x0, dtype=float)
-    single = x0.ndim < 2
-    X0 = x0.reshape(1, -1) if single else x0
+    X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2:
-        raise DimensionError("x0 must be one start (n,) or a batch of starts (K, n)")
+        raise DimensionError("X0 must be a batch of starts (K, n)")
     K, n = X0.shape
     H = np.asarray(s.horizon, dtype=float)
     if H.shape not in ((), (K,)):
@@ -258,10 +248,9 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
         if not ok:
             raise DataError(f"{key} must be {what}, got {getattr(s, key)}")
     if t_eval is not None:
-        per_start = isinstance(t_eval, (list, tuple)) and len(t_eval) > 0 and np.ndim(t_eval[0]) > 0
-        t_eval = [np.asarray(te, float).ravel() for te in (t_eval if per_start else [t_eval] * K)]
-        if len(t_eval) != K:
-            raise DimensionError("t_eval must be one array of times or one per start")
+        t_eval = [np.asarray(te, dtype=float) for te in t_eval]
+        if len(t_eval) != K or any(te.ndim != 1 for te in t_eval):
+            raise DimensionError("t_eval must hold one 1-D array of times per start")
         for te, hz in zip(t_eval, H):
             if te.size and (np.any(np.diff(te) <= 0) or te[0] < 0 or te[-1] > hz + 1e-12):
                 raise DataError("t_eval must be increasing and inside [0, horizon]")
@@ -286,16 +275,13 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
     if active.any():
         f0[active] = f.eval(y[active])
     nev[active] += 1
-    if fixed_step is not None:
-        h = np.full(K, float(fixed_step))
-    else:
-        # cheap standard guess, refined immediately by the controller
-        sc = s.abs_tol + s.rel_tol * np.abs(y)
-        d0 = np.sqrt(np.mean((y / sc) ** 2, axis=1))
-        d1 = np.sqrt(np.mean((f0 / sc) ** 2, axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = np.where((d0 > 1e-12) & (d1 > 1e-12), 0.01 * d0 / d1, 1e-6 * H)
-        h = np.minimum(np.minimum(h, s.max_step), H)
+    # cheap standard guess, refined immediately by the controller
+    sc = s.abs_tol + s.rel_tol * np.abs(y)
+    d0 = np.sqrt(np.mean((y / sc) ** 2, axis=1))
+    d1 = np.sqrt(np.mean((f0 / sc) ** 2, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where((d0 > 1e-12) & (d1 > 1e-12), 0.01 * d0 / d1, 1e-6 * H)
+    h = np.minimum(np.minimum(h, s.max_step), H)
 
     while True:
         rem = H - t
@@ -318,18 +304,17 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
         nev[idx] += 6
         hS = hc[:, :, None] * _stage_sum(_STEP_WEIGHTS, k)
         y1 = y0 + hS[:, 0]
-        if fixed_step is None:
-            sc = s.abs_tol + s.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-            err = np.sqrt(np.mean((hS[:, 1] / sc) ** 2, axis=1))
-            # a nan error (the field returned nan or inf) rejects the step too,
-            # so such a start ends in step size underflow, not a nan trajectory
-            rej = ~(err <= 1.0)
-            if rej.any():
-                h[idx[rej]] *= np.fmax(0.2, 0.9 * err[rej] ** -0.2)
-                acc = ~rej
-                idx, y0, hc, k, hS, y1, err = (v[acc] for v in (idx, y0, hc, k, hS, y1, err))
-                if not idx.size:
-                    continue
+        sc = s.abs_tol + s.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
+        err = np.sqrt(np.mean((hS[:, 1] / sc) ** 2, axis=1))
+        # a nan error (the field returned nan or inf) rejects the step too,
+        # so such a start ends in step size underflow, not a nan trajectory
+        rej = ~(err <= 1.0)
+        if rej.any():
+            h[idx[rej]] *= np.fmax(0.2, 0.9 * err[rej] ** -0.2)
+            acc = ~rej
+            idx, y0, hc, k, hS, y1, err = (v[acc] for v in (idx, y0, hc, k, hS, y1, err))
+            if not idx.size:
+                continue
         C = np.concatenate([y0[:, None], hS[:, 2:6]], axis=1)
         theta, x_stop = np.ones(idx.size), y1.copy()
         if event_on:
@@ -361,17 +346,12 @@ def rollout(f, x0, settings=None, t_eval=None, fixed_step=None):
         done, go = idx[hit], idx[~hit]
         reached[done], t_goal[done], active[done] = True, t_stop[hit], False
         t[go], y[go], f0[go] = t_stop[~hit], y1[~hit], k[~hit, :, 6]   # FSAL
-        if fixed_step is None:
-            h[go] *= np.minimum(5.0, np.maximum(0.2, 0.9 * (err + 1e-16) ** -0.2))[~hit]
+        h[go] *= np.minimum(5.0, np.maximum(0.2, 0.9 * (err + 1e-16) ** -0.2))[~hit]
 
     results = [failures[r] if failures[r] is not None else RolloutResult(
         np.asarray(ts[r], dtype=float), np.asarray(xs[r]).reshape(-1, n),
         bool(reached[r]), float(t_goal[r]) if reached[r] else None, int(nev[r]))
         for r in range(K)]
-    if single:
-        if failures[0] is not None:
-            raise failures[0]
-        return results[0]
     return RolloutBatch(results, int(nev.sum()))
 
 
@@ -401,5 +381,5 @@ def export_field_grid(f, bounds, resolution):
     out = [X[:, 0], X[:, 1], vals[:, 0], vals[:, 1], lam]
     if isinstance(f, TrainedField) and f.map.kind.variant == CURL_FREE:
         cols.append("V")
-        out.append(features.potential_from_features(f.map, f.proj, f.theta, X))
+        out.append(features.potential_from_features(f.map, f.eta, X))
     return cols, np.stack(out, axis=1)

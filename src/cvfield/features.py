@@ -179,12 +179,12 @@ def symmetrized_jacobian_basis(fm, proj, X):
     return np.ascontiguousarray(E.reshape(m, n, n, p).transpose(0, 3, 1, 2))
 
 
-def potential_from_features(fm, proj, theta, X):
+def potential_from_features(fm, coeffs, X):
     """Scalar potential V with f = -grad V, for the curl-free map, at (N, n) points.
 
-    With eta = L theta,  V(x) = sqrt(2/s) sum_j eta_j cos(w_j^T x + b_j).
+    V(x) = sqrt(2/s) sum_j coeffs_j cos(w_j^T x + b_j); pass the effective
+    coefficients L theta of a vanishing field, as for `field_values`.
     """
     if fm.kind.variant != CURL_FREE:
         raise ValueError("potentials are defined for the curl-free map only")
-    eta = proj.L @ np.asarray(theta, dtype=float)
-    return fm.scale * (np.cos(_angles(fm, np.asarray(X, dtype=float))) @ eta)
+    return fm.scale * (np.cos(_angles(fm, np.asarray(X, dtype=float))) @ np.asarray(coeffs))

@@ -14,16 +14,17 @@ integrates every grid start in lock-step, and `dtw_distance` scores the
 call.  `dtw_distance` fills the cost table by anti-diagonals: every cell on
 diagonal i + j = k depends only on diagonals k - 1 and k - 2, so one
 diagonal of all K tables is a few elementwise operations on (K, <= T)
-slices.  A single (T, n) sequence is a batch of one.
+slices.  One sequence is a batch of one, as is one rollout start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics
+from .dynamics import IntegratorSettings
 from .errors import DataError, DimensionError, IntegrationError
 
 #: number of uniform samples drawn from each grid rollout before DTW
@@ -81,10 +82,9 @@ def dtw_distance(a, b):
     """Classic dynamic-time-warping cost with Euclidean local distances.
 
     Full window, no normalization: the summed cost along the optimal
-    monotone alignment path.  `a` is one sequence, (T, n) or (T,) for a
-    scalar sequence, or a batch (K, T, n) of K sequences of equal length;
-    `b` is one sequence, (M, n) or (M,).  Returns a float for a single `a`
-    and a (K,) array, one cost per sequence, for a batch.
+    monotone alignment path.  `a` is a batch (K, T, n) of K sequences of
+    equal length and `b` one sequence (M, n); returns a (K,) array, one cost
+    per sequence of `a`.
 
     D[i, j] = d(a_i, b_j) + min(D[i-1, j], D[i, j-1], D[i-1, j-1]) is
     solved one anti-diagonal at a time for all K sequences together; the
@@ -93,15 +93,8 @@ def dtw_distance(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    single = a.ndim < 3
-    if a.ndim == 1:
-        a = a[:, None]    # scalar sequence
-    if single:
-        a = a[None]       # a batch of one
-    if b.ndim == 1:
-        b = b[:, None]
     if a.ndim != 3 or b.ndim != 2:
-        raise DimensionError("a must be (T,), (T, n) or (K, T, n) and b (M,) or (M, n)")
+        raise DimensionError("a must be (K, T, n) and b (M, n)")
     if a.shape[2] != b.shape[1]:
         raise DimensionError("sequences must share their state dimension")
     if a.shape[0] == 0 or a.shape[1] == 0 or b.shape[0] == 0:
@@ -136,14 +129,12 @@ def dtw_distance(a, b):
         np.minimum(prev[:, lo:hi + 1], prev[:, lo + 1:hi + 2], out=t)
         np.minimum(t, prev2[:, lo:hi + 1], out=t)
         np.add(d, t, out=cur[:, lo + 1:hi + 2])
-    last = diag[(T + M - 2) % 3][:, T]
-    return float(last[0]) if single else last.copy()
+    return diag[(T + M - 2) % 3][:, T].copy()
 
 
-def evaluate(f, train, test, settings=None):
+def evaluate(f, train, test):
     """Score reproduction and convergence against train and test sets; a demo
     whose rollouts fail is left out and counted once in integration_failures."""
-    s = settings or dynamics.IntegratorSettings()
     per_set = {}
     distances, durations, failures = [], [], 0
     for name, dset in (("train", train), ("test", test)):
@@ -151,9 +142,9 @@ def evaluate(f, train, test, settings=None):
             raise DataError(f"no {name} demonstrations")
         starts = np.stack([d.positions[0] for d in dset.demos])
         spans = np.array([d.duration for d in dset.demos])
-        repros = dynamics.rollout(f, starts, replace(s, horizon=spans, goal_radius=0.0),
+        repros = dynamics.rollout(f, starts, IntegratorSettings(horizon=spans, goal_radius=0.0),
                                   t_eval=[d.times - d.times[0] for d in dset.demos]).results
-        longruns = dynamics.rollout(f, starts, replace(s, horizon=30.0 * spans)).results
+        longruns = dynamics.rollout(f, starts, IntegratorSettings(horizon=30.0 * spans)).results
         kept = [(d, r, lr) for d, r, lr in zip(dset.demos, repros, longruns)
                 if not isinstance(r, IntegrationError) and not isinstance(lr, IntegrationError)]
         failures += len(dset.demos) - len(kept)
@@ -176,27 +167,20 @@ def evaluate(f, train, test, settings=None):
     )
 
 
-def _grid_starts(dset, grid_k, seed, jitter):
+def _grid_starts(dset, grid_k):
     pts = np.vstack([d.positions for d in dset.demos])
     if pts.shape[1] != 2:
         raise DimensionError("grid evaluation supports 2-D data only")
-    if not grid_k >= 1:
+    if not grid_k >= 1 or round(np.sqrt(grid_k)) ** 2 != grid_k:
         raise DataError(f"grid_k must be a positive perfect square, got {grid_k}")
     g = round(np.sqrt(grid_k))
-    if g * g != grid_k:
-        raise DataError("grid_k must be a perfect square")
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     pad = 0.1 * (hi - lo)
     axes = [np.linspace(lo[d] - pad[d], hi[d] + pad[d], g) for d in range(2)]
-    starts = np.stack([np.repeat(axes[0], g), np.tile(axes[1], g)], axis=1)
-    if jitter > 0.0:
-        rng = np.random.default_rng(seed)
-        cell = (hi - lo + 2 * pad) / max(g - 1, 1)
-        starts = starts + rng.uniform(-0.5, 0.5, starts.shape) * jitter * cell
-    return starts
+    return np.stack([np.repeat(axes[0], g), np.tile(axes[1], g)], axis=1)
 
 
-def grid_evaluate(f, demos, settings=None, grid_k=16, seed=0, jitter=0.0):
+def grid_evaluate(f, demos, grid_k=16):
     """Convergence statistics from a grid of start points.
 
     The grid spans the demonstration bounding box inflated by 10% per
@@ -208,11 +192,10 @@ def grid_evaluate(f, demos, settings=None, grid_k=16, seed=0, jitter=0.0):
     minimum over demonstrations, from one batched `dtw_distance` call per
     demonstration.
     """
-    s = settings or dynamics.IntegratorSettings()
-    starts = _grid_starts(demos, grid_k, seed, jitter)
+    starts = _grid_starts(demos, grid_k)
     horizon = 30.0 * float(np.mean([d.duration for d in demos.demos]))
     reached, durations, distances, paths = 0, [], [], []
-    for ro in dynamics.rollout(f, starts, replace(s, horizon=horizon)).results:
+    for ro in dynamics.rollout(f, starts, IntegratorSettings(horizon=horizon)).results:
         if isinstance(ro, IntegrationError):
             distances.append(float(np.linalg.norm(ro.last_state)))
             continue

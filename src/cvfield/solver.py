@@ -69,7 +69,6 @@ class ConstrainedLSQProblem:
     design: np.ndarray            # A, (N n, feature_dim)
     targets: np.ndarray           # b, (N n,)
     lam: float
-    constraint_points: np.ndarray  # (m, n)
     constraint_ops: np.ndarray     # (m, feature_dim, n, n), symmetric in the last two axes
     tau: np.ndarray                # (m,)
 
@@ -118,7 +117,7 @@ def assemble_problem(fm, proj, pairs, cpoints, lam, tau):
     A = features.feature_rows(fm, X) @ proj.L
     cpoints = np.asarray(cpoints, dtype=float).reshape(-1, fm.n)
     ops = features.symmetrized_jacobian_basis(fm, proj, cpoints)
-    return ConstrainedLSQProblem(A, Xdot.ravel(), float(lam), cpoints, ops,
+    return ConstrainedLSQProblem(A, Xdot.ravel(), float(lam), ops,
                                  np.full(cpoints.shape[0], float(tau)))
 
 

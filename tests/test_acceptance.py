@@ -132,7 +132,7 @@ def test_criterion_02_vanishing_equilibria(tau0_bundle, tau100_bundle, seed_mode
     worst_name, worst = "", 0.0
     for name, f in models:
         for z in f.equilibria:
-            v = float(np.linalg.norm(f.eval(z)))
+            v = float(np.linalg.norm(f.eval(z[None])))
             if v > worst:
                 worst_name, worst = name, v
     ok = worst <= 1e-8
@@ -203,10 +203,10 @@ def test_criterion_05_gradient_flow(tau0_bundle):
         for c2 in range(2):
             e = np.zeros(2)
             e[c2] = h
-            vp = potential_from_features(field.map, field.proj, field.theta, (x + e)[None])[0]
-            vm = potential_from_features(field.map, field.proj, field.theta, (x - e)[None])[0]
+            vp = potential_from_features(field.map, field.eta, (x + e)[None])[0]
+            vm = potential_from_features(field.map, field.eta, (x - e)[None])[0]
             g[c2] = float(vp - vm) / (2 * h)
-        f = field.eval(x)
+        f = field.eval(x[None])[0]
         worst_grad = max(worst_grad, np.linalg.norm(g + f) / max(1.0, np.linalg.norm(f)))
     ok = worst_circ <= 1e-6 and worst_grad <= 1e-5
     _verdict(5, "gradient-flow property", ok,
@@ -253,7 +253,7 @@ def test_criterion_06_solver_optimality_oracle():
         ops = rng.normal(size=(m, p, 2, 2))
         ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
         ops[:, 0] = -np.eye(2)    # strictly feasible direction
-        prob = ConstrainedLSQProblem(A, b, 0.1, np.zeros((m, 2)), ops,
+        prob = ConstrainedLSQProblem(A, b, 0.1, ops,
                                      np.full(m, 0.2))
         rep = interior_point_solve(prob, ADMMSettings(eps_abs=1e-10, eps_rel=1e-10,
                                                       max_iters=300000))
@@ -264,8 +264,7 @@ def test_criterion_06_solver_optimality_oracle():
         gaps.append(abs(val - oracle_val) / max(1.0, oracle_val))
     # scalar KKT toy: pull to +2 clamped at -0.5
     toy = ConstrainedLSQProblem(np.array([[1.0]]), np.array([2.0]), 0.01,
-                                np.zeros((1, 1)), np.ones((1, 1, 1, 1)),
-                                np.array([0.5]))
+                                np.ones((1, 1, 1, 1)), np.array([0.5]))
     toy_rep = interior_point_solve(toy, ADMMSettings(eps_abs=1e-9, eps_rel=1e-9,
                                                      max_iters=100000))
     toy_err = abs(toy_rep.theta[0] + 0.5)
@@ -278,7 +277,7 @@ def test_criterion_06_solver_optimality_oracle():
 def test_criterion_07_stability_at_desk_scale(tau0_bundle, s_train, s_seven):
     field, _, _, _ = tau0_bundle
     t0 = time.perf_counter()
-    grid = grid_evaluate(field, s_train, grid_k=16, seed=0)
+    grid = grid_evaluate(field, s_train, grid_k=16)
     wall = time.perf_counter() - t0
     test = DemoSet(s_seven.demos[4:], s_seven.goal)
     ev = evaluate(field, s_train, test)
@@ -292,8 +291,8 @@ def test_criterion_07_stability_at_desk_scale(tau0_bundle, s_train, s_seven):
 def test_criterion_08_naive_regression_contrast(seed_models):
     con_fracs, ridge_fracs = [], []
     for seed, dset, con, _, ridge in seed_models:
-        con_fracs.append(grid_evaluate(con, dset, grid_k=16, seed=0).grid_fraction_reached)
-        ridge_fracs.append(grid_evaluate(ridge, dset, grid_k=16, seed=0).grid_fraction_reached)
+        con_fracs.append(grid_evaluate(con, dset, grid_k=16).grid_fraction_reached)
+        ridge_fracs.append(grid_evaluate(ridge, dset, grid_k=16).grid_fraction_reached)
     ok = all(f == 1.0 for f in con_fracs) and any(f < 1.0 for f in ridge_fracs)
     _verdict(8, "naive-regression contrast", ok,
              f"constrained fractions = {con_fracs}, unconstrained = {ridge_fracs} "
@@ -305,9 +304,9 @@ def test_criterion_09_integrator_closed_form():
         def eval(self, x):
             return -np.asarray(x, dtype=float)
 
-    ro = rollout(Decay(), np.array([1.0, 0.0]),
+    ro = rollout(Decay(), np.array([[1.0, 0.0]]),
                  IntegratorSettings(goal_radius=1e-3, horizon=10.0,
-                                    rel_tol=1e-8, abs_tol=1e-12))
+                                    rel_tol=1e-8, abs_tol=1e-12)).results[0]
     err = abs(ro.time_to_goal - LN_1000)
     ok = ro.reached_goal and err <= 1e-3
     _verdict(9, "integrator closed form", ok,

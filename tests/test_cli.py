@@ -99,7 +99,7 @@ def test_train_reports_and_persists(workspace, capsys):
     assert config["lambda"] == 0.01
     assert report["converged"] is True
     assert report["max_constraint_violation"] <= 1e-5
-    assert np.linalg.norm(field.eval(np.zeros(2))) <= 1e-8
+    assert np.linalg.norm(field.eval(np.zeros((1, 2)))) <= 1e-8
 
 
 def test_train_deterministic_bytes(workspace):
@@ -198,16 +198,24 @@ def test_non_object_json_files_are_errors(workspace, capsys, tmp_path, role, tex
     ("rollout", ["x0=10,20", "rel_tol=inf"]),
     ("rollout", ["x0=10,20", "rel_tol=0", "abs_tol=0"]),
     ("rollout", ["x0=10,20", "goal_radius=nan"]),
+    ("grid-eval", ["grid=4"]),
+    ("rollout", ["x0=10,20", "horizn=0.5"]),
+    ("export-field", ["bounds=-5,5,-5,5", "resolution=20", "--seed=3"]),
+    ("eval", ["--seed=3"]),
+    ("grid-eval", ["--seed=3"]),
+    ("rollout", ["x0=10,20", "--seed=3"]),
 ], ids=["horizon-list", "x0-object", "grid_k-null", "resolution-null", "horizon-inf",
         "horizon-nan", "x0-length", "x0-null", "resolution-fraction", "grid_k-fraction",
         "max_step-nan", "max_step-zero", "abs_tol-negative", "rel_tol-nan", "rel_tol-inf",
-        "tolerances-zero", "goal_radius-nan"])
+        "tolerances-zero", "goal_radius-nan", "grid-eval-unread-key", "rollout-unread-key",
+        "export-field-seed", "eval-seed", "grid-eval-seed", "rollout-seed"])
 def test_malformed_command_parameters_are_errors(workspace, capsys, command, sets):
+    # an entry that starts with "--" is a flag of its own, the others are --set values
     argv = [command, "--model", str(workspace / "model.json"),
             "--data", str(workspace / "train.csv"), "--out", str(workspace / "unwritten.out")]
-    rc = main(argv + [arg for s in sets for arg in ("--set", s)])
+    rc = main(argv + [arg for s in sets for arg in ((s,) if s.startswith("--") else ("--set", s))])
     err = capsys.readouterr().err
-    key = sets[-1].split("=")[0]
+    key = sets[-1].lstrip("-").split("=")[0]
     assert rc == 1
     assert err.startswith(f"error: {key} must be")
 
@@ -257,6 +265,20 @@ def test_grid_eval_json(workspace, capsys):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["grid_fraction_reached"] == 1.0
+
+
+def test_eval_fills_missing_velocities(workspace, capsys, angle_train, angle_test):
+    # train estimates missing velocities by finite differences, so eval must too
+    write_demo_csv(workspace / "bare_train.csv", angle_train, velocities=False)
+    write_demo_csv(workspace / "bare_test.csv", angle_test, velocities=False)
+    out = workspace / "bare_eval.json"
+    rc = main(["eval", "--model", str(workspace / "model.json"),
+               "--data", str(workspace / "bare_train.csv"),
+               "--test", str(workspace / "bare_test.csv"), "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    doc = json.loads(out.read_text())["eval"]
+    assert np.isfinite(doc["training_velocity_error"]) and np.isfinite(doc["test_velocity_error"])
 
 
 @pytest.mark.parametrize("grid_k", ["0", "-4"])

@@ -47,7 +47,7 @@ class Riccati:
 
 def test_trained_field_equilibrium(angle_model):
     field, report, _ = angle_model
-    assert np.linalg.norm(field.eval(np.zeros(2))) <= 1e-8
+    assert np.linalg.norm(field.eval(np.zeros((1, 2)))) <= 1e-8
     assert field.tau == 0.0
     assert report.max_constraint_violation <= 1e-5
 
@@ -56,7 +56,7 @@ def test_trained_field_zero_coefficients():
     fm = features.sample_feature_map(KernelKind("curl_free", 3.0), 40, 2, seed=0)
     proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
     f = TrainedField(fm, proj, np.zeros(40), np.zeros((1, 2)))
-    assert np.linalg.norm(f.eval(np.array([5.0, -3.0]))) == 0.0
+    assert np.linalg.norm(f.eval(np.array([[5.0, -3.0]]))) == 0.0
 
 
 def test_trained_field_jacobian_symmetric_and_fd(angle_model):
@@ -71,7 +71,7 @@ def test_trained_field_jacobian_symmetric_and_fd(angle_model):
         for c in range(2):
             e = np.zeros(2)
             e[c] = h
-            Jfd[:, c] = (field.eval(x + e) - field.eval(x - e)) / (2 * h)
+            Jfd[:, c] = (field.eval((x + e)[None])[0] - field.eval((x - e)[None])[0]) / (2 * h)
         assert np.linalg.norm(J - Jfd) <= 1e-5 * max(1.0, np.linalg.norm(J))
 
 
@@ -84,8 +84,8 @@ def test_max_contraction_eigenvalue_known_values():
 
 def test_rollout_exponential_time_to_goal():
     f = Linear(-np.eye(2))
-    ro = rollout(f, np.array([1000.0, 0.0]),
-                 IntegratorSettings(goal_radius=1.0, horizon=10.0, **TIGHT))
+    ro = rollout(f, np.array([[1000.0, 0.0]]),
+                 IntegratorSettings(goal_radius=1.0, horizon=10.0, **TIGHT)).results[0]
     assert ro.reached_goal
     assert abs(ro.time_to_goal - LN_1000) <= 1e-5
     assert np.linalg.norm(ro.states[-1]) <= 1.0 + 1e-9
@@ -94,7 +94,7 @@ def test_rollout_exponential_time_to_goal():
 def test_rollout_zero_field_times_out():
     f = Linear(np.zeros((2, 2)))
     x0 = np.array([4.0, 3.0])
-    ro = rollout(f, x0, IntegratorSettings(goal_radius=1.0, horizon=5.0))
+    ro = rollout(f, x0[None], IntegratorSettings(goal_radius=1.0, horizon=5.0)).results[0]
     assert not ro.reached_goal
     assert ro.time_to_goal is None
     assert abs(ro.times[-1] - 5.0) <= 1e-9
@@ -104,7 +104,7 @@ def test_rollout_zero_field_times_out():
 
 def test_rollout_start_inside_goal_ball():
     f = Linear(-np.eye(2))
-    ro = rollout(f, np.array([0.1, 0.0]), IntegratorSettings(goal_radius=1.0))
+    ro = rollout(f, np.array([[0.1, 0.0]]), IntegratorSettings(goal_radius=1.0)).results[0]
     assert ro.reached_goal and ro.time_to_goal == 0.0
     assert ro.times.shape == (1,) and ro.times[0] == 0.0
     np.testing.assert_allclose(ro.states[0], [0.1, 0.0])
@@ -113,8 +113,8 @@ def test_rollout_start_inside_goal_ball():
 def test_rollout_result_consistency():
     A = np.array([[-1.0, -2.0], [2.0, -1.0]])
     f = Linear(A)
-    ro = rollout(f, np.array([3.0, -1.0]),
-                 IntegratorSettings(goal_radius=0.5, horizon=8.0, **TIGHT))
+    ro = rollout(f, np.array([[3.0, -1.0]]),
+                 IntegratorSettings(goal_radius=0.5, horizon=8.0, **TIGHT)).results[0]
     np.testing.assert_allclose(ro.states[0], [3.0, -1.0])
     assert ro.times[0] == 0.0
     assert np.all(np.diff(ro.times) > 0)
@@ -124,16 +124,17 @@ def test_rollout_result_consistency():
 
 def test_rollout_equilibrium_stays_put(angle_model):
     field, _, _ = angle_model
-    ro = rollout(field, np.zeros(2), IntegratorSettings(goal_radius=0.0, horizon=2.0))
+    ro = rollout(field, np.zeros((1, 2)),
+                 IntegratorSettings(goal_radius=0.0, horizon=2.0)).results[0]
     assert np.abs(ro.states).max() <= 1e-8
 
 
 def test_rollout_dense_output_grid():
     f = Linear(-np.eye(2))
     te = np.linspace(0.0, 3.0, 100)
-    ro = rollout(f, np.array([2.0, 0.0]),
+    ro = rollout(f, np.array([[2.0, 0.0]]),
                  IntegratorSettings(goal_radius=0.0, horizon=3.0, **TIGHT),
-                 t_eval=te)
+                 t_eval=[te]).results[0]
     np.testing.assert_array_equal(ro.times, te)
     np.testing.assert_allclose(ro.states[:, 0], 2.0 * np.exp(-te), atol=1e-6)
     np.testing.assert_allclose(ro.states[:, 1], 0.0, atol=1e-12)
@@ -142,9 +143,9 @@ def test_rollout_dense_output_grid():
 def test_rollout_dense_output_stops_at_goal():
     f = Linear(-np.eye(2))
     te = np.linspace(0.0, 3.0, 50)
-    ro = rollout(f, np.array([2.0, 0.0]),
+    ro = rollout(f, np.array([[2.0, 0.0]]),
                  IntegratorSettings(goal_radius=1.0, horizon=3.0, **TIGHT),
-                 t_eval=te)
+                 t_eval=[te]).results[0]
     # samples past the crossing are dropped, the located crossing is final
     assert ro.reached_goal
     assert abs(ro.time_to_goal - np.log(2.0)) <= 1e-5
@@ -155,11 +156,11 @@ def test_rollout_dense_output_stops_at_goal():
 def test_rollout_rejects_bad_t_eval():
     f = Linear(-np.eye(2))
     with pytest.raises(DataError):
-        rollout(f, np.ones(2), IntegratorSettings(horizon=1.0),
-                t_eval=np.array([0.0, 0.5, 0.25]))
+        rollout(f, np.ones((1, 2)), IntegratorSettings(horizon=1.0),
+                t_eval=[np.array([0.0, 0.5, 0.25])])
     with pytest.raises(DataError):
-        rollout(f, np.ones(2), IntegratorSettings(horizon=1.0),
-                t_eval=np.array([0.0, 2.0]))
+        rollout(f, np.ones((1, 2)), IntegratorSettings(horizon=1.0),
+                t_eval=[np.array([0.0, 2.0])])
 
 
 @pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, -1.0, np.array([1.0, np.inf])])
@@ -171,9 +172,13 @@ def test_rollout_rejects_bad_horizons(horizon):
 def test_rollout_per_start_shapes():
     f, starts = Linear(-np.eye(2)), np.ones((3, 2))
     with pytest.raises(DimensionError):
+        rollout(f, starts[0])        # one start is a batch of one, (1, n)
+    with pytest.raises(DimensionError):
         rollout(f, starts, IntegratorSettings(horizon=np.ones(2)))
     with pytest.raises(DimensionError):
         rollout(f, starts, t_eval=[np.zeros(1), np.zeros(1)])
+    with pytest.raises(DimensionError):
+        rollout(f, starts, t_eval=np.linspace(0.0, 1.0, 3))    # not one array per start
     # each start's samples must lie inside its own horizon
     with pytest.raises(DataError):
         rollout(f, starts, IntegratorSettings(horizon=np.array([1.0, 2.0, 1.0])),
@@ -181,8 +186,9 @@ def test_rollout_per_start_shapes():
 
 
 def test_fixed_step_order():
-    # halving a fixed step must shrink the endpoint error by far more than
-    # 8x for a fifth-order pair on a smooth problem
+    # halving the step must shrink the endpoint error by far more than 8x
+    # for a fifth-order pair on a smooth problem; tolerances this loose
+    # accept every step, so max_step sets the step after a short ramp-up
     A = np.array([[-1.0, -2.0], [2.0, -1.0]])
     f = Linear(A)
     x0 = np.array([1.0, 1.0])
@@ -190,9 +196,11 @@ def test_fixed_step_order():
     exact = np.exp(-1.0) * np.array([[np.cos(2.0), -np.sin(2.0)], [np.sin(2.0), np.cos(2.0)]]) @ x0
 
     def endpoint_error(h):
-        ro = rollout(f, x0, IntegratorSettings(goal_radius=0.0, horizon=1.0),
-                     fixed_step=h)
+        ro = rollout(f, x0[None], IntegratorSettings(goal_radius=0.0, horizon=1.0, max_step=h,
+                                                     rel_tol=1e6, abs_tol=1e6)).results[0]
         assert abs(ro.times[-1] - 1.0) <= 1e-9
+        # one evaluation at the start and six per step: no step was rejected
+        assert ro.n_field_evals == 1 + 6 * (len(ro.times) - 1)
         return np.linalg.norm(ro.states[-1] - exact)
 
     e1, e2, e3 = endpoint_error(0.1), endpoint_error(0.05), endpoint_error(0.025)
@@ -201,10 +209,9 @@ def test_fixed_step_order():
 
 
 def test_step_underflow_raises_with_last_state():
-    with pytest.raises(IntegrationError) as exc:
-        rollout(Riccati(), np.array([0.0]),
-                IntegratorSettings(goal_radius=0.0, horizon=10.0))
-    err = exc.value
+    err = rollout(Riccati(), np.array([[0.0]]),
+                  IntegratorSettings(goal_radius=0.0, horizon=10.0)).results[0]
+    assert isinstance(err, IntegrationError)
     assert err.last_time is not None and abs(err.last_time - np.pi / 2) <= 0.1
     assert err.last_state is not None and err.last_state.size == 1
 
@@ -277,8 +284,8 @@ def test_contraction_tube(decay_model):
     tgrid = np.linspace(0.0, 6.0, 301)
     st = IntegratorSettings(goal_radius=0.0, horizon=6.0, rel_tol=1e-8, abs_tol=1e-10)
     x0 = avg.positions[0]
-    ra = rollout(field, x0, st, t_eval=tgrid)
-    rb = rollout(field, x0 + np.array([0.0, 1.0]), st, t_eval=tgrid)
+    ra, rb = rollout(field, np.stack([x0, x0 + np.array([0.0, 1.0])]), st,
+                     t_eval=[tgrid, tgrid]).results
     sep = np.linalg.norm(ra.states - rb.states, axis=1)
     inside = ((max_contraction_eigenvalues(field, ra.states) <= -0.3)
               & (max_contraction_eigenvalues(field, rb.states) <= -0.3))
@@ -307,16 +314,16 @@ def _assert_same_rollout(a, b):
 
 
 def _assert_batch_matches_singles(f, starts, settings, t_eval=None):
-    """Each start of a batch against its single rollout, with that start's
-    own horizon and t_eval (t_eval: None, one array, or a list per start)."""
+    """Each start of a batch against its rollout alone, a batch of one with
+    that start's own horizon and t_eval (t_eval: None or a list per start)."""
     batch = rollout(f, starts, settings, t_eval=t_eval)
     assert isinstance(batch, RolloutBatch)
     assert len(batch.results) == starts.shape[0]
     horizons = np.broadcast_to(settings.horizon, (starts.shape[0],))
-    for i, (x0, got) in enumerate(zip(starts, batch.results)):
+    for i, got in enumerate(batch.results):
         own = replace(settings, horizon=float(horizons[i]))
-        te = t_eval[i] if isinstance(t_eval, list) else t_eval
-        _assert_same_rollout(got, rollout(f, x0, own, t_eval=te))
+        te = None if t_eval is None else t_eval[i:i + 1]
+        _assert_same_rollout(got, rollout(f, starts[i:i + 1], own, t_eval=te).results[0])
     assert batch.n_field_evals == sum(r.n_field_evals for r in batch.results)
 
 
@@ -338,7 +345,7 @@ def _linear_batches(draw):
     H = np.broadcast_to(horizon, (K,))
     t_eval = draw(st.sampled_from([
         None,
-        np.linspace(0.0, H.min(), 17),
+        [np.linspace(0.0, H.min(), 17)] * K,
         [np.linspace(0.0, h, 5 + 3 * i) for i, h in enumerate(H)]]))
     return A, starts, IntegratorSettings(goal_radius=radius, horizon=horizon), t_eval
 
@@ -372,9 +379,11 @@ def test_batch_rollout_keeps_going_past_a_failed_start():
         assert abs(ro.times[-1] - 2.0) <= 1e-9
         exact = np.tan(2.0 + np.arctan(starts[i, 0]))
         assert abs(ro.states[-1, 0] - exact) <= 1e-6 * max(1.0, abs(exact))
-        _assert_same_rollout(ro, rollout(Riccati(), starts[i], s))
-    with pytest.raises(IntegrationError):
-        rollout(Riccati(), starts[1], s)
+        _assert_same_rollout(ro, rollout(Riccati(), starts[i:i + 1], s).results[0])
+    alone = rollout(Riccati(), starts[1:2], s).results[0]
+    assert isinstance(alone, IntegrationError)
+    assert alone.last_time == failed.last_time
+    assert np.array_equal(alone.last_state, failed.last_state)
     assert batch.n_field_evals > batch.results[0].n_field_evals + batch.results[2].n_field_evals
 
 
@@ -391,10 +400,10 @@ def test_rollout_non_finite_field_fails_only_that_start():
     # stays above x1 = 4 until the horizon
     s = IntegratorSettings(goal_radius=0.5, horizon=2.0)
     with np.errstate(invalid="ignore"):
-        with pytest.raises(IntegrationError) as exc:
-            rollout(NanBelowTwo(), np.array([5.0, 0.0]), s)
+        alone = rollout(NanBelowTwo(), np.array([[5.0, 0.0]]), s).results[0]
         batch = rollout(NanBelowTwo(), np.array([[5.0, 0.0], [30.0, 0.0]]), s)
-    assert np.all(np.isfinite(exc.value.last_state)) and exc.value.last_state[0] >= 2.0
+    assert isinstance(alone, IntegrationError)
+    assert np.all(np.isfinite(alone.last_state)) and alone.last_state[0] >= 2.0
     assert isinstance(batch.results[0], IntegrationError)
     ro = batch.results[1]
     assert abs(ro.times[-1] - 2.0) <= 1e-9 and np.all(np.isfinite(ro.states))
@@ -403,8 +412,8 @@ def test_rollout_non_finite_field_fails_only_that_start():
 def test_rollout_catches_goal_crossing_inside_a_step():
     # the straight path from (-5, 0) passes through the goal ball between
     # two step ends; entry is at t = 4.5
-    ro = rollout(Constant([1.0, 0.0]), np.array([-5.0, 0.0]),
-                 IntegratorSettings(goal_radius=0.5, horizon=10.0))
+    ro = rollout(Constant([1.0, 0.0]), np.array([[-5.0, 0.0]]),
+                 IntegratorSettings(goal_radius=0.5, horizon=10.0)).results[0]
     assert ro.reached_goal
     assert abs(ro.time_to_goal - 4.5) <= 2e-6
     assert np.linalg.norm(ro.states[-1]) <= 0.5 + 1e-9
@@ -423,8 +432,8 @@ def test_goal_crossing_on_straight_paths(gap, offset, radius, speed, heading):
     x0 = R @ np.array([-dist, offset * radius])
     v = R @ np.array([speed, 0.0])
     t_enter = (dist - radius * np.sqrt(1.0 - offset ** 2)) / speed
-    ro = rollout(Constant(v), x0,
-                 IntegratorSettings(goal_radius=radius, horizon=2.0 * dist / speed + 1.0))
+    ro = rollout(Constant(v), x0[None], IntegratorSettings(
+        goal_radius=radius, horizon=2.0 * dist / speed + 1.0)).results[0]
     assert ro.reached_goal
     assert abs(ro.time_to_goal - t_enter) <= 2e-6
     assert np.linalg.norm(ro.states[-1]) <= radius * (1.0 + 1e-9)
@@ -439,7 +448,7 @@ def test_goal_crossing_on_spiral_fields(r0, angle, rate, spin, radius):
     A = np.array([[-rate, -spin], [spin, -rate]])
     x0 = r0 * np.array([np.cos(angle), np.sin(angle)])
     t_enter = np.log(r0 / radius) / rate
-    ro = rollout(Linear(A), x0,
-                 IntegratorSettings(goal_radius=radius, horizon=t_enter + 1.0, **TIGHT))
+    ro = rollout(Linear(A), x0[None],
+                 IntegratorSettings(goal_radius=radius, horizon=t_enter + 1.0, **TIGHT)).results[0]
     assert ro.reached_goal
     assert abs(ro.time_to_goal - t_enter) <= 1e-5

@@ -105,10 +105,10 @@ def _dtw_brute(a, b):
 
 
 def test_dtw_known_values():
-    assert dtw_distance([0.0], [3.0]) == pytest.approx(3.0, abs=1e-12)
-    assert dtw_distance([0.0, 1.0, 2.0], [0.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
+    assert dtw_distance([[[0.0]]], [[3.0]])[0] == pytest.approx(3.0, abs=1e-12)
+    assert dtw_distance([[[0.0], [1.0], [2.0]]], [[0.0], [2.0]])[0] == pytest.approx(1.0, abs=1e-12)
     seq = np.random.default_rng(1).normal(size=(20, 2))
-    assert dtw_distance(seq, seq) == pytest.approx(0.0, abs=1e-12)
+    assert dtw_distance(seq[None], seq)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dtw_matches_brute_force_enumeration():
@@ -118,7 +118,7 @@ def test_dtw_matches_brute_force_enumeration():
         dim = int(rng.integers(1, 3))
         a = rng.integers(-3, 4, size=(la, dim)).astype(float)
         b = rng.integers(-3, 4, size=(lb, dim)).astype(float)
-        assert dtw_distance(a, b) == pytest.approx(_dtw_brute(a, b), abs=1e-10)
+        assert dtw_distance(a[None], b)[0] == pytest.approx(_dtw_brute(a, b), abs=1e-10)
 
 
 @st.composite
@@ -141,10 +141,10 @@ def test_dtw_batch_matches_single_pairs_and_brute_force(batch):
     costs = dtw_distance(P, b)
     assert costs.shape == (P.shape[0],)
     for k in range(P.shape[0]):
-        single = dtw_distance(P[k], b)
-        assert isinstance(single, float)
-        assert costs[k] == single    # bitwise: a single pair is a batch of one
-        assert abs(single - _dtw_brute(P[k], b)) <= 1e-10
+        single = dtw_distance(P[k:k + 1], b)
+        assert single.shape == (1,)
+        assert costs[k] == single[0]    # bitwise: a batch of K against K batches of one
+        assert abs(single[0] - _dtw_brute(P[k], b)) <= 1e-10
 
 
 @pytest.mark.parametrize("t, m", [(300, 4), (4, 300), (1, 200), (200, 1)])
@@ -156,7 +156,7 @@ def test_dtw_skewed_lengths_match_brute_force(t, m):
     b = rng.normal(size=(m, 2))
     costs = dtw_distance(P, b)
     for k in range(P.shape[0]):
-        single = dtw_distance(P[k], b)
+        single = dtw_distance(P[k:k + 1], b)[0]
         assert costs[k] == single
         assert single == pytest.approx(_dtw_brute(P[k], b), rel=1e-12, abs=1e-12)
 
@@ -167,6 +167,10 @@ def test_dtw_batch_validation():
         dtw_distance(np.zeros((3, 5, 3)), b)
     with pytest.raises(DimensionError):
         dtw_distance(np.zeros((2, 3, 5, 2)), b)
+    with pytest.raises(DimensionError):
+        dtw_distance(np.zeros((5, 2)), b)       # one sequence is a batch of one, (1, T, n)
+    with pytest.raises(DimensionError):
+        dtw_distance(np.zeros((3, 5, 1)), np.zeros(4))
     with pytest.raises(DataError):
         dtw_distance(np.empty((0, 5, 2)), b)
     with pytest.raises(DataError):
@@ -177,12 +181,12 @@ def test_dtw_symmetry_and_validation():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(12, 2))
     b = rng.normal(size=(9, 2))
-    assert dtw_distance(a, b) == pytest.approx(dtw_distance(b, a), rel=1e-12)
-    assert dtw_distance(a, b) >= 0.0
+    assert dtw_distance(a[None], b)[0] == pytest.approx(dtw_distance(b[None], a)[0], rel=1e-12)
+    assert dtw_distance(a[None], b)[0] >= 0.0
     with pytest.raises(DimensionError):
-        dtw_distance(a, rng.normal(size=(4, 3)))
+        dtw_distance(a[None], rng.normal(size=(4, 3)))
     with pytest.raises(DataError):
-        dtw_distance(np.empty((0, 2)), b)
+        dtw_distance(np.empty((1, 0, 2)), b)
 
 
 def test_evaluate_self_consistency(decay_model):
@@ -228,10 +232,11 @@ def test_evaluate_matches_single_rollout_oracle(angle_model, angle_train, angle_
     for name, dset in (("train", angle_train), ("test", angle_test)):
         pos, vel = [], []
         for d in dset.demos:
-            repro = rollout(field, d.positions[0],
+            repro = rollout(field, d.positions[:1],
                             IntegratorSettings(horizon=d.duration, goal_radius=0.0),
-                            t_eval=d.times - d.times[0])
-            longrun = rollout(field, d.positions[0], IntegratorSettings(horizon=30.0 * d.duration))
+                            t_eval=[d.times - d.times[0]]).results[0]
+            longrun = rollout(field, d.positions[:1],
+                              IntegratorSettings(horizon=30.0 * d.duration)).results[0]
             pos.append(float(np.mean(np.linalg.norm(d.positions - repro.states, axis=1))))
             vel.append(float(np.mean(np.linalg.norm(d.velocities - field.eval(repro.states),
                                                     axis=1))))
@@ -275,7 +280,7 @@ def test_evaluate_counts_a_failed_long_run_once():
 
 def test_grid_evaluate_zero_field():
     dset = decay_demos(num=2, samples=50, seed=7)
-    grid = grid_evaluate(Linear(np.zeros((2, 2))), dset, grid_k=16, seed=0)
+    grid = grid_evaluate(Linear(np.zeros((2, 2))), dset, grid_k=16)
     assert grid.grid_fraction_reached == 0.0
     assert grid.grid_duration is None
     # starts stay put, so the goal distance is the mean start norm over the
@@ -292,7 +297,7 @@ def test_grid_evaluate_zero_field():
 
 def test_grid_evaluate_contracting_field():
     dset = decay_demos(num=2, samples=50, seed=8)
-    grid = grid_evaluate(Linear(-0.5 * np.eye(2)), dset, grid_k=16, seed=0)
+    grid = grid_evaluate(Linear(-0.5 * np.eye(2)), dset, grid_k=16)
     assert grid.grid_fraction_reached == 1.0
     assert grid.grid_duration is not None and grid.grid_duration > 0
     assert grid.grid_distance_to_goal <= 1.0 + 1e-6
@@ -300,7 +305,7 @@ def test_grid_evaluate_contracting_field():
 
 def test_grid_evaluate_trained_model(angle_model, angle_train):
     field, _, _ = angle_model
-    grid = grid_evaluate(field, angle_train, grid_k=16, seed=0)
+    grid = grid_evaluate(field, angle_train, grid_k=16)
     assert grid.grid_fraction_reached == 1.0
     assert np.isfinite(grid.grid_dtwd)
 
@@ -309,7 +314,7 @@ def test_grid_dtwd_matches_per_pair_oracle(angle_model, angle_train):
     # rebuild grid_dtwd from single rollouts and one dtw_distance call per
     # (rollout, demonstration) pair: mean over starts of the closest demo
     field, _, _ = angle_model
-    grid = grid_evaluate(field, angle_train, grid_k=16, seed=0)
+    grid = grid_evaluate(field, angle_train, grid_k=16)
     pts = np.vstack([d.positions for d in angle_train.demos])
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     pad = 0.1 * (hi - lo)
@@ -318,17 +323,17 @@ def test_grid_dtwd_matches_per_pair_oracle(angle_model, angle_train):
     horizon = 30.0 * float(np.mean([d.duration for d in angle_train.demos]))
     minima = []
     for x0 in starts:
-        ro = rollout(field, x0, IntegratorSettings(horizon=horizon))
+        ro = rollout(field, x0[None], IntegratorSettings(horizon=horizon)).results[0]
         grid_t = np.linspace(ro.times[0], ro.times[-1], GRID_DTW_SAMPLES)
         path = np.stack([np.interp(grid_t, ro.times, ro.states[:, c]) for c in range(2)], axis=1)
-        minima.append(min(dtw_distance(path, d.positions) for d in angle_train.demos))
+        minima.append(min(dtw_distance(path[None], d.positions)[0] for d in angle_train.demos))
     assert grid.grid_dtwd == float(np.mean(minima))
 
 
 def test_grid_evaluate_deterministic(angle_model, angle_train):
     field, _, _ = angle_model
-    a = grid_evaluate(field, angle_train, grid_k=16, seed=0, jitter=0.3)
-    b = grid_evaluate(field, angle_train, grid_k=16, seed=0, jitter=0.3)
+    a = grid_evaluate(field, angle_train, grid_k=16)
+    b = grid_evaluate(field, angle_train, grid_k=16)
     assert a == b
 
 

@@ -26,7 +26,6 @@ def _scalar_problem(target=2.0, lam=0.01, tau=0.5):
         design=np.array([[1.0]]),
         targets=np.array([target]),
         lam=lam,
-        constraint_points=np.zeros((1, 1)),
         constraint_ops=np.ones((1, 1, 1, 1)),
         tau=np.array([tau]),
     )
@@ -34,11 +33,9 @@ def _scalar_problem(target=2.0, lam=0.01, tau=0.5):
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        ConstrainedLSQProblem(np.eye(2), np.zeros(2), 0.0, np.zeros((0, 2)),
-                              np.empty((0, 2, 2, 2)), np.zeros(0))
+        ConstrainedLSQProblem(np.eye(2), np.zeros(2), 0.0, np.empty((0, 2, 2, 2)), np.zeros(0))
     with pytest.raises(DimensionError):
-        ConstrainedLSQProblem(np.eye(2), np.zeros(3), 0.1, np.zeros((0, 2)),
-                              np.empty((0, 2, 2, 2)), np.zeros(0))
+        ConstrainedLSQProblem(np.eye(2), np.zeros(3), 0.1, np.empty((0, 2, 2, 2)), np.zeros(0))
 
 
 def test_assemble_problem_shapes_and_design():
@@ -105,7 +102,7 @@ def _random_lmi_problem(rng, p, m, rows=12, tau=0.2):
     ops = rng.normal(size=(m, p, 2, 2))
     ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
     ops[:, 0] = -np.eye(2)
-    return ConstrainedLSQProblem(A, b, 0.1, np.zeros((m, 2)), ops, np.full(m, tau))
+    return ConstrainedLSQProblem(A, b, 0.1, ops, np.full(m, tau))
 
 
 def test_ipm_unconstrained_equals_ridge():
@@ -113,8 +110,7 @@ def test_ipm_unconstrained_equals_ridge():
     A = rng.normal(size=(20, 6))
     b = rng.normal(size=20)
     lam = 0.1
-    prob = ConstrainedLSQProblem(A, b, lam, np.zeros((0, 2)),
-                                 np.empty((0, 6, 2, 2)), np.zeros(0))
+    prob = ConstrainedLSQProblem(A, b, lam, np.empty((0, 6, 2, 2)), np.zeros(0))
     rep = interior_point_solve(prob, ADMMSettings())
     ref = np.linalg.solve(A.T @ A + lam * np.eye(6), A.T @ b)
     np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
@@ -223,8 +219,7 @@ def test_admm_unconstrained_equals_ridge():
     A = rng.normal(size=(20, 6))
     b = rng.normal(size=20)
     lam = 0.1
-    prob = ConstrainedLSQProblem(A, b, lam, np.zeros((0, 2)),
-                                 np.empty((0, 6, 2, 2)), np.zeros(0))
+    prob = ConstrainedLSQProblem(A, b, lam, np.empty((0, 6, 2, 2)), np.zeros(0))
     rep = interior_point_solve(prob, _admm_block())
     ref = np.linalg.solve(A.T @ A + lam * np.eye(6), A.T @ b)
     np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
@@ -253,7 +248,7 @@ def test_admm_deterministic():
     b = rng.normal(size=16)
     ops = rng.normal(size=(2, 4, 2, 2))
     ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
-    prob = ConstrainedLSQProblem(A, b, 0.05, np.zeros((2, 2)), ops,
+    prob = ConstrainedLSQProblem(A, b, 0.05, ops,
                                  np.full(2, 0.1))
     r1 = interior_point_solve(prob, _admm_block(rho=2.0, max_iters=300))
     r2 = interior_point_solve(prob, _admm_block(rho=2.0, max_iters=300))
@@ -283,7 +278,7 @@ def test_admm_matches_grid_search_oracle():
     ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
     # anchor one coordinate to -I so the strictly feasible cone is nonempty
     ops[0, 0] = -np.eye(2)
-    prob = ConstrainedLSQProblem(A, b, 0.1, np.zeros((1, 2)), ops,
+    prob = ConstrainedLSQProblem(A, b, 0.1, ops,
                                  np.array([0.2]))
     rep = interior_point_solve(prob, _admm_block(rho=2.0, eps_abs=1e-10, eps_rel=1e-10,
                                                  max_iters=200000, adapt_rho=True))
