@@ -3,8 +3,9 @@
 Commands: train, eval, rollout, export-field, grid-eval.  Configuration
 comes from a JSON object file (--config) with --set key=value overrides;
 nested keys use dots (e.g. --set admm.max_iters=200).  Command-specific
-parameters (rollout start point, export bounds, ...) travel the same way,
-and a key that the command does not read is an error.
+parameters (rollout start point, export bounds, ...) travel the same way.
+Each command takes only the flags and keys it reads; any other flag is a
+usage error and any other key a ConfigError.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from .features import build_vanishing_projector, sample_feature_map
 from .kernels import CURL_FREE, GAUSSIAN_SEPARABLE, KernelKind
 from .solver import ADMMSettings, assemble_problem, interior_point_solve, single_blas_thread
 
-# keys in older config files that nothing reads: the former ADMM solver's, and
+# keys in older config files that nothing reads: the former ADMM solver's, the
+# soft-constraint weight (0 in every file that trained hard constraints), and
 # a point count that the top-level `constraint_points` has always overridden
-_RETIRED_KEYS = {"admm": ("rho", "adapt_rho"), "preprocess": ("constraint_points",)}
+_RETIRED_KEYS = {"admm": ("rho", "adapt_rho", "slack_weight"),
+                 "preprocess": ("constraint_points",)}
 
 
 @dataclass
@@ -37,11 +40,11 @@ class TrainConfig:
     """Training configuration.
 
     `admm` holds the solver settings under their historical name; training
-    runs `interior_point_solve`, which reads `max_iters` as its cap on
-    Newton steps, `eps_abs` + `eps_rel` |objective| as its duality-gap
-    tolerance and `slack_weight` > 0 as the switch to soft constraints.
-    `from_dict` drops the retired keys in `_RETIRED_KEYS`, which older
-    config files still carry.
+    runs `interior_point_solve`, which imposes the constraints hard and reads
+    `max_iters` as its cap on Newton steps and `eps_abs` + `eps_rel`
+    |objective| as its duality-gap tolerance.  `from_dict` reads each value
+    as its field's type (see `_typed`) and drops the retired keys in
+    `_RETIRED_KEYS`, which older config files still carry.
     """
 
     kernel: str = CURL_FREE
@@ -67,7 +70,7 @@ class TrainConfig:
             raise ConfigError("tau must be nonnegative")
         if self.constraint_points < 1:
             raise ConfigError("constraint_points must be at least 1")
-        if self.seed < 0 or int(self.seed) != self.seed:
+        if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         try:
             self.preprocess.validate()
@@ -75,8 +78,8 @@ class TrainConfig:
             raise ConfigError(str(exc))
         if self.admm.max_iters < 1:
             raise ConfigError("admm.max_iters must be at least 1")
-        if self.admm.eps_abs < 0 or self.admm.eps_rel < 0 or self.admm.slack_weight < 0:
-            raise ConfigError("admm tolerances and slack_weight must be nonnegative")
+        if self.admm.eps_abs < 0 or self.admm.eps_rel < 0:
+            raise ConfigError("admm tolerances must be nonnegative")
         return self
 
     def to_dict(self):
@@ -89,21 +92,32 @@ class TrainConfig:
         d = dict(d or {})
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, sub in (("admm", ADMMSettings), ("preprocess", PreprocessConfig)):
             if key in d and not isinstance(d[key], sub):
                 if not isinstance(d[key], Mapping):
                     raise ConfigError(f"{key} must be a mapping of settings, "
                                       f"not {type(d[key]).__name__}")
+                if key == "admm" and d[key].get("slack_weight", 0) != 0:
+                    raise ConfigError("admm.slack_weight must be 0: soft constraints were "
+                                      "removed, and training imposes contraction exactly")
                 subd = {k: v for k, v in d[key].items() if k not in _RETIRED_KEYS[key]}
-                bad = set(subd) - {f.name for f in fields(sub)}
-                if bad:
-                    raise ConfigError(f"unknown {key} keys: {sorted(bad)}")
-                d[key] = sub(**subd)
-        return cls(**d).validate()
+                d[key] = sub(**_typed(sub, subd, key))
+        return cls(**_typed(cls, d)).validate()
+
+
+def _typed(cls, d, section=None):
+    """`d`, updated in place, with each value read as the type of its field of
+    dataclass `cls` (integers by `_integer`, numbers by `_number`); an
+    unknown key or a value of the wrong type is a ConfigError that names it."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(d) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown {section or 'config'} keys: {unknown}")
+    read = {"int": (_integer, "an integer"), "float": (_number, "a finite number")}
+    for k in [k for k in d if types[k] in read]:
+        name = (f"{section}." if section else "") + ("lambda" if k == "lam" else k)
+        d[k] = _param({name: d[k]}, name, *read[types[k]])
+    return d
 
 
 def train_field(demos, config):
@@ -158,7 +172,7 @@ def _settings(args, reads=None):
             if not isinstance(node, dict):
                 raise ConfigError(f"cannot descend into {key!r}")
         node[parts[-1]] = _parse_set_value(raw)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:     # only train takes --seed
         tree["seed"] = args.seed
     unread = sorted(set(tree) - set(tree if reads is None else reads))
     if unread:
@@ -183,22 +197,25 @@ def _point(value, n):
     return x
 
 
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise ValueError
+    return value
+
+
 def _integer(value):
-    if isinstance(value, bool) or not float(value).is_integer():
+    if not float(_number(value)).is_integer():
         raise ValueError
     return int(value)
 
 
 _NOT_CONVERGED = {
     "infeasible": "phase I found tau infeasible: at best the symmetrized Jacobian "
-                  "exceeds -tau I by {violation:.3e} at some constraint point; lower "
-                  "tau or soften the constraints with admm.slack_weight > 0",
+                  "exceeds -tau I by {violation:.3e} at some constraint point; lower tau",
     "max_iters": "solver hit its step cap (admm.max_iters = {iters}) with duality gap "
-                 "{gap:.3e}; raise admm.max_iters, loosen admm.eps_abs/eps_rel, or "
-                 "soften the constraints with admm.slack_weight > 0",
+                 "{gap:.3e}; raise admm.max_iters or loosen admm.eps_abs/eps_rel",
     "stalled": "solver stalled after {iters} steps with duality gap {gap:.3e} above its "
-               "tolerance; loosen admm.eps_abs/eps_rel, or soften the constraints with "
-               "admm.slack_weight > 0",
+               "tolerance; loosen admm.eps_abs/eps_rel",
 }
 
 
@@ -209,14 +226,14 @@ def cmd_train(config, data_path, model_path):
     print(f"trained on {len(demos.demos)} demonstrations "
           f"({config.kernel}, sigma={config.sigma}, s={config.num_features})")
     print(f"iters={report.iters} converged={report.converged} stop={report.stop_reason} "
-          f"primal={report.primal_residual:.3e} gap={report.dual_residual:.3e}")
+          f"gap={report.dual_residual:.3e}")
     print(f"objective={report.objective:.6e} "
           f"max_constraint_violation={report.max_constraint_violation:.3e}")
     print(f"model written to {model_path}")
     if not report.converged:
         print(_NOT_CONVERGED[report.stop_reason].format(
-            iters=report.iters, violation=report.primal_residual, gap=report.dual_residual),
-            file=sys.stderr)
+            iters=report.iters, violation=report.max_constraint_violation,
+            gap=report.dual_residual), file=sys.stderr)
         return 2
     return 0
 
@@ -245,7 +262,8 @@ def cmd_eval(model_path, data_path, test_path=None, out=None, grid_k=16, grid_on
     are any, it warns on stderr and returns EXIT_ROLLOUT_FAILURES.
     """
     fieldobj, config, _ = modelfile.load_model(model_path)
-    preprocess = TrainConfig.from_dict(config).preprocess
+    # the preprocess block alone, so that older configs (soft ones too) still load
+    preprocess = TrainConfig.from_dict({"preprocess": config.get("preprocess", {})}).preprocess
     train = fill_velocities(load_demonstrations(data_path), preprocess)
     if not grid_only:
         test = fill_velocities(load_demonstrations(test_path), preprocess) if test_path else train
@@ -311,24 +329,25 @@ def _build_parser():
         prog="cvfield",
         description="learn and evaluate contracting vector fields from demonstrations")
     sub = parser.add_subparsers(dest="command", required=True)
+    helps = {"data": "training demonstrations (CSV file or directory)",
+             "test": "held-out demonstrations", "model": "model file path", "out": "output path",
+             "seed": "feature-map seed override"}
 
-    def add(name, help_text):
+    def add(name, help_text, *flags):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON training configuration")
-        p.add_argument("--data", help="training demonstrations (CSV file or directory)")
-        p.add_argument("--test", help="held-out demonstrations")
-        p.add_argument("--model", help="model file path")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--seed", type=int, default=None, help="feature-map seed override")
+        p.add_argument("--config", help="JSON object of settings")
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=int if flag == "seed" else None, help=helps[flag])
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config or command parameter")
-        return p
 
-    add("train", "fit a field to demonstrations and write a model file")
-    add("eval", "score reproduction and grid convergence for a model")
-    add("rollout", "integrate a model from --set x0=... and write the trajectory")
-    add("export-field", "tabulate the field on a grid (--set bounds=..,resolution=..)")
-    add("grid-eval", "grid convergence statistics only")
+    add("train", "fit a field to demonstrations and write a model file", "data", "model", "seed")
+    add("eval", "score reproduction and grid convergence for a model",
+        "model", "data", "test", "out")
+    add("rollout", "integrate a model from --set x0=... and write the trajectory", "model", "out")
+    add("export-field", "tabulate the field on a grid (--set bounds=..,resolution=..)",
+        "model", "out")
+    add("grid-eval", "grid convergence statistics only", "model", "data", "out")
     return parser
 
 
@@ -347,8 +366,8 @@ def main(argv=None):
         if args.command in ("eval", "grid-eval"):
             _require(args, "model", "data")
             grid_k = _param(_settings(args, ("grid_k",)), "grid_k", _integer, "an integer", 16)
-            return cmd_eval(args.model, args.data, args.test, args.out, grid_k=grid_k,
-                            grid_only=args.command == "grid-eval")
+            return cmd_eval(args.model, args.data, getattr(args, "test", None), args.out,
+                            grid_k=grid_k, grid_only=args.command == "grid-eval")
         if args.command == "rollout":
             _require(args, "model")
             return cmd_rollout(args.model, _settings(args, ("x0",) + _INTEGRATOR_KEYS),

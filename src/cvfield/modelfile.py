@@ -31,7 +31,6 @@ def _finite_or_none(x):
 def report_summary(report):
     return {
         "iters": int(report.iters),
-        "primal_residual": _finite_or_none(report.primal_residual),
         "dual_residual": _finite_or_none(report.dual_residual),
         "objective": _finite_or_none(report.objective),
         "max_constraint_violation": _finite_or_none(report.max_constraint_violation),

@@ -15,32 +15,24 @@ Nesterov-Todd scaling and Mehrotra's predictor-corrector, after CVXOPT's
 solvers", 2010).  It works in the problem's own structure: m blocks of
 n x n, and one p x p Schur complement 2 A^T A + 2 lam I + F^T F per Newton
 step, where the (n^2 m, p) matrix F holds the scaled operators
-r_i^T E_ij r_i.  Every iterate is strictly feasible: a phase I first
-pushes the largest constraint eigenvalue below zero, and phase II then
-keeps s_i = -C_i(theta) - tau_i I positive definite.  The constraints are
-imposed with a small margin,
+r_i^T E_ij r_i.  The constraints are hard.  A phase I runs only when the
+ridge fit violates one: with a slack t shared by all points it minimizes
+t + rho f(theta) subject to C_i(theta) + tau_i I <= t I until t < 0.  If t
+stays positive at its optimum while rho shrinks to 1e-15 t0 / ||b||^2, the
+rate is reported infeasible: any theta that meets it costs
+f(theta) + t / rho or more.  Phase II then keeps
+s_i = -C_i(theta) - tau_i I positive definite, so every iterate is strictly
+feasible.  The constraints are imposed with a small margin,
 C_i(theta) + tau_i I <= -CONTRACTION_MARGIN (1 + tau_i) I, so that a
 Jacobian evaluated in another summation order still meets the rate; the
 duality gap is certified for this tightened problem.
 
 `ADMMSettings` keeps its historical name and holds the solver settings:
+`max_iters` caps the Newton steps, phase I and phase II together, and the
+run stops once the certified duality gap, an upper bound on objective
+minus optimum, falls to eps_abs + eps_rel |objective|.
 
-- `max_iters` caps the Newton steps, phase I and phase II together;
-- `eps_abs` and `eps_rel` set the stopping rule: the certified duality
-  gap, an upper bound on objective minus optimum, must fall to
-  eps_abs + eps_rel |objective|;
-- `slack_weight` w > 0 selects soft constraints
-  C_i(theta) + tau_i I <= s_i I with the penalty w s_i^2 added to the
-  objective; the start (ridge fit, large s) is feasible, so no phase I
-  runs.  With hard constraints phase I uses the same slack, shared by all
-  points: it minimizes t + rho f(theta) subject to
-  C_i(theta) + tau_i I <= t I until t < 0.  If t stays positive at its
-  optimum while rho shrinks to 1e-15 t0 / ||b||^2, the rate is reported
-  infeasible: any theta that meets it costs f(theta) + t / rho or more.
-
-In the report, `primal_residual` is the feasibility residual, the largest
-eigenvalue of C_i(theta) + tau_i I - s_i I when it is positive and 0
-otherwise, and `dual_residual` is the certified duality gap of the phase
+In the report, `dual_residual` is the certified duality gap of the phase
 the run ended in.  `stop_reason` says why the run stopped: "converged",
 "max_iters", "infeasible" or "stalled" (rounding stopped progress before
 the gap met its tolerance).  A stalled phase I is caught only when its
@@ -88,19 +80,16 @@ class ADMMSettings:
     max_iters: int = 4000
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
-    slack_weight: float = 0.0   # 0 = hard constraints
 
 
 @dataclass
 class SolveReport:
     theta: np.ndarray
     iters: int
-    primal_residual: float
     dual_residual: float
     objective: float
     max_constraint_violation: float
     converged: bool
-    slacks: np.ndarray | None = None
     stop_reason: str | None = None
 
 
@@ -278,9 +267,8 @@ def interior_point_solve(problem, settings=None):
     """Solve the problem by the primal-dual interior-point method.
 
     See the module docstring for how `settings` is read.  The returned
-    theta is strictly feasible whenever the run reaches phase II, and
-    always with soft constraints; `converged` is True when the certified
-    duality gap met its tolerance.
+    theta is strictly feasible whenever the run reaches phase II;
+    `converged` is True when the certified duality gap met its tolerance.
     """
     st = settings or ADMMSettings()
     A, b, lam = problem.design, problem.targets, problem.lam
@@ -288,8 +276,6 @@ def interior_point_solve(problem, settings=None):
     ops = problem.constraint_ops
     m = ops.shape[0]
     n = ops.shape[2] if m else 1
-    w = float(st.slack_weight)
-    soft = w > 0.0 and m > 0
     eye = np.eye(n)
 
     P = 2.0 * (A.T @ A) + 2.0 * lam * np.eye(p)
@@ -298,24 +284,20 @@ def interior_point_solve(problem, settings=None):
     theta = np.linalg.solve(P, -q)       # the unconstrained ridge optimum
 
     def objective(x):
-        th, sl = x[:p], x[p:]
-        return float(np.sum((A @ th - b) ** 2) + lam * (th @ th) + w * (sl @ sl))
+        return float(np.sum((A @ x - b) ** 2) + lam * (x @ x))
 
     def converged(x, gap, rd):
         return "converged" if gap <= st.eps_abs + st.eps_rel * objective(x) else None
 
     def report(x, steps, gap, reason):
-        C = np.einsum("ipab,p->iab", ops, x[:p]) if m else np.zeros((0, n, n))
-        shift = problem.tau - x[p:] if soft else problem.tau
+        C = np.einsum("ipab,p->iab", ops, x) if m else np.zeros((0, n, n))
         return SolveReport(
-            theta=x[:p],
+            theta=x,
             iters=steps,
-            primal_residual=max(0.0, _max_violation(C, shift)),
             dual_residual=gap,
             objective=objective(x),
             max_constraint_violation=_max_violation(C, problem.tau),
             converged=reason == "converged",
-            slacks=x[p:].copy() if soft else None,
             stop_reason=reason,
         )
 
@@ -323,17 +305,6 @@ def interior_point_solve(problem, settings=None):
         return report(theta, 0, 0.0, "converged")
     h = -(problem.tau + CONTRACTION_MARGIN * (1.0 + problem.tau))[:, None, None] * eye
     worst = np.linalg.eigvalsh(np.einsum("ipab,p->iab", ops, theta) - h)[:, -1]
-
-    if soft:
-        # x = (theta, s):  C_i(theta) - s_i I <= h_i,  plus w ||s||^2
-        Gx = np.concatenate([ops, np.zeros((m, m, n, n))], axis=1)
-        Gx[np.arange(m), p + np.arange(m)] = -eye
-        Px = np.block([[P, np.zeros((p, m))], [np.zeros((m, p)), 2.0 * w * np.eye(m)]])
-        x0 = np.concatenate([theta, np.maximum(worst, 0.0) + 1.0])
-        x, steps, gap, reason = _interior_point(
-            Px, np.concatenate([q, np.zeros(m)]), Gx, h, x0, st.max_iters, converged,
-            Pinv=np.linalg.inv(Px))
-        return report(x, steps, gap, reason)
 
     steps1 = 0
     if worst.max() >= 0.0:

@@ -76,18 +76,25 @@ def test_config_dict_round_trip():
 
 
 def test_retired_admm_keys_are_dropped(angle_train):
-    # older configs carry the ADMM-only "rho" and "adapt_rho", and a
-    # preprocess.constraint_points that nothing read; they are read and
-    # discarded, so they change nothing and are not written back
+    # older configs carry the ADMM-only "rho" and "adapt_rho", a zero
+    # "slack_weight" and a preprocess.constraint_points that nothing read;
+    # they are read and discarded, so they change nothing and are not
+    # written back
     retired = TrainConfig.from_dict(dict(CLI_CONFIG, preprocess={"constraint_points": 7}))
     current = TrainConfig.from_dict(dict(CLI_CONFIG, admm={
         k: v for k, v in CLI_CONFIG["admm"].items() if k not in ("rho", "adapt_rho")}))
     assert retired == current
-    assert set(retired.to_dict()["admm"]) == {"max_iters", "eps_abs", "eps_rel", "slack_weight"}
+    assert set(retired.to_dict()["admm"]) == {"max_iters", "eps_abs", "eps_rel"}
     assert set(retired.to_dict()["preprocess"]) == {"smoothing_window", "resample_len"}
     theta_retired = train_field(angle_train, retired)[0].theta
     theta_current = train_field(angle_train, current)[0].theta
     assert np.array_equal(theta_retired, theta_current)
+    hard = TrainConfig.from_dict(dict(CLI_CONFIG, admm=dict(CLI_CONFIG["admm"], slack_weight=0.0)))
+    assert hard == current
+    assert np.array_equal(train_field(angle_train, hard)[0].theta, theta_current)
+    # a nonzero weight asked for soft constraints, which are gone
+    with pytest.raises(ConfigError, match="admm.slack_weight"):
+        TrainConfig.from_dict(dict(CLI_CONFIG, admm=dict(CLI_CONFIG["admm"], slack_weight=1.0)))
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"admm": {"momentum": 0.9}})
     with pytest.raises(ConfigError):
@@ -118,7 +125,7 @@ def test_train_nonconvergence_exit_code(workspace, capsys):
                "--model", str(workspace / "weak_model.json")])
     out = capsys.readouterr()
     assert rc == 2
-    assert "slack_weight" in out.err
+    assert "admm.max_iters" in out.err
     assert "converged=False" in out.out
 
 
@@ -151,7 +158,7 @@ def test_train_infeasible_tau_message(workspace, capsys, monkeypatch):
     assert rc == 2
     assert "stop=infeasible" in out.out
     assert "phase I found tau infeasible" in out.err
-    assert "slack_weight" in out.err and "step cap" not in out.err
+    assert "lower tau" in out.err and "step cap" not in out.err
 
 
 @pytest.mark.parametrize("override", ["admm=5", "preprocess=[1]"])
@@ -180,6 +187,16 @@ def test_non_object_json_files_are_errors(workspace, capsys, tmp_path, role, tex
     assert err.startswith(f"error: {bad}: a {role} file holds a JSON object")
 
 
+def _command_flags(ws, command):
+    """The file flags that `command` takes, on the shared workspace."""
+    model, data, out = (str(ws / name) for name in ("model.json", "train.csv", "unwritten.out"))
+    return {"train": ["--data", data, "--model", str(ws / "unwritten_model.json")],
+            "eval": ["--model", model, "--data", data, "--out", out],
+            "grid-eval": ["--model", model, "--data", data, "--out", out],
+            "rollout": ["--model", model, "--out", out],
+            "export-field": ["--model", model, "--out", out]}[command]
+
+
 @pytest.mark.parametrize("command, sets", [
     ("rollout", ["x0=10,20", "horizon=1,2"]),
     ("rollout", ['x0={"a": 1}']),
@@ -200,24 +217,54 @@ def test_non_object_json_files_are_errors(workspace, capsys, tmp_path, role, tex
     ("rollout", ["x0=10,20", "goal_radius=nan"]),
     ("grid-eval", ["grid=4"]),
     ("rollout", ["x0=10,20", "horizn=0.5"]),
-    ("export-field", ["bounds=-5,5,-5,5", "resolution=20", "--seed=3"]),
-    ("eval", ["--seed=3"]),
-    ("grid-eval", ["--seed=3"]),
-    ("rollout", ["x0=10,20", "--seed=3"]),
+    ("train", ["seed=abc"]),
+    ("train", ["sigma=abc"]),
+    ("train", ["tau=null"]),
+    ("train", ["admm.max_iters=abc"]),
+    ("train", ["preprocess.resample_len=abc"]),
+    ("train", ["num_features=2.5"]),
+    ("train", ["constraint_points=1.5"]),
+    ("train", ["lambda=true"]),
+    ("train", ["sigma=Infinity"]),
+    ("train", ["admm.eps_abs=NaN"]),
+    ("train", ["admm.slack_weight=1"]),
 ], ids=["horizon-list", "x0-object", "grid_k-null", "resolution-null", "horizon-inf",
         "horizon-nan", "x0-length", "x0-null", "resolution-fraction", "grid_k-fraction",
         "max_step-nan", "max_step-zero", "abs_tol-negative", "rel_tol-nan", "rel_tol-inf",
         "tolerances-zero", "goal_radius-nan", "grid-eval-unread-key", "rollout-unread-key",
-        "export-field-seed", "eval-seed", "grid-eval-seed", "rollout-seed"])
+        "seed-string", "sigma-string", "tau-null", "max_iters-string", "resample_len-string",
+        "num_features-fraction", "constraint_points-fraction", "lambda-bool", "sigma-inf",
+        "eps_abs-nan",
+        "slack_weight-nonzero"])
 def test_malformed_command_parameters_are_errors(workspace, capsys, command, sets):
-    # an entry that starts with "--" is a flag of its own, the others are --set values
-    argv = [command, "--model", str(workspace / "model.json"),
-            "--data", str(workspace / "train.csv"), "--out", str(workspace / "unwritten.out")]
-    rc = main(argv + [arg for s in sets for arg in ((s,) if s.startswith("--") else ("--set", s))])
+    rc = main([command, *_command_flags(workspace, command),
+               *[arg for s in sets for arg in ("--set", s)]])
     err = capsys.readouterr().err
-    key = sets[-1].lstrip("-").split("=")[0]
+    key = sets[-1].split("=")[0]
     assert rc == 1
     assert err.startswith(f"error: {key} must be")
+    assert not (workspace / "unwritten_model.json").exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("export-field", ["--set", "bounds=-5,5,-5,5", "--set", "resolution=20", "--seed=3"]),
+    ("eval", ["--seed=3"]),
+    ("grid-eval", ["--seed=3"]),
+    ("rollout", ["--set", "x0=10,20", "--seed=3"]),
+    ("rollout", ["--data", "nonexistent.csv", "--test", "missing.csv", "--set", "x0=10,20"]),
+    ("export-field", ["--data", "missing.csv", "--set", "bounds=-5,5,-5,5"]),
+    ("train", ["--test", "missing.csv", "--out", "missing.out"]),
+    ("grid-eval", ["--test", "missing.csv"]),
+], ids=["export-field-seed", "eval-seed", "grid-eval-seed", "rollout-seed", "rollout-data-test",
+        "export-field-data", "train-test-out", "grid-eval-test"])
+def test_unread_flags_are_usage_errors(workspace, capsys, command, args):
+    # a flag that the command does not read is a usage error, as an unknown one is
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_command_flags(workspace, command), *args])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in err
+    assert all(arg.split("=")[0] in err for arg in args if arg.startswith("--") and arg != "--set")
 
 
 def test_train_requires_data_and_model(capsys):
@@ -394,6 +441,26 @@ def test_model_file_round_trip(workspace):
     assert np.abs(a - b).max() <= 1e-15
 
 
+@pytest.mark.parametrize("slack_weight", [0.0, 5])
+def test_eval_reads_models_with_retired_keys(workspace, capsys, tmp_path, slack_weight):
+    # older model files echo admm.slack_weight (nonzero for a soft-constraint
+    # model) and report a primal_residual; eval reads only the echo's
+    # preprocess block, so such a model evaluates as it did
+    doc = json.loads((workspace / "model.json").read_text())
+    doc["config"]["admm"]["slack_weight"] = slack_weight
+    doc["solve_report"]["primal_residual"] = 0.0
+    older = tmp_path / "older_model.json"
+    older.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    assert modelfile.load_model(older)[2] == doc["solve_report"]
+    outputs = []
+    for model in (workspace / "model.json", older):
+        rc = main(["eval", "--model", str(model), "--data", str(workspace / "train.csv"),
+                   "--test", str(workspace / "test.csv"), "--set", "grid_k=4"])
+        assert rc == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_model_file_rejects_malformed(workspace, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -417,7 +484,7 @@ def test_report_summary_null_for_unconstrained():
     # unconstrained solves carry -inf violation, which must serialize as
     # JSON null rather than an Infinity literal
     from types import SimpleNamespace
-    rep = SimpleNamespace(iters=1, primal_residual=0.0, dual_residual=0.0,
+    rep = SimpleNamespace(iters=1, dual_residual=0.0,
                           objective=1.5, max_constraint_violation=float("-inf"),
                           converged=True)
     doc = modelfile.report_summary(rep)

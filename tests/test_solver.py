@@ -116,7 +116,7 @@ def test_ipm_unconstrained_equals_ridge():
     np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
     assert rep.converged and rep.iters == 0
     assert rep.max_constraint_violation == float("-inf")
-    assert rep.primal_residual == 0.0 and rep.dual_residual == 0.0
+    assert rep.dual_residual == 0.0
 
 
 def test_ipm_scalar_clamp():
@@ -126,27 +126,11 @@ def test_ipm_scalar_clamp():
     assert abs(rep.theta[0] + 0.5) <= 1e-5
     # strictly feasible: the iterate never leaves the cone's interior
     assert rep.max_constraint_violation < 0.0
-    assert rep.primal_residual == 0.0
     # the certified gap bounds the distance to the optimum, which sits at the
     # margin below the clamp
     t_star = -0.5 - CONTRACTION_MARGIN * 1.5
     f_star = (t_star - 2.0) ** 2 + 0.01 * t_star**2
     assert 0.0 <= rep.objective - f_star <= rep.dual_residual + 1e-12
-
-
-def test_ipm_slack_mode_closed_form():
-    # soft version of the scalar clamp: minimize (t-2)^2 + 0.01 t^2 + w s^2
-    # with t + 0.5 <= s.  Eliminating the active constraint gives the
-    # stationary point of (t-2)^2 + 0.01 t^2 + w (t+0.5)^2.
-    w = 10.0
-    prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
-    rep = interior_point_solve(prob, ADMMSettings(eps_abs=1e-9, eps_rel=1e-9,
-                                                  slack_weight=w))
-    t_star = (2 * 2.0) / (2 + 0.02 + 2 * w) - (2 * w * 0.5) / (2 + 0.02 + 2 * w)
-    assert rep.converged
-    assert abs(rep.theta[0] - t_star) <= 1e-5
-    assert rep.slacks is not None
-    assert abs(rep.slacks[0] - (t_star + 0.5)) <= 1e-5
 
 
 def test_ipm_flags_step_cap():
@@ -155,7 +139,7 @@ def test_ipm_flags_step_cap():
     assert not rep.converged
     assert rep.stop_reason == "max_iters"
     assert rep.iters == 2
-    assert np.isfinite(rep.primal_residual) and np.isfinite(rep.dual_residual)
+    assert np.isfinite(rep.max_constraint_violation) and np.isfinite(rep.dual_residual)
 
 
 def test_ipm_stalls_on_unreachable_tolerance():
@@ -177,10 +161,7 @@ def test_ipm_phase1_reports_infeasible_tau():
     rep = interior_point_solve(prob, ADMMSettings())
     assert not rep.converged
     assert rep.stop_reason == "infeasible"
-    assert abs(rep.primal_residual - 0.5) <= 1e-5
-    # the same rate is met once the constraint is softened
-    soft = interior_point_solve(prob, ADMMSettings(slack_weight=1.0))
-    assert soft.converged and soft.slacks[0] >= 0.5
+    assert abs(rep.max_constraint_violation - 0.5) <= 1e-5
 
 
 def test_ipm_deterministic():
@@ -254,19 +235,6 @@ def test_admm_deterministic():
     r2 = interior_point_solve(prob, _admm_block(rho=2.0, max_iters=300))
     assert np.array_equal(r1.theta, r2.theta)
     assert r1.objective == r2.objective
-
-
-def test_admm_slack_mode_closed_form():
-    # the soft scalar clamp of test_ipm_slack_mode_closed_form
-    w = 10.0
-    prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
-    rep = interior_point_solve(prob, _admm_block(rho=5.0, eps_abs=1e-9, eps_rel=1e-9,
-                                                 max_iters=50000, slack_weight=w))
-    t_star = (2 * 2.0) / (2 + 0.02 + 2 * w) - (2 * w * 0.5) / (2 + 0.02 + 2 * w)
-    assert rep.converged
-    assert abs(rep.theta[0] - t_star) <= 1e-5
-    assert rep.slacks is not None
-    assert abs(rep.slacks[0] - (t_star + 0.5)) <= 1e-5
 
 
 def test_admm_matches_grid_search_oracle():
