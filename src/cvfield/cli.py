@@ -203,6 +203,11 @@ def _number(value):
     return value
 
 
+def _number_or_inf(value):
+    """A finite number, or inf for none: the JSON Infinity or the bare `inf`."""
+    return float("inf") if value in ("inf", float("inf")) else _number(value)
+
+
 def _integer(value):
     if not float(_number(value)).is_integer():
         raise ValueError
@@ -242,10 +247,13 @@ _INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorSettings))
 
 
 def _integrator_settings(params):
+    """IntegratorSettings from the rollout parameters; only max_step may be inf."""
     s = IntegratorSettings()
     for key in _INTEGRATOR_KEYS:
         if key in params:
-            setattr(s, key, _param(params, key, float, "a number"))
+            read = ((_number_or_inf, "a number or inf") if key == "max_step"
+                    else (_number, "a finite number"))
+            setattr(s, key, _param(params, key, *read))
     return s
 
 

@@ -6,6 +6,13 @@ leading `demo_id` column to pack several demonstrations into one file;
 the variant is detected from the header.  A directory path is read as one
 file per demonstration (sorted by name).
 
+A file is read in one pass: its data rows go to one `np.loadtxt` call.
+Where that pass meets anything unusual (a quote, a wrong field count, a
+cell that is not a plain number, a non-finite value), the file is read
+again row by row with the csv module, which accepts what it can and raises
+a ParseError naming the line of the first malformed row.  Both readers
+give the same arrays for every file the first one accepts.
+
 Positions are millimetres, times seconds.  On load every demonstration is
 translated so that its end point, the motion goal, sits exactly at the
 origin; the goal of the set (taken from the first demonstration, in the
@@ -95,7 +102,49 @@ def _parse_header(fields):
     return has_id, n, bool(vcols)
 
 
-def _parse_file(path):
+def _read_fast(path):
+    """(n, has_v, {demo_id: rows}) of `path` from one `np.loadtxt` call, or
+    None where the file has anything `_read_rows` might read differently or
+    reject: a quote, a line longer than the csv module's field limit, a
+    header it rejects, no data rows, a wrong field count, a cell
+    `np.loadtxt` cannot read as a number, or a non-finite value."""
+    with open(path) as fh:          # \r\n and \r end a line, as they end a csv row
+        text = fh.read()
+    if '"' in text:
+        return None
+    lines = text.split("\n")
+    del text                        # peak memory: one copy of the file at a time
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    try:
+        has_id, n, has_v = _parse_header(header)
+    except ParseError:
+        return None
+    rows = [line for line in lines[1:] if line.replace(",", "").strip()]
+    if not rows or any(line.count(",") != len(header) - 1 for line in rows):
+        return None
+    ids = [line[:line.index(",")].strip() for line in rows] if has_id else [None] * len(rows)
+    try:
+        # comments=None: a '#' cell is malformed, not the start of a comment;
+        # usecols skips demo_id, whatever it holds
+        block = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
+                           usecols=range(int(has_id), len(header)))
+    except ValueError:
+        return None
+    if block.shape[0] != len(rows) or not np.all(np.isfinite(block)):
+        return None
+    order = {}
+    codes = np.array([order.setdefault(key, len(order)) for key in ids])
+    if len(order) == 1:
+        return n, has_v, {ids[0]: block}
+    return n, has_v, {key: block[codes == code] for key, code in order.items()}
+
+
+def _read_rows(path):
+    """(n, has_v, {demo_id: rows}) of `path` read row by row with the csv
+    module; the reference reader, which names the line of the first
+    malformed row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -118,16 +167,20 @@ def _parse_file(path):
                 raise ParseError(f"{path}: non-finite value in {row}", line=lineno)
             key = row[0].strip() if has_id else None
             groups.setdefault(key, []).append(vals)
+    if not groups:
+        raise ParseError(f"{path}: no data rows")
+    return n, has_v, {key: np.asarray(rows, dtype=float) for key, rows in groups.items()}
+
+
+def _parse_file(path):
+    n, has_v, groups = _read_fast(path) or _read_rows(path)
     demos = []
-    for key, rows in groups.items():
-        block = np.asarray(rows, dtype=float)
+    for key, block in groups.items():
         vel = block[:, 1 + n:1 + 2 * n] if has_v else None
         try:
             demos.append(Demonstration(block[:, 0], block[:, 1:1 + n], vel))
         except (DataError, DimensionError) as exc:
             raise DataError(f"{path}" + (f" (demo_id {key})" if key else "") + f": {exc}")
-    if not demos:
-        raise ParseError(f"{path}: no data rows")
     return demos
 
 

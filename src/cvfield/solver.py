@@ -38,14 +38,20 @@ the run ended in.  `stop_reason` says why the run stopped: "converged",
 the gap met its tolerance).  A stalled phase I is caught only when its
 Newton system or its step fails, so `max_iters` still bounds it.
 
-The solver uses only deterministic dense linear algebra, from numpy.  Inside
-`single_blas_thread`, where `cli.train_field` runs it, identical inputs and
-settings reproduce bitwise-identical results on any number of cores.
+The solver uses only deterministic dense linear algebra.  Each Newton step
+factors its Schur complement once, by LAPACK `dpotrf`, and solves for both
+directions with that factor, by `dpotrs`; both come from the OpenBLAS that
+numpy bundles, reached through ctypes.  Where numpy's OpenBLAS does not
+export them, the step tests definiteness with `np.linalg.cholesky` and
+solves with `np.linalg.solve` instead.  Inside `single_blas_thread`, where
+`cli.train_field` runs it, identical inputs and settings reproduce
+bitwise-identical results on any number of cores.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,25 +116,94 @@ def assemble_problem(fm, proj, pairs, cpoints, lam, tau):
                                  np.full(cpoints.shape[0], float(tau)))
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS as (library, name), or None where numpy has none.
+
+    The library is numpy.libs/lib<name>64_-<hash>.so, with 64-bit integers;
+    <name> is, for instance, scipy_openblas.  Resolved on first use, so that
+    importing the package loads nothing.
+    """
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas64_*"):
+        return ctypes.CDLL(str(lib)), lib.name[3:].split("64_")[0]
+    return None
+
+
+def _openblas_functions(symbols, restype, argtypes):
+    """The functions of numpy's OpenBLAS named by `symbols`, or None if one is
+    missing.  A symbol may hold {name}, the library's <name>, and {prefix},
+    <name> without its trailing "openblas" (scipy_ for scipy_openblas)."""
+    found = _openblas()
+    if found is None:
+        return None
+    dll, name = found
+    fns = [getattr(dll, sym.format(name=name, prefix=name.removesuffix("openblas")), None)
+           for sym in symbols]
+    if None in fns:
+        return None
+    for fn, args in zip(fns, argtypes):
+        fn.restype, fn.argtypes = restype, args
+    return fns
+
+
 @contextmanager
 def single_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread, then restore its count.
 
     The count is process-wide, so two threads must not be inside at once.
-    numpy.libs/lib<name>64_-<hash>.so exports <name>_{get,set}_num_threads64_;
-    where it does not, the block runs unchanged.
+    numpy's OpenBLAS exports <name>_{get,set}_num_threads64_; where it does
+    not, the block runs unchanged.
     """
-    fns = None
-    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas64_*"):
-        base, dll = lib.name[3:].split("64_")[0], ctypes.CDLL(str(lib))
-        fns = [getattr(dll, f"{base}_{op}_num_threads64_", None) for op in ("get", "set")]
-    get, put = fns if fns and None not in fns else (lambda: None, lambda n: None)
+    fns = _openblas_functions(["{name}_get_num_threads64_", "{name}_set_num_threads64_"],
+                              ctypes.c_int, [[], [ctypes.c_int]])
+    get, put = fns or (lambda: None, lambda n: None)
     before = get()
     put(1)
     try:
         yield
     finally:
         put(before)
+
+
+_ARRAY = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_INT = ctypes.c_int64                   # lapack_int of the 64-bit interface
+
+
+@functools.cache
+def _lapack():
+    """LAPACKE dpotrf and dpotrs of numpy's OpenBLAS, or None where it lacks them."""
+    layout_uplo = [ctypes.c_int, ctypes.c_char]
+    return _openblas_functions(
+        ["{prefix}LAPACKE_dpotrf64_", "{prefix}LAPACKE_dpotrs64_"], _INT,
+        [layout_uplo + [_INT, _ARRAY, _INT],
+         layout_uplo + [_INT, _INT, _ARRAY, _INT, _ARRAY, _INT]])
+
+
+# LAPACK_COL_MAJOR: a C-ordered symmetric matrix is its own column-major
+# transpose, so LAPACKE factors and solves it in place without copies
+_COL_MAJOR = 102
+
+
+def _cholesky_solver(S):
+    """v -> S^-1 v from one Cholesky factor of the symmetric S, or None when S
+    is not positive definite.  Overwrites S with its factor where LAPACK is
+    available; see the module docstring."""
+    lapack = _lapack()
+    if lapack is None:
+        if not _posdef(S):
+            return None
+        return lambda v: np.linalg.solve(S, v)
+    potrf, potrs = lapack
+    n = S.shape[0]
+    if potrf(_COL_MAJOR, b"L", n, S, n) != 0:
+        return None
+
+    def solve(v):
+        x = np.array(v, dtype=float)
+        if potrs(_COL_MAJOR, b"L", n, 1, S, n, x, n) != 0:
+            raise np.linalg.LinAlgError("dpotrs rejected its arguments")
+        return x
+    return solve
 
 
 def _max_violation(C, tau):
@@ -165,8 +240,9 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pinv=None, gap0=0.0, floor=N
 
     Solves  minimize 1/2 x^T P x + q^T x  subject to  s_i = h_i - G_i(x) >= 0
     for m symmetric k x k blocks, G of shape (m, d, k, k), from a strictly
-    feasible x.  Each step tests the Schur complement P + F^T F for positive
-    definiteness and solves it for the affine and the Mehrotra direction.
+    feasible x.  Each step factors the Schur complement P + F^T F once, which
+    tests it for positive definiteness, and solves with that factor for the
+    affine and the Mehrotra direction.
     `done(x, gap, rd)` returns a stop reason or None, where rd is the dual
     residual P x + q + G^T z and gap is <s, z>, plus rd^T P^-1 rd / 2 when
     `Pinv` is P^-1: that sum bounds the objective's distance to the
@@ -224,8 +300,8 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pinv=None, gap0=0.0, floor=N
         # F rows vec(r_i^T G_ij r_i), through kron(r_i, r_i)^T block by block
         kron = np.einsum("iba,icd->iadbc", r, r).reshape(m, kk, kk)
         F = np.matmul(kron, Gblk).reshape(m * kk, d)
-        S = P + F.T @ F
-        if not _posdef(S):
+        solve = _cholesky_solver(P + F.T @ F)
+        if solve is None:
             return x, steps, gap, "stalled"
         Lam = lam[:, :, None] * eye
         lsum = lam[:, :, None] + lam[:, None, :]
@@ -233,7 +309,7 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pinv=None, gap0=0.0, floor=N
         def direction(rc):
             # scaled ds + dz = lam <> rc,  G dx + ds = 0,  P dx + G^T dz = -rd
             dm = 2.0 * rc / lsum
-            dx = np.linalg.solve(S, -rd - F.T @ dm.ravel())
+            dx = solve(-rd - F.T @ dm.ravel())
             Fdx = (F @ dx).reshape(m, k, k)
             return dx, -Fdx, dm + Fdx
 
@@ -287,7 +363,10 @@ def interior_point_solve(problem, settings=None):
         return float(np.sum((A @ x - b) ** 2) + lam * (x @ x))
 
     def converged(x, gap, rd):
-        return "converged" if gap <= st.eps_abs + st.eps_rel * objective(x) else None
+        # the objective as 1/2 x^T P x + q^T x + b^T b: one product with P
+        # instead of one with A; the report keeps the direct form
+        f = 0.5 * float(x @ (P @ x)) + float(q @ x) + btb
+        return "converged" if gap <= st.eps_abs + st.eps_rel * f else None
 
     def report(x, steps, gap, reason):
         C = np.einsum("ipab,p->iab", ops, x) if m else np.zeros((0, n, n))

@@ -228,6 +228,8 @@ def _command_flags(ws, command):
     ("train", ["sigma=Infinity"]),
     ("train", ["admm.eps_abs=NaN"]),
     ("train", ["admm.slack_weight=1"]),
+    ("rollout", ["x0=10,20", "horizon=true"]),
+    ("rollout", ["x0=10,20", "max_step=true"]),
 ], ids=["horizon-list", "x0-object", "grid_k-null", "resolution-null", "horizon-inf",
         "horizon-nan", "x0-length", "x0-null", "resolution-fraction", "grid_k-fraction",
         "max_step-nan", "max_step-zero", "abs_tol-negative", "rel_tol-nan", "rel_tol-inf",
@@ -235,7 +237,7 @@ def _command_flags(ws, command):
         "seed-string", "sigma-string", "tau-null", "max_iters-string", "resample_len-string",
         "num_features-fraction", "constraint_points-fraction", "lambda-bool", "sigma-inf",
         "eps_abs-nan",
-        "slack_weight-nonzero"])
+        "slack_weight-nonzero", "horizon-bool", "max_step-bool"])
 def test_malformed_command_parameters_are_errors(workspace, capsys, command, sets):
     rc = main([command, *_command_flags(workspace, command),
                *[arg for s in sets for arg in ("--set", s)]])
@@ -380,6 +382,16 @@ def test_rollout_csv(workspace, capsys):
     assert np.all(np.diff(data[:, 0]) > 0)
     np.testing.assert_allclose(data[0, 1:3], [10.0, 20.0])
     assert np.linalg.norm(data[-1, 1:3]) <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("max_step", ["inf", "Infinity"])
+def test_rollout_max_step_may_be_inf(workspace, capsys, max_step):
+    # inf is max_step's default, no cap on the step: the same trajectory
+    outs = [workspace / f"ro_{name}.csv" for name in ("default", max_step)]
+    for out, extra in zip(outs, ([], ["--set", f"max_step={max_step}"])):
+        assert main(["rollout", "--model", str(workspace / "model.json"), "--out", str(out),
+                     "--set", "x0=10,20", *extra]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_rollout_requires_start(workspace, capsys):

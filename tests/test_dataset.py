@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _synth import angle_demos, write_demo_csv, write_demo_dir
+from cvfield import dataset
 from cvfield.dataset import (Demonstration, DemoSet, PreprocessConfig,
                              finite_difference_velocities, load_demonstrations,
                              resample_and_average, subsample_constraint_points)
@@ -277,6 +278,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path, drawn, demo_id):
         demos = demos[:1]
     path = tmp_path / "demos.csv"
     path.write_text("".join(",".join(line) + "\n" for line in _csv_lines(n, has_v, demos, demo_id)))
+    assert dataset._read_fast(path) is not None      # no silent fallback
     loaded = load_demonstrations(path)
     assert len(loaded.demos) == len(demos)
     assert np.array_equal(_bits(loaded.goal), _bits(demos[0][1][-1, :n]))
@@ -308,3 +310,51 @@ def test_csv_malformed_cell_names_its_line(tmp_path, drawn, demo_id, data):
     with pytest.raises(ParseError) as exc:
         load_demonstrations(path)
     assert exc.value.line == row + 1
+
+
+def _load_outcome(path):
+    try:
+        return load_demonstrations(path)
+    except (ParseError, DataError, DimensionError) as exc:
+        return exc
+
+
+# (file text, whether the np.loadtxt path reads it); the others fall back to
+# the line-by-line parser, which accepts some of them and rejects the rest
+_EDGE_FILES = {
+    "hash-cell": ("t,x1,x2\n0,0,0\n#1,1,1\n2,2,2\n", False),
+    "hash-line": ("t,x1\n0,0\n# a note\n1,1\n", False),
+    "hash-trailing": ("t,x1\n0,0 # a note\n1,1\n", False),
+    "quoted-cell": ('t,x1,x2\n0,"0.5",0\n1,1,1\n', False),
+    "space-padded": ("t , X1, x2 \n 0 , 0 ,0\n1,\t1 , 1 \n", True),
+    "crlf": ("t,x1,x2\r\n0,0,0\r\n1,1,1\r\n", True),
+    "cr": ("t,x1\r0,0\r1,2\r", True),
+    "blank-lines": ("t,x1,x2\n\n0,0,0\n   \n , ,\n1,1,1\n\n", True),
+    "interleaved-ids": ("demo_id,t,x1\nb,0,0\n a ,0,5\nb,1,1\na,1,6\nb,2,2\n", True),
+    "id-only-row": ("demo_id,t,x1\na,0,0\nb\na,1,1\n", False),
+    "underscore": ("t,x1\n0,1_0\n1,2\n", False),
+    "nan": ("t,x1\n0,0\n1,nan\n", False),
+    "short-row": ("t,x1,x2\n0,0,0\n1,1\n", False),
+    "no-rows": ("t,x1,x2\n\n", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_FILES))
+def test_fast_and_line_by_line_parsers_agree(tmp_path, monkeypatch, name):
+    text, fast = _EDGE_FILES[name]
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode())
+    assert (dataset._read_fast(path) is not None) == fast
+    got = _load_outcome(path)
+    monkeypatch.setattr(dataset, "_read_fast", lambda path: None)
+    ref = _load_outcome(path)
+    if isinstance(ref, Exception):
+        assert type(got) is type(ref)
+        assert getattr(got, "line", None) == getattr(ref, "line", None)
+        return
+    assert len(got.demos) == len(ref.demos)
+    assert np.array_equal(_bits(got.goal), _bits(ref.goal))
+    for a, b in zip(got.demos, ref.demos):
+        assert np.array_equal(_bits(a.times), _bits(b.times))
+        assert np.array_equal(_bits(a.positions), _bits(b.positions))
+        assert (a.velocities is None) == (b.velocities is None)

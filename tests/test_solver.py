@@ -6,11 +6,13 @@ with `interior_point_solve`, taking the settings from the tests' original
 and `adapt_rho` keys ride along and must change nothing.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cvfield import features
-from cvfield.cli import TrainConfig
+from cvfield import features, solver
+from cvfield.cli import TrainConfig, train_field
 from cvfield.errors import DimensionError
 from cvfield.kernels import KernelKind
 from cvfield.solver import (CONTRACTION_MARGIN, ADMMSettings, ConstrainedLSQProblem,
@@ -188,6 +190,51 @@ def test_ipm_matches_grid_search_oracle():
         half = 2.0 * np.linalg.norm(rep.theta) + 1.0
         _, oracle_val = _zoom_oracle(prob, np.zeros(p), half, rounds=50, pts=pts)
         assert abs(val - oracle_val) <= 1e-4 * max(1.0, oracle_val)
+
+
+def _numpy_path(monkeypatch):
+    """Make the solver take its np.linalg fallback, as where LAPACK is missing."""
+    monkeypatch.setattr(solver, "_lapack", lambda: None)
+
+
+def test_lapack_path_is_live():
+    # numpy's bundled OpenBLAS exports dpotrf and dpotrs: a lookup that
+    # silently falls back to np.linalg must fail here
+    libs = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*")
+    if not any(libs):
+        pytest.skip("numpy bundles no scipy_openblas")
+    assert solver._lapack() is not None
+
+
+@pytest.mark.parametrize("kernel", ["curl_free", "gaussian_separable"])
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_lapack_and_numpy_paths_agree(monkeypatch, angle_train, kernel, tau):
+    cfg = TrainConfig(kernel=kernel, sigma=10.0, num_features=100, tau=tau, constraint_points=50)
+    _, fast, _ = train_field(angle_train, cfg)
+    _numpy_path(monkeypatch)
+    _, ref, _ = train_field(angle_train, cfg)
+    assert fast.stop_reason == ref.stop_reason == "converged"
+    assert np.max(np.abs(fast.theta - ref.theta)) <= 1e-10 * np.max(np.abs(ref.theta))
+
+
+@pytest.mark.parametrize("path", ["lapack", "numpy"])
+def test_indefinite_schur_complement_stalls(monkeypatch, path):
+    if path == "numpy":
+        _numpy_path(monkeypatch)
+    rng = np.random.default_rng(7)
+    M = rng.normal(size=(6, 6))
+    spd = M @ M.T + np.eye(6)
+    v = rng.normal(size=6)
+    np.testing.assert_allclose(solver._cholesky_solver(spd.copy())(v), np.linalg.solve(spd, v),
+                               rtol=1e-12)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    indefinite = (Q * [3.0, 2.0, 1.0, 0.5, 0.1, -1e-3]) @ Q.T
+    assert solver._cholesky_solver(indefinite) is None
+    # the same refusal inside a run: every Schur complement negated
+    factor = solver._cholesky_solver
+    monkeypatch.setattr(solver, "_cholesky_solver", lambda S: factor(-S))
+    rep = interior_point_solve(_scalar_problem(), ADMMSettings())
+    assert rep.stop_reason == "stalled" and rep.iters == 0
 
 
 def _admm_block(**block):
