@@ -9,7 +9,6 @@ with an embedded Dormand-Prince pair and are scored with trajectory,
 velocity, DTW and goal-convergence metrics.
 """
 
-from .cli import TrainConfig, train_field
 from .dataset import (DemoSet, Demonstration, PreprocessConfig,
                       finite_difference_velocities, load_demonstrations,
                       resample_and_average, subsample_constraint_points)
@@ -23,5 +22,6 @@ from .metrics import (EvalReport, GridEvalReport, dtw_distance, evaluate,
 from .modelfile import load_model, save_model
 from .solver import (ADMMSettings, ConstrainedLSQProblem, SolveReport,
                      assemble_problem, interior_point_solve)
+from .training import TrainConfig, read_settings, train_field
 
 __version__ = "0.1.0"

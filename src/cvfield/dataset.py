@@ -154,9 +154,10 @@ def _read_rows(path):
         has_id, n, has_v = _parse_header(header)
         ncols = len(header)
         groups = {}
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
+            lineno = reader.line_num       # the file line the row ends on
             if len(row) != ncols:
                 raise ParseError(f"{path}: expected {ncols} fields, got {len(row)}", line=lineno)
             try:

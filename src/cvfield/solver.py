@@ -44,7 +44,7 @@ directions with that factor, by `dpotrs`; both come from the OpenBLAS that
 numpy bundles, reached through ctypes.  Where numpy's OpenBLAS does not
 export them, the step tests definiteness with `np.linalg.cholesky` and
 solves with `np.linalg.solve` instead.  Inside `single_blas_thread`, where
-`cli.train_field` runs it, identical inputs and settings reproduce
+`training.train_field` runs it, identical inputs and settings reproduce
 bitwise-identical results on any number of cores.
 """
 

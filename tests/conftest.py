@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _synth import angle_demos, decay_demos
-from cvfield.cli import TrainConfig, train_field
+from cvfield import TrainConfig, train_field
 from cvfield.dataset import DemoSet
 from cvfield.solver import ADMMSettings
 

@@ -13,8 +13,8 @@ import pytest
 
 from _exact import eval_kernel
 from _synth import angle_demos, s_demos, write_demo_csv
-from cvfield import modelfile
-from cvfield.cli import TrainConfig, main, train_field
+from cvfield import TrainConfig, modelfile, train_field
+from cvfield.cli import main
 from cvfield.dataset import DemoSet, resample_and_average, subsample_constraint_points
 from cvfield.dynamics import (IntegratorSettings, TrainedField,
                               max_contraction_eigenvalues, rollout)

@@ -12,8 +12,8 @@ import pytest
 
 import cvfield
 from _synth import s_demos, write_demo_csv
-from cvfield import cli, modelfile
-from cvfield.cli import TrainConfig, cmd_export_field, main, train_field
+from cvfield import TrainConfig, modelfile, train_field, training
+from cvfield.cli import cmd_export_field, main
 from cvfield.dataset import (load_demonstrations, resample_and_average,
                              subsample_constraint_points)
 from cvfield.dynamics import max_contraction_eigenvalues
@@ -148,9 +148,8 @@ def test_train_step_cap_message(workspace, capsys):
 def test_train_infeasible_tau_message(workspace, capsys, monkeypatch):
     # with every constraint operator zeroed, no theta reaches sym J <= -tau I
     import dataclasses
-    from cvfield import cli
-    solve = cli.interior_point_solve
-    monkeypatch.setattr(cli, "interior_point_solve", lambda problem, settings: solve(
+    solve = training.interior_point_solve
+    monkeypatch.setattr(training, "interior_point_solve", lambda problem, settings: solve(
         dataclasses.replace(problem, constraint_ops=np.zeros_like(problem.constraint_ops)),
         settings))
     rc = _train_weak(workspace, "infeasible", tau=0.5)
@@ -172,7 +171,7 @@ def test_train_rejects_non_mapping_sections(workspace, capsys, override):
 
 
 @pytest.mark.parametrize("role", ["config", "model"])
-@pytest.mark.parametrize("text", ["[1, 2]", "3"])
+@pytest.mark.parametrize("text", ["[1, 2]", "3", "not json"])
 def test_non_object_json_files_are_errors(workspace, capsys, tmp_path, role, text):
     bad = tmp_path / f"{role}.json"
     bad.write_text(text)
@@ -184,7 +183,8 @@ def test_non_object_json_files_are_errors(workspace, capsys, tmp_path, role, tex
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith(f"error: {bad}: a {role} file holds a JSON object")
+    says = "Expecting value" if text == "not json" else f"a {role} file holds a JSON object"
+    assert err.startswith(f"error: {bad}: {says}")
 
 
 def _command_flags(ws, command):
@@ -230,6 +230,9 @@ def _command_flags(ws, command):
     ("train", ["admm.slack_weight=1"]),
     ("rollout", ["x0=10,20", "horizon=true"]),
     ("rollout", ["x0=10,20", "max_step=true"]),
+    ("grid-eval", ["grid_k"]),
+    ("train", ["tau"]),
+    ("export-field", ["bounds=-5,5,-5"]),
 ], ids=["horizon-list", "x0-object", "grid_k-null", "resolution-null", "horizon-inf",
         "horizon-nan", "x0-length", "x0-null", "resolution-fraction", "grid_k-fraction",
         "max_step-nan", "max_step-zero", "abs_tol-negative", "rel_tol-nan", "rel_tol-inf",
@@ -237,7 +240,8 @@ def _command_flags(ws, command):
         "seed-string", "sigma-string", "tau-null", "max_iters-string", "resample_len-string",
         "num_features-fraction", "constraint_points-fraction", "lambda-bool", "sigma-inf",
         "eps_abs-nan",
-        "slack_weight-nonzero", "horizon-bool", "max_step-bool"])
+        "slack_weight-nonzero", "horizon-bool", "max_step-bool", "grid_k-no-value",
+        "tau-no-value", "bounds-length"])
 def test_malformed_command_parameters_are_errors(workspace, capsys, command, sets):
     rc = main([command, *_command_flags(workspace, command),
                *[arg for s in sets for arg in ("--set", s)]])
@@ -400,6 +404,14 @@ def test_rollout_requires_start(workspace, capsys):
     assert "x0" in capsys.readouterr().err
 
 
+def test_export_field_requires_bounds(workspace, capsys):
+    rc = main(["export-field", "--model", str(workspace / "model.json"),
+               "--out", str(workspace / "unwritten.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: bounds must be 4 numbers")
+    assert not (workspace / "unwritten.csv").exists()
+
+
 def test_export_field_csv(workspace, capsys):
     out = workspace / "grid.csv"
     rc = main(["export-field", "--model", str(workspace / "model.json"),
@@ -520,6 +532,11 @@ def test_package_imports_without_scipy():
     out = _python("-c", "import sys, cvfield, cvfield.cli; "
                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.stdout.strip() == "[]"
+    # the library loads without the command line, which runs without warnings
+    out = _python("-c", "import sys, cvfield; "
+                        "print(sorted({'argparse', 'cvfield.cli'} & set(sys.modules)))")
+    assert out.stdout.strip() == "[]"
+    assert _python("-W", "error", "-m", "cvfield.cli", "--help").stdout.startswith("usage:")
 
 
 def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -563,8 +580,8 @@ def test_train_field_restores_blas_threads(monkeypatch, angle_train, solve_raise
             raise RuntimeError("solver failure")
         return real_solve(problem, settings)
 
-    real_solve = cli.interior_point_solve
-    monkeypatch.setattr(cli, "interior_point_solve", solve)
+    real_solve = training.interior_point_solve
+    monkeypatch.setattr(training, "interior_point_solve", solve)
     cfg = TrainConfig(sigma=10.0, num_features=50, constraint_points=20)
     original = get()
     try:

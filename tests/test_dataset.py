@@ -86,6 +86,10 @@ def test_load_rejects_malformed_input(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_demonstrations(_write(tmp_path, "t,x1,x2\n0,0,zap\n", "junk.csv"))
     assert exc.value.line == 2
+    # a quoted cell that spans a newline: the bad cell is on file line 4
+    with pytest.raises(ParseError) as exc:
+        load_demonstrations(_write(tmp_path, 't,x1\n0,"1\n"\n1,zap\n', "quoted.csv"))
+    assert exc.value.line == 4
     empty_dir = tmp_path / "no_csv_here"
     empty_dir.mkdir()
     with pytest.raises(ParseError):

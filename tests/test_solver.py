@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvfield import features, solver
-from cvfield.cli import TrainConfig, train_field
+from cvfield import TrainConfig, features, solver, train_field
 from cvfield.errors import DimensionError
 from cvfield.kernels import KernelKind
 from cvfield.solver import (CONTRACTION_MARGIN, ADMMSettings, ConstrainedLSQProblem,
