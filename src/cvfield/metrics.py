@@ -13,8 +13,14 @@ integrates every grid start in lock-step, and `dtw_distance` scores the
 (K, T, n) stack of resampled rollouts against each demonstration in one
 call.  `dtw_distance` fills the cost table by anti-diagonals: every cell on
 diagonal i + j = k depends only on diagonals k - 1 and k - 2, so one
-diagonal of all K tables is a few elementwise operations on (K, <= T)
-slices.  One sequence is a batch of one, as is one rollout start.
+diagonal of a block of tables is a few elementwise operations.  The K
+sequences (lanes) go through in blocks of DTW_LANES = 64, and the lane is
+the innermost axis of every buffer: `a` as (n, T, lanes), `b` reversed and
+repeated as (n, M, lanes), the diagonals as (3, T + 1, lanes).  Each
+operand of a diagonal is then one contiguous (<= T, lanes) block, which
+numpy runs as a single loop.
+The repeated `b` is n * M * 64 doubles (1 MB at M = 1000) whatever K is.
+One sequence is a batch of one, as is one rollout start.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from .errors import DataError, DimensionError, IntegrationError
 
 #: number of uniform samples drawn from each grid rollout before DTW
 GRID_DTW_SAMPLES = 250
+#: sequences (lanes) that `dtw_distance` carries through one wavefront
+DTW_LANES = 64
 
 
 @dataclass
@@ -87,9 +95,11 @@ def dtw_distance(a, b):
     per sequence of `a`.
 
     D[i, j] = d(a_i, b_j) + min(D[i-1, j], D[i, j-1], D[i-1, j-1]) is
-    solved one anti-diagonal at a time for all K sequences together; the
-    arithmetic of each sequence is elementwise, so its cost has the same
-    bits alone or in any batch.
+    solved one anti-diagonal at a time for up to DTW_LANES sequences (lanes)
+    together; the arithmetic of each lane is elementwise, so its cost has
+    the same bits alone or in any batch.  Lanes are the innermost axis of
+    every buffer, so each operand of a diagonal is one contiguous
+    (width, lanes) block.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -99,37 +109,50 @@ def dtw_distance(a, b):
         raise DimensionError("sequences must share their state dimension")
     if a.shape[0] == 0 or a.shape[1] == 0 or b.shape[0] == 0:
         raise DataError("empty sequence")
-    K, T, n = a.shape
-    M = b.shape[0]
-    aT = np.ascontiguousarray(a.transpose(2, 0, 1))   # (n, K, T)
-    br = np.ascontiguousarray(b[::-1].T)               # (n, M), b reversed
+    K = a.shape[0]
+    costs = np.empty(K)
+    bK = None
+    for s in range(0, K, DTW_LANES):
+        aT = np.ascontiguousarray(a[s:s + DTW_LANES].transpose(2, 1, 0))   # (n, T, lanes)
+        if bK is None or bK.shape[2] != aT.shape[2]:
+            # b reversed and repeated across the lanes: (n, M, lanes)
+            bK = np.repeat(b[::-1].T[:, :, None], aT.shape[2], axis=2)
+        costs[s:s + DTW_LANES] = _dtw_lanes(aT, bK)
+    return costs
+
+
+def _dtw_lanes(aT, bK):
+    """DTW costs of the lanes of aT (n, T, L) against bK (n, M, L), the one
+    sequence reversed and repeated across the L lanes."""
+    n, T, L = aT.shape
+    M = bK.shape[1]
     # anti-diagonal wavefront: cell (i, j) lies on diagonal k = i + j and
     # needs (i-1, j) and (i, j-1) from diagonal k-1 and (i-1, j-1) from k-2.
-    # A diagonal is stored by row index i at column i+1 of a (K, T+1)
-    # buffer; column 0 (i = -1) and every column a diagonal has not reached
-    # yet hold +inf, so the boundary needs no special case.  With b reversed,
-    # b[k-i] for i in [lo, hi] is the plain slice br[M-1-k+lo : M-k+hi].
-    diag = np.full((3, K, T + 1), np.inf)
-    dist, tmp = np.empty((2, K, T))
+    # A diagonal is stored by row index i at row i+1 of a (T+1, L) buffer;
+    # row 0 (i = -1) and every row a diagonal has not reached yet hold +inf,
+    # so the boundary needs no special case.  With b reversed, b[k-i] for i
+    # in [lo, hi] is the plain slice bK[:, M-1-k+lo : M-k+hi].
+    diag = np.full((3, T + 1, L), np.inf)
+    dist, tmp = np.empty((2, T, L))
     for k in range(T + M - 1):
         lo, hi = max(0, k - M + 1), min(k, T - 1)
         w, off = hi - lo + 1, M - 1 - k + lo
-        d, t = dist[:, :w], tmp[:, :w]
+        d, t = dist[:w], tmp[:w]
         # direct differences, as the Gram expansion loses ~1e-8 per entry to
         # cancellation, which a summed alignment cost cannot afford
-        np.square(np.subtract(aT[0, :, lo:hi + 1], br[0, off:off + w], out=d), out=d)
+        np.square(np.subtract(aT[0, lo:hi + 1], bK[0, off:off + w], out=d), out=d)
         for c in range(1, n):
-            np.add(d, np.square(np.subtract(aT[c, :, lo:hi + 1], br[c, off:off + w], out=t),
+            np.add(d, np.square(np.subtract(aT[c, lo:hi + 1], bK[c, off:off + w], out=t),
                                 out=t), out=d)
         np.sqrt(d, out=d)
         cur, prev, prev2 = diag[k % 3], diag[(k - 1) % 3], diag[(k - 2) % 3]
         if k == 0:
-            cur[:, 1] = d[:, 0]
+            cur[1] = d[0]
             continue
-        np.minimum(prev[:, lo:hi + 1], prev[:, lo + 1:hi + 2], out=t)
-        np.minimum(t, prev2[:, lo:hi + 1], out=t)
-        np.add(d, t, out=cur[:, lo + 1:hi + 2])
-    return diag[(T + M - 2) % 3][:, T].copy()
+        np.minimum(prev[lo:hi + 1], prev[lo + 1:hi + 2], out=t)
+        np.minimum(t, prev2[lo:hi + 1], out=t)
+        np.add(d, t, out=cur[lo + 1:hi + 2])
+    return diag[(T + M - 2) % 3][T]
 
 
 def evaluate(f, train, test):

@@ -6,8 +6,10 @@ parameters) into a settings dataclass, each value as its field's type.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from numbers import Integral, Real
 from typing import get_type_hints
 
 import numpy as np
@@ -92,11 +94,23 @@ def _read(value, hint, default=None):
         return [float(_read(v, float)) for v in (value if isinstance(value, list) else [value])]
     if default == np.inf and value in ("inf", np.inf):     # the JSON Infinity or a bare inf
         return np.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
         raise ValueError
     if hint is int and not float(value).is_integer():
         raise ValueError
-    return int(value) if hint is int else value
+    # NumPy scalars become Python numbers, so a config echoes as JSON
+    return int(value) if hint is int or isinstance(value, Integral) else float(value)
+
+
+def _shown(value):
+    """`value` for an error message: its JSON, else its repr; never raises."""
+    try:
+        return json.dumps(value)
+    except Exception:
+        try:
+            return repr(value)
+        except Exception:
+            return f"a {type(value).__name__}"
 
 
 _KINDS = {int: "an integer", float: "a finite number", list[float]: "a list of finite numbers"}
@@ -109,6 +123,7 @@ def read_settings(cls, mapping, section=None):
     integer (200.0 reads as 200; 2.5 and true are errors), `float` a finite
     number (or inf where that is the default), `list[float]` a list or the
     string "a,b,...", a settings dataclass a mapping; other types as given.
+    NumPy integers and reals read as Python ones.
     An unknown key or a bad value is a ConfigError that names the key.
     """
     if not isinstance(mapping, Mapping):
@@ -117,7 +132,7 @@ def read_settings(cls, mapping, section=None):
     prefix = f"{section}." if section else ""
     hints = get_type_hints(cls)
     keys = {f.metadata.get("key", f.name): f for f in fields(cls)}
-    unknown = sorted(set(mapping) - set(keys) - set(_RETIRED_KEYS.get(section, ())))
+    unknown = sorted(set(mapping) - set(keys) - set(_RETIRED_KEYS.get(section, ())), key=str)
     if unknown:
         raise ConfigError(f"{prefix}{unknown[0]} must be one of the keys {', '.join(keys)}")
     values = {}
@@ -128,9 +143,9 @@ def read_settings(cls, mapping, section=None):
         elif hint in _KINDS:
             try:
                 value = _read(value, hint, f.default)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 what = "a number or inf" if f.default == np.inf else _KINDS[hint]
-                raise ConfigError(f"{prefix}{key} must be {what}, got {json.dumps(value)}")
+                raise ConfigError(f"{prefix}{key} must be {what}, got {_shown(value)}")
         values[f.name] = value
     return cls(**values)
 

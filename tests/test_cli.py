@@ -75,6 +75,48 @@ def test_config_dict_round_trip():
         TrainConfig.from_dict({"admm": {"rho": 1.0, "momentum": 0.9}})
 
 
+def test_config_reads_numpy_scalars():
+    # NumPy integers and reals read as the Python numbers they hold, so the
+    # config still echoes as JSON; NumPy booleans are rejected like true
+    cfg = TrainConfig.from_dict({"num_features": np.int64(100), "sigma": np.int64(3),
+                                 "lambda": np.float32(0.5), "tau": np.float64(0.25),
+                                 "admm": {"max_iters": np.uint16(40)}})
+    assert cfg == TrainConfig.from_dict({"num_features": 100, "sigma": 3, "lambda": 0.5,
+                                         "tau": 0.25, "admm": {"max_iters": 40}})
+    assert type(cfg.num_features) is int and type(cfg.sigma) is int
+    assert type(cfg.lam) is float and type(cfg.admm.max_iters) is int
+    assert json.loads(json.dumps(cfg.to_dict()))["sigma"] == 3
+    with pytest.raises(ConfigError, match="num_features must be an integer"):
+        TrainConfig.from_dict({"num_features": np.float32(2.5)})
+    with pytest.raises(ConfigError, match="num_features must be an integer"):
+        TrainConfig.from_dict({"num_features": np.True_})
+    with pytest.raises(ConfigError, match="sigma must be a finite number"):
+        TrainConfig.from_dict({"sigma": np.float32("inf")})
+
+
+class _Unprintable:
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+@pytest.mark.parametrize("value", [{1, 2}, np.array([1.0, 2.0]), object(), _Unprintable(),
+                                   10 ** 400],
+                         ids=["set", "array", "object", "unprintable", "huge-int"])
+def test_config_rejects_unserializable_values_with_config_error(value):
+    # formatting the rejected value for the message never raises
+    with pytest.raises(ConfigError, match="num_features must be an integer, got "):
+        TrainConfig.from_dict({"num_features": value})
+    with pytest.raises(ConfigError, match="admm.eps_abs must be a finite number, got "):
+        TrainConfig.from_dict({"admm": {"eps_abs": value}})
+
+
+def test_config_rejects_keys_that_are_not_strings():
+    with pytest.raises(ConfigError, match="1 must be one of the keys"):
+        TrainConfig.from_dict({1: 2, "bogus": 3})
+    with pytest.raises(ConfigError, match="admm.None must be one of the keys"):
+        TrainConfig.from_dict({"admm": {None: 1, "bogus": 2}})
+
+
 def test_retired_admm_keys_are_dropped(angle_train):
     # older configs carry the ADMM-only "rho" and "adapt_rho", a zero
     # "slack_weight" and a preprocess.constraint_points that nothing read;

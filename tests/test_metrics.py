@@ -12,7 +12,7 @@ from _synth import decay_demos
 from cvfield.dataset import Demonstration, DemoSet
 from cvfield.dynamics import IntegratorSettings, rollout
 from cvfield.errors import DataError, DimensionError
-from cvfield.metrics import (GRID_DTW_SAMPLES, EvalReport, dtw_distance, evaluate,
+from cvfield.metrics import (DTW_LANES, GRID_DTW_SAMPLES, EvalReport, dtw_distance, evaluate,
                              grid_evaluate, trajectory_error, velocity_error)
 
 
@@ -159,6 +159,64 @@ def test_dtw_skewed_lengths_match_brute_force(t, m):
         single = dtw_distance(P[k:k + 1], b)[0]
         assert costs[k] == single
         assert single == pytest.approx(_dtw_brute(P[k], b), rel=1e-12, abs=1e-12)
+
+
+def _dtw_table(a, b):
+    """DTW oracle: the (T, M) cost table filled row by row with a double loop
+    over its cells, every lane of `a` at once.  Each cell has the arithmetic
+    of `dtw_distance`: squared coordinate differences summed in order, the
+    square root, plus the least of the three neighbours."""
+    K, T, n = a.shape
+    M = b.shape[0]
+    D = np.full((T + 1, M + 1, K), np.inf)
+    D[0, 0] = 0.0
+    for i in range(T):
+        for j in range(M):
+            diff = a[:, i, 0] - b[j, 0]
+            d = diff * diff
+            for c in range(1, n):
+                diff = a[:, i, c] - b[j, c]
+                d = d + diff * diff
+            D[i + 1, j + 1] = np.sqrt(d) + np.minimum(np.minimum(D[i, j + 1], D[i + 1, j]),
+                                                      D[i, j])
+    return D[T, M]
+
+
+@pytest.mark.parametrize("t, m", [(40, 90), (90, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, DTW_LANES - 1, DTW_LANES, DTW_LANES + 1, 2 * DTW_LANES + 1])
+def test_dtw_lane_blocks_match_table_oracle_bitwise(k, n, t, m):
+    # batches below, at and across the lane-block boundary give every lane
+    # the oracle's bits, and the bits of its own batch of one
+    rng = np.random.default_rng(k * 100 + n * 10 + t)
+    P = rng.normal(size=(k, t, n))
+    b = rng.normal(size=(m, n))
+    costs = dtw_distance(P, b)
+    assert costs.shape == (k,)
+    assert np.array_equal(costs, _dtw_table(P, b))
+    assert np.array_equal(costs, [dtw_distance(P[q:q + 1], b)[0] for q in range(k)])
+
+
+def test_dtw_input_layouts_and_dtypes_give_the_same_bits():
+    rng = np.random.default_rng(5)
+    P = rng.normal(scale=50.0, size=(DTW_LANES + 3, 60, 2))
+    b = rng.normal(scale=50.0, size=(70, 2))
+    strided = P[:, ::2]
+    expected = dtw_distance(np.ascontiguousarray(strided), b)
+    assert np.array_equal(dtw_distance(strided, b), expected)
+    assert np.array_equal(dtw_distance(np.asfortranarray(P), np.asfortranarray(b)),
+                          dtw_distance(P.copy(), b.copy()))
+    Pi, bi = np.rint(P).astype(np.int64), np.rint(b).astype(np.int32)
+    assert np.array_equal(dtw_distance(Pi, bi), dtw_distance(Pi.astype(float), bi.astype(float)))
+    P32, b32 = P.astype(np.float32), b.astype(np.float32)
+    assert np.array_equal(dtw_distance(P32, b32),
+                          dtw_distance(P32.astype(float), b32.astype(float)))
+    # the inputs are read, never written
+    P0, b0, P320 = P.copy(), b.copy(), P32.copy()
+    dtw_distance(P, b)
+    dtw_distance(strided, b[::-1])
+    dtw_distance(P32, b32)
+    assert np.array_equal(P, P0) and np.array_equal(b, b0) and np.array_equal(P32, P320)
 
 
 def test_dtw_batch_validation():
