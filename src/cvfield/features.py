@@ -1,14 +1,16 @@
 """Random Fourier feature maps for the two matrix-valued kernels.
 
 A map of s scalar frequencies approximates the kernel through
-Phi(x)^T Phi(y) ~= K(x, y), where Phi(x) is a (feature_dim, n) matrix:
+Phi(x)^T Phi(y) ~= K(x, y), where Phi(x) is a (feature_dim, n) matrix
+whose row k is the field sqrt(2/s) g(w_k^T x + b_k) u_k^T, for a scalar
+profile g and a direction u_k (Brault, d'Alche-Buc & Heinonen, "Random
+Fourier Features for Operator-Valued Kernels", 2016).  `_table` gives
+the two kernels in this one form:
 
-* Gaussian separable:  Phi(x) = phi(x) kron I_n with
-  phi_j(x) = sqrt(2/s) cos(w_j^T x + b_j), feature_dim = s * n.
-  Coefficients are stored feature-major: component (j, c) of theta
-  multiplies phi_j(x) e_c.
-* curl-free: row j of Phi(x) is sqrt(2/s) sin(w_j^T x + b_j) w_j^T,
-  feature_dim = s.
+* Gaussian separable:  g = cos and u_k a unit vector, feature_dim = s * n.
+  Feature k = j n + c is phi_j(x) e_c, with
+  phi_j(x) = sqrt(2/s) cos(w_j^T x + b_j): coefficients are feature-major.
+* curl-free:  g = sin and u_k = w_k, feature_dim = s.
 
 Frequencies are drawn from N(0, sigma^-2 I) and phases from U[0, 2 pi)
 with a counter-based generator, so a (kind, s, n, seed) tuple always
@@ -47,9 +49,7 @@ class FeatureMap:
 
     @property
     def feature_dim(self):
-        if self.kind.variant == GAUSSIAN_SEPARABLE:
-            return self.s * self.n
-        return self.s
+        return self.s * self.n if self.kind.variant == GAUSSIAN_SEPARABLE else self.s
 
     @property
     def scale(self):
@@ -77,57 +77,53 @@ def sample_feature_map(kind, s, n, seed):
     return FeatureMap(kind, freqs, phases)
 
 
-def _angles(fm, X):
+def _table(fm):
+    """(W, b, U, g, g') of the per-feature form: feature k is the field
+    sqrt(2/s) g(W[k] x + b[k]) U[k], with W and U (feature_dim, n) and
+    b (feature_dim,)."""
+    if fm.kind.variant == GAUSSIAN_SEPARABLE:
+        return (np.repeat(fm.freqs, fm.n, axis=0), np.repeat(fm.phases, fm.n),
+                np.tile(np.eye(fm.n), (fm.s, 1)), np.cos, lambda a: -np.sin(a))
+    return fm.freqs, fm.phases, fm.freqs, np.sin, np.cos
+
+
+def _angles(X, W, b):
     # the feature products are einsums, not BLAS products: BLAS rounds a row
     # differently depending on how many rows share the call, and a point's
     # field value must have the same bits alone or in a batch (a batch of
     # rollouts relies on it)
-    a = np.einsum("nd,ds->ns", X, np.ascontiguousarray(fm.freqs.T))
-    a += fm.phases
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    a = np.einsum("nd,ds->ns", X, np.ascontiguousarray(W.T))
+    a += b
     return a
 
 
 def feature_rows(fm, X):
-    """Stacked transposed features [Phi(x_1)^T; ...], shape (N n, feature_dim).
-
-    This is the raw design matrix of the regression; right-multiply by a
-    projector L to obtain the vanishing variant.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    N = X.shape[0]
-    a = _angles(fm, X)
-    if fm.kind.variant == GAUSSIAN_SEPARABLE:
-        phi = fm.scale * np.cos(a)                      # (N, s)
-        rows = phi[:, None, :, None] * np.eye(fm.n)[None, :, None, :]
-        return rows.reshape(N * fm.n, fm.feature_dim)
-    rows = fm.scale * np.sin(a)[:, None, :] * fm.freqs.T[None, :, :]
-    return rows.reshape(N * fm.n, fm.s)
+    """Stacked transposed features [Phi(x_1)^T; ...], shape (N n, feature_dim):
+    the raw design matrix; times a projector L, the vanishing one."""
+    W, b, U, g, _ = _table(fm)
+    rows = fm.scale * g(_angles(X, W, b))[:, None, :] * U.T[None, :, :]
+    return rows.reshape(-1, fm.feature_dim)
 
 
 def field_values(fm, coeffs, X):
-    """Fields f(x_t) = Phi(x_t)^T coeffs for a batch of points, (N, n).
-
-    Each row is computed independently of the others (see `_angles`).
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    a = _angles(fm, X)
-    if fm.kind.variant == GAUSSIAN_SEPARABLE:
-        theta = np.asarray(coeffs).reshape(fm.s, fm.n)
-        return np.einsum("ns,ds->nd", fm.scale * np.cos(a), np.ascontiguousarray(theta.T))
-    return np.einsum("ns,ds->nd", fm.scale * (np.sin(a) * coeffs),
-                     np.ascontiguousarray(fm.freqs.T))
+    """Fields f(x_t) = Phi(x_t)^T coeffs for a batch of points, (N, n); each
+    row is computed independently of the others (see `_angles`)."""
+    W, b, U, g, _ = _table(fm)
+    return np.einsum("nk,dk->nd", fm.scale * (g(_angles(X, W, b)) * coeffs),
+                     np.ascontiguousarray(U.T))
 
 
 def field_jacobians(fm, coeffs, X):
     """Jacobians of f at a batch of points, shape (N, n, n)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    a = _angles(fm, X)
-    if fm.kind.variant == GAUSSIAN_SEPARABLE:
-        theta = np.asarray(coeffs).reshape(fm.s, fm.n)
-        dphi = -fm.scale * np.sin(a)                    # (N, s)
-        return np.einsum("ja,gj,jb->gab", theta, dphi, fm.freqs)
-    c = fm.scale * np.cos(a) * coeffs                   # (N, s)
-    return np.einsum("gj,ja,jb->gab", c, fm.freqs, fm.freqs)
+    W, b, U, _, dg = _table(fm)
+    c = fm.scale * dg(_angles(X, W, b)) * coeffs                   # (N, feature_dim)
+    return np.einsum("gk,ka,kb->gab", c, U, W)
+
+
+def projector_from_basis(Q, Z):
+    """The VanishingProjector of an orthonormal basis Q and equilibria Z."""
+    return VanishingProjector(np.eye(Q.shape[0]) - Q @ Q.T, Q, Z)
 
 
 def build_vanishing_projector(fm, Z):
@@ -139,8 +135,6 @@ def build_vanishing_projector(fm, Z):
     """
     p = fm.feature_dim
     Z = np.asarray(Z, dtype=float).reshape(-1, fm.n) if np.size(Z) else np.empty((0, fm.n))
-    if Z.shape[0] == 0:
-        return VanishingProjector(np.eye(p), np.zeros((p, 0)), Z)
     if p <= fm.n * Z.shape[0]:
         raise DimensionError(
             f"need feature_dim > n |Z| ({p} <= {fm.n * Z.shape[0]}) to retain capacity")
@@ -152,31 +146,23 @@ def build_vanishing_projector(fm, Z):
         warnings.warn(
             f"feature block at Z is rank deficient ({rank} < {fm.n * Z.shape[0]}); "
             "projecting the achieved range only")
-    Q = U[:, :rank]
-    L = np.eye(p) - Q @ Q.T
-    return VanishingProjector(L, Q, Z)
+    return projector_from_basis(U[:, :rank], Z)
 
 
 def symmetrized_jacobian_basis(fm, proj, X):
     """Per-component symmetrized Jacobians of the vanished features.
 
-    For points X of shape (m, n), returns E of shape (m, feature_dim, n, n)
-    with E[i, j] = sym(d/dx of the j-th vanished feature field at x_i), so
-    the symmetrized Jacobian of f = Phi^Z(x_i)^T theta is
-    sum_j theta_j E[i, j].
-    """
+    For points X (m, n), E (m, feature_dim, n, n) has E[i, j] = sym(d/dx of
+    the j-th vanished feature field at x_i), so the symmetrized Jacobian of
+    f = Phi^Z(x_i)^T theta is sum_j theta_j E[i, j]."""
     X = np.asarray(X, dtype=float).reshape(-1, fm.n)
     m, n, p = X.shape[0], fm.n, fm.feature_dim
-    a = _angles(fm, X)                                               # (m, s)
-    if fm.kind.variant == GAUSSIAN_SEPARABLE:
-        dphi = -fm.scale * np.sin(a)[:, :, None] * fm.freqs          # (m, s, n)
-        M = np.einsum("kaj,ikb->ijab", proj.L.reshape(fm.s, n, p), dphi, optimize=True)
-        return 0.5 * (M + M.transpose(0, 1, 3, 2))
-    # raw curl-free Jacobians c_k w_k w_k^T are already symmetric
-    ww = fm.freqs.T[:, None, :] * fm.freqs.T[None, :, :]             # (n, n, s)
-    raw = (fm.scale * np.cos(a))[:, None, None, :] * ww              # (m, n, n, s)
-    E = raw.reshape(m * n * n, fm.s) @ proj.L
-    return np.ascontiguousarray(E.reshape(m, n, n, p).transpose(0, 3, 1, 2))
+    W, b, U, _, dg = _table(fm)
+    # raw[i, c, d, k] = sqrt(2/s) g'(w_k^T x_i + b_k) u_k[c] w_k[d], shape (m, n, n, p)
+    raw = (fm.scale * dg(_angles(X, W, b)))[:, None, None, :] * (U.T[:, None] * W.T[None])
+    J = (raw.reshape(m * n * n, p) @ proj.L).reshape(m, n, n, p)
+    J = 0.5 * (J + J.transpose(0, 2, 1, 3))      # leaves the symmetric curl-free J as it is
+    return np.ascontiguousarray(J.transpose(0, 3, 1, 2))
 
 
 def potential_from_features(fm, coeffs, X):
@@ -187,4 +173,4 @@ def potential_from_features(fm, coeffs, X):
     """
     if fm.kind.variant != CURL_FREE:
         raise ValueError("potentials are defined for the curl-free map only")
-    return fm.scale * (np.cos(_angles(fm, np.asarray(X, dtype=float))) @ np.asarray(coeffs))
+    return fm.scale * (np.cos(_angles(X, fm.freqs, fm.phases)) @ np.asarray(coeffs))

@@ -2,11 +2,11 @@
 
 Models are stored as a single JSON object (schema_version "1") holding
 the training configuration, the feature map draw, the orthonormal basis Q
-of the vanishing projector (L = I - Q Q^T is rebuilt on load), the solved
-coefficients, the equilibria and a summary of the solve.  Floats survive
-the round trip exactly (shortest-round-trip decimal encoding), so
-save -> load -> save is byte-identical and a loaded model evaluates
-identically to the trained one.
+of the vanishing projector (`features.projector_from_basis` rebuilds
+L = I - Q Q^T on load), the solved coefficients, the equilibria and a
+summary of the solve.  Floats survive the round trip exactly
+(shortest-round-trip decimal encoding), so save -> load -> save is
+byte-identical and a loaded model evaluates identically to the trained one.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import TrainedField
 from .errors import ParseError
-from .features import FeatureMap, VanishingProjector
+from .features import FeatureMap, projector_from_basis
 from .kernels import KernelKind
 
 SCHEMA_VERSION = "1"
@@ -62,31 +62,50 @@ def save_model(path, field, config=None, report=None):
         fh.write("\n")
 
 
+def _numbers(key, value, shape):
+    """`value` as finite floats of `shape` (None there matches any length)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:                      # ragged nesting
+        arr = np.asarray(None)
+    if (arr.dtype.kind not in "iuf" or arr.ndim != len(shape) or not np.isfinite(arr).all()
+            or any(want not in (None, got) for got, want in zip(arr.shape, shape))):
+        raise ValueError(f"{key} must be finite numbers of shape {shape}".replace("None", "any"))
+    return arr.astype(float)
+
+
 def load_model(path):
     """Read a model file back into a TrainedField.
 
-    Returns (field, config, solve_report)."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}")
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: a model file holds a JSON object, not {type(doc).__name__}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ParseError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
+    Returns (field, config, solve_report).  A malformed file is a
+    ParseError that names it; a field that does not vanish at its
+    equilibria is a DataError."""
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"a model file holds a JSON object, not {type(doc).__name__}")
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
+        config, report = doc.get("config", {}), doc.get("solve_report")
+        if not isinstance(config, dict) or not isinstance(report, (dict, type(None))):
+            raise ValueError("config must be an object, and solve_report an object or null")
         fmdoc = doc["feature_map"]
-        kind = KernelKind(fmdoc["variant"], float(fmdoc["sigma"]))
-        freqs = np.asarray(fmdoc["freqs"], dtype=float).reshape(fmdoc["s"], fmdoc["n"])
-        phases = np.asarray(fmdoc["phases"], dtype=float).reshape(fmdoc["s"])
-        fm = FeatureMap(kind, freqs, phases)
-        Qraw = np.asarray(doc["projector_basis"], dtype=float)
-        Q = Qraw.reshape(fm.feature_dim, -1) if Qraw.size else np.zeros((fm.feature_dim, 0))
-        Z = np.asarray(doc["equilibria"], dtype=float).reshape(-1, fm.n)
-        proj = VanishingProjector(np.eye(fm.feature_dim) - Q @ Q.T, Q, Z)
-        theta = np.asarray(doc["theta"], dtype=float)
-        field = TrainedField(fm, proj, theta, Z, float(doc.get("tau", 0.0)))
+        s, n = fmdoc["s"], fmdoc["n"]
+        if not all(type(v) is int and v >= 1 for v in (s, n)):
+            raise ValueError("feature_map.s and feature_map.n must be positive integers")
+        sigma = float(_numbers("feature_map.sigma", fmdoc["sigma"], ()))
+        fm = FeatureMap(KernelKind(fmdoc["variant"], sigma),
+                        _numbers("feature_map.freqs", fmdoc["freqs"], (s, n)),
+                        _numbers("feature_map.phases", fmdoc["phases"], (s,)))
+        p = fm.feature_dim
+        Q, Z = doc["projector_basis"], doc["equilibria"]
+        Q = np.zeros((p, 0)) if Q == [] else _numbers("projector_basis", Q, (p, None))
+        Z = np.zeros((0, n)) if Z == [] else _numbers("equilibria", Z, (None, n))
+        theta = _numbers("theta", doc["theta"], (p,))
+        tau = float(_numbers("tau", doc.get("tau", 0.0), ()))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed model file ({exc})")
-    return field, doc.get("config", {}), doc.get("solve_report")
+    except ValueError as exc:                # a JSONDecodeError is one too
+        raise ParseError(f"{path}: {exc}")
+    return TrainedField(fm, projector_from_basis(Q, Z), theta, Z, tau), config, report

@@ -206,11 +206,10 @@ def _cholesky_solver(S):
     return solve
 
 
-def _max_violation(C, tau):
-    if C.shape[0] == 0:
-        return float("-inf")
-    shifted = C + tau[:, None, None] * np.eye(C.shape[1])
-    return float(np.max(np.linalg.eigvalsh(shifted)[:, -1]))
+def _max_eigenvalue(ops, theta, shift):
+    """The largest lambda_max(C_i(theta) + shift_i I) over the constraint points i."""
+    C = np.einsum("ipab,p->iab", ops, theta)
+    return float(np.max(np.linalg.eigvalsh(C + shift[:, None, None] * np.eye(C.shape[1]))))
 
 
 # phase II imposes C_i(theta) + tau_i I <= -CONTRACTION_MARGIN (1 + tau_i) I
@@ -369,24 +368,19 @@ def interior_point_solve(problem, settings=None):
         return "converged" if gap <= st.eps_abs + st.eps_rel * f else None
 
     def report(x, steps, gap, reason):
-        C = np.einsum("ipab,p->iab", ops, x) if m else np.zeros((0, n, n))
-        return SolveReport(
-            theta=x,
-            iters=steps,
-            dual_residual=gap,
-            objective=objective(x),
-            max_constraint_violation=_max_violation(C, problem.tau),
-            converged=reason == "converged",
-            stop_reason=reason,
-        )
+        violation = _max_eigenvalue(ops, x, problem.tau) if m else float("-inf")
+        return SolveReport(theta=x, iters=steps, dual_residual=gap, objective=objective(x),
+                           max_constraint_violation=violation, converged=reason == "converged",
+                           stop_reason=reason)
 
     if m == 0:
         return report(theta, 0, 0.0, "converged")
-    h = -(problem.tau + CONTRACTION_MARGIN * (1.0 + problem.tau))[:, None, None] * eye
-    worst = np.linalg.eigvalsh(np.einsum("ipab,p->iab", ops, theta) - h)[:, -1]
+    shift = problem.tau + CONTRACTION_MARGIN * (1.0 + problem.tau)
+    h = -shift[:, None, None] * eye
+    worst = _max_eigenvalue(ops, theta, shift)
 
     steps1 = 0
-    if worst.max() >= 0.0:
+    if worst >= 0.0:
         # Phase I: minimize t + rho f(theta) subject to C_i(theta) - t I <= h_i
         # from the strictly feasible (theta_ridge, t0), until t < 0.  The data
         # term keeps the barrier bounded.  If t stays >= 0 at the optimum, any
@@ -394,7 +388,7 @@ def interior_point_solve(problem, settings=None):
         # phase I point), and rho shrinks until that bound is beyond reach.
         # Steps stop at t = -t0, so that phase II starts near the data rather
         # than far along a ray of easy tau.
-        t0 = worst.max() + 1.0
+        t0 = worst + 1.0
         G1 = np.concatenate([ops, np.broadcast_to(-eye, (m, 1, n, n))], axis=1)
         x1 = np.append(theta, t0)
 

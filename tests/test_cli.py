@@ -17,7 +17,7 @@ from cvfield.cli import cmd_export_field, main
 from cvfield.dataset import (load_demonstrations, resample_and_average,
                              subsample_constraint_points)
 from cvfield.dynamics import max_contraction_eigenvalues
-from cvfield.errors import ConfigError, ParseError
+from cvfield.errors import ConfigError, DataError, ParseError
 from cvfield.features import field_values
 from cvfield.solver import ADMMSettings
 
@@ -544,6 +544,90 @@ def test_model_file_rejects_malformed(workspace, tmp_path):
     missing.write_text(json.dumps(doc))
     with pytest.raises(ParseError):
         modelfile.load_model(missing)
+
+
+def _with(doc, key, value):
+    """A copy of `doc` whose entry at the dotted `key` is `value`, or
+    `value(entry)` where `value` is callable."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = key.split(".")
+    inner = doc
+    for k in parents:
+        inner = inner[k]
+    inner[last] = value(inner[last]) if callable(value) else value
+    return doc
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("config", [], id="config-list"),
+    pytest.param("solve_report", [1], id="solve_report-list"),
+    pytest.param("feature_map", "curl_free", id="feature_map-string"),
+    pytest.param("feature_map.variant", "gaussian", id="variant-unknown"),
+    pytest.param("feature_map.sigma", -1.0, id="sigma-negative"),
+    pytest.param("feature_map.s", 200.5, id="s-fractional"),
+    pytest.param("feature_map.n", True, id="n-boolean"),
+    pytest.param("feature_map.freqs", lambda v: [x for row in v for x in row][:-1],
+                 id="freqs-flat-one-short"),
+    pytest.param("feature_map.freqs", lambda v: v[:-1], id="freqs-row-missing"),
+    pytest.param("feature_map.freqs", lambda v: [[x, None] for x, _ in v], id="freqs-null"),
+    pytest.param("feature_map.phases", lambda v: v + [0.5], id="phases-long"),
+    pytest.param("projector_basis", lambda v: v[1:], id="basis-row-missing"),
+    pytest.param("projector_basis", lambda v: [[str(x) for x in row] for row in v],
+                 id="basis-strings"),
+    pytest.param("equilibria", [[0.0, 0.0, 0.0]], id="equilibria-width"),
+    pytest.param("theta", lambda v: [str(x) for x in v], id="theta-strings"),
+    pytest.param("theta", lambda v: [float("nan")] * len(v), id="theta-nan"),
+    pytest.param("theta", lambda v: [True] * len(v), id="theta-booleans"),
+    pytest.param("theta", lambda v: v[:-1], id="theta-short"),
+    pytest.param("tau", "0", id="tau-string"),
+    pytest.param("tau", float("inf"), id="tau-inf"),
+])
+def test_model_file_rejects_malformed_entries(workspace, capsys, tmp_path, key, value):
+    # each malformed entry is a ParseError that names the file, and a
+    # command reading the file exits 1 with that message
+    doc = json.loads((workspace / "model.json").read_text())
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(_with(doc, key, value)))
+    with pytest.raises(ParseError, match="bad_model.json"):
+        modelfile.load_model(bad)
+    rc = main(["eval", "--model", str(bad), "--data", str(workspace / "train.csv"),
+               "--set", "grid_k=4"])
+    assert rc == 1
+    assert "bad_model.json" in capsys.readouterr().err
+
+
+def test_model_file_nonvanishing_field_is_a_data_error(workspace, tmp_path):
+    # a well-formed file whose field does not vanish at its equilibria
+    doc = json.loads((workspace / "model.json").read_text())
+    bad = tmp_path / "moved_goal.json"
+    bad.write_text(json.dumps(_with(doc, "equilibria", [[5.0, -5.0]])))
+    with pytest.raises(DataError, match="equilibrium"):
+        modelfile.load_model(bad)
+
+
+def test_separable_train_round_trip(tmp_path, capsys, angle_train, angle_test):
+    # the determinism and round trip of criterion 10, for the separable kernel
+    write_demo_csv(tmp_path / "train.csv", angle_train)
+    write_demo_csv(tmp_path / "test.csv", angle_test)
+    cfg = dict(CLI_CONFIG, kernel="gaussian_separable", num_features=100, constraint_points=60)
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    models = [tmp_path / "a.json", tmp_path / "b.json"]
+    for model in models:
+        assert main(["train", "--config", str(tmp_path / "config.json"),
+                     "--data", str(tmp_path / "train.csv"), "--model", str(model)]) == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
+    field, config, report = modelfile.load_model(models[0])
+    assert field.map.kind.variant == "gaussian_separable" and field.map.feature_dim == 200
+    modelfile.save_model(tmp_path / "resaved.json", field, config, report)
+    assert (tmp_path / "resaved.json").read_bytes() == models[0].read_bytes()
+    trained = train_field(load_demonstrations(tmp_path / "train.csv"), TrainConfig.from_dict(cfg))[0]
+    X = np.random.default_rng(5).normal(size=(100, 2)) * 15
+    assert np.array_equal(field.eval(X), trained.eval(X))
+    assert np.array_equal(field.jacobian(X), trained.jacobian(X))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(models[0]), "--data", str(tmp_path / "train.csv"),
+                 "--test", str(tmp_path / "test.csv"), "--set", "grid_k=4"]) == 0
+    assert json.loads(capsys.readouterr().out)["eval"]
 
 
 def test_report_summary_null_for_unconstrained():

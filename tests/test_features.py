@@ -37,6 +37,16 @@ def test_separable_features_zero_frequency():
     np.testing.assert_allclose(F, np.sqrt(2.0) * np.eye(2), atol=1e-15)
 
 
+def test_separable_features_are_feature_major():
+    # feature k = j n + c of the separable map is phi_j(x) e_c, with phi_j
+    # paired with its own frequency w_j and phase b_j
+    fm = features.sample_feature_map(GS, 5, 3, seed=2)
+    x = np.array([0.3, -1.2, 2.0])
+    phi = fm.scale * np.cos(fm.freqs @ x + fm.phases)
+    np.testing.assert_allclose(features.feature_rows(fm, x), np.kron(phi, np.eye(3)),
+                               rtol=1e-14, atol=0.0)
+
+
 def test_monte_carlo_kernel_error_decays():
     # the feature gram approaches the closed-form kernel roughly like
     # 1/sqrt(s); a 16x budget increase should cut the error well below half
@@ -74,6 +84,23 @@ def test_jacobians_match_finite_differences():
         assert np.linalg.norm(J - Jfd) <= 1e-5 * max(1.0, np.linalg.norm(J))
         if kind is CF:
             np.testing.assert_allclose(J, J.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", [GS, CF], ids=["GS", "CF"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_point_alone_matches_its_batch_bitwise(kind, n):
+    # a rollout batch relies on a point's field value and Jacobian having
+    # the same bits alone as in any batch
+    rng = np.random.default_rng(n)
+    fm = features.sample_feature_map(kind, 37, n, seed=9)
+    coeffs = rng.normal(size=fm.feature_dim)
+    X = rng.normal(size=(50, n)) * 3
+    values = features.field_values(fm, coeffs, X)
+    jacobians = features.field_jacobians(fm, coeffs, X)
+    for i in range(X.shape[0]):
+        assert np.array_equal(features.field_values(fm, coeffs, X[i:i + 1]), values[i:i + 1])
+        assert np.array_equal(features.field_jacobians(fm, coeffs, X[i:i + 1]),
+                              jacobians[i:i + 1])
 
 
 def test_jacobian_zero_coefficients():

@@ -18,6 +18,7 @@ from cvfield.solver import (CONTRACTION_MARGIN, ADMMSettings, ConstrainedLSQProb
                             assemble_problem, interior_point_solve)
 
 CF = KernelKind("curl_free", 1.0)
+GS = KernelKind("gaussian_separable", 1.0)
 
 
 def _scalar_problem(target=2.0, lam=0.01, tau=0.5):
@@ -39,9 +40,10 @@ def test_problem_validation():
         ConstrainedLSQProblem(np.eye(2), np.zeros(3), 0.1, np.empty((0, 2, 2, 2)), np.zeros(0))
 
 
-def test_assemble_problem_shapes_and_design():
+@pytest.mark.parametrize("kind", [CF, GS], ids=["CF", "GS"])
+def test_assemble_problem_shapes_and_design(kind):
     rng = np.random.default_rng(3)
-    fm = features.sample_feature_map(CF, 30, 2, seed=0)
+    fm = features.sample_feature_map(kind, 30, 2, seed=0)
     proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
     X = rng.normal(size=(12, 2))
     Xdot = rng.normal(size=(12, 2))
