@@ -22,6 +22,7 @@ original frame) is kept for reference.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,20 +87,32 @@ class PreprocessConfig:
             raise DataError("resample_len must be at least 2")
 
 
-def _parse_header(fields):
+def _parse_header(path, fields):
     fields = [f.strip().lower() for f in fields]
     has_id = fields and fields[0] == "demo_id"
     body = fields[1:] if has_id else fields
     if not body or body[0] != "t":
-        raise ParseError("header must start with 't' (optionally after 'demo_id')", line=1)
+        raise ParseError(f"{path}: header must start with 't' (optionally after 'demo_id')", line=1)
     xcols = [c for c in body[1:] if c.startswith("x")]
     vcols = [c for c in body[1:] if c.startswith("v")]
     n = len(xcols)
     if n == 0 or body[1:] != [f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, len(vcols) + 1)]:
-        raise ParseError(f"unrecognized column layout {fields}", line=1)
+        raise ParseError(f"{path}: unrecognized column layout {fields}", line=1)
     if vcols and len(vcols) != n:
-        raise ParseError(f"{len(vcols)} velocity columns for {n} position columns", line=1)
+        raise ParseError(f"{path}: {len(vcols)} velocity columns for {n} position columns", line=1)
     return has_id, n, bool(vcols)
+
+
+def _read_text(path):
+    """The text of `path`; a byte that is not UTF-8 is a ParseError naming its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError(f"{path}: byte 0x{raw[exc.start]:02x} is not UTF-8",
+                         line=head.count(b"\n") + 1) from None
 
 
 def _read_fast(path):
@@ -108,8 +121,8 @@ def _read_fast(path):
     reject: a quote, a line longer than the csv module's field limit, a
     header it rejects, no data rows, a wrong field count, a cell
     `np.loadtxt` cannot read as a number, or a non-finite value."""
-    with open(path) as fh:          # \r\n and \r end a line, as they end a csv row
-        text = fh.read()
+    # \r\n and \r end a line, as they end a csv row
+    text = _read_text(path).replace("\r\n", "\n").replace("\r", "\n")
     if '"' in text:
         return None
     lines = text.split("\n")
@@ -118,7 +131,7 @@ def _read_fast(path):
         return None
     header = lines[0].split(",")
     try:
-        has_id, n, has_v = _parse_header(header)
+        has_id, n, has_v = _parse_header(path, header)
     except ParseError:
         return None
     rows = [line for line in lines[1:] if line.replace(",", "").strip()]
@@ -145,13 +158,12 @@ def _read_rows(path):
     """(n, has_v, {demo_id: rows}) of `path` read row by row with the csv
     module; the reference reader, which names the line of the first
     malformed row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:                                # a csv.Error is a cell longer than the field limit
+        header = next(reader, None)
+        if header is None:
             raise ParseError(f"{path}: empty file", line=1)
-        has_id, n, has_v = _parse_header(header)
+        has_id, n, has_v = _parse_header(path, header)
         ncols = len(header)
         groups = {}
         for row in reader:
@@ -168,6 +180,8 @@ def _read_rows(path):
                 raise ParseError(f"{path}: non-finite value in {row}", line=lineno)
             key = row[0].strip() if has_id else None
             groups.setdefault(key, []).append(vals)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
     if not groups:
         raise ParseError(f"{path}: no data rows")
     return n, has_v, {key: np.asarray(rows, dtype=float) for key, rows in groups.items()}

@@ -5,8 +5,8 @@ coefficients; its field is f(x) = Phi(x)^T (L theta).  The rollout
 integrator is a Dormand-Prince 4(5) embedded pair with proportional step
 control and a quartic dense-output interpolant; a goal event terminates
 integration when the state enters the ball ||x|| <= goal_radius anywhere
-along an accepted step, with the crossing time localized by bisection on
-the dense output.
+along an accepted step, at the first root of ||y(theta)||^2 - goal_radius^2
+on the step's dense output.
 
 `rollout` integrates a (K, n) batch of starts in lock-step, one field
 evaluation per stage over the starts still running; one start is a batch of
@@ -154,60 +154,38 @@ def _dense_eval(C, theta):
     return y
 
 
-def _closest_theta(C):
-    """theta in [0, 1] where ||sum_p C[p] theta^p|| is least, C (5, n).
+def _goal_entries(C, mid, radius):
+    """Per accepted step, the theta in [0, 1] at which its dense output
+    first enters the goal ball of the given radius, or nan when the whole
+    step stays out.
 
-    The candidates are the ends and the real parts of the critical points
-    of ||y||^2, a polynomial of degree 8; picking among more candidates
-    than needed only lowers the minimum found.  Leading coefficients of the
-    derivative that are negligible next to the largest one (a step that is
-    nearly a straight line) are dropped first, as they would only make the
-    companion matrix ill-conditioned.
+    The step is first bounded by a ball about its midpoint: `mid` (R, 5, n)
+    holds the coefficients c_j of y in powers of u = theta - 1/2 in
+    [-1/2, 1/2], so ||y - c_0|| <= sum_j ||c_j|| / 2^j.  Only a step whose
+    ball meets the goal ball is checked exactly.  The real parts of all
+    roots of g = ||y||^2 - radius^2, a polynomial of degree 8, cut [0, 1]
+    into pieces that are each wholly inside or wholly outside the ball
+    (extra cuts only split a piece); the entry is the left end of the first
+    piece whose middle is inside.  Testing middles, not roots, keeps a
+    grazing or rounded root from deciding the event.  Leading coefficients
+    of g negligible next to the largest one (a nearly straight step) are
+    dropped first, as they would only make the companion matrix
+    ill-conditioned.
     """
     P = np.polynomial.polynomial
-    g = sum(np.convolve(C[:, c], C[:, c]) for c in range(C.shape[1]))
-    dg = P.polyder(g)
-    dg = P.polytrim(dg, 1e-12 * np.abs(dg).max())
-    crit = np.clip(P.polyroots(dg).real, 0.0, 1.0)
-    cand = np.concatenate(([0.0, 1.0], crit))
-    return float(cand[np.argmin(P.polyval(cand, g))])
-
-
-def _goal_entries(C, mid, y1, radius):
-    """Per accepted step, a theta at which the dense output is inside the
-    goal ball of the given radius, or nan when the whole step stays out.
-
-    An endpoint y1 inside gives theta = 1.  Otherwise the step is bounded
-    by a ball about its midpoint: `mid` (R, 5, n) holds the coefficients
-    c_j of y in powers of u = theta - 1/2 in [-1/2, 1/2], so ||y - c_0|| <=
-    sum_j ||c_j|| / 2^j.  Only a step whose ball meets the goal ball gets
-    its exact closest point.
-    """
-    hit = np.where(_norms(y1) <= radius, 1.0, np.nan)
+    entry = np.full(C.shape[0], np.nan)
     reach = np.add.reduce(_norms(mid[:, 1:]) * _HALVES, axis=-1)
-    near = np.isnan(hit) & (_norms(mid[:, 0]) - reach <= radius)
-    for r in np.flatnonzero(near & np.isfinite(reach)):
-        theta = _closest_theta(C[r])
-        if _norms(_dense_eval(C[r:r + 1], theta))[0] <= radius:
-            hit[r] = theta
-    return hit
-
-
-def _locate_crossing(C, h, radius, hi, tol_t):
-    """Entry into the goal ball by bisection on [0, hi], row by row.
-
-    Each row halves its own bracket until h * width <= tol_t, so its
-    result does not depend on the other rows.
-    """
-    lo = np.zeros_like(hi)
-    while True:
-        go = h * (hi - lo) > tol_t
-        if not go.any():
-            return hi
-        mid = 0.5 * (lo + hi)
-        inside = _norms(_dense_eval(C, mid[:, None])) <= radius
-        hi = np.where(go & inside, mid, hi)
-        lo = np.where(go & ~inside, mid, lo)
+    near = (_norms(mid[:, 0]) - reach <= radius) & np.isfinite(reach)
+    for r in np.flatnonzero(near):
+        g = sum(np.convolve(C[r, :, c], C[r, :, c]) for c in range(C.shape[2]))
+        g[0] -= radius * radius
+        g = P.polytrim(g, 1e-12 * np.abs(g).max())
+        cuts = np.sort(np.concatenate(([0.0, 1.0], np.clip(P.polyroots(g).real, 0.0, 1.0))))
+        middles = 0.5 * (cuts[:-1] + cuts[1:])
+        inside = np.flatnonzero(_norms(_dense_eval(C[r:r + 1], middles[:, None])) <= radius)
+        if inside.size:
+            entry[r] = cuts[inside[0]]
+    return entry
 
 
 def rollout(f, X0, settings=None, t_eval=None):
@@ -226,7 +204,8 @@ def rollout(f, X0, settings=None, t_eval=None):
     those times (seconds, relative to the start); without it the accepted
     integrator steps are returned.  The goal event is checked over the whole
     of each accepted step, not only at its end; the crossing time, when
-    reached, is localized to 1e-6 s and appended as the final sample.  A
+    reached, is the first root of the step's dense output on the goal
+    sphere, and the state there is appended as the final sample.  A
     start whose step size underflows ends with an IntegrationError in its
     place in the results, and the other starts run on.
     """
@@ -316,16 +295,13 @@ def rollout(f, X0, settings=None, t_eval=None):
             if not idx.size:
                 continue
         C = np.concatenate([y0[:, None], hS[:, 2:6]], axis=1)
-        theta, x_stop = np.ones(idx.size), y1.copy()
+        entry = np.full(idx.size, np.nan)
         if event_on:
             mid = np.concatenate([(y0 + hS[:, 6])[:, None], hS[:, 7:]], axis=1)
-            entry = _goal_entries(C, mid, y1, s.goal_radius)
-        else:
-            entry = np.full(idx.size, np.nan)
+            entry = _goal_entries(C, mid, s.goal_radius)
         hit = ~np.isnan(entry)
-        if hit.any():
-            theta[hit] = _locate_crossing(C[hit], hc[hit, 0], s.goal_radius, entry[hit], 1e-6)
-            x_stop[hit] = _dense_eval(C[hit], theta[hit, None])
+        theta, x_stop = np.where(hit, entry, 1.0), y1.copy()
+        x_stop[hit] = _dense_eval(C[hit], entry[hit, None])
         t_stop = t[idx] + theta * hc[:, 0]
 
         for p, r in enumerate(idx):

@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from .dynamics import TrainedField
-from .errors import ParseError
+from .errors import DataError, ParseError
 from .features import FeatureMap, projector_from_basis
 from .kernels import KernelKind
 
@@ -77,9 +77,10 @@ def _numbers(key, value, shape):
 def load_model(path):
     """Read a model file back into a TrainedField.
 
-    Returns (field, config, solve_report).  A malformed file is a
-    ParseError that names it; a field that does not vanish at its
-    equilibria is a DataError."""
+    Returns (field, config, solve_report).  A malformed file, a projector
+    basis that is not orthonormal among them, is a ParseError that names
+    it; a field that does not vanish at its equilibria is a DataError that
+    names it."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -101,6 +102,9 @@ def load_model(path):
         p = fm.feature_dim
         Q, Z = doc["projector_basis"], doc["equilibria"]
         Q = np.zeros((p, 0)) if Q == [] else _numbers("projector_basis", Q, (p, None))
+        gap = np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0)
+        if gap > 1e-10:
+            raise ValueError(f"projector_basis is not orthonormal (max |Q^T Q - I| = {gap:.1e})")
         Z = np.zeros((0, n)) if Z == [] else _numbers("equilibria", Z, (None, n))
         theta = _numbers("theta", doc["theta"], (p,))
         tau = float(_numbers("tau", doc.get("tau", 0.0), ()))
@@ -108,4 +112,7 @@ def load_model(path):
         raise ParseError(f"{path}: malformed model file ({exc})")
     except ValueError as exc:                # a JSONDecodeError is one too
         raise ParseError(f"{path}: {exc}")
-    return TrainedField(fm, projector_from_basis(Q, Z), theta, Z, tau), config, report
+    try:
+        return TrainedField(fm, projector_from_basis(Q, Z), theta, Z, tau), config, report
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -574,6 +574,8 @@ def _with(doc, key, value):
     pytest.param("projector_basis", lambda v: v[1:], id="basis-row-missing"),
     pytest.param("projector_basis", lambda v: [[str(x) for x in row] for row in v],
                  id="basis-strings"),
+    pytest.param("projector_basis", lambda v: [[3 * x for x in row] for row in v],
+                 id="basis-not-orthonormal"),
     pytest.param("equilibria", [[0.0, 0.0, 0.0]], id="equilibria-width"),
     pytest.param("theta", lambda v: [str(x) for x in v], id="theta-strings"),
     pytest.param("theta", lambda v: [float("nan")] * len(v), id="theta-nan"),
@@ -601,8 +603,9 @@ def test_model_file_nonvanishing_field_is_a_data_error(workspace, tmp_path):
     doc = json.loads((workspace / "model.json").read_text())
     bad = tmp_path / "moved_goal.json"
     bad.write_text(json.dumps(_with(doc, "equilibria", [[5.0, -5.0]])))
-    with pytest.raises(DataError, match="equilibrium"):
+    with pytest.raises(DataError, match="equilibrium") as exc:
         modelfile.load_model(bad)
+    assert str(bad) in str(exc.value)
 
 
 def test_separable_train_round_trip(tmp_path, capsys, angle_train, angle_test):

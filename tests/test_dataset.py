@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from _synth import angle_demos, write_demo_csv, write_demo_dir
 from cvfield import dataset
+from cvfield.cli import main
 from cvfield.dataset import (Demonstration, DemoSet, PreprocessConfig,
                              finite_difference_velocities, load_demonstrations,
                              resample_and_average, subsample_constraint_points)
@@ -105,6 +106,25 @@ def test_load_rejects_non_finite_values(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_demonstrations(_write(tmp_path, "t,x1,x2\n0,0,0\n1,1,1\n2,inf,2\n", "inf.csv"))
     assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("content, line", [
+    pytest.param(b"t,x1\n0,0\n1," + b"9" * 131073 + b"\n2,2\n", 3, id="cell-over-field-limit"),
+    pytest.param(b"t,x1\n0,0\n1,\xff\n", 3, id="not-utf8"),
+    pytest.param(b"t,x1\r0,0\r\n1,2\r\xff,3\n", 4, id="not-utf8-after-cr"),
+])
+def test_unreadable_csv_is_a_parse_error_naming_file_and_line(tmp_path, capsys, monkeypatch,
+                                                               content, line):
+    # the same error from both readers, and `cvfield train` exits 1 with it
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    assert main(["train", "--data", str(path), "--model", str(tmp_path / "m.json")]) == 1
+    assert f"line {line}: {path}" in capsys.readouterr().err
+    for _ in range(2):
+        with pytest.raises(ParseError) as exc:
+            load_demonstrations(path)
+        assert exc.value.line == line and str(path) in str(exc.value)
+        monkeypatch.setattr(dataset, "_read_fast", lambda path: None)
 
 
 def test_load_rejects_nonmonotone_times(tmp_path):

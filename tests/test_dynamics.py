@@ -1,6 +1,7 @@
 """Trained-field evaluation, the adaptive integrator and grid export."""
 
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvfield.dataset import subsample_constraint_points
-from cvfield.dynamics import (IntegratorSettings, RolloutBatch, TrainedField,
+from cvfield.dynamics import (IntegratorSettings, RolloutBatch, TrainedField, _goal_entries,
                               export_field_grid, max_contraction_eigenvalues, rollout)
 from cvfield.errors import DataError, DimensionError, IntegrationError
 from cvfield import features
@@ -415,8 +416,50 @@ def test_rollout_catches_goal_crossing_inside_a_step():
     ro = rollout(Constant([1.0, 0.0]), np.array([[-5.0, 0.0]]),
                  IntegratorSettings(goal_radius=0.5, horizon=10.0)).results[0]
     assert ro.reached_goal
-    assert abs(ro.time_to_goal - 4.5) <= 2e-6
-    assert np.linalg.norm(ro.states[-1]) <= 0.5 + 1e-9
+    assert abs(ro.time_to_goal - 4.5) <= 1e-9
+    assert abs(np.linalg.norm(ro.states[-1]) / 0.5 - 1.0) <= 1e-9
+
+
+def _step(C):
+    """(C, mid) for _goal_entries from one step's dense-output coefficients
+    C (5, n) in powers of theta: mid holds them in powers of theta - 1/2."""
+    shift = np.array([[comb(p, j) * 0.5 ** (p - j) for p in range(5)] for j in range(5)])
+    return C[None], (shift @ C)[None]
+
+
+def test_goal_entry_is_the_first_of_several_crossings():
+    # x(theta) = 2 - 8.75 theta + 21.875 theta^2 - 15.625 theta^3 is inside
+    # the unit ball on (0.2, 0.4), outside on (0.4, 0.8) and inside again
+    # after 0.8, ending inside at x(1) = -0.5
+    entry = _goal_entries(*_step(np.array([[2.0], [-8.75], [21.875], [-15.625], [0.0]])), 1.0)
+    assert abs(entry[0] - 0.2) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10), st.floats(0.1, 2.0))
+def test_goal_entry_matches_dense_sampling(coeffs, radius):
+    # a random quartic step in the plane against 4001 samples of its path:
+    # the entry is nan only when no sample is inside, it is a point of the
+    # ball, and no sample before it is inside
+    P = np.polynomial.polynomial
+    C = np.array(coeffs).reshape(5, 2)
+    entry = _goal_entries(*_step(C), radius)[0]
+    grid, step = np.linspace(0.0, 1.0, 4001), 1.0 / 4000
+    inside = np.linalg.norm(P.polyval(grid, C).T, axis=1) <= radius
+    if np.isnan(entry):
+        assert not inside.any()
+        return
+    assert np.linalg.norm(P.polyval(entry, C)) <= radius * (1.0 + 1e-9)
+    assert not inside[grid < entry - 1e-12].any()
+    # and the path goes in: where g = ||y||^2 - radius^2 falls through 0
+    # with slope <= -(1.5 bend step + 1e-6), bend >= |g''| on [0, 1], g is
+    # below -5e-7 step at the one sample in (entry + step/2, entry + 3 step/2];
+    # a flatter contact may graze the ball between two samples
+    g = sum(np.convolve(c, c) for c in C.T)
+    g[0] -= radius * radius
+    bend = np.abs(P.polyder(g, 2)).sum()
+    if P.polyval(entry, P.polyder(g)) <= -(1.5 * bend * step + 1e-6):
+        assert inside[(grid > entry + step / 2) & (grid <= entry + 1.5 * step)].all()
 
 
 @settings(max_examples=80, deadline=None)
@@ -435,8 +478,8 @@ def test_goal_crossing_on_straight_paths(gap, offset, radius, speed, heading):
     ro = rollout(Constant(v), x0[None], IntegratorSettings(
         goal_radius=radius, horizon=2.0 * dist / speed + 1.0)).results[0]
     assert ro.reached_goal
-    assert abs(ro.time_to_goal - t_enter) <= 2e-6
-    assert np.linalg.norm(ro.states[-1]) <= radius * (1.0 + 1e-9)
+    assert abs(ro.time_to_goal - t_enter) <= 1e-9
+    assert abs(np.linalg.norm(ro.states[-1]) / radius - 1.0) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
