@@ -20,7 +20,7 @@ from .kernels import CURL_FREE, GAUSSIAN_SEPARABLE, KernelKind
 from .metrics import (EvalReport, GridEvalReport, dtw_distance, evaluate,
                       grid_evaluate, trajectory_error, velocity_error)
 from .modelfile import load_model, save_model
-from .solver import (ADMMSettings, ConstrainedLSQProblem, SolveReport,
+from .solver import (ConstrainedLSQProblem, SolveReport, SolverSettings,
                      assemble_problem, interior_point_solve)
 from .training import TrainConfig, read_settings, train_field
 

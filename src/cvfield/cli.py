@@ -73,13 +73,25 @@ def _settings(args):
     return tree
 
 
+# why phase II stopped short of its gap tolerance
 _NOT_CONVERGED = {
-    "infeasible": "phase I found tau infeasible: at best the symmetrized Jacobian "
-                  "exceeds -tau I by {violation:.3e} at some constraint point; lower tau",
     "max_iters": "solver hit its step cap (admm.max_iters = {iters}) with duality gap "
                  "{gap:.3e}; raise admm.max_iters or loosen admm.eps_abs/eps_rel",
     "stalled": "solver stalled after {iters} steps with duality gap {gap:.3e} above its "
                "tolerance; loosen admm.eps_abs/eps_rel",
+}
+# why phase I found no theta that contracts at every constraint point; no tau
+# can be met without one, whatever its value
+_NOT_FEASIBLE = {
+    "infeasible": "no theta contracts at every constraint point, so no tau >= 0 can be met: "
+                  "certified, every unit-norm theta has a point where sym J exceeds -e I, "
+                  "for every e > {bound:.3e}; change the feature map (num_features, sigma) "
+                  "or the constraint points",
+    "max_iters": "solver hit its step cap (admm.max_iters = {iters}) in phase I, before it "
+                 "found a theta that contracts at every constraint point; raise admm.max_iters",
+    "stalled": "solver stalled in phase I after {iters} steps, before it found a theta that "
+               "contracts at every constraint point (none contracts by more than {bound:.3e}); "
+               "change the feature map (num_features, sigma) or the constraint points",
 }
 
 
@@ -95,9 +107,10 @@ def cmd_train(config, data_path, model_path):
           f"max_constraint_violation={report.max_constraint_violation:.3e}")
     print(f"model written to {model_path}")
     if not report.converged:
-        print(_NOT_CONVERGED[report.stop_reason].format(
-            iters=report.iters, violation=report.max_constraint_violation,
-            gap=report.dual_residual), file=sys.stderr)
+        messages = _NOT_CONVERGED if report.contraction_bound is None else _NOT_FEASIBLE
+        print(messages[report.stop_reason].format(
+            iters=report.iters, gap=report.dual_residual, bound=report.contraction_bound),
+            file=sys.stderr)
         return 2
     return 0
 

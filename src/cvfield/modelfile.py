@@ -4,9 +4,10 @@ Models are stored as a single JSON object (schema_version "1") holding
 the training configuration, the feature map draw, the orthonormal basis Q
 of the vanishing projector (`features.projector_from_basis` rebuilds
 L = I - Q Q^T on load), the solved coefficients, the equilibria and a
-summary of the solve.  Floats survive the round trip exactly
-(shortest-round-trip decimal encoding), so save -> load -> save is
-byte-identical and a loaded model evaluates identically to the trained one.
+summary of the solve, its stop reason included.  Floats survive the round
+trip exactly (shortest-round-trip decimal encoding), so save -> load ->
+save is byte-identical and a loaded model evaluates identically to the
+trained one.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ def report_summary(report):
         "objective": _finite_or_none(report.objective),
         "max_constraint_violation": _finite_or_none(report.max_constraint_violation),
         "converged": bool(report.converged),
+        "stop_reason": report.stop_reason,
     }
 
 

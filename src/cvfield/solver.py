@@ -15,28 +15,37 @@ Nesterov-Todd scaling and Mehrotra's predictor-corrector, after CVXOPT's
 solvers", 2010).  It works in the problem's own structure: m blocks of
 n x n, and one p x p Schur complement 2 A^T A + 2 lam I + F^T F per Newton
 step, where the (n^2 m, p) matrix F holds the scaled operators
-r_i^T E_ij r_i.  The constraints are hard.  A phase I runs only when the
-ridge fit violates one: with a slack t shared by all points it minimizes
-t + rho f(theta) subject to C_i(theta) + tau_i I <= t I until t < 0.  If t
-stays positive at its optimum while rho shrinks to 1e-15 t0 / ||b||^2, the
-rate is reported infeasible: any theta that meets it costs
-f(theta) + t / rho or more.  Phase II then keeps
-s_i = -C_i(theta) - tau_i I positive definite, so every iterate is strictly
-feasible.  The constraints are imposed with a small margin,
+r_i^T E_ij r_i.  The constraints are hard, and imposed with a small margin,
 C_i(theta) + tau_i I <= -CONTRACTION_MARGIN (1 + tau_i) I, so that a
 Jacobian evaluated in another summation order still meets the rate; the
 duality gap is certified for this tightened problem.
 
-`ADMMSettings` keeps its historical name and holds the solver settings:
-`max_iters` caps the Newton steps, phase I and phase II together, and the
-run stops once the certified duality gap, an upper bound on objective
-minus optimum, falls to eps_abs + eps_rel |objective|.
+They are linear in theta with positive shifts, so they can be met for one
+tau >= 0 exactly when some theta_c has C_i(theta_c) < 0 at every point i,
+and then for all tau (the alternative for strict LMIs; Boyd, El Ghaoui,
+Feron & Balakrishnan, 1994, 2.2).  When the ridge fit violates one, phase I
+(Boyd & Vandenberghe, "Convex Optimization", 2004, 11.4) looks for theta_c
+once, whatever tau: it minimizes t + rho |theta|^2 / 2 subject to
+C_i(theta) <= t I from (theta, t) = (0, 1), where every slack is I, and
+stops "feasible" at the first t < 0.  rho = |E|_F^2 / (m n p) scales the
+run: at the start, with mu = 1 / (m n) (z = mu I, tr z = 1), the
+objective's curvature rho / mu is the mean eigenvalue of the barrier's,
+sum_i tr(E_ij E_ik).  The optimum is -e^2 / (2 rho) for the best rate e of
+a unit theta, and any dual point z bounds it below by -eps^2 / (2 rho),
+eps = |C*(z)| / tr z: no unit theta has C_i(theta) <= -e I at every point
+with e > eps.  Phase I stops "infeasible", with eps as the report's
+`contraction_bound`, once its certified gap is below unit roundoff u, so
+eps <= (2 rho u)^1/2 (at once, with eps = 0, when every E_ij is zero).
+Phase II starts from theta_ridge + a theta_c, strictly feasible by Weyl's
+inequality, and keeps s_i = -C_i(theta) - tau_i I positive definite.
 
-In the report, `dual_residual` is the certified duality gap of the phase
-the run ended in.  `stop_reason` says why the run stopped: "converged",
-"max_iters", "infeasible" or "stalled" (rounding stopped progress before
-the gap met its tolerance).  A stalled phase I is caught only when its
-Newton system or its step fails, so `max_iters` still bounds it.
+`SolverSettings`: `max_iters` caps the Newton steps of both phases, and
+phase II stops once its certified duality gap, an upper bound on objective
+minus optimum, falls to eps_abs + eps_rel |objective|.  The report's
+`dual_residual` is the gap of the phase the run ended in, and `stop_reason`
+is "converged", "max_iters", "infeasible" or "stalled" (the gap set no new
+low for _STALL_STEPS steps, or a Newton system or step failed).  After a
+phase I stop, theta is the ridge optimum and `contraction_bound` is set.
 
 The solver uses only deterministic dense linear algebra.  Each Newton step
 factors its Schur complement once, by LAPACK `dpotrf`, and solves for both
@@ -82,7 +91,7 @@ class ConstrainedLSQProblem:
 
 
 @dataclass
-class ADMMSettings:
+class SolverSettings:
     max_iters: int = 4000
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
@@ -97,6 +106,7 @@ class SolveReport:
     max_constraint_violation: float
     converged: bool
     stop_reason: str | None = None
+    contraction_bound: float | None = None
 
 
 def assemble_problem(fm, proj, pairs, cpoints, lam, tau):
@@ -214,8 +224,6 @@ def _max_eigenvalue(ops, theta, shift):
 
 # phase II imposes C_i(theta) + tau_i I <= -CONTRACTION_MARGIN (1 + tau_i) I
 CONTRACTION_MARGIN = 1e-9
-# weights of the data term in phase I, in units of t0 / ||b||^2
-PHASE1_RHO = (1e-6, 1e-9, 1e-12, 1e-15)
 _STALL_STEPS = 10
 
 
@@ -234,7 +242,7 @@ def _step_to_boundary(lam, X):
     return -1.0 / low if low < 0.0 else np.inf
 
 
-def _interior_point(P, q, G, h, x, max_steps, done, Pinv=None, gap0=0.0, floor=None):
+def _interior_point(P, q, G, h, x, max_steps, certify, done):
     """Feasible-start primal-dual interior-point method.
 
     Solves  minimize 1/2 x^T P x + q^T x  subject to  s_i = h_i - G_i(x) >= 0
@@ -242,13 +250,11 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pinv=None, gap0=0.0, floor=N
     feasible x.  Each step factors the Schur complement P + F^T F once, which
     tests it for positive definiteness, and solves with that factor for the
     affine and the Mehrotra direction.
-    `done(x, gap, rd)` returns a stop reason or None, where rd is the dual
-    residual P x + q + G^T z and gap is <s, z>, plus rd^T P^-1 rd / 2 when
-    `Pinv` is P^-1: that sum bounds the objective's distance to the
-    optimum, and a run whose bound sets no new low for _STALL_STEPS steps
-    has stalled.  `gap0` sizes the starting duals when P is not inverted,
-    as an estimate of how far x is from optimal.  No step takes x[-1]
-    below `floor`.  Returns (x, steps, gap, reason).
+    `certify(x, sz, rd)` bounds the objective's distance to the optimum,
+    given sz = <s, z> and the dual residual rd = P x + q + G^T z.
+    `done(x, gap)` returns a stop reason or None, gap being that bound.  A
+    run whose bound sets no new low for _STALL_STEPS steps, or whose Newton
+    system or step fails, has stalled.  Returns (x, steps, gap, reason).
     """
     m, d, k, _ = G.shape
     kk = k * k
@@ -259,9 +265,8 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pinv=None, gap0=0.0, floor=N
     def slack(v):
         return h - (Gop @ v).reshape(m, k, k)
 
-    # z = mu0 s^-1 starts on the central path.  mu0 best cancels the
-    # gradient, but the gap m k mu0 is no less than f(x) - min f, the
-    # bound on how far x is from the optimum
+    # z = mu0 s^-1 starts on the central path: mu0 best cancels the gradient,
+    # but the gap m k mu0 is no less than the bound at z = 0, if there is one
     s = slack(x)
     sinv = np.linalg.inv(s)
     sinv = 0.5 * (sinv + sinv.transpose(0, 2, 1))
@@ -269,9 +274,9 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pinv=None, gap0=0.0, floor=N
     v = Gop.T @ sinv.ravel()
     vv = float(v @ v)
     mu0 = -float(grad @ v) / vv if vv > 0.0 else 0.0
-    if Pinv is not None:
-        gap0 = 0.5 * float(grad @ Pinv @ grad)
-    mu0 = max(mu0, gap0 / (m * k))
+    gap0 = certify(x, 0.0, grad)          # inf where z = 0 bounds nothing
+    if gap0 < np.inf:
+        mu0 = max(mu0, gap0 / (m * k))
     z = (mu0 if mu0 > 0.0 else 1.0) * sinv
 
     steps = 0
@@ -279,13 +284,13 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pinv=None, gap0=0.0, floor=N
     while True:
         rd = P @ x + q + Gop.T @ z.ravel()
         sz = float(np.sum(s * z))
-        gap = sz + (0.5 * float(rd @ Pinv @ rd) if Pinv is not None else 0.0)
+        gap = certify(x, sz, rd)
         if gap < best:
             best, best_step = gap, steps
-        reason = done(x, gap, rd)
+        reason = done(x, gap)
         if reason is None and steps == max_steps:
             reason = "max_iters"
-        if reason is None and Pinv is not None and steps - best_step >= _STALL_STEPS:
+        if reason is None and steps - best_step >= _STALL_STEPS:
             reason = "stalled"          # the certified gap stopped shrinking
         if reason is not None:
             return x, steps, gap, reason
@@ -320,8 +325,6 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pinv=None, gap0=0.0, floor=N
         corr = sigma * mu * eye - 0.5 * (ds @ dz + dz @ ds)
         dx, ds, dz = direction(-Lam @ Lam + corr)
         a = min(1.0, 0.99 * min(_step_to_boundary(lam, ds), _step_to_boundary(lam, dz)))
-        if floor is not None and x[-1] + a * dx[-1] < floor:
-            a = (x[-1] - floor) / -dx[-1]
         dz = r @ dz @ r.transpose(0, 2, 1)
         # rounding can leave the recomputed slack outside the cone: back off
         for _ in range(40):
@@ -341,11 +344,10 @@ def _interior_point(P, q, G, h, x, max_steps, done, Pinv=None, gap0=0.0, floor=N
 def interior_point_solve(problem, settings=None):
     """Solve the problem by the primal-dual interior-point method.
 
-    See the module docstring for how `settings` is read.  The returned
-    theta is strictly feasible whenever the run reaches phase II;
-    `converged` is True when the certified duality gap met its tolerance.
+    See the module docstring for how `settings` is read and what theta
+    the report holds; `converged` is True when the gap met its tolerance.
     """
-    st = settings or ADMMSettings()
+    st = settings or SolverSettings()
     A, b, lam = problem.design, problem.targets, problem.lam
     p = A.shape[1]
     ops = problem.constraint_ops
@@ -361,17 +363,17 @@ def interior_point_solve(problem, settings=None):
     def objective(x):
         return float(np.sum((A @ x - b) ** 2) + lam * (x @ x))
 
-    def converged(x, gap, rd):
+    def converged(x, gap):
         # the objective as 1/2 x^T P x + q^T x + b^T b: one product with P
         # instead of one with A; the report keeps the direct form
         f = 0.5 * float(x @ (P @ x)) + float(q @ x) + btb
         return "converged" if gap <= st.eps_abs + st.eps_rel * f else None
 
-    def report(x, steps, gap, reason):
+    def report(x, steps, gap, reason, bound=None):
         violation = _max_eigenvalue(ops, x, problem.tau) if m else float("-inf")
         return SolveReport(theta=x, iters=steps, dual_residual=gap, objective=objective(x),
                            max_constraint_violation=violation, converged=reason == "converged",
-                           stop_reason=reason)
+                           stop_reason=reason, contraction_bound=bound)
 
     if m == 0:
         return report(theta, 0, 0.0, "converged")
@@ -381,37 +383,35 @@ def interior_point_solve(problem, settings=None):
 
     steps1 = 0
     if worst >= 0.0:
-        # Phase I: minimize t + rho f(theta) subject to C_i(theta) - t I <= h_i
-        # from the strictly feasible (theta_ridge, t0), until t < 0.  The data
-        # term keeps the barrier bounded.  If t stays >= 0 at the optimum, any
-        # theta meeting tau costs f(theta_1) + t / rho or more (theta_1 the
-        # phase I point), and rho shrinks until that bound is beyond reach.
-        # Steps stop at t = -t0, so that phase II starts near the data rather
-        # than far along a ray of easy tau.
-        t0 = worst + 1.0
+        # phase I over x = (theta, t), from e_t = (0, 1); see the module docstring
+        rho = float(np.sum(ops * ops)) / (m * n * p)
+        if rho == 0.0:                       # C_i(theta) = 0 for every theta
+            return report(theta, 0, 0.0, "infeasible", 0.0)
+        bound = {}
+
+        def certify(x, sz, rd):
+            # z / tr z is dual feasible: tr z = 1 - rd_t, C*(z) = rd_theta - rho theta
+            trz, cz = 1.0 - rd[-1], rd[:p] - rho * x[:p]
+            eps = bound["eps"] = float(np.linalg.norm(cz)) / trz if trz > 0.0 else np.inf
+            return x[-1] + 0.5 * rho * float(x[:p] @ x[:p]) + eps * eps / (2.0 * rho)
+
+        def feasible(x, gap):
+            return ("feasible" if x[-1] < 0.0
+                    else "infeasible" if gap <= np.finfo(float).eps else None)
+
+        e_t = np.eye(p + 1)[p]
         G1 = np.concatenate([ops, np.broadcast_to(-eye, (m, 1, n, n))], axis=1)
-        x1 = np.append(theta, t0)
-
-        def phase1_done(x, gap, rd):
-            if x[-1] < 0.0:
-                return "feasible"
-            tol = st.eps_abs + st.eps_rel * abs(x[-1])
-            return "infeasible" if gap <= tol and np.linalg.norm(rd) <= tol else None
-
-        for rho in PHASE1_RHO:
-            rho *= t0 / (btb if btb > 0.0 else 1.0)
-            P1 = np.zeros((p + 1, p + 1))
-            P1[:p, :p] = rho * P
-            x1, used, gap, reason = _interior_point(
-                P1, np.append(rho * q, 1.0), G1, h, x1, st.max_iters - steps1, phase1_done,
-                gap0=t0, floor=-t0)
-            steps1 += used
-            if reason != "infeasible":
-                break
+        x1, steps1, gap, reason = _interior_point(rho * np.diag(1.0 - e_t), e_t, G1, 0.0 * h,
+                                                  e_t, st.max_iters, certify, feasible)
         if reason != "feasible":
-            return report(x1[:p], steps1, gap, reason)
-        theta = x1[:p]
+            return report(theta, steps1, gap, reason, bound["eps"])
+        # Weyl: lambda_max(C_i(theta + a theta_c) + shift_i I) <= worst - a lam_c,
+        # lam_c = -max_i lambda_max(C_i(theta_c)) > 0: this a leaves 1% of worst + lam_c
+        lam_c = -_max_eigenvalue(ops, x1[:p], np.zeros(m))
+        theta = theta + (1.01 * worst / lam_c + 1.0) * x1[:p]
 
+    Pinv = np.linalg.inv(P)
     x, steps, gap, reason = _interior_point(
-        P, q, ops, h, theta, st.max_iters - steps1, converged, Pinv=np.linalg.inv(P))
+        P, q, ops, h, theta, st.max_iters - steps1,
+        lambda x, sz, rd: sz + 0.5 * float(rd @ Pinv @ rd), converged)
     return report(x, steps1 + steps, gap, reason)

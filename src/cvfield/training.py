@@ -20,7 +20,7 @@ from .dynamics import TrainedField
 from .errors import ConfigError
 from .features import build_vanishing_projector, sample_feature_map
 from .kernels import CURL_FREE, KernelKind
-from .solver import ADMMSettings, assemble_problem, interior_point_solve, single_blas_thread
+from .solver import SolverSettings, assemble_problem, interior_point_solve, single_blas_thread
 
 # keys in older config files that nothing reads: the former ADMM solver's, the
 # soft-constraint weight (0 in every file that trained hard constraints), and
@@ -33,11 +33,11 @@ _RETIRED_KEYS = {"admm": ("rho", "adapt_rho", "slack_weight"),
 class TrainConfig:
     """Training configuration.
 
-    `admm` holds the solver settings under their historical name; training
-    runs `interior_point_solve`, which imposes the constraints hard and reads
-    `max_iters` as its cap on Newton steps and `eps_abs` + `eps_rel`
-    |objective| as its duality-gap tolerance.  `from_dict` reads a mapping,
-    such as a config file, with `read_settings`.
+    `admm` holds the `SolverSettings` under the key's historical name;
+    training runs `interior_point_solve`, which imposes the constraints hard
+    and reads `max_iters` as its cap on Newton steps and `eps_abs` +
+    `eps_rel` |objective| as its phase II duality-gap tolerance.
+    `from_dict` reads a mapping, such as a config file, with `read_settings`.
     """
 
     kernel: str = CURL_FREE
@@ -47,7 +47,7 @@ class TrainConfig:
     tau: float = 0.0
     constraint_points: int = 250
     seed: int = 0
-    admm: ADMMSettings = field(default_factory=ADMMSettings)
+    admm: SolverSettings = field(default_factory=SolverSettings)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
 
     def validate(self):

@@ -4,7 +4,7 @@ import pytest
 from _synth import angle_demos, decay_demos
 from cvfield import TrainConfig, train_field
 from cvfield.dataset import DemoSet
-from cvfield.solver import ADMMSettings
+from cvfield.solver import SolverSettings
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def angle_model(angle_train):
     """Small curl-free model shared read-only by dynamics/metrics/cli tests."""
     cfg = TrainConfig(kernel="curl_free", sigma=10.0, num_features=200, lam=0.01,
                       tau=0.0, constraint_points=100, seed=0,
-                      admm=ADMMSettings(eps_abs=1e-6, eps_rel=1e-7, max_iters=60000))
+                      admm=SolverSettings(eps_abs=1e-6, eps_rel=1e-7, max_iters=60000))
     field, report, avg = train_field(angle_train, cfg)
     assert report.converged and report.max_constraint_violation <= 1e-5
     return field, report, avg
@@ -42,7 +42,7 @@ def decay_model():
     test = DemoSet(full.demos[2:], full.goal)
     cfg = TrainConfig(kernel="curl_free", sigma=15.0, num_features=100, lam=0.01,
                       tau=0.3, constraint_points=60, seed=0,
-                      admm=ADMMSettings(eps_abs=1e-6, eps_rel=1e-7, max_iters=60000))
+                      admm=SolverSettings(eps_abs=1e-6, eps_rel=1e-7, max_iters=60000))
     field, report, avg = train_field(train, cfg)
     assert report.converged
     return field, report, avg, train, test

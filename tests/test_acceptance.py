@@ -23,7 +23,7 @@ from cvfield.features import (build_vanishing_projector, feature_rows,
                               sample_feature_map)
 from cvfield.kernels import KernelKind
 from cvfield.metrics import evaluate, grid_evaluate
-from cvfield.solver import (ADMMSettings, ConstrainedLSQProblem, assemble_problem,
+from cvfield.solver import (ConstrainedLSQProblem, SolverSettings, assemble_problem,
                             interior_point_solve)
 
 LN_1000 = 6.907755278982137
@@ -49,7 +49,7 @@ def tau0_bundle(s_train):
     """Full-scale constrained training, tau = 0, 250 constraint points."""
     cfg = TrainConfig(kernel="curl_free", sigma=20.0, num_features=200,
                       lam=0.01, tau=0.0, constraint_points=250, seed=0,
-                      admm=ADMMSettings(eps_abs=5e-6, eps_rel=1e-9, max_iters=250000))
+                      admm=SolverSettings(eps_abs=5e-6, eps_rel=1e-9, max_iters=250000))
     t0 = time.perf_counter()
     field, report, avg = train_field(s_train, cfg)
     wall = time.perf_counter() - t0
@@ -62,7 +62,7 @@ def tau100_bundle(s_train):
     rate by about 100, so the solver's phase I must find a feasible start."""
     cfg = TrainConfig(kernel="curl_free", sigma=20.0, num_features=200,
                       lam=0.01, tau=100.0, constraint_points=50, seed=0,
-                      admm=ADMMSettings(eps_abs=2e-4, eps_rel=1e-9, max_iters=250000))
+                      admm=SolverSettings(eps_abs=2e-4, eps_rel=1e-9, max_iters=250000))
     t0 = time.perf_counter()
     field, report, avg = train_field(s_train, cfg)
     wall = time.perf_counter() - t0
@@ -76,7 +76,7 @@ def _ridge_field(dset, sigma, num_features, seed):
     proj = build_vanishing_projector(fm, np.zeros((1, 2)))
     prob = assemble_problem(fm, proj, (avg.positions, avg.velocities),
                             np.empty((0, 2)), 0.01, 0.0)
-    rep = interior_point_solve(prob, ADMMSettings())
+    rep = interior_point_solve(prob, SolverSettings())
     return TrainedField(fm, proj, rep.theta, np.zeros((1, 2))), rep
 
 
@@ -88,8 +88,8 @@ def seed_models():
         dset = s_demos(num=4, samples=1000, seed=seed)
         cfg = TrainConfig(kernel="curl_free", sigma=20.0, num_features=200,
                           lam=0.01, tau=0.0, constraint_points=250, seed=0,
-                          admm=ADMMSettings(eps_abs=1e-4, eps_rel=1e-9,
-                                            max_iters=150000))
+                          admm=SolverSettings(eps_abs=1e-4, eps_rel=1e-9,
+                                              max_iters=150000))
         con_field, con_rep, _ = train_field(dset, cfg)
         ridge_field, _ = _ridge_field(dset, 20.0, 200, 0)
         out.append((seed, dset, con_field, con_rep, ridge_field))
@@ -255,8 +255,8 @@ def test_criterion_06_solver_optimality_oracle():
         ops[:, 0] = -np.eye(2)    # strictly feasible direction
         prob = ConstrainedLSQProblem(A, b, 0.1, ops,
                                      np.full(m, 0.2))
-        rep = interior_point_solve(prob, ADMMSettings(eps_abs=1e-10, eps_rel=1e-10,
-                                                      max_iters=300000))
+        rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10,
+                                                        max_iters=300000))
         assert rep.converged
         val = float(np.sum((A @ rep.theta - b) ** 2) + 0.1 * rep.theta @ rep.theta)
         half = 2.0 * np.linalg.norm(rep.theta) + 1.0
@@ -265,8 +265,8 @@ def test_criterion_06_solver_optimality_oracle():
     # scalar KKT toy: pull to +2 clamped at -0.5
     toy = ConstrainedLSQProblem(np.array([[1.0]]), np.array([2.0]), 0.01,
                                 np.ones((1, 1, 1, 1)), np.array([0.5]))
-    toy_rep = interior_point_solve(toy, ADMMSettings(eps_abs=1e-9, eps_rel=1e-9,
-                                                     max_iters=100000))
+    toy_rep = interior_point_solve(toy, SolverSettings(eps_abs=1e-9, eps_rel=1e-9,
+                                                       max_iters=100000))
     toy_err = abs(toy_rep.theta[0] + 0.5)
     ok = max(gaps) <= 1e-4 and toy_err <= 1e-5
     _verdict(6, "solver optimality oracle", ok,

@@ -12,14 +12,14 @@ import pytest
 
 import cvfield
 from _synth import s_demos, write_demo_csv
-from cvfield import TrainConfig, modelfile, train_field, training
+from cvfield import TrainConfig, modelfile, solver, train_field, training
 from cvfield.cli import cmd_export_field, main
 from cvfield.dataset import (load_demonstrations, resample_and_average,
                              subsample_constraint_points)
 from cvfield.dynamics import max_contraction_eigenvalues
 from cvfield.errors import ConfigError, DataError, ParseError
 from cvfield.features import field_values
-from cvfield.solver import ADMMSettings
+from cvfield.solver import SolverSettings
 
 CLI_CONFIG = {
     "kernel": "curl_free",
@@ -59,7 +59,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(sigma=-1.0).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(admm=ADMMSettings(max_iters=0)).validate()
+        TrainConfig(admm=SolverSettings(max_iters=0)).validate()
 
 
 def test_config_dict_round_trip():
@@ -198,8 +198,25 @@ def test_train_infeasible_tau_message(workspace, capsys, monkeypatch):
     out = capsys.readouterr()
     assert rc == 2
     assert "stop=infeasible" in out.out
-    assert "phase I found tau infeasible" in out.err
-    assert "lower tau" in out.err and "step cap" not in out.err
+    # tau cannot help: without a contracting direction no tau >= 0 is met
+    assert "no theta contracts at every constraint point" in out.err
+    assert "e > 0.000e+00" in out.err
+    assert "num_features, sigma" in out.err and "lower tau" not in out.err
+    assert "step cap" not in out.err
+
+
+@pytest.mark.parametrize("stop", ["max_iters", "stalled"])
+def test_train_phase1_stop_message(workspace, capsys, monkeypatch, stop):
+    # phase I has no gap tolerance, so its stops never advise loosening one
+    if stop == "stalled":
+        monkeypatch.setattr(solver, "_cholesky_solver", lambda S: None)
+    rc = _train_weak(workspace, f"phase1_{stop}", tau=1000.0,
+                     admm=dict(CLI_CONFIG["admm"], max_iters=1))
+    out = capsys.readouterr()
+    assert rc == 2
+    assert f"stop={stop}" in out.out
+    assert "in phase I" in out.err and "contracts at every constraint point" in out.err
+    assert "eps_abs" not in out.err and "eps_rel" not in out.err
 
 
 @pytest.mark.parametrize("override", ["admm=5", "preprocess=[1]"])
@@ -495,6 +512,7 @@ def test_export_field_lambda_column(workspace):
 def test_model_file_round_trip(workspace):
     p1 = workspace / "model.json"
     field, config, report = modelfile.load_model(p1)
+    assert report["converged"] is True and report["stop_reason"] == "converged"
     p2 = workspace / "resaved.json"
     modelfile.save_model(p2, field, config, report)
     assert p1.read_bytes() == p2.read_bytes()
@@ -639,7 +657,7 @@ def test_report_summary_null_for_unconstrained():
     from types import SimpleNamespace
     rep = SimpleNamespace(iters=1, dual_residual=0.0,
                           objective=1.5, max_constraint_violation=float("-inf"),
-                          converged=True)
+                          converged=True, stop_reason="converged")
     doc = modelfile.report_summary(rep)
     assert doc["max_constraint_violation"] is None
     text = json.dumps(doc)

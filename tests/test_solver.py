@@ -1,9 +1,9 @@
 """Problem assembly and the interior-point solver.
 
-The `test_admm_*` tests solve the problems of the former ADMM solver's tests
-with `interior_point_solve`, taking the settings from the tests' original
-`admm` config blocks through `TrainConfig.from_dict`, so the retired `rho`
-and `adapt_rho` keys ride along and must change nothing.
+The `test_config_block_*` tests load `admm` config blocks, retired keys
+(`rho`, `adapt_rho`) included, through `TrainConfig.from_dict` and solve
+with the settings they load to in `interior_point_solve`: the retired keys
+must change nothing.
 """
 
 from pathlib import Path
@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _synth import s_demos
 from cvfield import TrainConfig, features, solver, train_field
 from cvfield.errors import DimensionError
 from cvfield.kernels import KernelKind
-from cvfield.solver import (CONTRACTION_MARGIN, ADMMSettings, ConstrainedLSQProblem,
+from cvfield.solver import (CONTRACTION_MARGIN, ConstrainedLSQProblem, SolverSettings,
                             assemble_problem, interior_point_solve)
 
 CF = KernelKind("curl_free", 1.0)
@@ -114,7 +115,7 @@ def test_ipm_unconstrained_equals_ridge():
     b = rng.normal(size=20)
     lam = 0.1
     prob = ConstrainedLSQProblem(A, b, lam, np.empty((0, 6, 2, 2)), np.zeros(0))
-    rep = interior_point_solve(prob, ADMMSettings())
+    rep = interior_point_solve(prob, SolverSettings())
     ref = np.linalg.solve(A.T @ A + lam * np.eye(6), A.T @ b)
     np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
     assert rep.converged and rep.iters == 0
@@ -124,7 +125,7 @@ def test_ipm_unconstrained_equals_ridge():
 
 def test_ipm_scalar_clamp():
     prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
-    rep = interior_point_solve(prob, ADMMSettings(eps_abs=1e-10, eps_rel=1e-10))
+    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
     assert rep.converged and rep.stop_reason == "converged"
     assert abs(rep.theta[0] + 0.5) <= 1e-5
     # strictly feasible: the iterate never leaves the cone's interior
@@ -138,7 +139,7 @@ def test_ipm_scalar_clamp():
 
 def test_ipm_flags_step_cap():
     prob = _scalar_problem()
-    rep = interior_point_solve(prob, ADMMSettings(max_iters=2))
+    rep = interior_point_solve(prob, SolverSettings(max_iters=2))
     assert not rep.converged
     assert rep.stop_reason == "max_iters"
     assert rep.iters == 2
@@ -149,7 +150,7 @@ def test_ipm_stalls_on_unreachable_tolerance():
     # a zero gap tolerance cannot be met in floating point: the run must stop
     # on its own long before the step cap, with finite residuals
     prob = _scalar_problem()
-    rep = interior_point_solve(prob, ADMMSettings(eps_abs=0.0, eps_rel=0.0, max_iters=4000))
+    rep = interior_point_solve(prob, SolverSettings(eps_abs=0.0, eps_rel=0.0, max_iters=4000))
     assert not rep.converged
     assert rep.stop_reason == "stalled"
     assert rep.iters < 100
@@ -158,20 +159,80 @@ def test_ipm_stalls_on_unreachable_tolerance():
 
 
 def test_ipm_phase1_reports_infeasible_tau():
-    # C(theta) = 0 whatever theta is, so 0 <= -tau cannot hold for tau > 0
+    # C(theta) = 0 whatever theta is, so 0 <= -tau cannot hold for tau > 0:
+    # infeasible before any step, and theta is the ridge fit
     prob = _scalar_problem(tau=0.5)
     prob.constraint_ops = np.zeros((1, 1, 1, 1))
-    rep = interior_point_solve(prob, ADMMSettings())
+    rep = interior_point_solve(prob, SolverSettings())
     assert not rep.converged
     assert rep.stop_reason == "infeasible"
+    assert rep.iters == 0 and rep.contraction_bound == 0.0
+    assert rep.theta[0] == pytest.approx(2.0 / 1.01, rel=1e-12)
     assert abs(rep.max_constraint_violation - 0.5) <= 1e-5
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_ipm_phase1_certifies_indefinite_cone(tau):
+    # C(theta) = theta diag(1, -1) has eigenvalues +-theta: no theta contracts,
+    # yet no operator is zero.  The certified rate bound is at rounding level:
+    # eps <= (2 rho u)^1/2 with rho = |diag(1, -1)|_F^2 / (m n p) = 1
+    prob = _scalar_problem(tau=tau)
+    prob.constraint_ops = np.diag([1.0, -1.0])[None, None]
+    rep = interior_point_solve(prob, SolverSettings())
+    assert rep.stop_reason == "infeasible" and not rep.converged
+    assert 0.0 <= rep.contraction_bound <= np.sqrt(2.0 * np.finfo(float).eps)
+    assert 0.0 <= rep.dual_residual <= np.finfo(float).eps
+    assert rep.theta[0] == pytest.approx(2.0 / 1.01, rel=1e-12)
+
+
+@pytest.mark.parametrize("rate", [1e-3, 1e-6, 1e-9])
+def test_ipm_contraction_bound_is_sound(rate):
+    # e_0 contracts by `rate` at every point and every other direction is
+    # trace-free: the run either finds a feasible theta or reports a bound
+    # that no unit theta beats, e_0 included
+    rng = np.random.default_rng(5)
+    ops = rng.normal(size=(20, 30, 2, 2))
+    ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
+    ops -= np.einsum("ipaa->p", ops)[None, :, None, None] / 40.0 * np.eye(2)
+    ops[:, 0] = -rate * np.eye(2)
+    prob = ConstrainedLSQProblem(rng.normal(size=(90, 30)), 10.0 * rng.normal(size=90), 0.1,
+                                 ops, np.full(20, 0.5))
+    rep = interior_point_solve(prob, SolverSettings())
+    assert rep.stop_reason in ("converged", "infeasible")
+    if rep.stop_reason == "converged":
+        assert rep.max_constraint_violation < 0.0 and rep.contraction_bound is None
+    else:
+        assert rep.contraction_bound >= rate * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("offset", [1e-6, 1e-15, 1e-16])
+def test_ipm_phase2_start_is_inside_when_ridge_grazes_the_cone(offset):
+    # the ridge fit violates the tightened constraint by about `offset` only:
+    # phase II must still start strictly inside the cone, not on its boundary
+    edge = -0.5 - CONTRACTION_MARGIN * 1.5
+    prob = _scalar_problem(target=(edge + offset) * 1.01, lam=0.01, tau=0.5)
+    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-12, eps_rel=1e-12))
+    assert rep.stop_reason == "converged" and rep.max_constraint_violation < 0.0
+
+
+@pytest.mark.parametrize("tau", [1000.0, 3000.0])
+def test_fast_rates_on_the_s_curve_are_feasible(tau):
+    # the benchmark's S-curve settings at rates the ridge fit misses by about
+    # tau: a contracting direction scaled up meets any rate, so phase II runs
+    # and ends strictly feasible, with the margin
+    cfg = TrainConfig(kernel="curl_free", sigma=20.0, num_features=200, lam=0.01, tau=tau,
+                      constraint_points=100, seed=0,
+                      admm=SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000))
+    _, rep, _ = train_field(s_demos(num=4, samples=1000, seed=1), cfg)
+    assert rep.converged and rep.stop_reason == "converged"
+    assert rep.max_constraint_violation <= -0.5 * CONTRACTION_MARGIN * (1.0 + tau) < 0.0
 
 
 def test_ipm_deterministic():
     rng = np.random.default_rng(5)
     prob = _random_lmi_problem(rng, p=4, m=3)
-    r1 = interior_point_solve(prob, ADMMSettings(eps_abs=1e-9, eps_rel=1e-9))
-    r2 = interior_point_solve(prob, ADMMSettings(eps_abs=1e-9, eps_rel=1e-9))
+    r1 = interior_point_solve(prob, SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
+    r2 = interior_point_solve(prob, SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
     assert r1.converged
     assert np.array_equal(r1.theta, r2.theta)
     assert r1.objective == r2.objective and r1.dual_residual == r2.dual_residual
@@ -183,7 +244,7 @@ def test_ipm_matches_grid_search_oracle():
     rng = np.random.default_rng(3)
     for p, m, pts in ((4, 1, 7), (6, 2, 5)):
         prob = _random_lmi_problem(rng, p, m)
-        rep = interior_point_solve(prob, ADMMSettings(eps_abs=1e-10, eps_rel=1e-10))
+        rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
         assert rep.converged
         assert rep.max_constraint_violation < 0.0
         val = float(np.sum((prob.design @ rep.theta - prob.targets) ** 2)
@@ -234,7 +295,7 @@ def test_indefinite_schur_complement_stalls(monkeypatch, path):
     # the same refusal inside a run: every Schur complement negated
     factor = solver._cholesky_solver
     monkeypatch.setattr(solver, "_cholesky_solver", lambda S: factor(-S))
-    rep = interior_point_solve(_scalar_problem(), ADMMSettings())
+    rep = interior_point_solve(_scalar_problem(), SolverSettings())
     assert rep.stop_reason == "stalled" and rep.iters == 0
 
 
@@ -243,7 +304,7 @@ def _admm_block(**block):
     return TrainConfig.from_dict({"admm": block}).admm
 
 
-def test_admm_unconstrained_equals_ridge():
+def test_config_block_unconstrained_equals_ridge():
     rng = np.random.default_rng(4)
     A = rng.normal(size=(20, 6))
     b = rng.normal(size=20)
@@ -255,7 +316,7 @@ def test_admm_unconstrained_equals_ridge():
     assert rep.converged and rep.max_constraint_violation == float("-inf")
 
 
-def test_admm_scalar_clamp():
+def test_config_block_scalar_clamp():
     prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
     rep = interior_point_solve(prob, _admm_block(rho=5.0, eps_abs=1e-8, eps_rel=1e-8,
                                                  max_iters=20000))
@@ -264,14 +325,14 @@ def test_admm_scalar_clamp():
     assert rep.max_constraint_violation <= 1e-5
 
 
-def test_admm_flags_nonconvergence():
+def test_config_block_flags_nonconvergence():
     prob = _scalar_problem()
     rep = interior_point_solve(prob, _admm_block(rho=5.0, max_iters=3))
     assert not rep.converged
     assert rep.iters == 3
 
 
-def test_admm_deterministic():
+def test_config_block_deterministic():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(16, 4))
     b = rng.normal(size=16)
@@ -285,7 +346,7 @@ def test_admm_deterministic():
     assert r1.objective == r2.objective
 
 
-def test_admm_matches_grid_search_oracle():
+def test_config_block_matches_grid_search_oracle():
     rng = np.random.default_rng(6)
     p = 4
     A = rng.normal(size=(10, p))
