@@ -236,9 +236,10 @@ def _posdef(X):
 
 
 def _step_to_boundary(lam, X):
-    """Largest a with diag(lam_i) + a X_i >= 0 for every block (inf if none)."""
+    """Largest a with diag(lam_i) + a X_i >= 0 for every block (inf if none);
+    X is (..., m, k, k), so ds and dz stacked take one call."""
     li = 1.0 / np.sqrt(lam)
-    low = float(np.min(np.linalg.eigvalsh(li[:, :, None] * X * li[:, None, :])[:, 0]))
+    low = float(np.min(np.linalg.eigvalsh(li[:, :, None] * X * li[:, None, :])[..., 0]))
     return -1.0 / low if low < 0.0 else np.inf
 
 
@@ -278,6 +279,7 @@ def _interior_point(P, q, G, h, x, max_steps, certify, done):
     if gap0 < np.inf:
         mu0 = max(mu0, gap0 / (m * k))
     z = (mu0 if mu0 > 0.0 else 1.0) * sinv
+    Ls, Lz = np.linalg.cholesky(np.stack([s, z]))
 
     steps = 0
     best, best_step = np.inf, 0
@@ -295,9 +297,8 @@ def _interior_point(P, q, G, h, x, max_steps, certify, done):
         if reason is not None:
             return x, steps, gap, reason
 
-        # Nesterov-Todd scaling r_i with r^T s r = r^-1 z r^-T = diag(lam)
-        Ls = np.linalg.cholesky(s)
-        Lz = np.linalg.cholesky(z)
+        # Nesterov-Todd scaling r_i with r^T s r = r^-1 z r^-T = diag(lam),
+        # from the factors Ls, Lz of s and z
         _, lam, Vt = np.linalg.svd(Lz.transpose(0, 2, 1) @ Ls)
         r = np.linalg.solve(Ls.transpose(0, 2, 1), Vt.transpose(0, 2, 1))
         r *= np.sqrt(lam)[:, None, :]
@@ -318,23 +319,26 @@ def _interior_point(P, q, G, h, x, max_steps, certify, done):
             return dx, -Fdx, dm + Fdx
 
         _, ds, dz = direction(-Lam @ Lam)
-        a = min(1.0, _step_to_boundary(lam, ds), _step_to_boundary(lam, dz))
+        a = min(1.0, _step_to_boundary(lam, np.stack([ds, dz])))
         mu = sz / (m * k)
         mu_aff = float(np.sum((Lam + a * ds) * (Lam + a * dz))) / (m * k)
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
         corr = sigma * mu * eye - 0.5 * (ds @ dz + dz @ ds)
         dx, ds, dz = direction(-Lam @ Lam + corr)
-        a = min(1.0, 0.99 * min(_step_to_boundary(lam, ds), _step_to_boundary(lam, dz)))
+        a = min(1.0, 0.99 * _step_to_boundary(lam, np.stack([ds, dz])))
         dz = r @ dz @ r.transpose(0, 2, 1)
-        # rounding can leave the recomputed slack outside the cone: back off
+        # rounding can leave the recomputed slack outside the cone: back off;
+        # the factors that accept the step serve the next one
         for _ in range(40):
             x_new = x + a * dx
             s_new = slack(x_new)
             z_new = z + a * dz
             z_new = 0.5 * (z_new + z_new.transpose(0, 2, 1))
-            if _posdef(s_new) and _posdef(z_new):
+            try:
+                Ls, Lz = np.linalg.cholesky(np.stack([s_new, z_new]))
                 break
-            a *= 0.5
+            except np.linalg.LinAlgError:
+                a *= 0.5
         else:
             return x, steps, gap, "stalled"
         x, s, z = x_new, s_new, z_new
