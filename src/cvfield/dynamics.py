@@ -82,7 +82,7 @@ class TrainedField:
                            np.asarray(self.equilibria, dtype=float).reshape(-1, self.map.n))
         if self.theta.shape != (self.map.feature_dim,):
             raise DimensionError("theta length must equal the feature dimension")
-        object.__setattr__(self, "eta", self.proj.L @ self.theta)
+        object.__setattr__(self, "eta", self.proj.apply(self.theta))
         if self.equilibria.shape[0]:
             vals = features.field_values(self.map, self.eta, self.equilibria)
             worst = float(np.max(np.linalg.norm(vals, axis=1)))

@@ -20,6 +20,8 @@ Equilibria are enforced exactly by the vanishing projector
 L = I - Q Q^T, with Q an orthonormal basis of range [Phi(z_1) ... Phi(z_p)].
 The projected features Phi^Z(x) = L Phi(x) span fields that are zero at
 every z, and L theta is the effective coefficient vector of the raw map.
+Q has r = n |Z| columns, far fewer than feature_dim, so L is applied in
+its rank-r form v - Q (Q^T v), never as a dense product.
 """
 
 from __future__ import annotations
@@ -64,6 +66,22 @@ class VanishingProjector:
     basis: np.ndarray    # Q, (feature_dim, r)
     Z: np.ndarray        # (p, n), possibly empty
 
+    def apply(self, V):
+        """V L = V - (V Q) Q^T, L applied along the last axis of V; L is
+        symmetric, so for a vector this is L v."""
+        return V - (V @ self.basis) @ self.basis.T
+
+    def apply_both_sides(self, H):
+        """L H L of a symmetric H, written over H: with M = H Q - Q (Q^T H Q) / 2,
+        L H L = H - M Q^T - Q M^T, and no (feature_dim, feature_dim)
+        temporary beyond one product."""
+        Q = self.basis
+        HQ = H @ Q
+        M = HQ - 0.5 * (Q @ (Q.T @ HQ))
+        H -= M @ Q.T
+        H -= Q @ M.T
+        return H
+
 
 def sample_feature_map(kind, s, n, seed):
     """Draw a deterministic feature map from a counter-based RNG stream."""
@@ -99,11 +117,26 @@ def _angles(X, W, b):
 
 
 def feature_rows(fm, X):
-    """Stacked transposed features [Phi(x_1)^T; ...], shape (N n, feature_dim):
-    the raw design matrix; times a projector L, the vanishing one."""
+    """Stacked transposed features [Phi(x_1)^T; ...], shape (N n, feature_dim);
+    its transpose is the block [Phi(x_1) ... Phi(x_N)]."""
     W, b, U, g, _ = _table(fm)
     rows = fm.scale * g(_angles(X, W, b))[:, None, :] * U.T[None, :, :]
     return rows.reshape(-1, fm.feature_dim)
+
+
+def normal_equations(fm, X, Y):
+    """A^T A and A^T y for the raw features A = feature_rows(fm, X) at points
+    X (N, n) and the fields y = Y.ravel() at them, Y (N, n), without forming
+    A.  With the (N, feature_dim) profiles G = g(X W^T + b),
+    A^T A = (2/s) (G^T G) o (U U^T) and A^T y = sqrt(2/s) sum_c (G^T Y) o U."""
+    W, b, U, g, _ = _table(fm)
+    G = g(_angles(X, W, b))
+    moment = fm.scale * np.sum((G.T @ Y) * U, axis=1)
+    gram = G.T @ G
+    del G                     # freed before U U^T: two (N or p, p) arrays held at most
+    gram *= U @ U.T
+    gram *= 2.0 / fm.s
+    return gram, moment
 
 
 def field_values(fm, coeffs, X):
@@ -160,7 +193,7 @@ def symmetrized_jacobian_basis(fm, proj, X):
     W, b, U, _, dg = _table(fm)
     # raw[i, c, d, k] = sqrt(2/s) g'(w_k^T x_i + b_k) u_k[c] w_k[d], shape (m, n, n, p)
     raw = (fm.scale * dg(_angles(X, W, b)))[:, None, None, :] * (U.T[:, None] * W.T[None])
-    J = (raw.reshape(m * n * n, p) @ proj.L).reshape(m, n, n, p)
+    J = proj.apply(raw.reshape(m * n * n, p)).reshape(m, n, n, p)
     J = 0.5 * (J + J.transpose(0, 2, 1, 3))      # leaves the symmetric curl-free J as it is
     return np.ascontiguousarray(J.transpose(0, 3, 1, 2))
 

@@ -7,7 +7,10 @@ The training problem is
 
 for i = 1..m constraint points, where C_i is the linear map
 C_i(theta) = sum_j theta_j E_ij built from symmetrized per-component
-feature Jacobians E_ij.
+feature Jacobians E_ij.  The solver needs A and b only through the
+normal equations A^T A, A^T b and b^T b, and `assemble_problem` builds
+those from the feature map directly, so the (N n, p) design A never
+exists; see `features.normal_equations`.
 
 `interior_point_solve` is a primal-dual path-following method with
 Nesterov-Todd scaling and Mehrotra's predictor-corrector, after CVXOPT's
@@ -73,8 +76,13 @@ from .errors import DimensionError
 
 @dataclass
 class ConstrainedLSQProblem:
-    design: np.ndarray            # A, (N n, feature_dim)
-    targets: np.ndarray           # b, (N n,)
+    """The training problem through its normal equations: the objective
+    |A theta - b|^2 + lam |theta|^2 is
+    theta^T gram theta - 2 moment^T theta + btb + lam |theta|^2."""
+
+    gram: np.ndarray               # A^T A, (feature_dim, feature_dim)
+    moment: np.ndarray             # A^T b, (feature_dim,)
+    btb: float                     # b^T b
     lam: float
     constraint_ops: np.ndarray     # (m, feature_dim, n, n), symmetric in the last two axes
     tau: np.ndarray                # (m,)
@@ -82,12 +90,13 @@ class ConstrainedLSQProblem:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("ridge weight lam must be positive")
-        if self.design.shape[0] != self.targets.shape[0]:
-            raise DimensionError("design and targets disagree on row count")
+        p = self.moment.shape[0]
+        if self.gram.shape != (p, p):
+            raise DimensionError("gram and moment disagree on the feature count")
         if self.constraint_ops.shape[0] != self.tau.shape[0]:
             raise DimensionError("one tau per constraint point required")
-        if self.constraint_ops.shape[0] and self.constraint_ops.shape[1] != self.design.shape[1]:
-            raise DimensionError("constraint operators disagree with the design width")
+        if self.constraint_ops.shape[0] and self.constraint_ops.shape[1] != p:
+            raise DimensionError("constraint operators disagree with the feature count")
 
 
 @dataclass
@@ -110,19 +119,23 @@ class SolveReport:
 
 
 def assemble_problem(fm, proj, pairs, cpoints, lam, tau):
-    """Build the regression design and constraint operators.
+    """Build the normal equations of the regression and the constraint operators.
 
     `pairs` is the (X, Xdot) pair of position and velocity arrays, each
     (N, n); `cpoints` the constraint points; `tau` the scalar contraction
-    rate applied at every constraint point.
+    rate applied at every constraint point.  The design A is the vanished
+    features, feature_rows(fm, X) L, and b = Xdot.ravel(); A itself is
+    never formed: gram = L (A_raw^T A_raw) L and moment = L A_raw^T b.
     """
     X, Xdot = (np.atleast_2d(np.asarray(a, dtype=float)) for a in pairs)
     if X.shape != Xdot.shape or X.shape[1] != fm.n:
         raise DimensionError("positions and velocities must be (N, n) with n matching the map")
-    A = features.feature_rows(fm, X) @ proj.L
+    gram, moment = features.normal_equations(fm, X, Xdot)
+    b = Xdot.ravel()
     cpoints = np.asarray(cpoints, dtype=float).reshape(-1, fm.n)
     ops = features.symmetrized_jacobian_basis(fm, proj, cpoints)
-    return ConstrainedLSQProblem(A, Xdot.ravel(), float(lam), ops,
+    return ConstrainedLSQProblem(proj.apply_both_sides(gram), proj.apply(moment),
+                                 float(b @ b), float(lam), ops,
                                  np.full(cpoints.shape[0], float(tau)))
 
 
@@ -349,29 +362,27 @@ def interior_point_solve(problem, settings=None):
     """Solve the problem by the primal-dual interior-point method.
 
     See the module docstring for how `settings` is read and what theta
-    the report holds; `converged` is True when the gap met its tolerance.
+    the report holds; `converged` is True when the gap met its tolerance,
+    and `objective` is |A theta - b|^2 + lam |theta|^2 evaluated from the
+    normal equations.
     """
     st = settings or SolverSettings()
-    A, b, lam = problem.design, problem.targets, problem.lam
-    p = A.shape[1]
+    p = problem.moment.shape[0]
     ops = problem.constraint_ops
     m = ops.shape[0]
     n = ops.shape[2] if m else 1
     eye = np.eye(n)
 
-    P = 2.0 * (A.T @ A) + 2.0 * lam * np.eye(p)
-    q = -2.0 * (A.T @ b)
-    btb = float(b @ b)
+    P = 2.0 * problem.gram + 2.0 * problem.lam * np.eye(p)
+    q = -2.0 * problem.moment
     theta = np.linalg.solve(P, -q)       # the unconstrained ridge optimum
 
     def objective(x):
-        return float(np.sum((A @ x - b) ** 2) + lam * (x @ x))
+        # |A x - b|^2 + lam |x|^2 as 1/2 x^T P x + q^T x + b^T b
+        return 0.5 * float(x @ (P @ x)) + float(q @ x) + problem.btb
 
     def converged(x, gap):
-        # the objective as 1/2 x^T P x + q^T x + b^T b: one product with P
-        # instead of one with A; the report keeps the direct form
-        f = 0.5 * float(x @ (P @ x)) + float(q @ x) + btb
-        return "converged" if gap <= st.eps_abs + st.eps_rel * f else None
+        return "converged" if gap <= st.eps_abs + st.eps_rel * objective(x) else None
 
     def report(x, steps, gap, reason, bound=None):
         violation = _max_eigenvalue(ops, x, problem.tau) if m else float("-inf")

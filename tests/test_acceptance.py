@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from _exact import eval_kernel
+from _lsq import lsq_problem
 from _synth import angle_demos, s_demos, write_demo_csv
 from cvfield import TrainConfig, modelfile, train_field
 from cvfield.cli import main
@@ -23,8 +24,7 @@ from cvfield.features import (build_vanishing_projector, feature_rows,
                               sample_feature_map)
 from cvfield.kernels import KernelKind
 from cvfield.metrics import evaluate, grid_evaluate
-from cvfield.solver import (ConstrainedLSQProblem, SolverSettings, assemble_problem,
-                            interior_point_solve)
+from cvfield.solver import SolverSettings, assemble_problem, interior_point_solve
 
 LN_1000 = 6.907755278982137
 
@@ -214,13 +214,14 @@ def test_criterion_05_gradient_flow(tau0_bundle):
              f"max |grad V + f| = {worst_grad:.2e} relative (bound 1e-5)")
 
 
-def _zoom_oracle(prob, half, rounds, pts):
-    p = prob.design.shape[1]
+def _zoom_oracle(A, b, prob, half, rounds, pts):
+    # the objective straight from the design A and targets b
+    p = A.shape[1]
     P = prob.constraint_ops.reshape(prob.constraint_ops.shape[0], p, -1)
     eye = np.eye(prob.constraint_ops.shape[2])
 
     def objective(G):
-        r = G @ prob.design.T - prob.targets
+        r = G @ A.T - b
         return np.sum(r * r, axis=1) + prob.lam * np.sum(G * G, axis=1)
 
     def feasible(G):
@@ -253,18 +254,17 @@ def test_criterion_06_solver_optimality_oracle():
         ops = rng.normal(size=(m, p, 2, 2))
         ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
         ops[:, 0] = -np.eye(2)    # strictly feasible direction
-        prob = ConstrainedLSQProblem(A, b, 0.1, ops,
-                                     np.full(m, 0.2))
+        prob = lsq_problem(A, b, 0.1, ops, np.full(m, 0.2))
         rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10,
                                                         max_iters=300000))
         assert rep.converged
         val = float(np.sum((A @ rep.theta - b) ** 2) + 0.1 * rep.theta @ rep.theta)
         half = 2.0 * np.linalg.norm(rep.theta) + 1.0
-        oracle_val = _zoom_oracle(prob, half, rounds=50, pts=pts)
+        oracle_val = _zoom_oracle(A, b, prob, half, rounds=50, pts=pts)
         gaps.append(abs(val - oracle_val) / max(1.0, oracle_val))
     # scalar KKT toy: pull to +2 clamped at -0.5
-    toy = ConstrainedLSQProblem(np.array([[1.0]]), np.array([2.0]), 0.01,
-                                np.ones((1, 1, 1, 1)), np.array([0.5]))
+    toy = lsq_problem(np.array([[1.0]]), np.array([2.0]), 0.01,
+                      np.ones((1, 1, 1, 1)), np.array([0.5]))
     toy_rep = interior_point_solve(toy, SolverSettings(eps_abs=1e-9, eps_rel=1e-9,
                                                        max_iters=100000))
     toy_err = abs(toy_rep.theta[0] + 0.5)

@@ -6,13 +6,17 @@ with the settings they load to in `interior_point_solve`: the retired keys
 must change nothing.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _lsq import lsq_problem
 from _synth import s_demos
 from cvfield import TrainConfig, features, solver, train_field
+from cvfield.dataset import resample_and_average, subsample_constraint_points
+from cvfield.dynamics import TrainedField
 from cvfield.errors import DimensionError
 from cvfield.kernels import KernelKind
 from cvfield.solver import (CONTRACTION_MARGIN, ConstrainedLSQProblem, SolverSettings,
@@ -25,55 +29,116 @@ GS = KernelKind("gaussian_separable", 1.0)
 def _scalar_problem(target=2.0, lam=0.01, tau=0.5):
     # minimize (theta - target)^2 + lam theta^2 subject to theta <= -tau;
     # the data pull is positive so the constraint is active at -tau
-    return ConstrainedLSQProblem(
-        design=np.array([[1.0]]),
-        targets=np.array([target]),
-        lam=lam,
-        constraint_ops=np.ones((1, 1, 1, 1)),
-        tau=np.array([tau]),
-    )
+    return lsq_problem(np.array([[1.0]]), np.array([target]), lam,
+                       np.ones((1, 1, 1, 1)), np.array([tau]))
 
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        ConstrainedLSQProblem(np.eye(2), np.zeros(2), 0.0, np.empty((0, 2, 2, 2)), np.zeros(0))
+        ConstrainedLSQProblem(np.eye(2), np.zeros(2), 1.0, 0.0, np.empty((0, 2, 2, 2)),
+                              np.zeros(0))
     with pytest.raises(DimensionError):
-        ConstrainedLSQProblem(np.eye(2), np.zeros(3), 0.1, np.empty((0, 2, 2, 2)), np.zeros(0))
+        ConstrainedLSQProblem(np.eye(2), np.zeros(3), 1.0, 0.1, np.empty((0, 2, 2, 2)),
+                              np.zeros(0))
 
 
+def _close(got, want, rtol):
+    # agreement relative to the largest entry of the reference
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("num_z", [0, 1, 3])
 @pytest.mark.parametrize("kind", [CF, GS], ids=["CF", "GS"])
-def test_assemble_problem_shapes_and_design(kind):
+def test_assemble_problem_matches_explicit_design(kind, num_z):
+    # the normal equations against those of the explicit design
+    # A = feature_rows(fm, X) L, and the rank-r projector against the dense L
     rng = np.random.default_rng(3)
     fm = features.sample_feature_map(kind, 30, 2, seed=0)
-    proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
+    proj = features.build_vanishing_projector(fm, rng.normal(size=(num_z, 2)))
     X = rng.normal(size=(12, 2))
     Xdot = rng.normal(size=(12, 2))
     cp = rng.normal(size=(5, 2))
     prob = assemble_problem(fm, proj, (X, Xdot), cp, 0.01, 0.3)
-    p = prob.design.shape[1]
-    assert prob.design.shape == (24, p)
+    p = fm.feature_dim
+    A = features.feature_rows(fm, X) @ proj.L
+    b = Xdot.ravel()
+    assert prob.gram.shape == (p, p) and prob.moment.shape == (p,)
     assert prob.constraint_ops.shape == (5, p, 2, 2)
     np.testing.assert_allclose(prob.tau, 0.3)
+    _close(prob.gram, A.T @ A, 1e-12)
+    _close(prob.moment, A.T @ b, 1e-12)
+    assert abs(prob.btb - b @ b) <= 1e-12 * (b @ b)
+
+    # the Jacobian basis of the raw map (projector I) times the dense L
+    identity = features.VanishingProjector(np.eye(p), np.zeros((p, 0)), np.empty((0, 2)))
+    raw = features.symmetrized_jacobian_basis(fm, identity, cp)
+    _close(prob.constraint_ops, np.einsum("ikab,kj->ijab", raw, proj.L), 1e-13)
     np.testing.assert_allclose(prob.constraint_ops,
-                               prob.constraint_ops.transpose(0, 1, 3, 2),
-                               atol=1e-12)
-    # design rows evaluate the projected field
+                               prob.constraint_ops.transpose(0, 1, 3, 2), atol=1e-12)
     theta = rng.normal(size=p)
-    np.testing.assert_allclose(prob.design @ theta,
-                               features.field_values(fm, proj.L @ theta, X).ravel(),
-                               atol=1e-10)
+    field = TrainedField(fm, proj, theta, proj.Z)
+    _close(field.eta, proj.L @ theta, 1e-13)
+    # the oracle's design rows evaluate the projected field
+    np.testing.assert_allclose(A @ theta, field.eval(X).ravel(), atol=1e-10)
 
 
-def _zoom_oracle(prob, start, half, rounds=45, pts=7):
+def _bench_problem():
+    # the benchmark's train-scurve problem: the tests/_synth.py S-curve,
+    # curl-free, sigma = 20, s = 200, lambda = 0.01, tau = 0, m = 100
+    avg = resample_and_average(s_demos(num=4, samples=1000, seed=1))
+    fm = features.sample_feature_map(KernelKind("curl_free", 20.0), 200, 2, seed=0)
+    proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
+    pairs = (avg.positions, avg.velocities)
+    cp = subsample_constraint_points(avg, 100)
+    return fm, proj, pairs, assemble_problem(fm, proj, pairs, cp, 0.01, 0.0)
+
+
+def test_report_objective_matches_the_direct_form():
+    # the report's objective is the quadratic form of the normal equations;
+    # its cancellation against b^T b must stay at rounding level
+    fm, proj, (X, Xdot), prob = _bench_problem()
+    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-4, eps_rel=1e-9,
+                                                    max_iters=250000))
+    assert rep.converged
+    A = features.feature_rows(fm, X) @ proj.L
+    b = Xdot.ravel()
+    direct = float(np.sum((A @ rep.theta - b) ** 2) + prob.lam * rep.theta @ rep.theta)
+    assert abs(rep.objective - direct) <= 1e-12 * prob.btb
+
+
+def test_assembly_memory_stays_below_the_design():
+    # N = 1000 points, s = 1000 features, m = 100 constraint points.  Every
+    # (N, p) or (p, p) array is M = 7.63 MiB here.  The normal-equation path
+    # peaks at 19.8 MiB (about 2.6 M: the profiles and their Gram, then the
+    # Gram and the constraint operators' temporaries); building the design
+    # feature_rows(fm, X) L instead peaks at 30.5 MiB (4.0 M).  The bound is
+    # 3 M, 16% above the measured peak.
+    avg = resample_and_average(s_demos(num=4, samples=1000, seed=1))
+    fm = features.sample_feature_map(KernelKind("curl_free", 20.0), 1000, 2, seed=0)
+    proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
+    cp = subsample_constraint_points(avg, 100)
+    M = avg.positions.shape[0] * fm.feature_dim * 8
+    assert avg.positions.shape[0] == fm.feature_dim == 1000
+    tracemalloc.start()
+    try:
+        assemble_problem(fm, proj, (avg.positions, avg.velocities), cp, 0.01, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * M, f"assembly peak {peak / 2**20:.1f} MiB > {3 * M / 2**20:.1f} MiB"
+
+
+def _zoom_oracle(A, b, prob, start, half, rounds=45, pts=7):
     """Feasible grid search that zooms on the incumbent; convexity makes
-    the local refinement global."""
+    the local refinement global.  The objective is evaluated directly from
+    the design A and targets b, not from the problem's normal equations."""
     p = start.size
     tau = prob.tau
     P = prob.constraint_ops.reshape(prob.constraint_ops.shape[0], p, -1)
     eye = np.eye(prob.constraint_ops.shape[2]).ravel()
 
     def objective(G):
-        r = G @ prob.design.T - prob.targets
+        r = G @ A.T - b
         return np.sum(r * r, axis=1) + prob.lam * np.sum(G * G, axis=1)
 
     def feasible(G):
@@ -100,13 +165,14 @@ def _zoom_oracle(prob, start, half, rounds=45, pts=7):
 
 def _random_lmi_problem(rng, p, m, rows=12, tau=0.2):
     # criterion 06's random problems: random symmetric operators with one
-    # coordinate anchored to -I so the strictly feasible cone is nonempty
+    # coordinate anchored to -I so the strictly feasible cone is nonempty;
+    # returns (A, b, problem)
     A = rng.normal(size=(rows, p))
     b = rng.normal(size=rows) * 2
     ops = rng.normal(size=(m, p, 2, 2))
     ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
     ops[:, 0] = -np.eye(2)
-    return ConstrainedLSQProblem(A, b, 0.1, ops, np.full(m, tau))
+    return A, b, lsq_problem(A, b, 0.1, ops, np.full(m, tau))
 
 
 def test_ipm_unconstrained_equals_ridge():
@@ -114,7 +180,7 @@ def test_ipm_unconstrained_equals_ridge():
     A = rng.normal(size=(20, 6))
     b = rng.normal(size=20)
     lam = 0.1
-    prob = ConstrainedLSQProblem(A, b, lam, np.empty((0, 6, 2, 2)), np.zeros(0))
+    prob = lsq_problem(A, b, lam, np.empty((0, 6, 2, 2)), np.zeros(0))
     rep = interior_point_solve(prob, SolverSettings())
     ref = np.linalg.solve(A.T @ A + lam * np.eye(6), A.T @ b)
     np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
@@ -195,8 +261,8 @@ def test_ipm_contraction_bound_is_sound(rate):
     ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
     ops -= np.einsum("ipaa->p", ops)[None, :, None, None] / 40.0 * np.eye(2)
     ops[:, 0] = -rate * np.eye(2)
-    prob = ConstrainedLSQProblem(rng.normal(size=(90, 30)), 10.0 * rng.normal(size=90), 0.1,
-                                 ops, np.full(20, 0.5))
+    prob = lsq_problem(rng.normal(size=(90, 30)), 10.0 * rng.normal(size=90), 0.1,
+                       ops, np.full(20, 0.5))
     rep = interior_point_solve(prob, SolverSettings())
     assert rep.stop_reason in ("converged", "infeasible")
     if rep.stop_reason == "converged":
@@ -230,7 +296,7 @@ def test_fast_rates_on_the_s_curve_are_feasible(tau):
 
 def test_ipm_deterministic():
     rng = np.random.default_rng(5)
-    prob = _random_lmi_problem(rng, p=4, m=3)
+    _, _, prob = _random_lmi_problem(rng, p=4, m=3)
     r1 = interior_point_solve(prob, SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
     r2 = interior_point_solve(prob, SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
     assert r1.converged
@@ -243,14 +309,13 @@ def test_ipm_matches_grid_search_oracle():
     # criterion 06's random problems and oracle settings
     rng = np.random.default_rng(3)
     for p, m, pts in ((4, 1, 7), (6, 2, 5)):
-        prob = _random_lmi_problem(rng, p, m)
+        A, b, prob = _random_lmi_problem(rng, p, m)
         rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
         assert rep.converged
         assert rep.max_constraint_violation < 0.0
-        val = float(np.sum((prob.design @ rep.theta - prob.targets) ** 2)
-                    + prob.lam * rep.theta @ rep.theta)
+        val = float(np.sum((A @ rep.theta - b) ** 2) + prob.lam * rep.theta @ rep.theta)
         half = 2.0 * np.linalg.norm(rep.theta) + 1.0
-        _, oracle_val = _zoom_oracle(prob, np.zeros(p), half, rounds=50, pts=pts)
+        _, oracle_val = _zoom_oracle(A, b, prob, np.zeros(p), half, rounds=50, pts=pts)
         assert abs(val - oracle_val) <= 1e-4 * max(1.0, oracle_val)
 
 
@@ -309,7 +374,7 @@ def test_config_block_unconstrained_equals_ridge():
     A = rng.normal(size=(20, 6))
     b = rng.normal(size=20)
     lam = 0.1
-    prob = ConstrainedLSQProblem(A, b, lam, np.empty((0, 6, 2, 2)), np.zeros(0))
+    prob = lsq_problem(A, b, lam, np.empty((0, 6, 2, 2)), np.zeros(0))
     rep = interior_point_solve(prob, _admm_block())
     ref = np.linalg.solve(A.T @ A + lam * np.eye(6), A.T @ b)
     np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
@@ -338,8 +403,7 @@ def test_config_block_deterministic():
     b = rng.normal(size=16)
     ops = rng.normal(size=(2, 4, 2, 2))
     ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
-    prob = ConstrainedLSQProblem(A, b, 0.05, ops,
-                                 np.full(2, 0.1))
+    prob = lsq_problem(A, b, 0.05, ops, np.full(2, 0.1))
     r1 = interior_point_solve(prob, _admm_block(rho=2.0, max_iters=300))
     r2 = interior_point_solve(prob, _admm_block(rho=2.0, max_iters=300))
     assert np.array_equal(r1.theta, r2.theta)
@@ -355,13 +419,12 @@ def test_config_block_matches_grid_search_oracle():
     ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
     # anchor one coordinate to -I so the strictly feasible cone is nonempty
     ops[0, 0] = -np.eye(2)
-    prob = ConstrainedLSQProblem(A, b, 0.1, ops,
-                                 np.array([0.2]))
+    prob = lsq_problem(A, b, 0.1, ops, np.array([0.2]))
     rep = interior_point_solve(prob, _admm_block(rho=2.0, eps_abs=1e-10, eps_rel=1e-10,
                                                  max_iters=200000, adapt_rho=True))
     assert rep.converged
     half = 2.0 * np.linalg.norm(rep.theta) + 1.0
-    _, oracle_val = _zoom_oracle(prob, np.zeros(p), half)
+    _, oracle_val = _zoom_oracle(A, b, prob, np.zeros(p), half)
     val = float(np.sum((A @ rep.theta - b) ** 2) + 0.1 * rep.theta @ rep.theta)
     # the solve must not be beaten by more than the grid resolution allows,
     # and must itself come within 1e-4 relative of the oracle value
