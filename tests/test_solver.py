@@ -82,21 +82,21 @@ def test_assemble_problem_matches_explicit_design(kind, num_z):
     np.testing.assert_allclose(A @ theta, field.eval(X).ravel(), atol=1e-10)
 
 
-def _bench_problem():
-    # the benchmark's train-scurve problem: the tests/_synth.py S-curve,
-    # curl-free, sigma = 20, s = 200, lambda = 0.01, tau = 0, m = 100
+def _s_curve_inputs(s):
+    # the benchmark's train-scurve inputs at s features: the tests/_synth.py
+    # S-curve, curl-free, sigma = 20, m = 100; returns (fm, proj, pairs, cp)
     avg = resample_and_average(s_demos(num=4, samples=1000, seed=1))
-    fm = features.sample_feature_map(KernelKind("curl_free", 20.0), 200, 2, seed=0)
+    fm = features.sample_feature_map(KernelKind("curl_free", 20.0), s, 2, seed=0)
     proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
-    pairs = (avg.positions, avg.velocities)
-    cp = subsample_constraint_points(avg, 100)
-    return fm, proj, pairs, assemble_problem(fm, proj, pairs, cp, 0.01, 0.0)
+    return fm, proj, (avg.positions, avg.velocities), subsample_constraint_points(avg, 100)
 
 
 def test_report_objective_matches_the_direct_form():
     # the report's objective is the quadratic form of the normal equations;
-    # its cancellation against b^T b must stay at rounding level
-    fm, proj, (X, Xdot), prob = _bench_problem()
+    # its cancellation against b^T b must stay at rounding level (bench
+    # settings: s = 200, lambda = 0.01, tau = 0)
+    fm, proj, (X, Xdot), cp = _s_curve_inputs(200)
+    prob = assemble_problem(fm, proj, (X, Xdot), cp, 0.01, 0.0)
     rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-4, eps_rel=1e-9,
                                                     max_iters=250000))
     assert rep.converged
@@ -113,15 +113,12 @@ def test_assembly_memory_stays_below_the_design():
     # Gram and the constraint operators' temporaries); building the design
     # feature_rows(fm, X) L instead peaks at 30.5 MiB (4.0 M).  The bound is
     # 3 M, 16% above the measured peak.
-    avg = resample_and_average(s_demos(num=4, samples=1000, seed=1))
-    fm = features.sample_feature_map(KernelKind("curl_free", 20.0), 1000, 2, seed=0)
-    proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
-    cp = subsample_constraint_points(avg, 100)
-    M = avg.positions.shape[0] * fm.feature_dim * 8
-    assert avg.positions.shape[0] == fm.feature_dim == 1000
+    fm, proj, pairs, cp = _s_curve_inputs(1000)
+    assert pairs[0].shape[0] == fm.feature_dim == 1000
+    M = pairs[0].shape[0] * fm.feature_dim * 8
     tracemalloc.start()
     try:
-        assemble_problem(fm, proj, (avg.positions, avg.velocities), cp, 0.01, 0.0)
+        assemble_problem(fm, proj, pairs, cp, 0.01, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
