@@ -22,7 +22,7 @@ import numpy as np
 from . import metrics, modelfile
 from .dataset import PreprocessConfig, fill_velocities, load_demonstrations
 from .dynamics import IntegratorSettings, export_field_grid, rollout
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError, DimensionError, IntegrationError
 from .training import TrainConfig, read_settings, train_field
 
 
@@ -130,9 +130,9 @@ def cmd_eval(model_path, data_path, test_path=None, out=None, grid_k=16, grid_on
     fieldobj, config, _ = modelfile.load_model(model_path)
     # the preprocess block alone, so that older configs (soft ones too) still load
     preprocess = read_settings(PreprocessConfig, config.get("preprocess", {}), "preprocess")
-    train = fill_velocities(load_demonstrations(data_path), preprocess)
+    train = _load_for(fieldobj, data_path, preprocess)
     if not grid_only:
-        test = fill_velocities(load_demonstrations(test_path), preprocess) if test_path else train
+        test = _load_for(fieldobj, test_path, preprocess) if test_path else train
         report = asdict(metrics.evaluate(fieldobj, train, test))
     grid = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=grid_k))
     doc = grid if grid_only else {"eval": report, "grid_eval": grid}
@@ -147,6 +147,16 @@ def cmd_eval(model_path, data_path, test_path=None, out=None, grid_k=16, grid_on
               "left out of the error means", file=sys.stderr)
         return EXIT_ROLLOUT_FAILURES
     return 0
+
+
+def _load_for(fieldobj, path, preprocess):
+    """Demonstrations at `path` with velocities filled, checked to share the
+    model's state dimension."""
+    demos = load_demonstrations(path)
+    if demos.dim != fieldobj.map.n:
+        raise DimensionError(f"{path}: demonstrations have state dimension {demos.dim}, "
+                             f"the model {fieldobj.map.n}")
+    return fill_velocities(demos, preprocess)
 
 
 def cmd_rollout(model_path, params, out=None):

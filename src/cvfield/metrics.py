@@ -11,7 +11,15 @@ stray from the closest demonstration.
 `grid_evaluate` is two batched passes: one `dynamics.rollout` call
 integrates every grid start in lock-step, and `dtw_distance` scores the
 (K, T, n) stack of resampled rollouts against each demonstration in one
-call.  `dtw_distance` fills the cost table by anti-diagonals: every cell on
+call.  Those per-demonstration calls are split over the CPUs in the
+affinity mask: the demonstrations are dealt round-robin into one group per
+CPU (at most one per demonstration), the calling process scores the first
+group, and a forked child scores each other group and sends its costs back
+through a pipe.  Each cost is computed by the same `dtw_distance` call on
+the same inputs wherever it runs, so the costs, and every grid statistic,
+have the same bits on any number of cores.
+
+`dtw_distance` fills the cost table by anti-diagonals: every cell on
 diagonal i + j = k depends only on diagonals k - 1 and k - 2, so one
 diagonal of a block of tables is a few elementwise operations.  The K
 sequences (lanes) go through in blocks of DTW_LANES = 64, and the lane is
@@ -25,6 +33,8 @@ One sequence is a batch of one, as is one rollout start.
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +165,77 @@ def _dtw_lanes(aT, bK):
     return diag[(T + M - 2) % 3][T]
 
 
+def _usable_cpus():
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _dtw_per_demo(P, demos):
+    """[dtw_distance(P, b) for b in demos], scored on up to `_usable_cpus()`
+    processes.
+
+    The demonstrations are dealt round-robin into W = min(CPUs, len(demos))
+    groups.  This process scores group 0; each other group goes to a forked
+    child, which writes its (len(group), K) costs to a pipe and leaves
+    through `os._exit`.  A child runs only `dtw_distance`, which is
+    elementwise numpy and never calls BLAS, so the BLAS threads that fork
+    does not copy are never needed.  A group whose child cannot be forked,
+    exits non-zero or writes short data is scored here instead, by the same
+    function, so the costs have the same bits on any number of CPUs.  If
+    scoring raises here, every child still running is killed and reaped
+    before the exception propagates.
+    """
+    workers = min(_usable_cpus(), len(demos))
+    groups = [range(w, len(demos), workers) for w in range(workers)]
+    costs = [None] * len(demos)
+    children = {}       # group index -> (pid, read end of its pipe)
+    try:
+        for g in range(1, workers):
+            try:
+                rfd, wfd = os.pipe()
+            except OSError:
+                continue
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(rfd)
+                    with open(wfd, "wb") as fh:
+                        fh.write(np.stack([dtw_distance(P, demos[i]) for i in groups[g]]))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wfd)
+            children[g] = (pid, open(rfd, "rb"))
+        for g, group in enumerate(groups):
+            rows = None
+            if g in children:
+                pid, pipe = children[g]
+                with pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[g]
+                if status == 0 and len(data) == 8 * len(group) * len(P):
+                    rows = np.frombuffer(data).reshape(len(group), len(P))
+            for j, i in enumerate(group):
+                costs[i] = dtw_distance(P, demos[i]) if rows is None else rows[j]
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return costs
+
+
 def evaluate(f, train, test):
     """Score reproduction and convergence against train and test sets; a demo
     whose rollouts fail is left out and counted once in integration_failures."""
@@ -213,7 +294,9 @@ def grid_evaluate(f, demos, grid_k=16):
     the goal distance with its last state and has no DTW cost.  Each rollout
     is resampled uniformly to GRID_DTW_SAMPLES points; its DTW cost is the
     minimum over demonstrations, from one batched `dtw_distance` call per
-    demonstration.
+    demonstration.  Those calls run on up to as many processes as there are
+    usable CPUs (see `_dtw_per_demo`), and the costs have the same bits on
+    any number of cores; no child process outlives the call.
     """
     starts = _grid_starts(demos, grid_k)
     horizon = 30.0 * float(np.mean([d.duration for d in demos.demos]))
@@ -233,7 +316,7 @@ def grid_evaluate(f, demos, grid_k=16):
     if paths:
         P = np.stack(paths)
         grid_dtwd = float(np.mean(np.min(
-            [dtw_distance(P, d.positions) for d in demos.demos], axis=0)))
+            _dtw_per_demo(P, [d.positions for d in demos.demos]), axis=0)))
     return GridEvalReport(
         grid_fraction_reached=reached / starts.shape[0],
         grid_duration=float(np.mean(durations)) if durations else None,

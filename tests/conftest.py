@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,17 @@ from _synth import angle_demos, decay_demos
 from cvfield import TrainConfig, train_field
 from cvfield.dataset import DemoSet
 from cvfield.solver import SolverSettings
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:       # no children at all
+        return
+    pytest.fail(f"test left a child process {'running' if pid == 0 else f'{pid} unreaped'}")
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,10 +405,29 @@ def test_eval_rejects_nonpositive_grid_k(workspace, capsys, command, grid_k):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag", [("eval", "--data"), ("eval", "--test"),
+                                           ("grid-eval", "--data")])
+def test_eval_rejects_demonstrations_of_another_dimension(workspace, capsys, command, flag):
+    # a 3-D recording against the 2-D model: our message, not numpy's broadcast error
+    bad = workspace / "three_d.csv"
+    t = np.linspace(0.0, 1.0, 20)
+    rows = np.column_stack([t, np.outer(1.0 - t, [3.0, 2.0, 1.0])])
+    bad.write_text("t,x1,x2,x3\n" + "".join(",".join(map(repr, r.tolist())) + "\n" for r in rows))
+    paths = {"--data": workspace / "train.csv", "--test": workspace / "test.csv", flag: bad}
+    argv = [command, "--model", str(workspace / "model.json"), "--data", str(paths["--data"])]
+    if command == "eval":
+        argv += ["--test", str(paths["--test"])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: demonstrations have state dimension 3, the model 2\n"
+
+
 class _EscapesRightOfOne:
     """xdot = -x where x1 <= 1; elsewhere xdot = (1 + x1^2, 0), which leaves
     for infinity in finite time, so rollouts started at x1 > 1 end in step
     size underflow.  A trained field is bounded and cannot do this."""
+
+    map = SimpleNamespace(n=2)      # the state dimension `eval` checks the data against
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
@@ -682,6 +702,10 @@ def test_package_imports_without_scipy():
     # the library loads without the command line, which runs without warnings
     out = _python("-c", "import sys, cvfield; "
                         "print(sorted({'argparse', 'cvfield.cli'} & set(sys.modules)))")
+    assert out.stdout.strip() == "[]"
+    # grid evaluation forks its DTW workers itself, without the process-pool modules
+    out = _python("-c", "import sys, cvfield; print(sorted("
+                        "{'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
     assert out.stdout.strip() == "[]"
     assert _python("-W", "error", "-m", "cvfield.cli", "--help").stdout.startswith("usage:")
 

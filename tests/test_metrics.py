@@ -1,5 +1,7 @@
 """Reproduction metrics: error means, DTW, evaluate and grid_evaluate."""
 
+import os
+import time
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -9,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _synth import decay_demos
+from cvfield import metrics
 from cvfield.dataset import Demonstration, DemoSet
 from cvfield.dynamics import IntegratorSettings, rollout
 from cvfield.errors import DataError, DimensionError
-from cvfield.metrics import (DTW_LANES, GRID_DTW_SAMPLES, EvalReport, dtw_distance, evaluate,
-                             grid_evaluate, trajectory_error, velocity_error)
+from cvfield.metrics import (DTW_LANES, GRID_DTW_SAMPLES, EvalReport, _dtw_per_demo, dtw_distance,
+                             evaluate, grid_evaluate, trajectory_error, velocity_error)
 
 
 class Linear:
@@ -393,6 +396,82 @@ def test_grid_evaluate_deterministic(angle_model, angle_train):
     a = grid_evaluate(field, angle_train, grid_k=16)
     b = grid_evaluate(field, angle_train, grid_k=16)
     assert a == b
+
+
+_FORK = os.fork
+
+
+def _with_cpus(monkeypatch, cpus):
+    """Let the DTW split see `cpus` usable CPUs; returns a list that counts
+    the forks made in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _FORK())
+    return forks
+
+
+@lru_cache(maxsize=None)
+def _three_demos():
+    return decay_demos(num=3, samples=60, seed=10)
+
+
+def test_grid_evaluate_same_bits_on_any_number_of_cpus(monkeypatch):
+    # 3 demonstrations on 2 CPUs deal unevenly: this process scores 0 and 2,
+    # the child 1.  Five sequences on 2 or 3 CPUs give a child two of them,
+    # which must come back in their own places.
+    dset, field = _three_demos(), Linear(-0.5 * np.eye(2))
+    rng = np.random.default_rng(0)
+    P, seqs = rng.normal(size=(5, 30, 2)), [rng.normal(size=(20 + i, 2)) for i in range(5)]
+    serial = [dtw_distance(P, b) for b in seqs]
+    reports = []
+    for cpus in (1, 2, 3):
+        forks = _with_cpus(monkeypatch, cpus)
+        costs = _dtw_per_demo(P, seqs)
+        assert len(forks) == cpus - 1
+        assert all(np.array_equal(c, s) for c, s in zip(costs, serial, strict=True))
+        reports.append(grid_evaluate(field, dset, grid_k=16))
+        assert len(forks) == 2 * (cpus - 1)
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_grid_evaluate_scores_a_dead_childs_group_itself(monkeypatch):
+    dset, field = _three_demos(), Linear(-0.5 * np.eye(2))
+    _with_cpus(monkeypatch, 1)
+    serial = grid_evaluate(field, dset, grid_k=16)
+    parent = os.getpid()
+
+    def dies_in_a_child(a, b):
+        if os.getpid() != parent:
+            os._exit(3)
+        return dtw_distance(a, b)
+
+    monkeypatch.setattr(metrics, "dtw_distance", dies_in_a_child)
+    for cpus in (2, 3):
+        forks = _with_cpus(monkeypatch, cpus)
+        assert grid_evaluate(field, dset, grid_k=16) == serial
+        assert len(forks) == cpus - 1
+
+
+def test_grid_evaluate_error_in_own_group_leaves_no_child(monkeypatch):
+    # the children would take a minute: the error must kill them, not wait
+    dset, field = _three_demos(), Linear(-0.5 * np.eye(2))
+    parent = os.getpid()
+
+    def fails_here(a, b):
+        if os.getpid() == parent:
+            raise RuntimeError("DTW failed in the calling process")
+        time.sleep(60.0)
+        return dtw_distance(a, b)
+
+    monkeypatch.setattr(metrics, "dtw_distance", fails_here)
+    forks = _with_cpus(monkeypatch, 3)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="calling process"):
+        grid_evaluate(field, dset, grid_k=16)
+    assert time.monotonic() - start < 30.0
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_grid_evaluate_validation():
