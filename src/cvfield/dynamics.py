@@ -73,13 +73,12 @@ class TrainedField:
     proj: features.VanishingProjector
     theta: np.ndarray
     equilibria: np.ndarray    # (p, n)
-    tau: float = 0.0
     eta: np.ndarray = field(init=False)   # L theta, effective raw coefficients
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
         object.__setattr__(self, "equilibria",
-                           np.asarray(self.equilibria, dtype=float).reshape(-1, self.map.n))
+                           features.as_points(self.equilibria, self.map.n, "equilibria"))
         if self.theta.shape != (self.map.feature_dim,):
             raise DimensionError("theta length must equal the feature dimension")
         object.__setattr__(self, "eta", self.proj.apply(self.theta))
@@ -238,12 +237,11 @@ def rollout(f, X0, settings=None, t_eval=None):
     t, y = np.zeros(K), X0.copy()
     nev = np.zeros(K, dtype=int)
     ptr = np.zeros(K, dtype=int)
-    reached, t_goal = np.zeros(K, dtype=bool), np.full(K, np.nan)
+    reached = np.zeros(K, dtype=bool)
     failures = [None] * K
     ts, xs = [[] for _ in range(K)], [[] for _ in range(K)]
     if event_on:
         reached = _norms(X0) <= s.goal_radius
-        t_goal[reached] = 0.0
     active = ~reached
     for r in range(K):
         if t_eval is None or reached[r]:
@@ -320,13 +318,13 @@ def rollout(f, X0, settings=None, t_eval=None):
             xs[r].append(x_stop[p])
 
         done, go = idx[hit], idx[~hit]
-        reached[done], t_goal[done], active[done] = True, t_stop[hit], False
+        reached[done], active[done] = True, False
         t[go], y[go], f0[go] = t_stop[~hit], y1[~hit], k[~hit, :, 6]   # FSAL
         h[go] *= np.minimum(5.0, np.maximum(0.2, 0.9 * (err + 1e-16) ** -0.2))[~hit]
 
     results = [failures[r] if failures[r] is not None else RolloutResult(
         np.asarray(ts[r], dtype=float), np.asarray(xs[r]).reshape(-1, n),
-        bool(reached[r]), float(t_goal[r]) if reached[r] else None, int(nev[r]))
+        bool(reached[r]), float(ts[r][-1]) if reached[r] else None, int(nev[r]))
         for r in range(K)]
     return RolloutBatch(results, int(nev.sum()))
 

@@ -21,7 +21,9 @@ L = I - Q Q^T, with Q an orthonormal basis of range [Phi(z_1) ... Phi(z_p)].
 The projected features Phi^Z(x) = L Phi(x) span fields that are zero at
 every z, and L theta is the effective coefficient vector of the raw map.
 Q has r = n |Z| columns, far fewer than feature_dim, so L is applied in
-its rank-r form v - Q (Q^T v), never as a dense product.
+its rank-r form v - Q (Q^T v), never as a dense product.  Q is a function
+of the map and the equilibria alone: `build_vanishing_projector` is the one
+place it is made, for training and for loading a model alike.
 """
 
 from __future__ import annotations
@@ -81,6 +83,15 @@ class VanishingProjector:
         H -= M @ Q.T
         H -= Q @ M.T
         return H
+
+
+def as_points(X, n, what):
+    """`X` as a float array of k points (k, n), k = 0 allowed; any other
+    shape is a DimensionError naming `what`."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise DimensionError(f"{what} must be a (k, {n}) array of points, not shape {X.shape}")
+    return X
 
 
 def sample_feature_map(kind, s, n, seed):
@@ -154,20 +165,16 @@ def field_jacobians(fm, coeffs, X):
     return np.einsum("gk,ka,kb->gab", c, U, W)
 
 
-def projector_from_basis(Q, Z):
-    """The VanishingProjector of an orthonormal basis Q and equilibria Z."""
-    return VanishingProjector(np.eye(Q.shape[0]) - Q @ Q.T, Q, Z)
-
-
 def build_vanishing_projector(fm, Z):
-    """Orthonormal basis of range Phi(Z) and the projector L = I - Q Q^T.
+    """Orthonormal basis of range Phi(Z) and the projector L = I - Q Q^T,
+    for equilibria Z (k, n).
 
     Requires feature_dim > n |Z|.  If the stacked feature block is
     rank-deficient the achieved range is projected out and a warning is
     issued.
     """
     p = fm.feature_dim
-    Z = np.asarray(Z, dtype=float).reshape(-1, fm.n) if np.size(Z) else np.empty((0, fm.n))
+    Z = as_points(Z, fm.n, "equilibria")
     if p <= fm.n * Z.shape[0]:
         raise DimensionError(
             f"need feature_dim > n |Z| ({p} <= {fm.n * Z.shape[0]}) to retain capacity")
@@ -179,7 +186,8 @@ def build_vanishing_projector(fm, Z):
         warnings.warn(
             f"feature block at Z is rank deficient ({rank} < {fm.n * Z.shape[0]}); "
             "projecting the achieved range only")
-    return projector_from_basis(U[:, :rank], Z)
+    Q = U[:, :rank]
+    return VanishingProjector(np.eye(p) - Q @ Q.T, Q, Z)
 
 
 def symmetrized_jacobian_basis(fm, proj, X):
@@ -188,7 +196,7 @@ def symmetrized_jacobian_basis(fm, proj, X):
     For points X (m, n), E (m, feature_dim, n, n) has E[i, j] = sym(d/dx of
     the j-th vanished feature field at x_i), so the symmetrized Jacobian of
     f = Phi^Z(x_i)^T theta is sum_j theta_j E[i, j]."""
-    X = np.asarray(X, dtype=float).reshape(-1, fm.n)
+    X = as_points(X, fm.n, "constraint points")
     m, n, p = X.shape[0], fm.n, fm.feature_dim
     W, b, U, _, dg = _table(fm)
     # raw[i, c, d, k] = sqrt(2/s) g'(w_k^T x_i + b_k) u_k[c] w_k[d], shape (m, n, n, p)

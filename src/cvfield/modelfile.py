@@ -1,13 +1,16 @@
 """Model persistence.
 
-Models are stored as a single JSON object (schema_version "1") holding
-the training configuration, the feature map draw, the orthonormal basis Q
-of the vanishing projector (`features.projector_from_basis` rebuilds
-L = I - Q Q^T on load), the solved coefficients, the equilibria and a
-summary of the solve, its stop reason included.  Floats survive the round
-trip exactly (shortest-round-trip decimal encoding), so save -> load ->
-save is byte-identical and a loaded model evaluates identically to the
-trained one.
+Models are stored as a single JSON object (schema_version "2") holding
+the training configuration, the feature map draw, the equilibria, the
+solved coefficients and a summary of the solve, its stop reason included.
+The vanishing projector is not stored: it is a function of the map and the
+equilibria, and `load_model` rebuilds it with
+`features.build_vanishing_projector`, so a file cannot hold a projector
+that disagrees with them.  Version "1" files, which also stored the
+projector's basis and a top-level tau, still load; both keys are ignored.
+Floats survive the round trip exactly (shortest-round-trip decimal
+encoding), so save -> load -> save is byte-identical and a loaded model
+evaluates identically to the trained one.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import numpy as np
 
 from .dynamics import TrainedField
 from .errors import DataError, ParseError
-from .features import FeatureMap, projector_from_basis
+from .features import FeatureMap, build_vanishing_projector
 from .kernels import KernelKind
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _finite_or_none(x):
@@ -41,7 +44,15 @@ def report_summary(report):
 
 
 def save_model(path, field, config=None, report=None):
-    """Write a trained field (plus optional config echo and solve summary)."""
+    """Write a trained field (plus optional config echo and solve summary).
+
+    Loading rebuilds the projector from the map and the equilibria, so a
+    field whose projector basis is not exactly that one would load as
+    another field: it is a DataError, and nothing is written."""
+    if not np.array_equal(field.proj.basis,
+                          build_vanishing_projector(field.map, field.equilibria).basis):
+        raise DataError("the field's vanishing projector is not the one of its feature "
+                        "map and equilibria, which loading rebuilds")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "config": config or {},
@@ -53,9 +64,7 @@ def save_model(path, field, config=None, report=None):
             "freqs": field.map.freqs.tolist(),
             "phases": field.map.phases.tolist(),
         },
-        "projector_basis": field.proj.basis.tolist(),
         "equilibria": field.equilibria.tolist(),
-        "tau": float(field.tau),
         "theta": field.theta.tolist(),
         "solve_report": report if isinstance(report, dict) or report is None else report_summary(report),
     }
@@ -79,8 +88,8 @@ def _numbers(key, value, shape):
 def load_model(path):
     """Read a model file back into a TrainedField.
 
-    Returns (field, config, solve_report).  A malformed file, a projector
-    basis that is not orthonormal among them, is a ParseError that names
+    Returns (field, config, solve_report).  A malformed file, one with
+    feature_dim <= n |equilibria| among them, is a ParseError that names
     it; a field that does not vanish at its equilibria is a DataError that
     names it."""
     try:
@@ -88,7 +97,7 @@ def load_model(path):
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"a model file holds a JSON object, not {type(doc).__name__}")
-        if doc.get("schema_version") != SCHEMA_VERSION:
+        if doc.get("schema_version") not in ("1", SCHEMA_VERSION):
             raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
         config, report = doc.get("config", {}), doc.get("solve_report")
         if not isinstance(config, dict) or not isinstance(report, (dict, type(None))):
@@ -101,20 +110,15 @@ def load_model(path):
         fm = FeatureMap(KernelKind(fmdoc["variant"], sigma),
                         _numbers("feature_map.freqs", fmdoc["freqs"], (s, n)),
                         _numbers("feature_map.phases", fmdoc["phases"], (s,)))
-        p = fm.feature_dim
-        Q, Z = doc["projector_basis"], doc["equilibria"]
-        Q = np.zeros((p, 0)) if Q == [] else _numbers("projector_basis", Q, (p, None))
-        gap = np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0)
-        if gap > 1e-10:
-            raise ValueError(f"projector_basis is not orthonormal (max |Q^T Q - I| = {gap:.1e})")
+        Z = doc["equilibria"]
         Z = np.zeros((0, n)) if Z == [] else _numbers("equilibria", Z, (None, n))
-        theta = _numbers("theta", doc["theta"], (p,))
-        tau = float(_numbers("tau", doc.get("tau", 0.0), ()))
+        theta = _numbers("theta", doc["theta"], (fm.feature_dim,))
+        proj = build_vanishing_projector(fm, Z)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed model file ({exc})")
     except ValueError as exc:                # a JSONDecodeError is one too
         raise ParseError(f"{path}: {exc}")
     try:
-        return TrainedField(fm, projector_from_basis(Q, Z), theta, Z, tau), config, report
+        return TrainedField(fm, proj, theta, Z), config, report
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

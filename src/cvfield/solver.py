@@ -132,11 +132,10 @@ def assemble_problem(fm, proj, pairs, cpoints, lam, tau):
         raise DimensionError("positions and velocities must be (N, n) with n matching the map")
     gram, moment = features.normal_equations(fm, X, Xdot)
     b = Xdot.ravel()
-    cpoints = np.asarray(cpoints, dtype=float).reshape(-1, fm.n)
     ops = features.symmetrized_jacobian_basis(fm, proj, cpoints)
     return ConstrainedLSQProblem(proj.apply_both_sides(gram), proj.apply(moment),
                                  float(b @ b), float(lam), ops,
-                                 np.full(cpoints.shape[0], float(tau)))
+                                 np.full(ops.shape[0], float(tau)))
 
 
 @functools.cache

@@ -168,5 +168,5 @@ def train_field(demos, config):
         problem = assemble_problem(fm, proj, (avg.positions, avg.velocities),
                                    cpoints, config.lam, config.tau)
         report = interior_point_solve(problem, config.admm)
-    fieldobj = TrainedField(fm, proj, report.theta, Z, config.tau)
+    fieldobj = TrainedField(fm, proj, report.theta, Z)
     return fieldobj, report, avg

@@ -17,9 +17,10 @@ from cvfield import TrainConfig, modelfile, solver, train_field, training
 from cvfield.cli import cmd_export_field, main
 from cvfield.dataset import (load_demonstrations, resample_and_average,
                              subsample_constraint_points)
-from cvfield.dynamics import max_contraction_eigenvalues
+from cvfield.dynamics import TrainedField, max_contraction_eigenvalues
 from cvfield.errors import ConfigError, DataError, ParseError
-from cvfield.features import field_values
+from cvfield.features import build_vanishing_projector, field_values, sample_feature_map
+from cvfield.kernels import KernelKind
 from cvfield.solver import SolverSettings
 
 CLI_CONFIG = {
@@ -545,6 +546,43 @@ def test_model_file_round_trip(workspace):
     assert np.abs(a - b).max() <= 1e-15
 
 
+def test_schema_1_model_file_loads_as_the_current_one(workspace, tmp_path):
+    # schema "1" files also held the projector basis and a top-level tau;
+    # both are ignored, and the projector is rebuilt from the map and the
+    # equilibria as for a current file
+    current = workspace / "model.json"
+    doc = json.loads(current.read_text())
+    assert doc["schema_version"] == "2" and not {"projector_basis", "tau"} & set(doc)
+    field, config, report = modelfile.load_model(current)
+    doc.update(schema_version="1", projector_basis=field.proj.basis.tolist(), tau=0.0)
+    older = tmp_path / "schema1_model.json"
+    older.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    old_field, old_config, old_report = modelfile.load_model(older)
+    X = np.random.default_rng(1).normal(size=(100, 2)) * 10
+    assert np.array_equal(old_field.eval(X), field.eval(X))
+    assert np.array_equal(old_field.jacobian(X), field.jacobian(X))
+    resaved = tmp_path / "resaved.json"
+    modelfile.save_model(resaved, old_field, old_config, old_report)
+    assert resaved.read_bytes() == current.read_bytes()
+
+
+def test_save_model_refuses_a_projector_that_loading_would_not_rebuild(tmp_path):
+    # the projector of {(0, 0), (5, 5)} with equilibria {(0, 0)} vanishes at
+    # the equilibria, but loading rebuilds the projector of (0, 0) alone
+    fm = sample_feature_map(KernelKind("curl_free", 5.0), 200, 2, seed=0)
+    proj = build_vanishing_projector(fm, np.array([[0.0, 0.0], [5.0, 5.0]]))
+    theta = np.random.default_rng(0).normal(size=fm.feature_dim)
+    field = TrainedField(fm, proj, theta, np.zeros((1, 2)))
+    path = tmp_path / "model.json"
+    with pytest.raises(DataError, match="projector"):
+        modelfile.save_model(path, field)
+    assert not path.exists()
+    rebuilt = TrainedField(fm, build_vanishing_projector(fm, field.equilibria), theta,
+                           field.equilibria)
+    assert not np.array_equal(field.eval(np.array([[1.0, 2.0]])),
+                              rebuilt.eval(np.array([[1.0, 2.0]])))
+
+
 @pytest.mark.parametrize("slack_weight", [0.0, 5])
 def test_eval_reads_models_with_retired_keys(workspace, capsys, tmp_path, slack_weight):
     # older model files echo admm.slack_weight (nonzero for a soft-constraint
@@ -576,7 +614,7 @@ def test_model_file_rejects_malformed(workspace, tmp_path):
     versioned.write_text(json.dumps(doc))
     with pytest.raises(ParseError):
         modelfile.load_model(versioned)
-    doc["schema_version"] = "1"
+    doc["schema_version"] = "2"
     del doc["theta"]
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps(doc))
@@ -609,18 +647,13 @@ def _with(doc, key, value):
     pytest.param("feature_map.freqs", lambda v: v[:-1], id="freqs-row-missing"),
     pytest.param("feature_map.freqs", lambda v: [[x, None] for x, _ in v], id="freqs-null"),
     pytest.param("feature_map.phases", lambda v: v + [0.5], id="phases-long"),
-    pytest.param("projector_basis", lambda v: v[1:], id="basis-row-missing"),
-    pytest.param("projector_basis", lambda v: [[str(x) for x in row] for row in v],
-                 id="basis-strings"),
-    pytest.param("projector_basis", lambda v: [[3 * x for x in row] for row in v],
-                 id="basis-not-orthonormal"),
     pytest.param("equilibria", [[0.0, 0.0, 0.0]], id="equilibria-width"),
+    # n |Z| = 200 = feature_dim: no capacity is left once the projector is rebuilt
+    pytest.param("equilibria", [[float(i), 0.0] for i in range(100)], id="equilibria-too-many"),
     pytest.param("theta", lambda v: [str(x) for x in v], id="theta-strings"),
     pytest.param("theta", lambda v: [float("nan")] * len(v), id="theta-nan"),
     pytest.param("theta", lambda v: [True] * len(v), id="theta-booleans"),
     pytest.param("theta", lambda v: v[:-1], id="theta-short"),
-    pytest.param("tau", "0", id="tau-string"),
-    pytest.param("tau", float("inf"), id="tau-inf"),
 ])
 def test_model_file_rejects_malformed_entries(workspace, capsys, tmp_path, key, value):
     # each malformed entry is a ParseError that names the file, and a
@@ -637,10 +670,12 @@ def test_model_file_rejects_malformed_entries(workspace, capsys, tmp_path, key, 
 
 
 def test_model_file_nonvanishing_field_is_a_data_error(workspace, tmp_path):
-    # a well-formed file whose field does not vanish at its equilibria
+    # a well-formed file whose field does not vanish at its equilibria; the
+    # projector is rebuilt from them, so it takes coefficients large enough
+    # that the roundoff of L theta alone leaves the field above 1e-8 there
     doc = json.loads((workspace / "model.json").read_text())
-    bad = tmp_path / "moved_goal.json"
-    bad.write_text(json.dumps(_with(doc, "equilibria", [[5.0, -5.0]])))
+    bad = tmp_path / "huge_theta.json"
+    bad.write_text(json.dumps(_with(doc, "theta", lambda v: [1e10 * x for x in v])))
     with pytest.raises(DataError, match="equilibrium") as exc:
         modelfile.load_model(bad)
     assert str(bad) in str(exc.value)
@@ -710,22 +745,45 @@ def test_package_imports_without_scipy():
     assert _python("-W", "error", "-m", "cvfield.cli", "--help").stdout.startswith("usage:")
 
 
-def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # shaped like the benchmark's train-scurve workload: 4 S-curve
-    # demonstrations of 1000 samples, s = 200, 100 constraint points
+def _scurve_inputs(tmp_path):
+    """Demonstration CSV and config shaped like the benchmark's train-scurve
+    workload: 4 S-curve demonstrations of 1000 samples, s = 200, 100
+    constraint points."""
     write_demo_csv(tmp_path / "train.csv", s_demos(num=4, samples=1000, seed=1))
     cfg = {"kernel": "curl_free", "sigma": 20.0, "num_features": 200, "lambda": 0.01,
            "tau": 0.0, "constraint_points": 100, "seed": 0,
            "admm": {"eps_abs": 1e-4, "eps_rel": 1e-9, "max_iters": 2000}}
     (tmp_path / "config.json").write_text(json.dumps(cfg))
+    return tmp_path / "train.csv", tmp_path / "config.json"
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    data, config = _scurve_inputs(tmp_path)
     models = []
     for threads in ("1", "2"):
         models.append(tmp_path / f"model_{threads}.json")
         _python("-c", "import sys; from cvfield.cli import main; sys.exit(main(sys.argv[1:]))",
-                "train", "--config", str(tmp_path / "config.json"),
-                "--data", str(tmp_path / "train.csv"), "--model", str(models[-1]),
+                "train", "--config", str(config), "--data", str(data), "--model", str(models[-1]),
                 OPENBLAS_NUM_THREADS=threads)
     assert models[0].read_bytes() == models[1].read_bytes()
+
+
+def test_loaded_projector_is_the_trained_one_at_any_blas_threads(tmp_path):
+    # the file holds no projector: this process rebuilds it, at its own BLAS
+    # thread count, bitwise as training made it
+    data, config = _scurve_inputs(tmp_path)
+    train = ("import json, sys; from pathlib import Path; import numpy as np; "
+             "from cvfield import TrainConfig, load_demonstrations, save_model, train_field; "
+             "data, config, model, basis = sys.argv[1:]; "
+             "field, report, _ = train_field(load_demonstrations(data), "
+             "TrainConfig.from_dict(json.loads(Path(config).read_text()))); "
+             "save_model(model, field, report=report); np.save(basis, field.proj.basis)")
+    for threads in ("1", "2"):
+        model, basis = tmp_path / f"model_{threads}.json", tmp_path / f"basis_{threads}.npy"
+        _python("-c", train, str(data), str(config), str(model), str(basis),
+                OPENBLAS_NUM_THREADS=threads)
+        loaded = modelfile.load_model(model)[0].proj.basis
+        assert np.array_equal(loaded, np.load(basis))
 
 
 def _openblas_threads():

@@ -5,6 +5,8 @@ import pytest
 
 from _exact import eval_kernel, exact_field_eval, exact_ridge_fit
 from cvfield import features
+from cvfield.dynamics import TrainedField
+from cvfield.errors import DimensionError
 from cvfield.kernels import KernelKind
 from cvfield.solver import SolverSettings, assemble_problem, interior_point_solve
 
@@ -150,6 +152,26 @@ def test_symmetrized_jacobian_basis_consistency():
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
     assert features.symmetrized_jacobian_basis(fm, proj, np.empty((0, 2))).shape == (
         0, fm.feature_dim, 2, 2)
+
+
+@pytest.mark.parametrize("entry", ["projector", "jacobian-basis", "assembly", "field"])
+@pytest.mark.parametrize("points", [np.ones((4, 3)), np.zeros((2, 3)), np.zeros((0, 3)),
+                                    np.zeros(2), np.zeros((1, 1, 2))],
+                         ids=["4x3", "2x3", "0x3", "flat", "3-d"])
+def test_points_of_another_shape_are_dimension_errors(entry, points):
+    # equilibria and constraint points are (k, n): a (4, 3) batch is not
+    # reread as six 2-D points, nor a flat (2,) array as one
+    fm = features.sample_feature_map(CF, 30, 2, seed=0)
+    proj = features.build_vanishing_projector(fm, np.empty((0, 2)))
+    call = {
+        "projector": lambda P: features.build_vanishing_projector(fm, P),
+        "jacobian-basis": lambda P: features.symmetrized_jacobian_basis(fm, proj, P),
+        "assembly": lambda P: assemble_problem(fm, proj, (np.ones((3, 2)), np.ones((3, 2))),
+                                               P, 0.01, 0.0),
+        "field": lambda P: TrainedField(fm, proj, np.zeros(fm.feature_dim), P),
+    }[entry]
+    with pytest.raises(DimensionError, match=r"\(k, 2\)"):
+        call(points)
 
 
 def test_potential_zero_coefficients():
