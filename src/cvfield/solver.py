@@ -50,14 +50,19 @@ is "converged", "max_iters", "infeasible" or "stalled" (the gap set no new
 low for _STALL_STEPS steps, or a Newton system or step failed).  After a
 phase I stop, theta is the ridge optimum and `contraction_bound` is set.
 
-The solver uses only deterministic dense linear algebra.  Each Newton step
-factors its Schur complement once, by LAPACK `dpotrf`, and solves for both
-directions with that factor, by `dpotrs`; both come from the OpenBLAS that
-numpy bundles, reached through ctypes.  Where numpy's OpenBLAS does not
-export them, the step tests definiteness with `np.linalg.cholesky` and
-solves with `np.linalg.solve` instead.  Inside `single_blas_thread`, where
-`training.train_field` runs it, identical inputs and settings reproduce
-bitwise-identical results on any number of cores.
+The solver uses only deterministic dense linear algebra, and every solve
+goes through one Cholesky factor of its matrix.  The ridge matrix
+P = 2 A^T A + 2 lam I is factored once per solve, and that factor gives
+the ridge start and phase II's gap term rd^T P^-1 rd; a P that is not
+numerically positive definite is an error that says lam is too small.
+Each Newton step factors its Schur complement once and solves for both
+directions with that factor.  The factor is LAPACK `dpotrf` and a solve
+`dpotrs`, from the OpenBLAS that numpy bundles, reached through ctypes.
+Where numpy's OpenBLAS does not export them, `np.linalg.cholesky` tests
+definiteness instead, and `np.linalg.inv` forms the solution operator once
+per matrix.  Inside `single_blas_thread`, where `training.train_field` runs
+it, identical inputs and settings reproduce bitwise-identical results on
+any number of cores.
 """
 
 from __future__ import annotations
@@ -207,14 +212,18 @@ _COL_MAJOR = 102
 
 
 def _cholesky_solver(S):
-    """v -> S^-1 v from one Cholesky factor of the symmetric S, or None when S
-    is not positive definite.  Overwrites S with its factor where LAPACK is
-    available; see the module docstring."""
+    """v -> S^-1 v for the symmetric S, or None when S is not positive
+    definite.  Factors S once: where LAPACK is available S is overwritten
+    with its factor, and elsewhere a Cholesky test is followed by one
+    inverse; see the module docstring."""
     lapack = _lapack()
     if lapack is None:
-        if not _posdef(S):
+        try:
+            np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
             return None
-        return lambda v: np.linalg.solve(S, v)
+        Sinv = np.linalg.inv(S)
+        return lambda v: Sinv @ v
     potrf, potrs = lapack
     n = S.shape[0]
     if potrf(_COL_MAJOR, b"L", n, S, n) != 0:
@@ -237,14 +246,6 @@ def _max_eigenvalue(ops, theta, shift):
 # phase II imposes C_i(theta) + tau_i I <= -CONTRACTION_MARGIN (1 + tau_i) I
 CONTRACTION_MARGIN = 1e-9
 _STALL_STEPS = 10
-
-
-def _posdef(X):
-    try:
-        np.linalg.cholesky(X)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _step_to_boundary(lam, X):
@@ -363,7 +364,8 @@ def interior_point_solve(problem, settings=None):
     See the module docstring for how `settings` is read and what theta
     the report holds; `converged` is True when the gap met its tolerance,
     and `objective` is |A theta - b|^2 + lam |theta|^2 evaluated from the
-    normal equations.
+    normal equations.  Raises np.linalg.LinAlgError when lam is too small
+    for the ridge matrix 2 A^T A + 2 lam I to have a Cholesky factor.
     """
     st = settings or SolverSettings()
     p = problem.moment.shape[0]
@@ -374,7 +376,11 @@ def interior_point_solve(problem, settings=None):
 
     P = 2.0 * problem.gram + 2.0 * problem.lam * np.eye(p)
     q = -2.0 * problem.moment
-    theta = np.linalg.solve(P, -q)       # the unconstrained ridge optimum
+    solve_P = _cholesky_solver(P.copy())
+    if solve_P is None:
+        raise np.linalg.LinAlgError(f"lambda = {problem.lam:g} is too small: the ridge matrix "
+                                    "2 A^T A + 2 lambda I is not numerically positive definite")
+    theta = solve_P(-q)                  # the unconstrained ridge optimum
 
     def objective(x):
         # |A x - b|^2 + lam |x|^2 as 1/2 x^T P x + q^T x + b^T b
@@ -424,8 +430,7 @@ def interior_point_solve(problem, settings=None):
         lam_c = -_max_eigenvalue(ops, x1[:p], np.zeros(m))
         theta = theta + (1.01 * worst / lam_c + 1.0) * x1[:p]
 
-    Pinv = np.linalg.inv(P)
     x, steps, gap, reason = _interior_point(
         P, q, ops, h, theta, st.max_iters - steps1,
-        lambda x, sz, rd: sz + 0.5 * float(rd @ Pinv @ rd), converged)
+        lambda x, sz, rd: sz + 0.5 * float(rd @ solve_P(rd)), converged)
     return report(x, steps1 + steps, gap, reason)

@@ -211,7 +211,10 @@ def test_train_infeasible_tau_message(workspace, capsys, monkeypatch):
 def test_train_phase1_stop_message(workspace, capsys, monkeypatch, stop):
     # phase I has no gap tolerance, so its stops never advise loosening one
     if stop == "stalled":
-        monkeypatch.setattr(solver, "_cholesky_solver", lambda S: None)
+        # P's factor, the first, goes through; every Newton system after it fails
+        factor, first = solver._cholesky_solver, iter([True])
+        monkeypatch.setattr(solver, "_cholesky_solver",
+                            lambda S: factor(S) if next(first, False) else None)
     rc = _train_weak(workspace, f"phase1_{stop}", tau=1000.0,
                      admm=dict(CLI_CONFIG["admm"], max_iters=1))
     out = capsys.readouterr()
@@ -219,6 +222,19 @@ def test_train_phase1_stop_message(workspace, capsys, monkeypatch, stop):
     assert f"stop={stop}" in out.out
     assert "in phase I" in out.err and "contracts at every constraint point" in out.err
     assert "eps_abs" not in out.err and "eps_rel" not in out.err
+
+
+def test_train_rejects_lambda_too_small_for_the_ridge_matrix(workspace, capsys):
+    # at lambda = 1e-20, 2 A^T A + 2 lambda I is singular to working precision:
+    # its Cholesky factor fails before any Newton step, and no model is written
+    model = workspace / "tiny_lambda_model.json"
+    rc = main(["train", "--config", str(workspace / "config.json"),
+               "--data", str(workspace / "train.csv"), "--model", str(model),
+               "--set", "lambda=1e-20"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "lambda = 1e-20 is too small" in err
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("override", ["admm=5", "preprocess=[1]"])

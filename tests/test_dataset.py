@@ -84,6 +84,9 @@ def test_load_rejects_malformed_input(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_demonstrations(_write(tmp_path, "t,x1,x2\n0,0,0\n1,1\n", "short.csv"))
     assert exc.value.line == 3
+    with pytest.raises(ParseError, match="expected 3 fields, got 4") as exc:
+        load_demonstrations(_write(tmp_path, "t,x1,x2\n0,0,0\n1,1,1,1\n2,2,2\n", "long.csv"))
+    assert exc.value.line == 3
     with pytest.raises(ParseError) as exc:
         load_demonstrations(_write(tmp_path, "t,x1,x2\n0,0,zap\n", "junk.csv"))
     assert exc.value.line == 2
@@ -359,6 +362,8 @@ _EDGE_FILES = {
     "underscore": ("t,x1\n0,1_0\n1,2\n", False),
     "nan": ("t,x1\n0,0\n1,nan\n", False),
     "short-row": ("t,x1,x2\n0,0,0\n1,1\n", False),
+    "long-row": ("t,x1,x2\n0,0,0\n1,1,1,1\n2,2,2\n", False),
+    "long-row-id": ("demo_id,t,x1\na,0,0\na,1,1,1\na,2,2\n", False),
     "no-rows": ("t,x1,x2\n\n", False),
 }
 

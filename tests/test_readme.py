@@ -1,7 +1,11 @@
-"""The README's Python examples run as written, against the current API."""
+"""The README's Python examples run as written, against the current API, and
+its table of command flags matches the command-line parser."""
 
+import argparse
 import re
 from pathlib import Path
+
+from cvfield.cli import _build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +19,15 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
         exec(compile(block, str(README), "exec"), {})
     capsys.readouterr()
     assert (tmp_path / "demos.csv").exists()
+
+
+def test_readme_flag_table_matches_the_parser():
+    table = README.read_text().split("Each command takes only the flags it reads:")[1]
+    rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", table.split("\n\n")[1], flags=re.M)
+    documented = {command: re.findall(r"`(--[\w-]+)`", flags) for command, flags in rows}
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {command: [flag for action in p._actions for flag in action.option_strings
+                        if flag.startswith("--") and flag != "--help"]
+              for command, p in subparsers.items()}
+    assert documented == parsed

@@ -354,9 +354,11 @@ def test_indefinite_schur_complement_stalls(monkeypatch, path):
     Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     indefinite = (Q * [3.0, 2.0, 1.0, 0.5, 0.1, -1e-3]) @ Q.T
     assert solver._cholesky_solver(indefinite) is None
-    # the same refusal inside a run: every Schur complement negated
-    factor = solver._cholesky_solver
-    monkeypatch.setattr(solver, "_cholesky_solver", lambda S: factor(-S))
+    # the same refusal inside a run: P's factor, the first, goes through and
+    # every Schur complement after it is negated
+    factor, first = solver._cholesky_solver, iter([True])
+    monkeypatch.setattr(solver, "_cholesky_solver",
+                        lambda S: factor(S if next(first, False) else -S))
     rep = interior_point_solve(_scalar_problem(), SolverSettings())
     assert rep.stop_reason == "stalled" and rep.iters == 0
 
