@@ -135,25 +135,23 @@ def _read_fast(path):
     except ParseError:
         return None
     rows = [line for line in lines[1:] if line.replace(",", "").strip()]
-    if not rows:
+    if not rows or any(line.count(",") != len(header) - 1 for line in rows):
         return None
+    ids = [line[:line.index(",")].strip() for line in rows] if has_id else [None] * len(rows)
     try:
         # comments=None: a '#' cell is malformed, not the start of a comment;
-        # usecols skips demo_id, whatever it holds, and rejects a short row
+        # usecols skips demo_id, whatever it holds
         block = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
                            usecols=range(int(has_id), len(header)))
     except ValueError:
         return None
-    # no row is short, so no row is long when the commas add up
-    if ("".join(rows).count(",") != len(rows) * (len(header) - 1)
-            or block.shape[0] != len(rows) or not np.all(np.isfinite(block))):
+    if block.shape[0] != len(rows) or not np.all(np.isfinite(block)):
         return None
-    if not has_id:
-        return n, has_v, {None: block}
-    keys, first, codes = np.unique([line[:line.index(",")].strip() for line in rows],
-                                   return_index=True, return_inverse=True)
-    # demonstrations in the order of their first row, as `_read_rows` gives them
-    return n, has_v, {str(keys[k]): block[codes == k] for k in np.argsort(first)}
+    order = {}
+    codes = np.array([order.setdefault(key, len(order)) for key in ids])
+    if len(order) == 1:
+        return n, has_v, {ids[0]: block}
+    return n, has_v, {key: block[codes == code] for key, code in order.items()}
 
 
 def _read_rows(path):

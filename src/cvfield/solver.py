@@ -51,18 +51,18 @@ low for _STALL_STEPS steps, or a Newton system or step failed).  After a
 phase I stop, theta is the ridge optimum and `contraction_bound` is set.
 
 The solver uses only deterministic dense linear algebra, and every solve
-goes through one Cholesky factor of its matrix.  The ridge matrix
-P = 2 A^T A + 2 lam I is factored once per solve, and that factor gives
-the ridge start and phase II's gap term rd^T P^-1 rd; a P that is not
-numerically positive definite is an error that says lam is too small.
-Each Newton step factors its Schur complement once and solves for both
-directions with that factor.  The factor is LAPACK `dpotrf` and a solve
-`dpotrs`, from the OpenBLAS that numpy bundles, reached through ctypes.
-Where numpy's OpenBLAS does not export them, `np.linalg.cholesky` tests
-definiteness instead, and `np.linalg.inv` forms the solution operator once
-per matrix.  Inside `single_blas_thread`, where `training.train_field` runs
-it, identical inputs and settings reproduce bitwise-identical results on
-any number of cores.
+goes through `_cholesky_solver`.  The ridge matrix P = 2 A^T A + 2 lam I
+is factored once per solve, and that factor gives the ridge start and
+phase II's gap term rd^T P^-1 rd; a P that is not numerically positive
+definite is an error that says lam is too small.  Each Newton step
+factors its Schur complement once and solves for both directions with
+that factor.  The factor is LAPACK `dpotrf` and a solve `dpotrs`, from
+the OpenBLAS that numpy bundles, reached through ctypes.  Where numpy's
+OpenBLAS does not export them, `np.linalg.cholesky` tests definiteness
+instead and `np.linalg.solve` solves each system anew.  Inside
+`single_blas_thread`, where `training.train_field` runs it, identical
+inputs and settings reproduce bitwise-identical results on any number of
+cores.
 """
 
 from __future__ import annotations
@@ -212,18 +212,16 @@ _COL_MAJOR = 102
 
 
 def _cholesky_solver(S):
-    """v -> S^-1 v for the symmetric S, or None when S is not positive
-    definite.  Factors S once: where LAPACK is available S is overwritten
-    with its factor, and elsewhere a Cholesky test is followed by one
-    inverse; see the module docstring."""
+    """v -> S^-1 v from one Cholesky factor of the symmetric S, or None when S
+    is not positive definite.  Overwrites S with its factor where LAPACK is
+    available; see the module docstring."""
     lapack = _lapack()
     if lapack is None:
         try:
             np.linalg.cholesky(S)
         except np.linalg.LinAlgError:
             return None
-        Sinv = np.linalg.inv(S)
-        return lambda v: Sinv @ v
+        return lambda v: np.linalg.solve(S, v)
     potrf, potrs = lapack
     n = S.shape[0]
     if potrf(_COL_MAJOR, b"L", n, S, n) != 0:
