@@ -78,7 +78,8 @@ _NOT_CONVERGED = {
     "max_iters": "solver hit its step cap (admm.max_iters = {iters}) with duality gap "
                  "{gap:.3e}; raise admm.max_iters or loosen admm.eps_abs/eps_rel",
     "stalled": "solver stalled after {iters} steps with duality gap {gap:.3e} above its "
-               "tolerance; loosen admm.eps_abs/eps_rel",
+               "tolerance; loosen admm.eps_abs/eps_rel, or raise lambda, as a small lambda "
+               "leaves the ridge matrix ill-conditioned",
 }
 # why phase I found no theta that contracts at every constraint point; no tau
 # can be met without one, whatever its value
@@ -125,17 +126,22 @@ def cmd_eval(model_path, data_path, test_path=None, out=None, grid_k=16, grid_on
 
     Missing velocities are filled as in training.  The error means of `eval`
     leave out demonstrations whose rollout failed to integrate; when there
-    are any, it warns on stderr and returns EXIT_ROLLOUT_FAILURES.
+    are any, it warns on stderr and returns EXIT_ROLLOUT_FAILURES.  `eval`
+    scores reproduction in a `metrics.forked` child while this process
+    scores the grid, with the output and errors of running them in turn.
     """
     fieldobj, config, _ = modelfile.load_model(model_path)
     # the preprocess block alone, so that older configs (soft ones too) still load
     preprocess = read_settings(PreprocessConfig, config.get("preprocess", {}), "preprocess")
     train = _load_for(fieldobj, data_path, preprocess)
-    if not grid_only:
+    if grid_only:
+        doc = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=grid_k))
+    else:
         test = _load_for(fieldobj, test_path, preprocess) if test_path else train
-        report = asdict(metrics.evaluate(fieldobj, train, test))
-    grid = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=grid_k))
-    doc = grid if grid_only else {"eval": report, "grid_eval": grid}
+        with metrics.forked(lambda: metrics.evaluate(fieldobj, train, test)) as evaluated:
+            grid = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=grid_k))
+            report = asdict(evaluated())
+        doc = {"eval": report, "grid_eval": grid}
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out:
         with open(out, "w") as fh:

@@ -14,10 +14,18 @@ integrates every grid start in lock-step, and `dtw_distance` scores the
 call.  Those per-demonstration calls are split over the CPUs in the
 affinity mask: the demonstrations are dealt round-robin into one group per
 CPU (at most one per demonstration), the calling process scores the first
-group, and a forked child scores each other group and sends its costs back
-through a pipe.  Each cost is computed by the same `dtw_distance` call on
-the same inputs wherever it runs, so the costs, and every grid statistic,
-have the same bits on any number of cores.
+group, and a `forked` child scores each other group.  Each cost is computed
+by the same `dtw_distance` call on the same inputs wherever it runs, so the
+costs, and every grid statistic, have the same bits on any number of cores.
+
+`forked` is the package's one fork site; `cvfield eval` also uses it to run
+`evaluate` in a child while `grid_evaluate` runs.  The DTW children run only
+elementwise numpy.  The `evaluate` child also calls LAPACK, for the
+goal-crossing roots (`numpy.polynomial.polyroots` in `dynamics`), and BLAS,
+for `np.linalg.norm` of one state.  The fork copies no BLAS thread; a
+forked child still ran a 600 x 600 product after this process had started
+OpenBLAS's threads, with this process's bits, and the `eval` document has
+the same bytes on 1, 2 and 3 usable CPUs.
 
 `dtw_distance` fills the cost table by anti-diagonals: every cell on
 diagonal i + j = k depends only on diagonals k - 1 and k - 2, so one
@@ -34,8 +42,11 @@ One sequence is a batch of one, as is one rollout start.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -174,66 +185,103 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+@contextmanager
+def forked(fn):
+    """Computes fn() in a forked child while the block runs, and yields a
+    function that returns fn()'s result.
+
+    The block sees what it would see had fn() run here just before it: the
+    yielded function returns fn()'s result, and when the block raises, an
+    error of fn() is raised in place of the block's.  The child pickles
+    fn()'s result into a pipe and leaves through `os._exit`.  With one
+    usable CPU, or when the fork fails, fn() runs here before the block; it
+    also runs here, after the child, when the child exits non-zero or its
+    data does not unpickle.  Run here or there, it is the same code, with
+    the same bits.  The yielded function waits for the child; leaving the
+    block kills and reaps a child it has not waited for.
+    """
+    pid, pipe = _fork(fn) if _usable_cpus() > 1 else (None, None)
+    joined = (True, fn()) if pid is None else None      # (ok, value), once known
+
+    def result():
+        nonlocal joined
+        if joined is None:
+            with pipe:
+                data = pipe.read()
+            joined = _unpickled(data) if os.waitpid(pid, 0)[1] == 0 else (False, None)
+        return joined[1] if joined[0] else fn()
+
+    try:
+        yield result
+    except Exception:
+        if joined is None:      # fn()'s error, if it has one, goes first
+            os.kill(pid, signal.SIGKILL)
+            result()
+        raise
+    finally:
+        if joined is None:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork(fn):
+    """(pid, read end of its pipe) of a child that writes pickle(fn()) to
+    the pipe, or (None, None) when the pipe or the fork fails."""
+    try:
+        rfd, wfd = os.pipe()
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None, None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as fh:
+                pickle.dump(fn(), fh, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    return pid, open(rfd, "rb")
+
+
+def _unpickled(data):
+    """(True, the object pickled in data), or (False, None) when it does not
+    unpickle."""
+    try:
+        return True, pickle.loads(data)
+    except Exception:       # any failure, as fn() run here gives the answer
+        return False, None
+
+
 def _dtw_per_demo(P, demos):
     """[dtw_distance(P, b) for b in demos], scored on up to `_usable_cpus()`
     processes.
 
     The demonstrations are dealt round-robin into W = min(CPUs, len(demos))
-    groups.  This process scores group 0; each other group goes to a forked
-    child, which writes its (len(group), K) costs to a pipe and leaves
-    through `os._exit`.  A child runs only `dtw_distance`, which is
-    elementwise numpy and never calls BLAS, so the BLAS threads that fork
-    does not copy are never needed.  A group whose child cannot be forked,
-    exits non-zero or writes short data is scored here instead, by the same
-    function, so the costs have the same bits on any number of CPUs.  If
-    scoring raises here, every child still running is killed and reaped
-    before the exception propagates.
+    groups.  This process scores group 0 and each other group is `forked`,
+    so a group whose child fails is scored here, by the same function, and
+    the costs have the same bits on any number of CPUs; no child outlives
+    the call.  A child runs only `dtw_distance`, which is elementwise numpy
+    and never calls BLAS.
     """
     workers = min(_usable_cpus(), len(demos))
     groups = [range(w, len(demos), workers) for w in range(workers)]
-    costs = [None] * len(demos)
-    children = {}       # group index -> (pid, read end of its pipe)
-    try:
-        for g in range(1, workers):
-            try:
-                rfd, wfd = os.pipe()
-            except OSError:
-                continue
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(rfd)
-                os.close(wfd)
-                continue
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(rfd)
-                    with open(wfd, "wb") as fh:
-                        fh.write(np.stack([dtw_distance(P, demos[i]) for i in groups[g]]))
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(wfd)
-            children[g] = (pid, open(rfd, "rb"))
-        for g, group in enumerate(groups):
-            rows = None
-            if g in children:
-                pid, pipe = children[g]
-                with pipe:
-                    data = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                del children[g]
-                if status == 0 and len(data) == 8 * len(group) * len(P):
-                    rows = np.frombuffer(data).reshape(len(group), len(P))
-            for j, i in enumerate(group):
-                costs[i] = dtw_distance(P, demos[i]) if rows is None else rows[j]
-    finally:
-        for pid, pipe in children.values():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return costs
+
+    def score(group):
+        return [dtw_distance(P, demos[i]) for i in group]
+
+    with ExitStack() as stack:
+        pending = [stack.enter_context(forked(partial(score, g))) for g in groups[1:]]
+        scored = [score(groups[0])] + [result() for result in pending]
+    by_demo = {i: row for group, rows in zip(groups, scored) for i, row in zip(group, rows)}
+    return [by_demo[i] for i in range(len(demos))]
 
 
 def evaluate(f, train, test):

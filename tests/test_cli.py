@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 import cvfield
+from _forks import with_cpus
 from _synth import s_demos, write_demo_csv
-from cvfield import TrainConfig, modelfile, solver, train_field, training
+from cvfield import TrainConfig, metrics, modelfile, solver, train_field, training
 from cvfield.cli import cmd_export_field, main
 from cvfield.dataset import (load_demonstrations, resample_and_average,
                              subsample_constraint_points)
@@ -237,6 +239,18 @@ def test_train_rejects_lambda_too_small_for_the_ridge_matrix(workspace, capsys):
     assert not model.exists()
 
 
+def test_train_stall_at_small_lambda_advises_raising_it(tmp_path, capsys):
+    # at lambda = 1e-12, P factors but is so ill-conditioned that phase II
+    # stalls with gap about 1: loosening the tolerances alone would not help
+    data, config = _scurve_inputs(tmp_path)
+    rc = main(["train", "--config", str(config), "--data", str(data),
+               "--model", str(tmp_path / "model.json"), "--set", "lambda=1e-12"])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert "stop=stalled" in out.out
+    assert "stalled after" in out.err and "raise lambda" in out.err
+
+
 @pytest.mark.parametrize("override", ["admm=5", "preprocess=[1]"])
 def test_train_rejects_non_mapping_sections(workspace, capsys, override):
     rc = main(["train", "--config", str(workspace / "config.json"),
@@ -409,6 +423,89 @@ def test_eval_fills_missing_velocities(workspace, capsys, angle_train, angle_tes
     assert rc == 0
     doc = json.loads(out.read_text())["eval"]
     assert np.isfinite(doc["training_velocity_error"]) and np.isfinite(doc["test_velocity_error"])
+
+
+def _eval_on_cpus(workspace, capsys, monkeypatch, cpus):
+    """(exit status, stdout, stderr, --out bytes, forks made here) of one
+    `eval` of the workspace model with `cpus` usable CPUs."""
+    forks = with_cpus(monkeypatch, cpus)
+    out = workspace / f"eval_{cpus}_cpus.json"
+    out.unlink(missing_ok=True)
+    rc = main(["eval", "--model", str(workspace / "model.json"),
+               "--data", str(workspace / "train.csv"),
+               "--test", str(workspace / "test.csv"), "--out", str(out)])
+    std = capsys.readouterr()
+    return rc, std.out, std.err, out.read_bytes() if out.exists() else None, len(forks)
+
+
+def test_eval_same_bytes_on_any_number_of_cpus(workspace, capsys, monkeypatch):
+    # evaluate runs in a child from 2 CPUs on, and this process never runs it;
+    # the 4 training demonstrations give min(cpus, 4) - 1 DTW children
+    evaluate, parent, here = metrics.evaluate, os.getpid(), []
+    monkeypatch.setattr(metrics, "evaluate", lambda *a: here.append(os.getpid() == parent)
+                        or evaluate(*a))
+    serial = _eval_on_cpus(workspace, capsys, monkeypatch, 1)
+    assert serial[0] == 0 and serial[4] == 0 and here == [True]
+    for cpus in (2, 3):
+        runs = _eval_on_cpus(workspace, capsys, monkeypatch, cpus)
+        assert runs[:4] == serial[:4]
+        assert runs[4] == 1 + (cpus - 1)
+    assert here == [True]
+
+
+def test_eval_scores_a_dead_evaluate_child_itself(workspace, capsys, monkeypatch):
+    serial = _eval_on_cpus(workspace, capsys, monkeypatch, 1)
+    evaluate, parent = metrics.evaluate, os.getpid()
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return evaluate(*args)
+
+    monkeypatch.setattr(metrics, "evaluate", dies_in_a_child)
+    runs = _eval_on_cpus(workspace, capsys, monkeypatch, 2)
+    assert runs[:4] == serial[:4] and runs[4] == 2
+
+
+def _fails(message):
+    def fail(*args, **kwargs):
+        raise DataError(message)
+    return fail
+
+
+def test_eval_error_in_evaluate_as_in_the_serial_run(workspace, capsys, monkeypatch):
+    monkeypatch.setattr(metrics, "evaluate", _fails("evaluate failed"))
+    serial = _eval_on_cpus(workspace, capsys, monkeypatch, 1)
+    assert serial == (1, "", "error: evaluate failed\n", None, 0)
+    for cpus in (2, 3):
+        assert _eval_on_cpus(workspace, capsys, monkeypatch, cpus)[:4] == serial[:4]
+
+
+def test_eval_grid_error_kills_the_evaluate_child(workspace, capsys, monkeypatch):
+    # the child would take a minute: the grid's error must kill it, not wait
+    evaluate, parent = metrics.evaluate, os.getpid()
+
+    def sleeps_in_a_child(*args):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        return evaluate(*args)
+
+    monkeypatch.setattr(metrics, "evaluate", sleeps_in_a_child)
+    monkeypatch.setattr(metrics, "grid_evaluate", _fails("grid failed"))
+    start = time.monotonic()
+    runs = _eval_on_cpus(workspace, capsys, monkeypatch, 2)
+    assert time.monotonic() - start < 30.0
+    assert runs == (1, "", "error: grid failed\n", None, 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_eval_reports_the_evaluate_error_before_the_grid_error(workspace, capsys, monkeypatch):
+    monkeypatch.setattr(metrics, "evaluate", _fails("evaluate failed"))
+    monkeypatch.setattr(metrics, "grid_evaluate", _fails("grid failed"))
+    for cpus in (1, 2):
+        assert _eval_on_cpus(workspace, capsys, monkeypatch, cpus)[:4] == (
+            1, "", "error: evaluate failed\n", None)
 
 
 @pytest.mark.parametrize("grid_k", ["0", "-4"])

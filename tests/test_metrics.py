@@ -1,6 +1,7 @@
 """Reproduction metrics: error means, DTW, evaluate and grid_evaluate."""
 
 import os
+import pickle
 import time
 from functools import lru_cache
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _forks import with_cpus as _with_cpus
 from _synth import decay_demos
 from cvfield import metrics
 from cvfield.dataset import Demonstration, DemoSet
@@ -398,18 +400,6 @@ def test_grid_evaluate_deterministic(angle_model, angle_train):
     assert a == b
 
 
-_FORK = os.fork
-
-
-def _with_cpus(monkeypatch, cpus):
-    """Let the DTW split see `cpus` usable CPUs; returns a list that counts
-    the forks made in this process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    forks = []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _FORK())
-    return forks
-
-
 @lru_cache(maxsize=None)
 def _three_demos():
     return decay_demos(num=3, samples=60, seed=10)
@@ -472,6 +462,51 @@ def test_grid_evaluate_error_in_own_group_leaves_no_child(monkeypatch):
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_returns_the_childs_result(monkeypatch):
+    for cpus, forks_made in ((1, 0), (2, 1)):
+        forks = _with_cpus(monkeypatch, cpus)
+        with metrics.forked(os.getpid) as result:
+            assert (result() != os.getpid()) == bool(forks_made)
+        assert len(forks) == forks_made
+
+
+def test_forked_runs_fn_before_the_block_when_the_fork_fails(monkeypatch):
+    _with_cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise OSError("no process left")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    order = []
+    with metrics.forked(lambda: order.append("fn") or os.getpid()) as result:
+        order.append("block")
+        assert result() == os.getpid()
+    assert order == ["fn", "block"]
+
+
+class _ClaimsItsMaker:
+    """Records the process that made it, and unpickles only in that process."""
+
+    def __init__(self, maker):
+        self.maker = maker
+
+    def __reduce__(self):
+        return _refuse_in, (self.maker,)
+
+
+def _refuse_in(pid):
+    if os.getpid() != pid:
+        raise pickle.UnpicklingError("made in a child")
+    return _ClaimsItsMaker(pid)
+
+
+def test_forked_computes_here_what_does_not_unpickle(monkeypatch):
+    forks = _with_cpus(monkeypatch, 2)
+    with metrics.forked(lambda: _ClaimsItsMaker(os.getpid())) as result:
+        assert result().maker == os.getpid()
+    assert len(forks) == 1
 
 
 def test_grid_evaluate_validation():
