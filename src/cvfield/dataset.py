@@ -21,6 +21,7 @@ original frame) is kept for reference.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -104,9 +105,10 @@ def _parse_header(path, fields):
 
 
 def _read_text(path):
-    """The text of `path`; a byte that is not UTF-8 is a ParseError naming its line."""
+    """The text of `path`, less a leading UTF-8 byte-order mark; a byte that is
+    not UTF-8 is a ParseError naming its line."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:

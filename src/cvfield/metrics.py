@@ -2,11 +2,14 @@
 
 `evaluate` rolls the field out from each demonstration's start, sampled at
 its timestamps, to score reproduction, and over 30x its duration with the
-goal event to score convergence: two batched `dynamics.rollout` calls per
-demonstration set.  `grid_evaluate` starts rollouts from a uniform grid
-spanning the inflated demonstration bounding box and reports how many
-reach the goal ball, how long they take, and how far (in DTW cost) they
-stray from the closest demonstration.
+goal event to score convergence: two batched `dynamics.rollout` calls in
+all, each with one start per distinct demonstration of the two sets, so a
+demonstration held by both is integrated and counted once.  Each start's
+result has the same bits in any batch, so the errors of two distinct sets
+are those of scoring each set on its own.  `grid_evaluate` starts
+rollouts from a uniform grid spanning the inflated demonstration bounding
+box and reports how many reach the goal ball, how long they take, and how
+far (in DTW cost) they stray from the closest demonstration.
 
 `grid_evaluate` is two batched passes: one `dynamics.rollout` call
 integrates every grid start in lock-step, and `dtw_distance` scores the
@@ -285,38 +288,44 @@ def _dtw_per_demo(P, demos):
 
 
 def evaluate(f, train, test):
-    """Score reproduction and convergence against train and test sets; a demo
-    whose rollouts fail is left out and counted once in integration_failures."""
-    per_set = {}
-    distances, durations, failures = [], [], 0
+    """Score reproduction and convergence against train and test sets.
+
+    Each distinct demonstration of train and test (by identity, in order of
+    first appearance) is rolled out once: all of them in one batched
+    reproduction at their timestamps and one batched run over 30x their
+    durations with the goal event, and the field is evaluated once at each
+    reproduction's states.  Each set's errors average the demonstrations it
+    kept.  A demonstration whose rollouts fail is left out, and one held by
+    both sets counts once in integration_failures and the goal statistics.
+    Sets of two state dimensions are a DimensionError.
+    """
+    if not train.demos:
+        raise DataError("no train demonstrations")
+    demos = list({id(d): d for d in [*train.demos, *test.demos]}.values())
+    if len({d.dim for d in demos}) > 1:
+        raise DimensionError("train and test demonstrations differ in state dimension")
+    starts = np.stack([d.positions[0] for d in demos])
+    spans = np.array([d.duration for d in demos])
+    repros = dynamics.rollout(f, starts, IntegratorSettings(horizon=spans, goal_radius=0.0),
+                              t_eval=[d.times - d.times[0] for d in demos]).results
+    longruns = dynamics.rollout(f, starts, IntegratorSettings(horizon=30.0 * spans)).results
+    kept = {id(d): (r, f.eval(r.states), lr) for d, r, lr in zip(demos, repros, longruns)
+            if not isinstance(r, IntegrationError) and not isinstance(lr, IntegrationError)}
+    errors = []
     for name, dset in (("train", train), ("test", test)):
         if not dset.demos:
             raise DataError(f"no {name} demonstrations")
-        starts = np.stack([d.positions[0] for d in dset.demos])
-        spans = np.array([d.duration for d in dset.demos])
-        repros = dynamics.rollout(f, starts, IntegratorSettings(horizon=spans, goal_radius=0.0),
-                                  t_eval=[d.times - d.times[0] for d in dset.demos]).results
-        longruns = dynamics.rollout(f, starts, IntegratorSettings(horizon=30.0 * spans)).results
-        kept = [(d, r, lr) for d, r, lr in zip(dset.demos, repros, longruns)
-                if not isinstance(r, IntegrationError) and not isinstance(lr, IntegrationError)]
-        failures += len(dset.demos) - len(kept)
-        if not kept:
+        ours = [d for d in dset.demos if id(d) in kept]
+        if not ours:
             raise DataError(f"all {name} rollouts failed")
-        demos, rollouts, longs = zip(*kept)
-        distances += [float(np.linalg.norm(r.states[-1])) for r in rollouts]
-        durations += [lr.time_to_goal for lr in longs if lr.reached_goal]
-        per_set[name] = (trajectory_error(demos, rollouts),
-                         velocity_error(demos, [f.eval(r.states) for r in rollouts]))
-    return EvalReport(
-        training_trajectory_error=per_set["train"][0],
-        training_velocity_error=per_set["train"][1],
-        test_trajectory_error=per_set["test"][0],
-        test_velocity_error=per_set["test"][1],
-        distance_to_goal=float(np.mean(distances)),
-        duration_to_goal=float(np.mean(durations)) if durations else None,
-        number_reached_goal=len(durations),
-        integration_failures=failures,
-    )
+        errors += [trajectory_error(ours, [kept[id(d)][0] for d in ours]),
+                   velocity_error(ours, [kept[id(d)][1] for d in ours])]
+    distances = [float(np.linalg.norm(r.states[-1])) for r, _, _ in kept.values()]
+    durations = [lr.time_to_goal for _, _, lr in kept.values() if lr.reached_goal]
+    return EvalReport(*errors, distance_to_goal=float(np.mean(distances)),
+                      duration_to_goal=float(np.mean(durations)) if durations else None,
+                      number_reached_goal=len(durations),
+                      integration_failures=len(demos) - len(kept))
 
 
 def _grid_starts(dset, grid_k):

@@ -390,6 +390,20 @@ def test_eval_json_document(workspace, capsys):
     assert doc["grid_eval"]["grid_fraction_reached"] == 1.0
 
 
+def test_eval_without_test_scores_the_training_set_once(workspace, capsys, angle_train):
+    # the training set fills both blocks, and each demonstration counts once
+    out = workspace / "eval_no_test.json"
+    rc = main(["eval", "--model", str(workspace / "model.json"),
+               "--data", str(workspace / "train.csv"), "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    doc = json.loads(out.read_text())["eval"]
+    assert doc["number_reached_goal"] == len(angle_train.demos)
+    assert doc["integration_failures"] == 0
+    for kind in ("trajectory", "velocity"):
+        assert doc[f"test_{kind}_error"] == doc[f"training_{kind}_error"]
+
+
 def test_eval_reproducible_bytes(workspace, capsys):
     a, b = workspace / "eval_a.json", workspace / "eval_b.json"
     for out in (a, b):

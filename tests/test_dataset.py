@@ -115,6 +115,7 @@ def test_load_rejects_non_finite_values(tmp_path):
     pytest.param(b"t,x1\n0,0\n1," + b"9" * 131073 + b"\n2,2\n", 3, id="cell-over-field-limit"),
     pytest.param(b"t,x1\n0,0\n1,\xff\n", 3, id="not-utf8"),
     pytest.param(b"t,x1\r0,0\r\n1,2\r\xff,3\n", 4, id="not-utf8-after-cr"),
+    pytest.param(b"\xef\xbb\xbft,x1\n0,0\n1,\xff\n", 3, id="not-utf8-after-bom"),
 ])
 def test_unreadable_csv_is_a_parse_error_naming_file_and_line(tmp_path, capsys, monkeypatch,
                                                                content, line):
@@ -365,6 +366,7 @@ _EDGE_FILES = {
     "long-row": ("t,x1,x2\n0,0,0\n1,1,1,1\n2,2,2\n", False),
     "long-row-id": ("demo_id,t,x1\na,0,0\na,1,1,1\na,2,2\n", False),
     "no-rows": ("t,x1,x2\n\n", False),
+    "bom": ("\ufefft,x1,v1\n0,0,1\n1,1,1\n", True),
 }
 
 
@@ -387,3 +389,26 @@ def test_fast_and_line_by_line_parsers_agree(tmp_path, monkeypatch, name):
         assert np.array_equal(_bits(a.times), _bits(b.times))
         assert np.array_equal(_bits(a.positions), _bits(b.positions))
         assert (a.velocities is None) == (b.velocities is None)
+
+
+def test_byte_order_mark_is_skipped(tmp_path, monkeypatch):
+    # both readers give the arrays of the file without the mark, and a bad
+    # byte after it is named by its own value and line
+    text = _EDGE_FILES["bom"][0]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text[1:].encode())
+    marked.write_bytes(text.encode())
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xef\xbb\xbft,x1\n0,0\n1,\xff\n")
+    for _ in range(2):
+        got, ref = load_demonstrations(marked), load_demonstrations(plain)
+        assert len(got.demos) == len(ref.demos) == 1
+        assert np.array_equal(_bits(got.goal), _bits(ref.goal))
+        for a, b in zip(got.demos, ref.demos):
+            for name in ("times", "positions", "velocities"):
+                assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name)))
+        with pytest.raises(ParseError, match="byte 0xff is not UTF-8") as exc:
+            load_demonstrations(bad)
+        assert exc.value.line == 3
+        monkeypatch.setattr(dataset, "_read_fast", lambda path: None)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from _forks import with_cpus as _with_cpus
 from _synth import decay_demos
-from cvfield import metrics
+from cvfield import dynamics, metrics
 from cvfield.dataset import Demonstration, DemoSet
 from cvfield.dynamics import IntegratorSettings, rollout
 from cvfield.errors import DataError, DimensionError
@@ -313,6 +313,44 @@ def test_evaluate_matches_single_rollout_oracle(angle_model, angle_train, angle_
                             number_reached_goal=len(durations), integration_failures=0)
 
 
+def test_evaluate_rolls_out_a_demonstration_of_both_sets_once(angle_model, angle_train,
+                                                             angle_test, monkeypatch):
+    # test = train, as `cvfield eval` without --test: one reproduction batch and
+    # one long-run batch of the 4 demonstrations, and one field evaluation at
+    # each reproduction besides those the rollouts make
+    field, _, _ = angle_model
+
+    class Counted:
+        rolling, evals = False, 0
+
+        def eval(self, x):
+            self.evals += not self.rolling
+            return field.eval(x)
+
+    counted, starts = Counted(), []
+
+    def counted_rollout(f, x0, *args, **kwargs):
+        starts.append(len(x0))
+        counted.rolling = True
+        try:
+            return rollout(f, x0, *args, **kwargs)
+        finally:
+            counted.rolling = False
+
+    monkeypatch.setattr(dynamics, "rollout", counted_rollout)
+    ev = evaluate(counted, angle_train, angle_train)
+    n = len(angle_train.demos)
+    assert starts == [n, n] and counted.evals == n
+    for kind in ("trajectory", "velocity"):
+        assert getattr(ev, f"test_{kind}_error").hex() == getattr(ev, f"training_{kind}_error").hex()
+    assert ev.number_reached_goal == n and ev.integration_failures == 0
+    # the training errors are those of a distinct test set, bit for bit
+    distinct = evaluate(field, angle_train, angle_test)
+    assert (ev.training_trajectory_error, ev.training_velocity_error) == \
+        (distinct.training_trajectory_error, distinct.training_velocity_error)
+    assert starts == [n, n, n + len(angle_test.demos), n + len(angle_test.demos)]
+
+
 class EscapeAbove:
     """x1dot = 1 + x1^2 where x2 > 0, which escapes at t = pi/2 - atan(x1(0));
     xdot = -x elsewhere."""
@@ -339,6 +377,32 @@ def test_evaluate_counts_a_failed_long_run_once():
     expect = np.mean([np.linalg.norm(d.positions[0]) * np.exp(-1.0)
                       for d in (train.demos[1], test.demos[0])])
     assert ev.distance_to_goal == pytest.approx(expect, rel=1e-3)
+
+
+def test_evaluate_counts_a_failed_demonstration_of_both_sets_once():
+    # the escaping demonstration is in both sets; each set keeps one other
+    def demo(x0):
+        t = np.linspace(0.0, 1.0, 11)
+        return Demonstration(t, np.tile(x0, (11, 1)), np.zeros((11, 2)))
+
+    escapes, below = demo([-10.0, 2.0]), [demo([-5.0, -5.0]), demo([4.0, -3.0])]
+    train = DemoSet([escapes, below[0]], np.zeros(2))
+    test = DemoSet([below[1], escapes], np.zeros(2))
+    ev = evaluate(EscapeAbove(), train, test)
+    assert ev.integration_failures == 1
+    assert ev.number_reached_goal == 2
+    expect = np.mean([np.linalg.norm(d.positions[0]) * np.exp(-1.0) for d in below])
+    assert ev.distance_to_goal == pytest.approx(expect, rel=1e-3)
+    assert ev.training_trajectory_error == pytest.approx(
+        np.linalg.norm(below[0].positions[0]) * np.mean(1.0 - np.exp(-below[0].times)), rel=1e-3)
+
+
+def test_evaluate_rejects_sets_of_two_dimensions():
+    t = np.linspace(0.0, 1.0, 11)
+    sets = [DemoSet([Demonstration(t, np.ones((11, n)), np.zeros((11, n)))], np.zeros(n))
+            for n in (2, 3)]
+    with pytest.raises(DimensionError, match="differ in state dimension"):
+        evaluate(Linear(-np.eye(2)), *sets)
 
 
 def test_grid_evaluate_zero_field():

@@ -17,8 +17,10 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
-    capsys.readouterr()
     assert (tmp_path / "demos.csv").exists()
+    # the last line prints evaluate(field, demos, demos).number_reached_goal
+    # first: each of the 4 demonstrations counts once, though both sets hold it
+    assert capsys.readouterr().out.splitlines()[-1].split()[0] == "4"
 
 
 def test_readme_flag_table_matches_the_parser():
