@@ -2,7 +2,7 @@
 
 Commands: train, eval, rollout, export-field, grid-eval.  Settings come from
 a JSON object file (--config) with --set key=value overrides; nested keys
-use dots (e.g. --set admm.max_iters=200).  Command parameters (rollout
+use dots (e.g. --set solver.max_iters=200).  Command parameters (rollout
 start point, export bounds, ...) travel the same way, and each command
 reads its own through `training.read_settings`.  Each command takes only
 the flags and keys it reads; any other flag is a usage error and any other
@@ -75,10 +75,10 @@ def _settings(args):
 
 # why phase II stopped short of its gap tolerance
 _NOT_CONVERGED = {
-    "max_iters": "solver hit its step cap (admm.max_iters = {iters}) with duality gap "
-                 "{gap:.3e}; raise admm.max_iters or loosen admm.eps_abs/eps_rel",
+    "max_iters": "solver hit its step cap (solver.max_iters = {iters}) with duality gap "
+                 "{gap:.3e}; raise solver.max_iters or loosen solver.eps_abs/eps_rel",
     "stalled": "solver stalled after {iters} steps with duality gap {gap:.3e} above its "
-               "tolerance; loosen admm.eps_abs/eps_rel, or raise lambda, as a small lambda "
+               "tolerance; loosen solver.eps_abs/eps_rel, or raise lambda, as a small lambda "
                "leaves the ridge matrix ill-conditioned",
 }
 # why phase I found no theta that contracts at every constraint point; no tau
@@ -86,13 +86,14 @@ _NOT_CONVERGED = {
 _NOT_FEASIBLE = {
     "infeasible": "no theta contracts at every constraint point, so no tau >= 0 can be met: "
                   "certified, every unit-norm theta has a point where sym J exceeds -e I, "
-                  "for every e > {bound:.3e}; change the feature map (num_features, sigma) "
-                  "or the constraint points",
-    "max_iters": "solver hit its step cap (admm.max_iters = {iters}) in phase I, before it "
-                 "found a theta that contracts at every constraint point; raise admm.max_iters",
+                  "for every e > {contraction_bound:.3e}; change the feature map "
+                  "(num_features, sigma) or the constraint points",
+    "max_iters": "solver hit its step cap (solver.max_iters = {iters}) in phase I, before it "
+                 "found a theta that contracts at every constraint point; raise solver.max_iters",
     "stalled": "solver stalled in phase I after {iters} steps, before it found a theta that "
-               "contracts at every constraint point (none contracts by more than {bound:.3e}); "
-               "change the feature map (num_features, sigma) or the constraint points",
+               "contracts at every constraint point (none contracts by more than "
+               "{contraction_bound:.3e}); change the feature map (num_features, sigma) or the "
+               "constraint points",
 }
 
 
@@ -103,15 +104,13 @@ def cmd_train(config, data_path, model_path):
     print(f"trained on {len(demos.demos)} demonstrations "
           f"({config.kernel}, sigma={config.sigma}, s={config.num_features})")
     print(f"iters={report.iters} converged={report.converged} stop={report.stop_reason} "
-          f"gap={report.dual_residual:.3e}")
+          f"gap={report.gap:.3e}")
     print(f"objective={report.objective:.6e} "
           f"max_constraint_violation={report.max_constraint_violation:.3e}")
     print(f"model written to {model_path}")
     if not report.converged:
         messages = _NOT_CONVERGED if report.contraction_bound is None else _NOT_FEASIBLE
-        print(messages[report.stop_reason].format(
-            iters=report.iters, gap=report.dual_residual, bound=report.contraction_bound),
-            file=sys.stderr)
+        print(messages[report.stop_reason].format_map(vars(report)), file=sys.stderr)
         return 2
     return 0
 
@@ -187,6 +186,8 @@ def cmd_export_field(model_path, params, out):
     if len(p.bounds) != 4:
         raise ConfigError("bounds must be 4 numbers (--set bounds=x1min,x1max,x2min,x2max)")
     fieldobj, _, _ = modelfile.load_model(model_path)
+    if fieldobj.map.n != 2:
+        raise DimensionError(f"{model_path} is a {fieldobj.map.n}-D model; export-field needs 2-D")
     cols, rows = export_field_grid(fieldobj, p.bounds, p.resolution)
     _write_csv(out, cols, rows)
     print(f"wrote {rows.shape[0]} grid rows to {out}")

@@ -8,6 +8,9 @@ equilibria, and `load_model` rebuilds it with
 `features.build_vanishing_projector`, so a file cannot hold a projector
 that disagrees with them.  Version "1" files, which also stored the
 projector's basis and a top-level tau, still load; both keys are ignored.
+`load_model` returns the config and the solve summary as stored, so files
+written before the solver section and the summary's duality gap were
+renamed (the gap was `dual_residual`) load as they are.
 Floats survive the round trip exactly (shortest-round-trip decimal
 encoding), so save -> load -> save is byte-identical and a loaded model
 evaluates identically to the trained one.
@@ -35,7 +38,7 @@ def _finite_or_none(x):
 def report_summary(report):
     return {
         "iters": int(report.iters),
-        "dual_residual": _finite_or_none(report.dual_residual),
+        "gap": _finite_or_none(report.gap),
         "objective": _finite_or_none(report.objective),
         "max_constraint_violation": _finite_or_none(report.max_constraint_violation),
         "converged": bool(report.converged),

@@ -44,11 +44,12 @@ inequality, and keeps s_i = -C_i(theta) - tau_i I positive definite.
 
 `SolverSettings`: `max_iters` caps the Newton steps of both phases, and
 phase II stops once its certified duality gap, an upper bound on objective
-minus optimum, falls to eps_abs + eps_rel |objective|.  The report's
-`dual_residual` is the gap of the phase the run ended in, and `stop_reason`
-is "converged", "max_iters", "infeasible" or "stalled" (the gap set no new
-low for _STALL_STEPS steps, or a Newton system or step failed).  After a
-phase I stop, theta is the ridge optimum and `contraction_bound` is set.
+minus optimum, falls to eps_abs + eps_rel |objective|.  The report's `gap`
+is the certified duality gap of the phase the run ended in, and
+`stop_reason` is "converged", "max_iters", "infeasible" or "stalled" (the
+gap set no new low for _STALL_STEPS steps, or a Newton system or step
+failed); `converged` is read from it.  After a phase I stop, theta is the
+ridge optimum and `contraction_bound` is set.
 
 The solver uses only deterministic dense linear algebra, and every solve
 goes through `_cholesky_solver`.  The ridge matrix P = 2 A^T A + 2 lam I
@@ -115,12 +116,15 @@ class SolverSettings:
 class SolveReport:
     theta: np.ndarray
     iters: int
-    dual_residual: float
+    gap: float
     objective: float
     max_constraint_violation: float
-    converged: bool
     stop_reason: str | None = None
     contraction_bound: float | None = None
+
+    @property
+    def converged(self):
+        return self.stop_reason == "converged"
 
 
 def assemble_problem(fm, proj, pairs, cpoints, lam, tau):
@@ -360,8 +364,8 @@ def interior_point_solve(problem, settings=None):
     """Solve the problem by the primal-dual interior-point method.
 
     See the module docstring for how `settings` is read and what theta
-    the report holds; `converged` is True when the gap met its tolerance,
-    and `objective` is |A theta - b|^2 + lam |theta|^2 evaluated from the
+    the report holds; the report is `converged` when the gap met its
+    tolerance, and `objective` is |A theta - b|^2 + lam |theta|^2 evaluated from the
     normal equations.  Raises np.linalg.LinAlgError when lam is too small
     for the ridge matrix 2 A^T A + 2 lam I to have a Cholesky factor.
     """
@@ -389,9 +393,9 @@ def interior_point_solve(problem, settings=None):
 
     def report(x, steps, gap, reason, bound=None):
         violation = _max_eigenvalue(ops, x, problem.tau) if m else float("-inf")
-        return SolveReport(theta=x, iters=steps, dual_residual=gap, objective=objective(x),
-                           max_constraint_violation=violation, converged=reason == "converged",
-                           stop_reason=reason, contraction_bound=bound)
+        return SolveReport(theta=x, iters=steps, gap=gap, objective=objective(x),
+                           max_constraint_violation=violation, stop_reason=reason,
+                           contraction_bound=bound)
 
     if m == 0:
         return report(theta, 0, 0.0, "converged")

@@ -22,22 +22,23 @@ from .features import build_vanishing_projector, sample_feature_map
 from .kernels import CURL_FREE, KernelKind
 from .solver import SolverSettings, assemble_problem, interior_point_solve, single_blas_thread
 
-# keys in older config files that nothing reads: the former ADMM solver's, the
-# soft-constraint weight (0 in every file that trained hard constraints), and
-# a point count that the top-level `constraint_points` has always overridden
-_RETIRED_KEYS = {"admm": ("rho", "adapt_rho", "slack_weight"),
-                 "preprocess": ("constraint_points",)}
+# keys in older config files that nothing reads, each with the one value it may
+# hold (None: any): a former solver's step size and its adaptation; the
+# soft-constraint weight, 0 in every file that trained hard constraints; and a
+# point count that the top-level `constraint_points` has always overridden
+_RETIRED_KEYS = {"solver": {"rho": None, "adapt_rho": None, "slack_weight": 0},
+                 "preprocess": {"constraint_points": None}}
 
 
 @dataclass
 class TrainConfig:
     """Training configuration.
 
-    `admm` holds the `SolverSettings` under the key's historical name;
-    training runs `interior_point_solve`, which imposes the constraints hard
-    and reads `max_iters` as its cap on Newton steps and `eps_abs` +
-    `eps_rel` |objective| as its phase II duality-gap tolerance.
-    `from_dict` reads a mapping, such as a config file, with `read_settings`.
+    `solver` holds the `SolverSettings` of `interior_point_solve`, which
+    imposes the constraints hard and reads `max_iters` as its cap on Newton
+    steps and `eps_abs` + `eps_rel` |objective| as its phase II duality-gap
+    tolerance.  `from_dict` reads a mapping, such as a config file, with
+    `read_settings`, which also reads `solver` under its old name, `admm`.
     """
 
     kernel: str = CURL_FREE
@@ -47,7 +48,7 @@ class TrainConfig:
     tau: float = 0.0
     constraint_points: int = 250
     seed: int = 0
-    admm: SolverSettings = field(default_factory=SolverSettings)
+    solver: SolverSettings = field(default_factory=SolverSettings, metadata={"was": "admm"})
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
 
     def validate(self):
@@ -66,10 +67,10 @@ class TrainConfig:
             self.preprocess.validate()
         except ValueError as exc:
             raise ConfigError(str(exc))
-        if self.admm.max_iters < 1:
-            raise ConfigError("admm.max_iters must be at least 1")
-        if self.admm.eps_abs < 0 or self.admm.eps_rel < 0:
-            raise ConfigError("admm tolerances must be nonnegative")
+        if self.solver.max_iters < 1:
+            raise ConfigError("solver.max_iters must be at least 1")
+        if self.solver.eps_abs < 0 or self.solver.eps_rel < 0:
+            raise ConfigError("solver tolerances must be nonnegative")
         return self
 
     def to_dict(self):
@@ -79,10 +80,6 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        admm = (d or {}).get("admm")
-        if isinstance(admm, Mapping) and admm.get("slack_weight", 0) != 0:
-            raise ConfigError("admm.slack_weight must be 0: soft constraints were "
-                              "removed, and training imposes contraction exactly")
         return read_settings(cls, d or {}).validate()
 
 
@@ -118,8 +115,10 @@ _KINDS = {int: "an integer", float: "a finite number", list[float]: "a list of f
 
 def read_settings(cls, mapping, section=None):
     """Dataclass `cls` with the settings of `mapping`, keyed by field name or
-    metadata "key"; absent keys keep their defaults, and the retired keys of
-    `section` are dropped.  A value is read as its field's type: `int` an
+    metadata "key", or by a field's old name in metadata "was" (a mapping
+    that gives both names is an error); absent keys keep their defaults, and
+    the retired keys of `section` are dropped once they hold the value
+    `_RETIRED_KEYS` allows.  A value is read as its field's type: `int` an
     integer (200.0 reads as 200; 2.5 and true are errors), `float` a finite
     number (or inf where that is the default), `list[float]` a list or the
     string "a,b,...", a settings dataclass a mapping; other types as given.
@@ -132,9 +131,17 @@ def read_settings(cls, mapping, section=None):
     prefix = f"{section}." if section else ""
     hints = get_type_hints(cls)
     keys = {f.metadata.get("key", f.name): f for f in fields(cls)}
-    unknown = sorted(set(mapping) - set(keys) - set(_RETIRED_KEYS.get(section, ())), key=str)
+    for key, was in ((key, f.metadata["was"]) for key, f in keys.items() if "was" in f.metadata):
+        if was in mapping and key in mapping:
+            raise ConfigError(f"give one name for {prefix}{key}: rename {prefix}{was} to {key}")
+        mapping = {key if k == was else k: v for k, v in mapping.items()}
+    unknown = sorted(set(mapping) - set(keys) - set(_RETIRED_KEYS.get(section, {})), key=str)
     if unknown:
         raise ConfigError(f"{prefix}{unknown[0]} must be one of the keys {', '.join(keys)}")
+    for key, only in _RETIRED_KEYS.get(section, {}).items():
+        if only is not None and mapping.get(key, only) != only:
+            # slack_weight is the one key held to a value
+            raise ConfigError(f"{prefix}{key} must be {only}: soft constraints were removed")
     values = {}
     for key, f in ((key, f) for key, f in keys.items() if key in mapping):
         value, hint = mapping[key], hints[f.name]
@@ -167,6 +174,6 @@ def train_field(demos, config):
     with single_blas_thread():        # model bytes independent of the core count
         problem = assemble_problem(fm, proj, (avg.positions, avg.velocities),
                                    cpoints, config.lam, config.tau)
-        report = interior_point_solve(problem, config.admm)
+        report = interior_point_solve(problem, config.solver)
     fieldobj = TrainedField(fm, proj, report.theta, Z)
     return fieldobj, report, avg

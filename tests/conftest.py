@@ -41,7 +41,7 @@ def angle_model(angle_train):
     """Small curl-free model shared read-only by dynamics/metrics/cli tests."""
     cfg = TrainConfig(kernel="curl_free", sigma=10.0, num_features=200, lam=0.01,
                       tau=0.0, constraint_points=100, seed=0,
-                      admm=SolverSettings(eps_abs=1e-6, eps_rel=1e-7, max_iters=60000))
+                      solver=SolverSettings(eps_abs=1e-6, eps_rel=1e-7, max_iters=60000))
     field, report, avg = train_field(angle_train, cfg)
     assert report.converged and report.max_constraint_violation <= 1e-5
     return field, report, avg
@@ -55,7 +55,7 @@ def decay_model():
     test = DemoSet(full.demos[2:], full.goal)
     cfg = TrainConfig(kernel="curl_free", sigma=15.0, num_features=100, lam=0.01,
                       tau=0.3, constraint_points=60, seed=0,
-                      admm=SolverSettings(eps_abs=1e-6, eps_rel=1e-7, max_iters=60000))
+                      solver=SolverSettings(eps_abs=1e-6, eps_rel=1e-7, max_iters=60000))
     field, report, avg = train_field(train, cfg)
     assert report.converged
     return field, report, avg, train, test

@@ -49,7 +49,7 @@ def tau0_bundle(s_train):
     """Full-scale constrained training, tau = 0, 250 constraint points."""
     cfg = TrainConfig(kernel="curl_free", sigma=20.0, num_features=200,
                       lam=0.01, tau=0.0, constraint_points=250, seed=0,
-                      admm=SolverSettings(eps_abs=5e-6, eps_rel=1e-9, max_iters=250000))
+                      solver=SolverSettings(eps_abs=5e-6, eps_rel=1e-9, max_iters=250000))
     t0 = time.perf_counter()
     field, report, avg = train_field(s_train, cfg)
     wall = time.perf_counter() - t0
@@ -62,7 +62,7 @@ def tau100_bundle(s_train):
     rate by about 100, so the solver's phase I must find a feasible start."""
     cfg = TrainConfig(kernel="curl_free", sigma=20.0, num_features=200,
                       lam=0.01, tau=100.0, constraint_points=50, seed=0,
-                      admm=SolverSettings(eps_abs=2e-4, eps_rel=1e-9, max_iters=250000))
+                      solver=SolverSettings(eps_abs=2e-4, eps_rel=1e-9, max_iters=250000))
     t0 = time.perf_counter()
     field, report, avg = train_field(s_train, cfg)
     wall = time.perf_counter() - t0
@@ -88,8 +88,8 @@ def seed_models():
         dset = s_demos(num=4, samples=1000, seed=seed)
         cfg = TrainConfig(kernel="curl_free", sigma=20.0, num_features=200,
                           lam=0.01, tau=0.0, constraint_points=250, seed=0,
-                          admm=SolverSettings(eps_abs=1e-4, eps_rel=1e-9,
-                                              max_iters=150000))
+                          solver=SolverSettings(eps_abs=1e-4, eps_rel=1e-9,
+                                                max_iters=150000))
         con_field, con_rep, _ = train_field(dset, cfg)
         ridge_field, _ = _ridge_field(dset, 20.0, 200, 0)
         out.append((seed, dset, con_field, con_rep, ridge_field))

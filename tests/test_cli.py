@@ -3,9 +3,11 @@
 import ctypes
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,7 +17,7 @@ import pytest
 import cvfield
 from _forks import with_cpus
 from _synth import s_demos, write_demo_csv
-from cvfield import TrainConfig, metrics, modelfile, solver, train_field, training
+from cvfield import TrainConfig, cli, metrics, modelfile, solver, train_field, training
 from cvfield.cli import cmd_export_field, main
 from cvfield.dataset import (load_demonstrations, resample_and_average,
                              subsample_constraint_points)
@@ -63,12 +65,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(sigma=-1.0).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(admm=SolverSettings(max_iters=0)).validate()
+        TrainConfig(solver=SolverSettings(max_iters=0)).validate()
 
 
 def test_config_dict_round_trip():
     cfg = TrainConfig.from_dict(CLI_CONFIG)
-    assert cfg.lam == 0.01 and cfg.admm.max_iters == 60000
+    assert cfg.lam == 0.01 and cfg.solver.max_iters == 60000
     d = cfg.to_dict()
     assert d["lambda"] == 0.01 and "lam" not in d
     again = TrainConfig.from_dict(d)
@@ -84,11 +86,11 @@ def test_config_reads_numpy_scalars():
     # config still echoes as JSON; NumPy booleans are rejected like true
     cfg = TrainConfig.from_dict({"num_features": np.int64(100), "sigma": np.int64(3),
                                  "lambda": np.float32(0.5), "tau": np.float64(0.25),
-                                 "admm": {"max_iters": np.uint16(40)}})
+                                 "solver": {"max_iters": np.uint16(40)}})
     assert cfg == TrainConfig.from_dict({"num_features": 100, "sigma": 3, "lambda": 0.5,
-                                         "tau": 0.25, "admm": {"max_iters": 40}})
+                                         "tau": 0.25, "solver": {"max_iters": 40}})
     assert type(cfg.num_features) is int and type(cfg.sigma) is int
-    assert type(cfg.lam) is float and type(cfg.admm.max_iters) is int
+    assert type(cfg.lam) is float and type(cfg.solver.max_iters) is int
     assert json.loads(json.dumps(cfg.to_dict()))["sigma"] == 3
     with pytest.raises(ConfigError, match="num_features must be an integer"):
         TrainConfig.from_dict({"num_features": np.float32(2.5)})
@@ -110,27 +112,27 @@ def test_config_rejects_unserializable_values_with_config_error(value):
     # formatting the rejected value for the message never raises
     with pytest.raises(ConfigError, match="num_features must be an integer, got "):
         TrainConfig.from_dict({"num_features": value})
-    with pytest.raises(ConfigError, match="admm.eps_abs must be a finite number, got "):
-        TrainConfig.from_dict({"admm": {"eps_abs": value}})
+    with pytest.raises(ConfigError, match="solver.eps_abs must be a finite number, got "):
+        TrainConfig.from_dict({"solver": {"eps_abs": value}})
 
 
 def test_config_rejects_keys_that_are_not_strings():
     with pytest.raises(ConfigError, match="1 must be one of the keys"):
         TrainConfig.from_dict({1: 2, "bogus": 3})
-    with pytest.raises(ConfigError, match="admm.None must be one of the keys"):
-        TrainConfig.from_dict({"admm": {None: 1, "bogus": 2}})
+    with pytest.raises(ConfigError, match="solver.None must be one of the keys"):
+        TrainConfig.from_dict({"solver": {None: 1, "bogus": 2}})
 
 
 def test_retired_admm_keys_are_dropped(angle_train):
     # older configs carry the ADMM-only "rho" and "adapt_rho", a zero
     # "slack_weight" and a preprocess.constraint_points that nothing read;
     # they are read and discarded, so they change nothing and are not
-    # written back
+    # written back (CLI_CONFIG gives the solver section its old name, "admm")
     retired = TrainConfig.from_dict(dict(CLI_CONFIG, preprocess={"constraint_points": 7}))
     current = TrainConfig.from_dict(dict(CLI_CONFIG, admm={
         k: v for k, v in CLI_CONFIG["admm"].items() if k not in ("rho", "adapt_rho")}))
     assert retired == current
-    assert set(retired.to_dict()["admm"]) == {"max_iters", "eps_abs", "eps_rel"}
+    assert set(retired.to_dict()["solver"]) == {"max_iters", "eps_abs", "eps_rel"}
     assert set(retired.to_dict()["preprocess"]) == {"smoothing_window", "resample_len"}
     theta_retired = train_field(angle_train, retired)[0].theta
     theta_current = train_field(angle_train, current)[0].theta
@@ -139,12 +141,91 @@ def test_retired_admm_keys_are_dropped(angle_train):
     assert hard == current
     assert np.array_equal(train_field(angle_train, hard)[0].theta, theta_current)
     # a nonzero weight asked for soft constraints, which are gone
-    with pytest.raises(ConfigError, match="admm.slack_weight"):
+    with pytest.raises(ConfigError, match="solver.slack_weight must be 0: soft constraints"):
         TrainConfig.from_dict(dict(CLI_CONFIG, admm=dict(CLI_CONFIG["admm"], slack_weight=1.0)))
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"admm": {"momentum": 0.9}})
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"preprocess": {"rho": 1.0}})
+
+
+@pytest.mark.parametrize("value", [[1], "abc", 5])
+def test_config_that_is_not_a_mapping_is_a_config_error(value):
+    with pytest.raises(ConfigError, match="must be a mapping of settings, not "):
+        TrainConfig.from_dict(value)
+
+
+def _solver_as(config, name):
+    """`config` with its solver section under `name`, in place of CLI_CONFIG's "admm"."""
+    config = dict(config)
+    config[name] = config.pop("admm")
+    return config
+
+
+def test_solver_section_reads_under_its_old_name(angle_train):
+    # "admm" is the solver section's old name: it loads as "solver", trains
+    # to the same theta bits, and is written back as "solver"
+    old = TrainConfig.from_dict(CLI_CONFIG)
+    new = TrainConfig.from_dict(_solver_as(CLI_CONFIG, "solver"))
+    assert old == new and old.solver.max_iters == 60000
+    assert "admm" not in old.to_dict() and old.to_dict()["solver"] == asdict(old.solver)
+    assert np.array_equal(train_field(angle_train, old)[0].theta,
+                          train_field(angle_train, new)[0].theta)
+    with pytest.raises(ConfigError, match="give one name for solver: rename admm to solver"):
+        TrainConfig.from_dict(dict(_solver_as(CLI_CONFIG, "solver"), admm={"max_iters": 5}))
+
+
+def test_config_file_with_admm_and_set_solver_is_an_error(workspace, capsys):
+    # the workspace config names the section "admm"; --set names it "solver"
+    model = workspace / "two_names_model.json"
+    rc = main(["train", "--config", str(workspace / "config.json"),
+               "--data", str(workspace / "train.csv"), "--model", str(model),
+               "--set", "solver.max_iters=5"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: give one name for solver: rename admm to solver\n"
+    assert not model.exists()
+
+
+def test_keys_named_by_the_stop_messages_are_accepted_by_set():
+    # every dotted key that a train stop message tells the user to change
+    text = " ".join([*cli._NOT_CONVERGED.values(), *cli._NOT_FEASIBLE.values()])
+    keys = {f"solver.{name}" for names in re.findall(r"solver\.([\w/]+)", text)
+            for name in names.split("/")}
+    assert keys == {"solver.max_iters", "solver.eps_abs", "solver.eps_rel"}
+    for key in sorted(keys):
+        args = cli._build_parser().parse_args(["train", "--set", f"{key}=7"])
+        cfg = TrainConfig.from_dict(cli._settings(args))
+        assert getattr(cfg.solver, key.split(".")[1]) == 7
+
+
+@pytest.mark.parametrize("section", ["solver", "admm"])
+def test_nonzero_slack_weight_is_an_error_under_either_name(workspace, capsys, section):
+    model = workspace / f"slack_{section}_model.json"
+    rc = main(["train", "--data", str(workspace / "train.csv"), "--model", str(model),
+               "--set", f"{section}.slack_weight=1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: solver.slack_weight must be 0: soft constraints were removed\n"
+    assert not model.exists()
+
+
+def test_model_file_names_the_solver_section_and_the_gap(workspace, tmp_path):
+    # a config that names the section "solver" writes the same bytes as the
+    # workspace's, which names it "admm"; the file holds "solver" and "gap"
+    config = tmp_path / "solver_config.json"
+    config.write_text(json.dumps(_solver_as(CLI_CONFIG, "solver")))
+    model = tmp_path / "model.json"
+    assert main(["train", "--config", str(config), "--data", str(workspace / "train.csv"),
+                 "--model", str(model)]) == 0
+    assert model.read_bytes() == (workspace / "model.json").read_bytes()
+    doc = json.loads(model.read_text())
+    assert doc["schema_version"] == "2"
+    assert set(doc["config"]["solver"]) == {"max_iters", "eps_abs", "eps_rel"}
+    assert "admm" not in doc["config"]
+    assert set(doc["solve_report"]) == {"iters", "gap", "objective", "max_constraint_violation",
+                                        "converged", "stop_reason"}
+    assert 0.0 <= doc["solve_report"]["gap"] <= 1e-6 + 1e-7 * doc["solve_report"]["objective"]
 
 
 def test_train_reports_and_persists(workspace, capsys):
@@ -171,7 +252,7 @@ def test_train_nonconvergence_exit_code(workspace, capsys):
                "--model", str(workspace / "weak_model.json")])
     out = capsys.readouterr()
     assert rc == 2
-    assert "admm.max_iters" in out.err
+    assert "solver.max_iters" in out.err
     assert "converged=False" in out.out
 
 
@@ -311,14 +392,14 @@ def _command_flags(ws, command):
     ("train", ["seed=abc"]),
     ("train", ["sigma=abc"]),
     ("train", ["tau=null"]),
-    ("train", ["admm.max_iters=abc"]),
+    ("train", ["solver.max_iters=abc"]),
     ("train", ["preprocess.resample_len=abc"]),
     ("train", ["num_features=2.5"]),
     ("train", ["constraint_points=1.5"]),
     ("train", ["lambda=true"]),
     ("train", ["sigma=Infinity"]),
-    ("train", ["admm.eps_abs=NaN"]),
-    ("train", ["admm.slack_weight=1"]),
+    ("train", ["solver.eps_abs=NaN"]),
+    ("train", ["solver.slack_weight=1"]),
     ("rollout", ["x0=10,20", "horizon=true"]),
     ("rollout", ["x0=10,20", "max_step=true"]),
     ("grid-eval", ["grid_k"]),
@@ -550,6 +631,29 @@ def test_eval_rejects_demonstrations_of_another_dimension(workspace, capsys, com
     assert err == f"error: {bad}: demonstrations have state dimension 3, the model 2\n"
 
 
+def test_grid_commands_reject_a_model_that_is_not_2d(tmp_path, capsys):
+    # eval, grid-eval and export-field work on the plane; a 3-D model is our
+    # error before any evaluation, not numpy's broadcast error
+    rng = np.random.default_rng(0)
+    t = np.linspace(0.0, 4.0, 30)
+    rows = [[i, float(tj), *x.tolist()] for i in range(2)
+            for tj, x in zip(t, np.outer(np.exp(-0.5 * t), rng.uniform(5.0, 10.0, size=3)))]
+    data = tmp_path / "three_d.csv"
+    data.write_text("demo_id,t,x1,x2,x3\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(data), "--model", str(model), "--set", "num_features=50",
+                 "--set", "constraint_points=20", "--set", "sigma=5"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "field.csv"
+    assert main(["export-field", "--model", str(model), "--out", str(out),
+                 "--set", "bounds=-5,5,-5,5"]) == 1
+    assert capsys.readouterr().err == f"error: {model} is a 3-D model; export-field needs 2-D\n"
+    assert not out.exists()
+    for command in ("eval", "grid-eval"):
+        assert main([command, "--model", str(model), "--data", str(data)]) == 1
+        assert capsys.readouterr().err == "error: grid evaluation supports 2-D data only\n"
+
+
 class _EscapesRightOfOne:
     """xdot = -x where x1 <= 1; elsewhere xdot = (1 + x1^2, 0), which leaves
     for infinity in finite time, so rollouts started at x1 > 1 end in step
@@ -712,11 +816,14 @@ def test_save_model_refuses_a_projector_that_loading_would_not_rebuild(tmp_path)
 
 @pytest.mark.parametrize("slack_weight", [0.0, 5])
 def test_eval_reads_models_with_retired_keys(workspace, capsys, tmp_path, slack_weight):
-    # older model files echo admm.slack_weight (nonzero for a soft-constraint
-    # model) and report a primal_residual; eval reads only the echo's
-    # preprocess block, so such a model evaluates as it did
+    # older model files name the solver section "admm", echo its slack_weight
+    # (nonzero for a soft-constraint model) and report the gap as
+    # "dual_residual" beside a primal_residual; load_model returns both
+    # blocks as stored and eval reads only the echo's preprocess block, so
+    # such a model evaluates to the same bytes
     doc = json.loads((workspace / "model.json").read_text())
-    doc["config"]["admm"]["slack_weight"] = slack_weight
+    doc["config"]["admm"] = dict(doc["config"].pop("solver"), slack_weight=slack_weight)
+    doc["solve_report"]["dual_residual"] = doc["solve_report"].pop("gap")
     doc["solve_report"]["primal_residual"] = 0.0
     older = tmp_path / "older_model.json"
     older.write_text(json.dumps(doc, indent=2, sort_keys=True))
@@ -837,7 +944,7 @@ def test_report_summary_null_for_unconstrained():
     # unconstrained solves carry -inf violation, which must serialize as
     # JSON null rather than an Infinity literal
     from types import SimpleNamespace
-    rep = SimpleNamespace(iters=1, dual_residual=0.0,
+    rep = SimpleNamespace(iters=1, gap=0.0,
                           objective=1.5, max_constraint_violation=float("-inf"),
                           converged=True, stop_reason="converged")
     doc = modelfile.report_summary(rep)
@@ -879,7 +986,7 @@ def _scurve_inputs(tmp_path):
     write_demo_csv(tmp_path / "train.csv", s_demos(num=4, samples=1000, seed=1))
     cfg = {"kernel": "curl_free", "sigma": 20.0, "num_features": 200, "lambda": 0.01,
            "tau": 0.0, "constraint_points": 100, "seed": 0,
-           "admm": {"eps_abs": 1e-4, "eps_rel": 1e-9, "max_iters": 2000}}
+           "solver": {"eps_abs": 1e-4, "eps_rel": 1e-9, "max_iters": 2000}}
     (tmp_path / "config.json").write_text(json.dumps(cfg))
     return tmp_path / "train.csv", tmp_path / "config.json"
 

@@ -183,7 +183,7 @@ def test_ipm_unconstrained_equals_ridge():
     np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
     assert rep.converged and rep.iters == 0
     assert rep.max_constraint_violation == float("-inf")
-    assert rep.dual_residual == 0.0
+    assert rep.gap == 0.0
 
 
 def test_ipm_scalar_clamp():
@@ -197,7 +197,7 @@ def test_ipm_scalar_clamp():
     # margin below the clamp
     t_star = -0.5 - CONTRACTION_MARGIN * 1.5
     f_star = (t_star - 2.0) ** 2 + 0.01 * t_star**2
-    assert 0.0 <= rep.objective - f_star <= rep.dual_residual + 1e-12
+    assert 0.0 <= rep.objective - f_star <= rep.gap + 1e-12
 
 
 def test_ipm_flags_step_cap():
@@ -206,7 +206,7 @@ def test_ipm_flags_step_cap():
     assert not rep.converged
     assert rep.stop_reason == "max_iters"
     assert rep.iters == 2
-    assert np.isfinite(rep.max_constraint_violation) and np.isfinite(rep.dual_residual)
+    assert np.isfinite(rep.max_constraint_violation) and np.isfinite(rep.gap)
 
 
 def test_ipm_stalls_on_unreachable_tolerance():
@@ -218,7 +218,7 @@ def test_ipm_stalls_on_unreachable_tolerance():
     assert rep.stop_reason == "stalled"
     assert rep.iters < 100
     assert abs(rep.theta[0] + 0.5) <= 1e-5
-    assert np.isfinite(rep.dual_residual)
+    assert np.isfinite(rep.gap)
 
 
 def test_ipm_phase1_reports_infeasible_tau():
@@ -244,7 +244,7 @@ def test_ipm_phase1_certifies_indefinite_cone(tau):
     rep = interior_point_solve(prob, SolverSettings())
     assert rep.stop_reason == "infeasible" and not rep.converged
     assert 0.0 <= rep.contraction_bound <= np.sqrt(2.0 * np.finfo(float).eps)
-    assert 0.0 <= rep.dual_residual <= np.finfo(float).eps
+    assert 0.0 <= rep.gap <= np.finfo(float).eps
     assert rep.theta[0] == pytest.approx(2.0 / 1.01, rel=1e-12)
 
 
@@ -285,7 +285,7 @@ def test_fast_rates_on_the_s_curve_are_feasible(tau):
     # and ends strictly feasible, with the margin
     cfg = TrainConfig(kernel="curl_free", sigma=20.0, num_features=200, lam=0.01, tau=tau,
                       constraint_points=100, seed=0,
-                      admm=SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000))
+                      solver=SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000))
     _, rep, _ = train_field(s_demos(num=4, samples=1000, seed=1), cfg)
     assert rep.converged and rep.stop_reason == "converged"
     assert rep.max_constraint_violation <= -0.5 * CONTRACTION_MARGIN * (1.0 + tau) < 0.0
@@ -298,7 +298,7 @@ def test_ipm_deterministic():
     r2 = interior_point_solve(prob, SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
     assert r1.converged
     assert np.array_equal(r1.theta, r2.theta)
-    assert r1.objective == r2.objective and r1.dual_residual == r2.dual_residual
+    assert r1.objective == r2.objective and r1.gap == r2.gap
     assert r1.iters == r2.iters
 
 
@@ -365,7 +365,7 @@ def test_indefinite_schur_complement_stalls(monkeypatch, path):
 
 def _admm_block(**block):
     # the solver settings an "admm" config block loads to
-    return TrainConfig.from_dict({"admm": block}).admm
+    return TrainConfig.from_dict({"admm": block}).solver
 
 
 def test_config_block_unconstrained_equals_ridge():
