@@ -51,7 +51,9 @@ def save_model(path, field, config=None, report=None):
 
     Loading rebuilds the projector from the map and the equilibria, so a
     field whose projector basis is not exactly that one would load as
-    another field: it is a DataError, and nothing is written."""
+    another field: it is a DataError, and nothing is written.  The document
+    is encoded before the file is opened, so a config that JSON cannot
+    encode raises TypeError and leaves an existing file as it was."""
     if not np.array_equal(field.proj.basis,
                           build_vanishing_projector(field.map, field.equilibria).basis):
         raise DataError("the field's vanishing projector is not the one of its feature "
@@ -71,9 +73,9 @@ def save_model(path, field, config=None, report=None):
         "theta": field.theta.tolist(),
         "solve_report": report if isinstance(report, dict) or report is None else report_summary(report),
     }
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _numbers(key, value, shape):

@@ -17,8 +17,18 @@ Nesterov-Todd scaling and Mehrotra's predictor-corrector, after CVXOPT's
 `coneqp` (Vandenberghe, "The CVXOPT linear and quadratic cone program
 solvers", 2010).  It works in the problem's own structure: m blocks of
 n x n, and one p x p Schur complement 2 A^T A + 2 lam I + F^T F per Newton
-step, where the (n^2 m, p) matrix F holds the scaled operators
-r_i^T E_ij r_i.  The constraints are hard, and imposed with a small margin,
+step, where the (m n(n+1)/2, p) matrix F holds the scaled operators
+r_i^T E_ij r_i packed as CVXOPT's svec (the lower triangle, off-diagonals
+times sqrt 2), so F^T F sums tr(r^T E_ij r r^T E_ik r) with n(n+1)/2 rows
+per point, not n^2.  The scaling r_i comes from one batched symmetric
+eigendecomposition (Todd, Toh & Tutuncu, "On the Nesterov-Todd direction in
+semidefinite programming", SIAM J. Optim., 1998): with Ls, Lz the Cholesky
+factors of the slack s_i and the dual z_i, B = Lz^T Ls and
+B B^T = U diag(lam^2) U^T, r_i = Lz U diag(lam^-1/2) gives
+r^T s r = r^-1 z r^-T = diag(lam).  A block too ill-conditioned for that
+(lam^2 <= 0) stalls the run like a failed Newton system.  The slacks, the
+step to the cone's boundary and its back-off stay in the n x n form.
+The constraints are hard, and imposed with a small margin,
 C_i(theta) + tau_i I <= -CONTRACTION_MARGIN (1 + tau_i) I, so that a
 Jacobian evaluated in another summation order still meets the rate; the
 duality gap is certified for this tightened problem.
@@ -57,10 +67,11 @@ is factored once per solve, and that factor gives the ridge start and
 phase II's gap term rd^T P^-1 rd; a P that is not numerically positive
 definite is an error that says lam is too small.  Each Newton step
 factors its Schur complement once and solves for both directions with
-that factor.  The factor is LAPACK `dpotrf` and a solve `dpotrs`, from
-the OpenBLAS that numpy bundles, reached through ctypes.  Where numpy's
-OpenBLAS does not export them, `np.linalg.cholesky` tests definiteness
-instead and `np.linalg.solve` solves each system anew.  Inside
+that factor.  The factor is LAPACK `dpotrf`, and a solve is two
+triangular solves `dtrsv` on it, from the OpenBLAS that numpy bundles,
+reached through ctypes.  Where numpy's OpenBLAS does not export both,
+`np.linalg.cholesky` tests definiteness instead and `np.linalg.solve`
+solves each system anew.  Inside
 `single_blas_thread`, where `training.train_field` runs it, identical
 inputs and settings reproduce bitwise-identical results on any number of
 cores.
@@ -197,22 +208,24 @@ def single_blas_thread():
 
 
 _ARRAY = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-_INT = ctypes.c_int64                   # lapack_int of the 64-bit interface
+_INT = ctypes.c_int64                   # lapack_int and blasint of the 64-bit interface
 
 
 @functools.cache
 def _lapack():
-    """LAPACKE dpotrf and dpotrs of numpy's OpenBLAS, or None where it lacks them."""
-    layout_uplo = [ctypes.c_int, ctypes.c_char]
-    return _openblas_functions(
-        ["{prefix}LAPACKE_dpotrf64_", "{prefix}LAPACKE_dpotrs64_"], _INT,
-        [layout_uplo + [_INT, _ARRAY, _INT],
-         layout_uplo + [_INT, _INT, _ARRAY, _INT, _ARRAY, _INT]])
+    """LAPACKE dpotrf and CBLAS dtrsv of numpy's OpenBLAS, or None where it lacks one."""
+    potrf = _openblas_functions(["{prefix}LAPACKE_dpotrf64_"], _INT,
+                                [[ctypes.c_int, ctypes.c_char, _INT, _ARRAY, _INT]])
+    trsv = _openblas_functions(["{prefix}cblas_dtrsv64_"], None,
+                               [[ctypes.c_int] * 4 + [_INT, ctypes.c_void_p, _INT,
+                                                      ctypes.c_void_p, _INT]])
+    return None if potrf is None or trsv is None else potrf + trsv
 
 
-# LAPACK_COL_MAJOR: a C-ordered symmetric matrix is its own column-major
-# transpose, so LAPACKE factors and solves it in place without copies
-_COL_MAJOR = 102
+# column-major order: a C-ordered symmetric matrix is its own column-major
+# transpose, so LAPACKE factors it in place without copies and CBLAS solves
+# with the factor where it lies; the other four are CBLAS's enums
+_COL_MAJOR, _LOWER, _NO_TRANS, _TRANS, _NON_UNIT = 102, 122, 111, 112, 131
 
 
 def _cholesky_solver(S):
@@ -226,23 +239,28 @@ def _cholesky_solver(S):
         except np.linalg.LinAlgError:
             return None
         return lambda v: np.linalg.solve(S, v)
-    potrf, potrs = lapack
+    potrf, trsv = lapack
     n = S.shape[0]
     if potrf(_COL_MAJOR, b"L", n, S, n) != 0:
         return None
 
-    def solve(v):
+    def solve(v, S=S, factor=S.ctypes.data):
+        # S = L L^T: L y = v, then L^T x = y, in place in x; the default
+        # argument S keeps the factor's memory alive as long as solve
         x = np.array(v, dtype=float)
-        if potrs(_COL_MAJOR, b"L", n, 1, S, n, x, n) != 0:
-            raise np.linalg.LinAlgError("dpotrs rejected its arguments")
+        if x.shape != (n,):             # dtrsv reads and writes n entries of x
+            raise DimensionError(f"a solve with a factor of order {n} needs {n} entries")
+        for trans in (_NO_TRANS, _TRANS):
+            trsv(_COL_MAJOR, _LOWER, trans, _NON_UNIT, n, factor, n, x.ctypes.data, 1)
         return x
     return solve
 
 
 def _max_eigenvalue(ops, theta, shift):
     """The largest lambda_max(C_i(theta) + shift_i I) over the constraint points i."""
-    C = np.einsum("ipab,p->iab", ops, theta)
-    return float(np.max(np.linalg.eigvalsh(C + shift[:, None, None] * np.eye(C.shape[1]))))
+    m, _, n, _ = ops.shape
+    C = (theta @ ops.reshape(m, -1, n * n)).reshape(m, n, n)
+    return float(np.max(np.linalg.eigvalsh(C + shift[:, None, None] * np.eye(n))))
 
 
 # phase II imposes C_i(theta) + tau_i I <= -CONTRACTION_MARGIN (1 + tau_i) I
@@ -258,6 +276,40 @@ def _step_to_boundary(lam, X):
     return -1.0 / low if low < 0.0 else np.inf
 
 
+def _nt_scaling(Ls, Lz):
+    """Nesterov-Todd scaling (lam, r) of the blocks s = Ls Ls^T, z = Lz Lz^T,
+    with r_i^T s_i r_i = r_i^-1 z_i r_i^-T = diag(lam_i), or None when a
+    block is too ill-conditioned to scale (Todd, Toh & Tutuncu, 1998): with
+    B = Lz^T Ls and B B^T = U diag(lam^2) U^T, r = Lz U diag(lam^-1/2)."""
+    B = Lz.transpose(0, 2, 1) @ Ls
+    lam2, U = np.linalg.eigh(B @ B.transpose(0, 2, 1))
+    if not lam2[:, 0].min() > 0.0:
+        return None
+    lam = np.sqrt(lam2)
+    return lam, Lz @ U / np.sqrt(lam)[:, None, :]
+
+
+def _svec(k):
+    """The svec packing of symmetric k x k blocks, after CVXOPT: the
+    k(k+1)/2 lower-triangle entries, off-diagonals times sqrt 2, so that
+    svec(X) . svec(Y) = tr(X Y).  Returns (rows, weights, slots), with
+    svec(X) = X.reshape(-1, k k)[:, rows] * weights, unpacked by
+    X = (v / weights)[:, slots].reshape(-1, k, k) for v of shape (-1, k(k+1)/2)."""
+    a, b = np.tril_indices(k)
+    slots = np.empty((k, k), dtype=int)
+    slots[a, b] = slots[b, a] = np.arange(a.size)
+    return a * k + b, np.where(a == b, 1.0, np.sqrt(2.0)), slots.ravel()
+
+
+def _scaled_rows(r, Gblk, rows, weights):
+    """F, the svec rows of r_i^T G_ij r_i, of shape (m k(k+1)/2, d), from the
+    (m, k k, d) vec G_ij: the svec rows of kron(r_i, r_i)^T times vec G_ij."""
+    m, k, _ = r.shape
+    a, b = np.divmod(rows, k)
+    kron = np.einsum("ibt,ict->itbc", r[:, :, a] * weights, r[:, :, b])
+    return np.matmul(kron.reshape(m, rows.size, k * k), Gblk).reshape(-1, Gblk.shape[2])
+
+
 def _interior_point(P, q, G, h, x, max_steps, certify, done):
     """Feasible-start primal-dual interior-point method.
 
@@ -270,13 +322,14 @@ def _interior_point(P, q, G, h, x, max_steps, certify, done):
     given sz = <s, z> and the dual residual rd = P x + q + G^T z.
     `done(x, gap)` returns a stop reason or None, gap being that bound.  A
     run whose bound sets no new low for _STALL_STEPS steps, or whose Newton
-    system or step fails, has stalled.  Returns (x, steps, gap, reason).
+    system, scaling or step fails, has stalled.  Returns (x, steps, gap, reason).
     """
     m, d, k, _ = G.shape
     kk = k * k
     Gblk = np.ascontiguousarray(G.reshape(m, d, kk).transpose(0, 2, 1))   # (m, kk, d)
     Gop = Gblk.reshape(m * kk, d)                                         # x -> vec G(x)
     eye = np.eye(k)
+    rows, weights, slots = _svec(k)
 
     def slack(v):
         return h - (Gop @ v).reshape(m, k, k)
@@ -312,14 +365,11 @@ def _interior_point(P, q, G, h, x, max_steps, certify, done):
         if reason is not None:
             return x, steps, gap, reason
 
-        # Nesterov-Todd scaling r_i with r^T s r = r^-1 z r^-T = diag(lam),
-        # from the factors Ls, Lz of s and z
-        _, lam, Vt = np.linalg.svd(Lz.transpose(0, 2, 1) @ Ls)
-        r = np.linalg.solve(Ls.transpose(0, 2, 1), Vt.transpose(0, 2, 1))
-        r *= np.sqrt(lam)[:, None, :]
-        # F rows vec(r_i^T G_ij r_i), through kron(r_i, r_i)^T block by block
-        kron = np.einsum("iba,icd->iadbc", r, r).reshape(m, kk, kk)
-        F = np.matmul(kron, Gblk).reshape(m * kk, d)
+        scaling = _nt_scaling(Ls, Lz)
+        if scaling is None:
+            return x, steps, gap, "stalled"
+        lam, r = scaling
+        F = _scaled_rows(r, Gblk, rows, weights)
         solve = _cholesky_solver(P + F.T @ F)
         if solve is None:
             return x, steps, gap, "stalled"
@@ -329,8 +379,8 @@ def _interior_point(P, q, G, h, x, max_steps, certify, done):
         def direction(rc):
             # scaled ds + dz = lam <> rc,  G dx + ds = 0,  P dx + G^T dz = -rd
             dm = 2.0 * rc / lsum
-            dx = solve(-rd - F.T @ dm.ravel())
-            Fdx = (F @ dx).reshape(m, k, k)
+            dx = solve(-rd - F.T @ (dm.reshape(m, kk)[:, rows] * weights).ravel())
+            Fdx = ((F @ dx).reshape(m, -1) / weights)[:, slots].reshape(m, k, k)
             return dx, -Fdx, dm + Fdx
 
         _, ds, dz = direction(-Lam @ Lam)

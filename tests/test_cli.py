@@ -814,6 +814,18 @@ def test_save_model_refuses_a_projector_that_loading_would_not_rebuild(tmp_path)
                               rebuilt.eval(np.array([[1.0, 2.0]])))
 
 
+def test_save_model_that_cannot_encode_leaves_the_old_file(workspace, tmp_path):
+    # the document is encoded before the file opens: a config value that
+    # JSON cannot encode raises and leaves the earlier model byte for byte
+    path = tmp_path / "model.json"
+    path.write_bytes((workspace / "model.json").read_bytes())
+    field, config, report = modelfile.load_model(path)
+    with pytest.raises(TypeError):
+        modelfile.save_model(path, field, {**config, "note": object()}, report)
+    assert path.read_bytes() == (workspace / "model.json").read_bytes()
+    assert np.array_equal(modelfile.load_model(path)[0].theta, field.theta)
+
+
 @pytest.mark.parametrize("slack_weight", [0.0, 5])
 def test_eval_reads_models_with_retired_keys(workspace, capsys, tmp_path, slack_weight):
     # older model files name the solver section "admm", echo its slack_weight

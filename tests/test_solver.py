@@ -6,6 +6,7 @@ with the settings they load to in `interior_point_solve`: the retired keys
 must change nothing.
 """
 
+import gc
 import tracemalloc
 from pathlib import Path
 
@@ -322,12 +323,14 @@ def _numpy_path(monkeypatch):
 
 
 def test_lapack_path_is_live():
-    # numpy's bundled OpenBLAS exports dpotrf and dpotrs: a lookup that
+    # numpy's bundled OpenBLAS exports dpotrf and dtrsv: a lookup that
     # silently falls back to np.linalg must fail here
     libs = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*")
     if not any(libs):
         pytest.skip("numpy bundles no scipy_openblas")
     assert solver._lapack() is not None
+    potrf, trsv = solver._lapack()
+    assert (potrf.__name__, trsv.__name__) == ("scipy_LAPACKE_dpotrf64_", "scipy_cblas_dtrsv64_")
 
 
 @pytest.mark.parametrize("kernel", ["curl_free", "gaussian_separable"])
@@ -351,6 +354,20 @@ def test_indefinite_schur_complement_stalls(monkeypatch, path):
     v = rng.normal(size=6)
     np.testing.assert_allclose(solver._cholesky_solver(spd.copy())(v), np.linalg.solve(spd, v),
                                rtol=1e-12)
+    # a Schur-complement-sized system; the solver alone holds its factor,
+    # and solving leaves v as it was and repeats bit for bit
+    M = rng.normal(size=(200, 200))
+    big = M @ M.T + np.eye(200)
+    v = rng.normal(size=200)
+    solve = solver._cholesky_solver(big.copy())
+    gc.collect()
+    x = solve(v)
+    np.testing.assert_allclose(big @ x, v, rtol=0,
+                               atol=1e-12 * np.linalg.norm(big) * np.linalg.norm(x))
+    np.testing.assert_allclose(x, np.linalg.solve(big, v), rtol=1e-10)
+    assert np.array_equal(solve(v.copy()), x) and np.array_equal(solve(v), x)
+    with pytest.raises(ValueError):
+        solve(v[:-1])
     Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     indefinite = (Q * [3.0, 2.0, 1.0, 0.5, 0.1, -1e-3]) @ Q.T
     assert solver._cholesky_solver(indefinite) is None
@@ -361,6 +378,82 @@ def test_indefinite_schur_complement_stalls(monkeypatch, path):
                         lambda S: factor(S if next(first, False) else -S))
     rep = interior_point_solve(_scalar_problem(), SolverSettings())
     assert rep.stop_reason == "stalled" and rep.iters == 0
+
+
+def _spd_blocks(rng, m, k, spread):
+    # m random symmetric positive definite k x k blocks whose scales run
+    # geometrically over `spread` from the first block to the last
+    A = rng.normal(size=(m, k, k))
+    scale = np.geomspace(1.0, spread, m)[:, None, None]
+    return scale * (A @ A.transpose(0, 2, 1) + 0.1 * np.eye(k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_nt_scaling_balances_s_and_z(k):
+    # r^T s r = r^-1 z r^-T = diag(lam), block by block, with s and z both
+    # spread over 1e6, so that lam runs over about 1e6 from block to block
+    rng = np.random.default_rng(20 + k)
+    s = _spd_blocks(rng, 30, k, 1e6)
+    z = _spd_blocks(rng, 30, k, 1e6)
+    lam, r = solver._nt_scaling(*np.linalg.cholesky(np.stack([s, z])))
+    assert np.all(lam > 0.0)
+    diag = lam[:, :, None] * np.eye(k)
+    tol = 1e-12 * lam.max(axis=1)[:, None, None]
+    assert np.all(np.abs(r.transpose(0, 2, 1) @ s @ r - diag) <= tol)
+    assert np.all(np.abs(np.linalg.solve(r, np.linalg.solve(r, z).transpose(0, 2, 1)) - diag)
+                  <= tol)
+    # lam^2 are the eigenvalues of s z
+    np.testing.assert_allclose(np.sort(lam**2, axis=1),
+                               np.sort(np.linalg.eigvals(s @ z).real, axis=1), rtol=1e-9)
+
+
+def test_nt_scaling_refuses_a_block_it_cannot_scale():
+    # B = Lz^T Ls = [[1, 0], [1, 1e-9]]: B B^T rounds to [[1, 1], [1, 1]],
+    # whose smallest eigenvalue is 0
+    Ls = np.array([[[1.0, 0.0], [1.0, 1e-9]], [[1.0, 0.0], [0.0, 1.0]]])
+    assert solver._nt_scaling(Ls, np.broadcast_to(np.eye(2), (2, 2, 2))) is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_packed_rows_give_the_full_schur_complement(k):
+    # the svec rows of r_i^T G_ij r_i give the same F^T F as the k^2 rows of
+    # vec(r_i^T G_ij r_i), and F dx unpacks to r_i^T G_i(dx) r_i
+    rng = np.random.default_rng(30 + k)
+    m, d = 6, 9
+    G = rng.normal(size=(m, d, k, k))
+    G = G + G.transpose(0, 1, 3, 2)
+    r = rng.normal(size=(m, k, k))
+    rows, weights, slots = solver._svec(k)
+    assert rows.size == k * (k + 1) // 2
+    F = solver._scaled_rows(r, np.ascontiguousarray(G.reshape(m, d, k * k).transpose(0, 2, 1)),
+                            rows, weights)
+    assert F.shape == (m * rows.size, d)
+    scaled = np.einsum("iba,ijbc,icd->ijad", r, G, r)
+    full = scaled.reshape(m, d, k * k).transpose(0, 2, 1).reshape(m * k * k, d)
+    ref = full.T @ full
+    assert np.max(np.abs(F.T @ F - ref)) <= 1e-12 * np.max(np.abs(ref))
+    dx = rng.normal(size=d)
+    unpacked = ((F @ dx).reshape(m, -1) / weights)[:, slots].reshape(m, k, k)
+    ref = np.einsum("ijab,j->iab", scaled, dx)
+    assert np.max(np.abs(unpacked - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # and svec(X) . svec(Y) = tr(X Y)
+    X, Y = scaled[:, 0], scaled[:, 1]
+    dots = np.sum((X.reshape(m, -1)[:, rows] * weights) * (Y.reshape(m, -1)[:, rows] * weights),
+                  axis=1)
+    np.testing.assert_allclose(dots, np.einsum("iab,iba->i", X, Y), rtol=1e-12)
+
+
+def test_newton_steps_never_call_svd(monkeypatch):
+    # the Nesterov-Todd scaling comes from one eigh, in both phases
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    rng = np.random.default_rng(3)
+    _, _, prob = _random_lmi_problem(rng, 6, 3, tau=3.0)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
+    assert rep.converged and rep.iters > 0
+    assert rep.max_constraint_violation < 0.0
 
 
 def _admm_block(**block):
