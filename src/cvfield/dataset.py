@@ -6,12 +6,17 @@ leading `demo_id` column to pack several demonstrations into one file;
 the variant is detected from the header.  A directory path is read as one
 file per demonstration (sorted by name).
 
-A file is read in one pass: its data rows go to one `np.loadtxt` call.
-Where that pass meets anything unusual (a quote, a wrong field count, a
-cell that is not a plain number, a non-finite value), the file is read
-again row by row with the csv module, which accepts what it can and raises
-a ParseError naming the line of the first malformed row.  Both readers
-give the same arrays for every file the first one accepts.
+A file is read in one pass: after the whole-text checks (a quote, the
+csv module's field-size limit, the header) and a filter that drops blank
+rows, its data rows go to one `np.loadtxt` call.  That call rejects rows
+of unequal width and cells that are not plain numbers; its block must be
+as wide as the header and finite; and a converter on the demo_id column
+codes the ids in order of first appearance while the rows are parsed, so
+the groups are read off the block.  Where that pass meets anything
+unusual, the file is read again row by row with the csv module, which
+accepts what it can and raises a ParseError naming the line of the first
+malformed row.  Both readers give the same arrays for every file the
+first one accepts.
 
 Positions are millimetres, times seconds.  On load every demonstration is
 translated so that its end point, the motion goal, sits exactly at the
@@ -121,8 +126,9 @@ def _read_fast(path):
     """(n, has_v, {demo_id: rows}) of `path` from one `np.loadtxt` call, or
     None where the file has anything `_read_rows` might read differently or
     reject: a quote, a line longer than the csv module's field limit, a
-    header it rejects, no data rows, a wrong field count, a cell
-    `np.loadtxt` cannot read as a number, or a non-finite value."""
+    header it rejects, or no data rows (checked here), or rows of unequal
+    width, a cell that is not a number or a non-finite value (rejected by
+    `np.loadtxt`, or by the test of its block against the header)."""
     # \r\n and \r end a line, as they end a csv row
     text = _read_text(path).replace("\r\n", "\n").replace("\r", "\n")
     if '"' in text:
@@ -137,23 +143,21 @@ def _read_fast(path):
     except ParseError:
         return None
     rows = [line for line in lines[1:] if line.replace(",", "").strip()]
-    if not rows or any(line.count(",") != len(header) - 1 for line in rows):
+    if not rows:
         return None
-    ids = [line[:line.index(",")].strip() for line in rows] if has_id else [None] * len(rows)
+    # demo_ids are coded in order of first appearance as the rows are parsed
+    ids = {}
+    coder = {0: lambda cell: ids.setdefault(cell.strip(), len(ids))} if has_id else None
     try:
-        # comments=None: a '#' cell is malformed, not the start of a comment;
-        # usecols skips demo_id, whatever it holds
-        block = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
-                           usecols=range(int(has_id), len(header)))
+        # comments=None: a '#' cell is malformed, not the start of a comment
+        block = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, converters=coder)
     except ValueError:
         return None
-    if block.shape[0] != len(rows) or not np.all(np.isfinite(block)):
+    if block.shape != (len(rows), len(header)) or not np.all(np.isfinite(block)):
         return None
-    order = {}
-    codes = np.array([order.setdefault(key, len(order)) for key in ids])
-    if len(order) == 1:
-        return n, has_v, {ids[0]: block}
-    return n, has_v, {key: block[codes == code] for key, code in order.items()}
+    if not has_id:
+        return n, has_v, {None: block}
+    return n, has_v, {key: block[block[:, 0] == c, 1:] for key, c in ids.items()}
 
 
 def _read_rows(path):

@@ -310,7 +310,7 @@ def _scaled_rows(r, Gblk, rows, weights):
     return np.matmul(kron.reshape(m, rows.size, k * k), Gblk).reshape(-1, Gblk.shape[2])
 
 
-def _interior_point(P, q, G, h, x, max_steps, certify, done):
+def _interior_point(P, q, G, h, x, max_steps, stop):
     """Feasible-start primal-dual interior-point method.
 
     Solves  minimize 1/2 x^T P x + q^T x  subject to  s_i = h_i - G_i(x) >= 0
@@ -318,9 +318,10 @@ def _interior_point(P, q, G, h, x, max_steps, certify, done):
     feasible x.  Each step factors the Schur complement P + F^T F once, which
     tests it for positive definiteness, and solves with that factor for the
     affine and the Mehrotra direction.
-    `certify(x, sz, rd)` bounds the objective's distance to the optimum,
-    given sz = <s, z> and the dual residual rd = P x + q + G^T z.
-    `done(x, gap)` returns a stop reason or None, gap being that bound.  A
+    P x is formed once per iterate, and `stop(x, Px, sz, rd)` reads it with
+    sz = <s, z> and the dual residual rd = P x + q + G^T z; it returns
+    (gap, reason), gap bounding the objective's distance to the optimum and
+    reason a stop reason or None (read after the first iterate only).  A
     run whose bound sets no new low for _STALL_STEPS steps, or whose Newton
     system, scaling or step fails, has stalled.  Returns (x, steps, gap, reason).
     """
@@ -339,11 +340,12 @@ def _interior_point(P, q, G, h, x, max_steps, certify, done):
     s = slack(x)
     sinv = np.linalg.inv(s)
     sinv = 0.5 * (sinv + sinv.transpose(0, 2, 1))
-    grad = P @ x + q
+    Px = P @ x
+    grad = Px + q
     v = Gop.T @ sinv.ravel()
     vv = float(v @ v)
     mu0 = -float(grad @ v) / vv if vv > 0.0 else 0.0
-    gap0 = certify(x, 0.0, grad)          # inf where z = 0 bounds nothing
+    gap0, _ = stop(x, Px, 0.0, grad)      # inf where z = 0 bounds nothing
     if gap0 < np.inf:
         mu0 = max(mu0, gap0 / (m * k))
     z = (mu0 if mu0 > 0.0 else 1.0) * sinv
@@ -352,12 +354,11 @@ def _interior_point(P, q, G, h, x, max_steps, certify, done):
     steps = 0
     best, best_step = np.inf, 0
     while True:
-        rd = P @ x + q + Gop.T @ z.ravel()
+        rd = Px + q + Gop.T @ z.ravel()
         sz = float(np.sum(s * z))
-        gap = certify(x, sz, rd)
+        gap, reason = stop(x, Px, sz, rd)
         if gap < best:
             best, best_step = gap, steps
-        reason = done(x, gap)
         if reason is None and steps == max_steps:
             reason = "max_iters"
         if reason is None and steps - best_step >= _STALL_STEPS:
@@ -407,6 +408,7 @@ def _interior_point(P, q, G, h, x, max_steps, certify, done):
         else:
             return x, steps, gap, "stalled"
         x, s, z = x_new, s_new, z_new
+        Px = P @ x
         steps += 1
 
 
@@ -434,16 +436,13 @@ def interior_point_solve(problem, settings=None):
                                     "2 A^T A + 2 lambda I is not numerically positive definite")
     theta = solve_P(-q)                  # the unconstrained ridge optimum
 
-    def objective(x):
+    def objective(x, Px):
         # |A x - b|^2 + lam |x|^2 as 1/2 x^T P x + q^T x + b^T b
-        return 0.5 * float(x @ (P @ x)) + float(q @ x) + problem.btb
-
-    def converged(x, gap):
-        return "converged" if gap <= st.eps_abs + st.eps_rel * objective(x) else None
+        return 0.5 * float(x @ Px) + float(q @ x) + problem.btb
 
     def report(x, steps, gap, reason, bound=None):
         violation = _max_eigenvalue(ops, x, problem.tau) if m else float("-inf")
-        return SolveReport(theta=x, iters=steps, gap=gap, objective=objective(x),
+        return SolveReport(theta=x, iters=steps, gap=gap, objective=objective(x, P @ x),
                            max_constraint_violation=violation, stop_reason=reason,
                            contraction_bound=bound)
 
@@ -461,20 +460,18 @@ def interior_point_solve(problem, settings=None):
             return report(theta, 0, 0.0, "infeasible", 0.0)
         bound = {}
 
-        def certify(x, sz, rd):
+        def phase1_stop(x, Px, sz, rd):
             # z / tr z is dual feasible: tr z = 1 - rd_t, C*(z) = rd_theta - rho theta
             trz, cz = 1.0 - rd[-1], rd[:p] - rho * x[:p]
             eps = bound["eps"] = float(np.linalg.norm(cz)) / trz if trz > 0.0 else np.inf
-            return x[-1] + 0.5 * rho * float(x[:p] @ x[:p]) + eps * eps / (2.0 * rho)
-
-        def feasible(x, gap):
-            return ("feasible" if x[-1] < 0.0
-                    else "infeasible" if gap <= np.finfo(float).eps else None)
+            gap = x[-1] + 0.5 * rho * float(x[:p] @ x[:p]) + eps * eps / (2.0 * rho)
+            return gap, ("feasible" if x[-1] < 0.0
+                         else "infeasible" if gap <= np.finfo(float).eps else None)
 
         e_t = np.eye(p + 1)[p]
         G1 = np.concatenate([ops, np.broadcast_to(-eye, (m, 1, n, n))], axis=1)
         x1, steps1, gap, reason = _interior_point(rho * np.diag(1.0 - e_t), e_t, G1, 0.0 * h,
-                                                  e_t, st.max_iters, certify, feasible)
+                                                  e_t, st.max_iters, phase1_stop)
         if reason != "feasible":
             return report(theta, steps1, gap, reason, bound["eps"])
         # Weyl: lambda_max(C_i(theta + a theta_c) + shift_i I) <= worst - a lam_c,
@@ -482,7 +479,9 @@ def interior_point_solve(problem, settings=None):
         lam_c = -_max_eigenvalue(ops, x1[:p], np.zeros(m))
         theta = theta + (1.01 * worst / lam_c + 1.0) * x1[:p]
 
-    x, steps, gap, reason = _interior_point(
-        P, q, ops, h, theta, st.max_iters - steps1,
-        lambda x, sz, rd: sz + 0.5 * float(rd @ solve_P(rd)), converged)
+    def phase2_stop(x, Px, sz, rd):
+        gap = sz + 0.5 * float(rd @ solve_P(rd))
+        return gap, ("converged" if gap <= st.eps_abs + st.eps_rel * objective(x, Px) else None)
+
+    x, steps, gap, reason = _interior_point(P, q, ops, h, theta, st.max_iters - steps1, phase2_stop)
     return report(x, steps1 + steps, gap, reason)

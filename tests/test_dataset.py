@@ -365,6 +365,10 @@ _EDGE_FILES = {
     "short-row": ("t,x1,x2\n0,0,0\n1,1\n", False),
     "long-row": ("t,x1,x2\n0,0,0\n1,1,1,1\n2,2,2\n", False),
     "long-row-id": ("demo_id,t,x1\na,0,0\na,1,1,1\na,2,2\n", False),
+    # rows that agree with each other but not with the header
+    "wide-rows": ("t,x1\n0,0,0\n1,1,1\n", False),
+    "narrow-rows": ("t,x1,x2\n0,0\n1,1\n", False),
+    "one-id": ("demo_id,t,x1\na,0,0\na,1,1\n", True),
     "no-rows": ("t,x1,x2\n\n", False),
     "bom": ("\ufefft,x1,v1\n0,0,1\n1,1,1\n", True),
 }
@@ -389,6 +393,16 @@ def test_fast_and_line_by_line_parsers_agree(tmp_path, monkeypatch, name):
         assert np.array_equal(_bits(a.times), _bits(b.times))
         assert np.array_equal(_bits(a.positions), _bits(b.positions))
         assert (a.velocities is None) == (b.velocities is None)
+
+
+@pytest.mark.parametrize("name, message", [("wide-rows", "expected 2 fields, got 3"),
+                                           ("narrow-rows", "expected 3 fields, got 2")])
+def test_rows_that_disagree_with_the_header_name_the_first_row(tmp_path, name, message):
+    # every row one field wider, or narrower, than the header: the rows agree
+    # with each other, so only the header test sends the file to _read_rows
+    with pytest.raises(ParseError, match=message) as exc:
+        load_demonstrations(_write(tmp_path, _EDGE_FILES[name][0]))
+    assert exc.value.line == 2
 
 
 def test_byte_order_mark_is_skipped(tmp_path, monkeypatch):

@@ -456,6 +456,38 @@ def test_newton_steps_never_call_svd(monkeypatch):
     assert rep.max_constraint_violation < 0.0
 
 
+def test_phase2_forms_one_product_with_P_per_iterate(monkeypatch):
+    # P x is formed once per iterate, for the residual, the gradient and the
+    # stop test alike; every matrix computed from the gram, such as
+    # P = 2 gram + 2 lam I, counts its products with a vector, and phase I's
+    # P, which is not, counts none
+    products = [0]
+
+    class CountedGram(np.ndarray):
+        def __matmul__(self, other):
+            if self.ndim == 2 and np.ndim(other) == 1:
+                products[0] += 1
+            return super().__matmul__(other)
+
+    runs = []
+    inner = solver._interior_point
+
+    def counted(P, *args):
+        before = products[0]
+        x, steps, gap, reason = inner(P, *args)
+        runs.append((isinstance(P, CountedGram), steps, products[0] - before))
+        return x, steps, gap, reason
+
+    monkeypatch.setattr(solver, "_interior_point", counted)
+    _, _, prob = _random_lmi_problem(np.random.default_rng(3), 6, 3, tau=3.0)
+    prob.gram = prob.gram.view(CountedGram)
+    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
+    assert rep.converged
+    assert [of_gram for of_gram, _, _ in runs] == [False, True]     # both phases ran
+    _, steps, phase2_products = runs[1]
+    assert steps > 0 and phase2_products == steps + 1
+
+
 def _admm_block(**block):
     # the solver settings an "admm" config block loads to
     return TrainConfig.from_dict({"admm": block}).solver
