@@ -12,7 +12,7 @@ rows, its data rows go to one `np.loadtxt` call.  That call rejects rows
 of unequal width and cells that are not plain numbers; its block must be
 as wide as the header and finite; and a converter on the demo_id column
 codes the ids in order of first appearance while the rows are parsed, so
-the groups are read off the block.  Where that pass meets anything
+one stable sort by code groups the rows.  Where that pass meets anything
 unusual, the file is read again row by row with the csv module, which
 accepts what it can and raises a ParseError naming the line of the first
 malformed row.  Both readers give the same arrays for every file the
@@ -157,7 +157,11 @@ def _read_fast(path):
         return None
     if not has_id:
         return n, has_v, {None: block}
-    return n, has_v, {key: block[block[:, 0] == c, 1:] for key, c in ids.items()}
+    # a stable sort by code keeps each id's rows in file order and the ids
+    # in order of first appearance; one split cuts where the code changes
+    order = np.argsort(block[:, 0], kind="stable")
+    cuts = np.flatnonzero(np.diff(block[order, 0])) + 1
+    return n, has_v, dict(zip(ids, np.split(block[order, 1:], cuts)))
 
 
 def _read_rows(path):

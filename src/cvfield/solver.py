@@ -28,6 +28,14 @@ B B^T = U diag(lam^2) U^T, r_i = Lz U diag(lam^-1/2) gives
 r^T s r = r^-1 z r^-T = diag(lam).  A block too ill-conditioned for that
 (lam^2 <= 0) stalls the run like a failed Newton system.  The slacks, the
 step to the cone's boundary and its back-off stay in the n x n form.
+The paper's motions are planar, so its blocks are 2 x 2, and every small
+eigendecomposition and factor a step needs has a closed form that numpy
+evaluates elementwise over the whole stack (`_eigvalsh`, `_eigh`,
+`_cholesky`): for [[a, b], [b, c]] the eigenvalues mean -+
+hypot((a - c)/2, b), the eigenvectors at the angle atan2(2 b, a - c) / 2,
+and the factor a^1/2, b / a^1/2, (c - b^2 / a)^1/2.  The smallest lam^2
+comes from the rounded B B^T, so a block that rounding has left singular
+still stalls.  Blocks of any other size go to numpy's batched LAPACK.
 The constraints are hard, and imposed with a small margin,
 C_i(theta) + tau_i I <= -CONTRACTION_MARGIN (1 + tau_i) I, so that a
 Jacobian evaluated in another summation order still meets the rate; the
@@ -256,11 +264,64 @@ def _cholesky_solver(S):
     return solve
 
 
+def _eigvalsh(M):
+    """The eigenvalues of the symmetric (..., k, k) blocks M in ascending
+    order, as np.linalg.eigvalsh: mean -+ hypot((a - c)/2, b) for k = 2,
+    M = [[a, b], [b, c]], and LAPACK for any other k."""
+    if M.shape[-1] != 2:
+        return np.linalg.eigvalsh(M)
+    a, b, c = M[..., 0, 0], M[..., 1, 0], M[..., 1, 1]
+    mean, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    w = np.empty(M.shape[:-1])
+    np.subtract(mean, rad, out=w[..., 0])
+    np.add(mean, rad, out=w[..., 1])
+    return w
+
+
+def _eigh(M):
+    """(w, U) of the symmetric (..., k, k) blocks M, as np.linalg.eigh: for
+    k = 2, w from `_eigvalsh` and the columns of U (-sin phi, cos phi) and
+    (cos phi, sin phi), phi = atan2(2 b, a - c) / 2; LAPACK for any other k."""
+    if M.shape[-1] != 2:
+        return np.linalg.eigh(M)
+    phi = 0.5 * np.arctan2(2.0 * M[..., 1, 0], M[..., 0, 0] - M[..., 1, 1])
+    U = np.empty(M.shape)
+    np.cos(phi, out=U[..., 1, 0])
+    np.sin(phi, out=U[..., 1, 1])
+    U[..., 0, 1] = U[..., 1, 0]
+    np.negative(U[..., 1, 1], out=U[..., 0, 0])
+    return _eigvalsh(M), U
+
+
+def _cholesky(M):
+    """The lower Cholesky factors of the symmetric (..., k, k) blocks M, as
+    np.linalg.cholesky, or None when a block is not positive definite: for
+    k = 2, l00 = a^1/2, l10 = b / l00 and l11 = (c - l10^2)^1/2, each root
+    taken once its argument is known positive (nan is not); LAPACK for any
+    other k."""
+    if M.shape[-1] != 2:
+        try:
+            return np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            return None
+    a, b, c = M[..., 0, 0], M[..., 1, 0], M[..., 1, 1]
+    if not a.min() > 0.0:
+        return None
+    L = np.zeros(M.shape)
+    l00 = np.sqrt(a, out=L[..., 0, 0])
+    l10 = np.divide(b, l00, out=L[..., 1, 0])
+    d = c - l10 * l10
+    if not d.min() > 0.0:
+        return None
+    np.sqrt(d, out=L[..., 1, 1])
+    return L
+
+
 def _max_eigenvalue(ops, theta, shift):
     """The largest lambda_max(C_i(theta) + shift_i I) over the constraint points i."""
     m, _, n, _ = ops.shape
     C = (theta @ ops.reshape(m, -1, n * n)).reshape(m, n, n)
-    return float(np.max(np.linalg.eigvalsh(C + shift[:, None, None] * np.eye(n))))
+    return float(np.max(_eigvalsh(C + shift[:, None, None] * np.eye(n))))
 
 
 # phase II imposes C_i(theta) + tau_i I <= -CONTRACTION_MARGIN (1 + tau_i) I
@@ -268,11 +329,11 @@ CONTRACTION_MARGIN = 1e-9
 _STALL_STEPS = 10
 
 
-def _step_to_boundary(lam, X):
-    """Largest a with diag(lam_i) + a X_i >= 0 for every block (inf if none);
-    X is (..., m, k, k), so ds and dz stacked take one call."""
-    li = 1.0 / np.sqrt(lam)
-    low = float(np.min(np.linalg.eigvalsh(li[:, :, None] * X * li[:, None, :])[..., 0]))
+def _step_to_boundary(li, *X):
+    """Largest a with diag(lam_i) + a X_i >= 0 for every block of every X
+    (inf if none), from li = lam^-1/2: -1 over the smallest eigenvalue of
+    the blocks li X li, from `_eigvalsh` (closed form for k = 2)."""
+    low = min(float(np.min(_eigvalsh(li[:, :, None] * x * li[:, None, :]))) for x in X)
     return -1.0 / low if low < 0.0 else np.inf
 
 
@@ -280,9 +341,14 @@ def _nt_scaling(Ls, Lz):
     """Nesterov-Todd scaling (lam, r) of the blocks s = Ls Ls^T, z = Lz Lz^T,
     with r_i^T s_i r_i = r_i^-1 z_i r_i^-T = diag(lam_i), or None when a
     block is too ill-conditioned to scale (Todd, Toh & Tutuncu, 1998): with
-    B = Lz^T Ls and B B^T = U diag(lam^2) U^T, r = Lz U diag(lam^-1/2)."""
+    B = Lz^T Ls and B B^T = U diag(lam^2) U^T, r = Lz U diag(lam^-1/2).
+    (lam^2, U) comes from `_eigh`, in closed form for 2 x 2 blocks.  There
+    the smallest lam^2 is mean - hypot of the rounded B B^T, which is 0 or
+    less where B B^T rounds to a singular block; det(B)^2 / lam_max^2 would
+    be more accurate, and would scale a block whose B B^T has lost its
+    smaller eigenvalue to rounding."""
     B = Lz.transpose(0, 2, 1) @ Ls
-    lam2, U = np.linalg.eigh(B @ B.transpose(0, 2, 1))
+    lam2, U = _eigh(B @ B.transpose(0, 2, 1))
     if not lam2[:, 0].min() > 0.0:
         return None
     lam = np.sqrt(lam2)
@@ -349,7 +415,7 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
     if gap0 < np.inf:
         mu0 = max(mu0, gap0 / (m * k))
     z = (mu0 if mu0 > 0.0 else 1.0) * sinv
-    Ls, Lz = np.linalg.cholesky(np.stack([s, z]))
+    Ls, Lz = _cholesky(s), _cholesky(z)
 
     steps = 0
     best, best_step = np.inf, 0
@@ -366,7 +432,9 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
         if reason is not None:
             return x, steps, gap, reason
 
-        scaling = _nt_scaling(Ls, Lz)
+        # a start that rounding leaves without a factor stalls like a block
+        # that cannot be scaled; an accepted step always has both factors
+        scaling = None if Ls is None or Lz is None else _nt_scaling(Ls, Lz)
         if scaling is None:
             return x, steps, gap, "stalled"
         lam, r = scaling
@@ -375,6 +443,8 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
         if solve is None:
             return x, steps, gap, "stalled"
         Lam = lam[:, :, None] * eye
+        rc_aff = -Lam @ Lam
+        li = 1.0 / np.sqrt(lam)
         lsum = lam[:, :, None] + lam[:, None, :]
 
         def direction(rc):
@@ -384,14 +454,14 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
             Fdx = ((F @ dx).reshape(m, -1) / weights)[:, slots].reshape(m, k, k)
             return dx, -Fdx, dm + Fdx
 
-        _, ds, dz = direction(-Lam @ Lam)
-        a = min(1.0, _step_to_boundary(lam, np.stack([ds, dz])))
+        _, ds, dz = direction(rc_aff)
+        a = min(1.0, _step_to_boundary(li, ds, dz))
         mu = sz / (m * k)
         mu_aff = float(np.sum((Lam + a * ds) * (Lam + a * dz))) / (m * k)
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
         corr = sigma * mu * eye - 0.5 * (ds @ dz + dz @ ds)
-        dx, ds, dz = direction(-Lam @ Lam + corr)
-        a = min(1.0, 0.99 * _step_to_boundary(lam, np.stack([ds, dz])))
+        dx, ds, dz = direction(rc_aff + corr)
+        a = min(1.0, 0.99 * _step_to_boundary(li, ds, dz))
         dz = r @ dz @ r.transpose(0, 2, 1)
         # rounding can leave the recomputed slack outside the cone: back off;
         # the factors that accept the step serve the next one
@@ -400,11 +470,10 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
             s_new = slack(x_new)
             z_new = z + a * dz
             z_new = 0.5 * (z_new + z_new.transpose(0, 2, 1))
-            try:
-                Ls, Lz = np.linalg.cholesky(np.stack([s_new, z_new]))
+            Ls, Lz = _cholesky(s_new), _cholesky(z_new)
+            if Ls is not None and Lz is not None:
                 break
-            except np.linalg.LinAlgError:
-                a *= 0.5
+            a *= 0.5
         else:
             return x, steps, gap, "stalled"
         x, s, z = x_new, s_new, z_new

@@ -395,6 +395,26 @@ def test_fast_and_line_by_line_parsers_agree(tmp_path, monkeypatch, name):
         assert (a.velocities is None) == (b.velocities is None)
 
 
+def test_many_interleaved_ids_group_as_the_line_by_line_parser_does(tmp_path):
+    # 2,000 demo_ids in shuffled order, 3 rows each, dealt round-robin so that
+    # no two rows of one id are adjacent: the fast reader's groups are
+    # _read_rows's, in the same order and bit for bit
+    rng = np.random.default_rng(12)
+    ids = [f"d{i}" for i in rng.permutation(2000)]
+    values = rng.normal(size=(3, len(ids), 2)) * 1e3
+    lines = ["demo_id,t,x1"] + [f"{key},{j},{float(values[j, i, 0])!r}"
+                                for j in range(3) for i, key in enumerate(ids)]
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    fast = dataset._read_fast(path)
+    assert fast is not None
+    ref = dataset._read_rows(path)
+    assert fast[:2] == ref[:2] == (1, False)
+    assert list(fast[2]) == list(ref[2]) == ids
+    for key in ids:
+        assert fast[2][key].shape == (3, 2)
+        assert np.array_equal(_bits(fast[2][key]), _bits(ref[2][key]))
+
+
 @pytest.mark.parametrize("name, message", [("wide-rows", "expected 2 fields, got 3"),
                                            ("narrow-rows", "expected 3 fields, got 2")])
 def test_rows_that_disagree_with_the_header_name_the_first_row(tmp_path, name, message):

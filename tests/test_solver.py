@@ -8,6 +8,7 @@ must change nothing.
 
 import gc
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,15 +162,15 @@ def _zoom_oracle(A, b, prob, start, half, rounds=45, pts=7):
     return best, best_val
 
 
-def _random_lmi_problem(rng, p, m, rows=12, tau=0.2):
-    # criterion 06's random problems: random symmetric operators with one
+def _random_lmi_problem(rng, p, m, rows=12, tau=0.2, k=2):
+    # criterion 06's random problems: random symmetric k x k operators with one
     # coordinate anchored to -I so the strictly feasible cone is nonempty;
     # returns (A, b, problem)
     A = rng.normal(size=(rows, p))
     b = rng.normal(size=rows) * 2
-    ops = rng.normal(size=(m, p, 2, 2))
+    ops = rng.normal(size=(m, p, k, k))
     ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
-    ops[:, 0] = -np.eye(2)
+    ops[:, 0] = -np.eye(k)
     return A, b, lsq_problem(A, b, 0.1, ops, np.full(m, tau))
 
 
@@ -454,6 +455,120 @@ def test_newton_steps_never_call_svd(monkeypatch):
     rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
     assert rep.converged and rep.iters > 0
     assert rep.max_constraint_violation < 0.0
+
+
+def _symmetric_2x2(rng):
+    # named stacks of symmetric 2 x 2 blocks: random positive definite ones
+    # spread over 1e6, random indefinite ones, diagonal ones with a < c and
+    # with a > c, and blocks with equal eigenvalues
+    indefinite = rng.normal(size=(40, 2, 2))
+    diagonal = np.abs(rng.normal(size=(20, 2))) + 0.1
+    low_first, high_first = np.sort(diagonal, axis=1), -np.sort(-diagonal, axis=1)
+    return {"spd": _spd_blocks(rng, 50, 2, 1e6),
+            "indefinite": indefinite + indefinite.transpose(0, 2, 1),
+            "a<c": low_first[:, :, None] * np.eye(2),
+            "a>c": high_first[:, :, None] * np.eye(2),
+            "equal": np.geomspace(1e-3, 1e3, 7)[:, None, None] * np.eye(2)}
+
+
+@pytest.mark.parametrize("name", ["spd", "indefinite", "a<c", "a>c", "equal"])
+def test_2x2_eigen_kernels_agree_with_lapack(name):
+    M = _symmetric_2x2(np.random.default_rng(50))[name]
+    ref = np.linalg.eigvalsh(M)
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    w, U = solver._eigh(M)
+    assert np.all(np.abs(solver._eigvalsh(M) - ref) <= 4 * np.finfo(float).eps * scale)
+    assert np.array_equal(w, solver._eigvalsh(M))
+    assert np.all(w[:, 0] <= w[:, 1])
+    # U is orthonormal, its columns are eigenvectors of w in order, and where
+    # the eigenvalues differ they are LAPACK's up to sign
+    eye = np.broadcast_to(np.eye(2), M.shape)
+    assert np.all(np.abs(U.transpose(0, 2, 1) @ U - eye) <= 4 * np.finfo(float).eps)
+    assert np.all(np.abs(M @ U - U * w[:, None, :]) <= 8 * np.finfo(float).eps * scale[:, :, None])
+    apart = (ref[:, 1] - ref[:, 0]) > 1e-6 * scale[:, 0]
+    _, Uref = np.linalg.eigh(M[apart])
+    assert np.all(np.abs(np.abs(U[apart].transpose(0, 2, 1) @ Uref) - eye[apart]) <= 1e-9)
+
+
+def test_2x2_cholesky_agrees_with_lapack():
+    M = _symmetric_2x2(np.random.default_rng(51))
+    for blocks in (M["spd"], M["a<c"], M["a>c"], M["equal"]):
+        L = solver._cholesky(blocks)
+        ref = np.linalg.cholesky(blocks)
+        assert np.all(L[:, 0, 1] == 0.0)
+        tol = 1e-12 * np.abs(ref).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(L - ref) <= tol)
+        assert np.all(np.abs(L @ L.transpose(0, 2, 1) - blocks)
+                      <= 4 * np.finfo(float).eps * np.abs(blocks).max(axis=(1, 2))[:, None, None])
+
+
+@pytest.mark.parametrize("bad", [[[0.0, 0.0], [0.0, 0.0]], [[-1.0, 0.0], [0.0, -2.0]],
+                                 [[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+                                 [[-1.0, 0.0], [0.0, 5.0]], [[np.nan] * 2] * 2,
+                                 [[1.0, np.nan], [np.nan, 1.0]]],
+                         ids=["zero", "negative", "semidefinite", "indefinite", "a<0",
+                              "nan", "nan-off-diagonal"])
+def test_2x2_cholesky_refuses_blocks_that_are_not_positive_definite(bad):
+    # one block that is not positive definite among good ones: np.linalg
+    # raises, the kernel returns None, and no warning escapes either.  A nan
+    # block is refused too, where numpy's OpenBLAS, which tests a pivot by
+    # <= 0 only, hands back a factor with nan in it
+    blocks = _spd_blocks(np.random.default_rng(52), 5, 2, 1e3)
+    blocks[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ref = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            ref = None
+        assert ref is None or np.isnan(blocks[3]).any() and np.isnan(ref[3]).any()
+        assert solver._cholesky(blocks) is None
+        assert solver._cholesky(blocks[3:4]) is None
+
+
+def test_start_without_a_factor_stalls(monkeypatch):
+    # a start whose slack rounding leaves without a Cholesky factor ends the
+    # phase "stalled" before any step, as a block that cannot be scaled does
+    factor, first = solver._cholesky, iter([None])
+    monkeypatch.setattr(solver, "_cholesky", lambda M: next(first, factor(M)))
+    rep = interior_point_solve(_scalar_problem(), SolverSettings())
+    assert rep.stop_reason == "stalled" and rep.iters == 0
+
+
+def test_planar_newton_steps_call_no_lapack_on_blocks(monkeypatch):
+    # 2 x 2 blocks take the closed forms in both phases, with the steps the
+    # LAPACK kernels took (3 + 10); 3 x 3 blocks still reach LAPACK (2 + 8)
+    seen = []
+
+    def planar_refused(fn):
+        def call(a, *args, **kwargs):
+            if np.shape(a)[-2:] == (2, 2):
+                raise AssertionError(f"np.linalg.{fn.__name__} on 2 x 2 blocks")
+            seen.append((fn.__name__, np.shape(a)[-1]))
+            return fn(a, *args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, planar_refused(getattr(np.linalg, name)))
+    phases = []
+    inner = solver._interior_point
+
+    def counted(*args):
+        result = inner(*args)
+        phases.append(result[1])
+        return result
+
+    monkeypatch.setattr(solver, "_interior_point", counted)
+    settings = SolverSettings(eps_abs=1e-10, eps_rel=1e-10)
+    _, _, planar = _random_lmi_problem(np.random.default_rng(3), 6, 3, tau=3.0)
+    rep = interior_point_solve(planar, settings)
+    assert rep.converged and phases == [3, 10] and rep.iters == 13
+    assert seen == []
+    _, _, spatial = _random_lmi_problem(np.random.default_rng(3), 6, 3, tau=3.0, k=3)
+    rep = interior_point_solve(spatial, settings)
+    assert rep.converged and phases[2:] == [2, 8]
+    assert {name for name, k in seen} == {"eigh", "eigvalsh", "cholesky"}
+    assert {k for _, k in seen} == {3}
 
 
 def test_phase2_forms_one_product_with_P_per_iterate(monkeypatch):
