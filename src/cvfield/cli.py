@@ -43,7 +43,7 @@ class _ExportParams:
 
 
 def _settings(args):
-    """Settings of a command: the --config object, then --set and --seed."""
+    """Settings of a command: the --config object, then --set."""
     tree = {}
     if args.config:
         with open(args.config) as fh:
@@ -68,8 +68,6 @@ def _settings(args):
             node[parts[-1]] = json.loads(raw)
         except json.JSONDecodeError:
             node[parts[-1]] = raw
-    if getattr(args, "seed", None) is not None:     # only train takes --seed
-        tree["seed"] = args.seed
     return tree
 
 
@@ -212,18 +210,17 @@ def _build_parser():
         description="learn and evaluate contracting vector fields from demonstrations")
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {"data": "training demonstrations (CSV file or directory)",
-             "test": "held-out demonstrations", "model": "model file path", "out": "output path",
-             "seed": "feature-map seed override"}
+             "test": "held-out demonstrations", "model": "model file path", "out": "output path"}
 
     def add(name, help_text, *flags):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON object of settings")
         for flag in flags:
-            p.add_argument(f"--{flag}", type=int if flag == "seed" else None, help=helps[flag])
+            p.add_argument(f"--{flag}", help=helps[flag])
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config or command parameter")
 
-    add("train", "fit a field to demonstrations and write a model file", "data", "model", "seed")
+    add("train", "fit a field to demonstrations and write a model file", "data", "model")
     add("eval", "score reproduction and grid convergence for a model",
         "model", "data", "test", "out")
     add("rollout", "integrate a model from --set x0=... and write the trajectory", "model", "out")

@@ -193,17 +193,18 @@ def build_vanishing_projector(fm, Z):
 def symmetrized_jacobian_basis(fm, proj, X):
     """Per-component symmetrized Jacobians of the vanished features.
 
-    For points X (m, n), E (m, feature_dim, n, n) has E[i, j] = sym(d/dx of
-    the j-th vanished feature field at x_i), so the symmetrized Jacobian of
-    f = Phi^Z(x_i)^T theta is sum_j theta_j E[i, j]."""
+    For points X (m, n), the C-ordered E (m, n, n, feature_dim) has
+    E[i, :, :, j] = sym(d/dx of the j-th vanished feature field at x_i), so
+    the symmetrized Jacobian of f = Phi^Z(x_i)^T theta is E[i] @ theta.  The
+    feature axis is last, as in `field_jacobians`, and this is the layout the
+    solver reads: E.reshape(-1, feature_dim) is the map theta -> vec C(theta)."""
     X = as_points(X, fm.n, "constraint points")
     m, n, p = X.shape[0], fm.n, fm.feature_dim
     W, b, U, _, dg = _table(fm)
     # raw[i, c, d, k] = sqrt(2/s) g'(w_k^T x_i + b_k) u_k[c] w_k[d], shape (m, n, n, p)
     raw = (fm.scale * dg(_angles(X, W, b)))[:, None, None, :] * (U.T[:, None] * W.T[None])
     J = proj.apply(raw.reshape(m * n * n, p)).reshape(m, n, n, p)
-    J = 0.5 * (J + J.transpose(0, 2, 1, 3))      # leaves the symmetric curl-free J as it is
-    return np.ascontiguousarray(J.transpose(0, 3, 1, 2))
+    return 0.5 * (J + J.transpose(0, 2, 1, 3))   # leaves the symmetric curl-free J as it is
 
 
 def potential_from_features(fm, coeffs, X):

@@ -10,7 +10,11 @@ C_i(theta) = sum_j theta_j E_ij built from symmetrized per-component
 feature Jacobians E_ij.  The solver needs A and b only through the
 normal equations A^T A, A^T b and b^T b, and `assemble_problem` builds
 those from the feature map directly, so the (N n, p) design A never
-exists; see `features.normal_equations`.
+exists; see `features.normal_equations`.  The operators have one layout
+from the feature map to the Newton step, the C-ordered (m, n, n, p) array
+of `features.symmetrized_jacobian_basis`: its reshape to (m n n, p) is the
+map theta -> vec C(theta), so every C_i(theta) is one matrix-vector
+product, and phase II reads the problem's array without a copy.
 
 `interior_point_solve` is a primal-dual path-following method with
 Nesterov-Todd scaling and Mehrotra's predictor-corrector, after CVXOPT's
@@ -65,9 +69,10 @@ phase II stops once its certified duality gap, an upper bound on objective
 minus optimum, falls to eps_abs + eps_rel |objective|.  The report's `gap`
 is the certified duality gap of the phase the run ended in, and
 `stop_reason` is "converged", "max_iters", "infeasible" or "stalled" (the
-gap set no new low for _STALL_STEPS steps, or a Newton system or step
-failed); `converged` is read from it.  After a phase I stop, theta is the
-ridge optimum and `contraction_bound` is set.
+gap set no new low for _STALL_STEPS steps, or a Newton system, direction or
+step failed, a direction that is not finite included); `converged` is read
+from it.  After a phase I stop, theta is the ridge optimum and
+`contraction_bound` is set.
 
 The solver uses only deterministic dense linear algebra, and every solve
 goes through `_cholesky_solver`.  The ridge matrix P = 2 A^T A + 2 lam I
@@ -78,8 +83,9 @@ factors its Schur complement once and solves for both directions with
 that factor.  The factor is LAPACK `dpotrf`, and a solve is two
 triangular solves `dtrsv` on it, from the OpenBLAS that numpy bundles,
 reached through ctypes.  Where numpy's OpenBLAS does not export both,
-`np.linalg.cholesky` tests definiteness instead and `np.linalg.solve`
-solves each system anew.  Inside
+`np.linalg.cholesky` tests definiteness instead, refusing a factor that
+holds nan as LAPACKE's nan check makes `dpotrf` refuse a nan input, and
+`np.linalg.solve` solves each system anew.  Inside
 `single_blas_thread`, where `training.train_field` runs it, identical
 inputs and settings reproduce bitwise-identical results on any number of
 cores.
@@ -103,13 +109,16 @@ from .errors import DimensionError
 class ConstrainedLSQProblem:
     """The training problem through its normal equations: the objective
     |A theta - b|^2 + lam |theta|^2 is
-    theta^T gram theta - 2 moment^T theta + btb + lam |theta|^2."""
+    theta^T gram theta - 2 moment^T theta + btb + lam |theta|^2, and the
+    constraints C_i(theta) + tau_i I <= 0 have C_i(theta) =
+    constraint_ops[i] @ theta, the feature axis last (see the module
+    docstring)."""
 
     gram: np.ndarray               # A^T A, (feature_dim, feature_dim)
     moment: np.ndarray             # A^T b, (feature_dim,)
     btb: float                     # b^T b
     lam: float
-    constraint_ops: np.ndarray     # (m, feature_dim, n, n), symmetric in the last two axes
+    constraint_ops: np.ndarray     # (m, n, n, feature_dim), symmetric in axes 1 and 2
     tau: np.ndarray                # (m,)
 
     def __post_init__(self):
@@ -120,7 +129,7 @@ class ConstrainedLSQProblem:
             raise DimensionError("gram and moment disagree on the feature count")
         if self.constraint_ops.shape[0] != self.tau.shape[0]:
             raise DimensionError("one tau per constraint point required")
-        if self.constraint_ops.shape[0] and self.constraint_ops.shape[1] != p:
+        if self.constraint_ops.shape[-1] != p:
             raise DimensionError("constraint operators disagree with the feature count")
 
 
@@ -242,11 +251,7 @@ def _cholesky_solver(S):
     available; see the module docstring."""
     lapack = _lapack()
     if lapack is None:
-        try:
-            np.linalg.cholesky(S)
-        except np.linalg.LinAlgError:
-            return None
-        return lambda v: np.linalg.solve(S, v)
+        return None if _np_cholesky(S) is None else lambda v: np.linalg.solve(S, v)
     potrf, trsv = lapack
     n = S.shape[0]
     if potrf(_COL_MAJOR, b"L", n, S, n) != 0:
@@ -293,17 +298,25 @@ def _eigh(M):
     return _eigvalsh(M), U
 
 
+def _np_cholesky(M):
+    """np.linalg.cholesky(M), or None when a block is not positive definite or
+    holds nan: numpy's OpenBLAS tests a pivot by <= 0 only and passes a nan
+    into the factor, where LAPACKE's dpotrf refuses a nan input."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return None
+    return None if np.isnan(L).any() else L
+
+
 def _cholesky(M):
     """The lower Cholesky factors of the symmetric (..., k, k) blocks M, as
     np.linalg.cholesky, or None when a block is not positive definite: for
     k = 2, l00 = a^1/2, l10 = b / l00 and l11 = (c - l10^2)^1/2, each root
-    taken once its argument is known positive (nan is not); LAPACK for any
-    other k."""
+    taken once its argument is known positive (nan is not); `_np_cholesky`
+    for any other k."""
     if M.shape[-1] != 2:
-        try:
-            return np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            return None
+        return _np_cholesky(M)
     a, b, c = M[..., 0, 0], M[..., 1, 0], M[..., 1, 1]
     if not a.min() > 0.0:
         return None
@@ -317,11 +330,16 @@ def _cholesky(M):
     return L
 
 
-def _max_eigenvalue(ops, theta, shift):
-    """The largest lambda_max(C_i(theta) + shift_i I) over the constraint points i."""
-    m, _, n, _ = ops.shape
-    C = (theta @ ops.reshape(m, -1, n * n)).reshape(m, n, n)
-    return float(np.max(_eigvalsh(C + shift[:, None, None] * np.eye(n))))
+def _apply(G, x):
+    """The blocks G_i(x) = G[i] @ x, (m, k, k), of the (m, k, k, d) operators
+    G: one product with G read as the (m k k, d) matrix x -> vec G(x)."""
+    return (G.reshape(-1, G.shape[-1]) @ x).reshape(G.shape[:-1])
+
+
+def _max_eigenvalue(G, x, shift):
+    """The largest lambda_max(G_i(x) + shift_i I) over the blocks i of the
+    (m, k, k, d) operators G."""
+    return float(np.max(_eigvalsh(_apply(G, x) + shift[:, None, None] * np.eye(G.shape[1]))))
 
 
 # phase II imposes C_i(theta) + tau_i I <= -CONTRACTION_MARGIN (1 + tau_i) I
@@ -367,43 +385,43 @@ def _svec(k):
     return a * k + b, np.where(a == b, 1.0, np.sqrt(2.0)), slots.ravel()
 
 
-def _scaled_rows(r, Gblk, rows, weights):
+def _scaled_rows(r, G, rows, weights):
     """F, the svec rows of r_i^T G_ij r_i, of shape (m k(k+1)/2, d), from the
-    (m, k k, d) vec G_ij: the svec rows of kron(r_i, r_i)^T times vec G_ij."""
-    m, k, _ = r.shape
+    (m, k, k, d) operators G: the svec rows of kron(r_i, r_i)^T times G_i
+    read as the (k k, d) matrix of vec G_ij."""
+    m, k, _, d = G.shape
     a, b = np.divmod(rows, k)
     kron = np.einsum("ibt,ict->itbc", r[:, :, a] * weights, r[:, :, b])
-    return np.matmul(kron.reshape(m, rows.size, k * k), Gblk).reshape(-1, Gblk.shape[2])
+    return np.matmul(kron.reshape(m, rows.size, k * k), G.reshape(m, k * k, d)).reshape(-1, d)
 
 
 def _interior_point(P, q, G, h, x, max_steps, stop):
     """Feasible-start primal-dual interior-point method.
 
     Solves  minimize 1/2 x^T P x + q^T x  subject to  s_i = h_i - G_i(x) >= 0
-    for m symmetric k x k blocks, G of shape (m, d, k, k), from a strictly
-    feasible x.  Each step factors the Schur complement P + F^T F once, which
-    tests it for positive definiteness, and solves with that factor for the
-    affine and the Mehrotra direction.
+    for m symmetric k x k blocks, G of shape (m, k, k, d), from a strictly
+    feasible x.  G is read through reshapes only, as the (m k k, d) matrix
+    x -> vec G(x) and as m (k k, d) blocks, so a C-ordered G is never copied.
+    Each step factors the Schur complement P + F^T F once, which tests it
+    for positive definiteness, and solves with that factor for the affine
+    and the Mehrotra direction.
     P x is formed once per iterate, and `stop(x, Px, sz, rd)` reads it with
     sz = <s, z> and the dual residual rd = P x + q + G^T z; it returns
     (gap, reason), gap bounding the objective's distance to the optimum and
     reason a stop reason or None (read after the first iterate only).  A
     run whose bound sets no new low for _STALL_STEPS steps, or whose Newton
-    system, scaling or step fails, has stalled.  Returns (x, steps, gap, reason).
+    system, scaling, direction or step fails, has stalled.  Returns
+    (x, steps, gap, reason).
     """
-    m, d, k, _ = G.shape
+    m, k, _, d = G.shape
     kk = k * k
-    Gblk = np.ascontiguousarray(G.reshape(m, d, kk).transpose(0, 2, 1))   # (m, kk, d)
-    Gop = Gblk.reshape(m * kk, d)                                         # x -> vec G(x)
+    Gop = G.reshape(m * kk, d)            # x -> vec G(x)
     eye = np.eye(k)
     rows, weights, slots = _svec(k)
 
-    def slack(v):
-        return h - (Gop @ v).reshape(m, k, k)
-
     # z = mu0 s^-1 starts on the central path: mu0 best cancels the gradient,
     # but the gap m k mu0 is no less than the bound at z = 0, if there is one
-    s = slack(x)
+    s = h - _apply(G, x)
     sinv = np.linalg.inv(s)
     sinv = 0.5 * (sinv + sinv.transpose(0, 2, 1))
     Px = P @ x
@@ -438,7 +456,7 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
         if scaling is None:
             return x, steps, gap, "stalled"
         lam, r = scaling
-        F = _scaled_rows(r, Gblk, rows, weights)
+        F = _scaled_rows(r, G, rows, weights)
         solve = _cholesky_solver(P + F.T @ F)
         if solve is None:
             return x, steps, gap, "stalled"
@@ -455,6 +473,10 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
             return dx, -Fdx, dm + Fdx
 
         _, ds, dz = direction(rc_aff)
+        # a factor holding nan gives a direction that is not finite; ds is
+        # dm - dz, and the corrector solves with the same factor
+        if not np.isfinite(dz).all():
+            return x, steps, gap, "stalled"
         a = min(1.0, _step_to_boundary(li, ds, dz))
         mu = sz / (m * k)
         mu_aff = float(np.sum((Lam + a * ds) * (Lam + a * dz))) / (m * k)
@@ -467,7 +489,7 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
         # the factors that accept the step serve the next one
         for _ in range(40):
             x_new = x + a * dx
-            s_new = slack(x_new)
+            s_new = h - _apply(G, x_new)
             z_new = z + a * dz
             z_new = 0.5 * (z_new + z_new.transpose(0, 2, 1))
             Ls, Lz = _cholesky(s_new), _cholesky(z_new)
@@ -493,8 +515,7 @@ def interior_point_solve(problem, settings=None):
     st = settings or SolverSettings()
     p = problem.moment.shape[0]
     ops = problem.constraint_ops
-    m = ops.shape[0]
-    n = ops.shape[2] if m else 1
+    m, n = ops.shape[:2]
     eye = np.eye(n)
 
     P = 2.0 * problem.gram + 2.0 * problem.lam * np.eye(p)
@@ -538,7 +559,7 @@ def interior_point_solve(problem, settings=None):
                          else "infeasible" if gap <= np.finfo(float).eps else None)
 
         e_t = np.eye(p + 1)[p]
-        G1 = np.concatenate([ops, np.broadcast_to(-eye, (m, 1, n, n))], axis=1)
+        G1 = np.concatenate([ops, np.broadcast_to(-eye[:, :, None], (m, n, n, 1))], axis=-1)
         x1, steps1, gap, reason = _interior_point(rho * np.diag(1.0 - e_t), e_t, G1, 0.0 * h,
                                                   e_t, st.max_iters, phase1_stop)
         if reason != "feasible":

@@ -13,6 +13,8 @@ The exact path (`exact_ridge_fit` / `exact_field_eval` /
 `exact_potential_eval`) solves the full kernel-expansion ridge regression.
 It scales cubically with the number of anchors times n and exists as a
 trustworthy reference for the random-feature path, not as the trainer.
+`dense_projector` is the same kind of reference for the random-feature
+vanishing projector, which the package applies in its rank-r form only.
 """
 
 from __future__ import annotations
@@ -113,6 +115,12 @@ def eval_vanishing_kernel(kind, Z, x, y):
 def gram_matrix(kind, X, Y, Z=()):
     """Block Gram matrix of K^Z over two point lists, (|X| n, |Y| n)."""
     return _vanishing_cross_gram(kind, X, Y, Z)
+
+
+def dense_projector(proj):
+    """The dense vanishing projector L = I - Q Q^T of `proj`, from its basis Q."""
+    Q = proj.basis
+    return np.eye(Q.shape[0]) - Q @ Q.T
 
 
 def exact_ridge_fit(kind, Z, X, Xdot, lam):

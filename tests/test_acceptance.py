@@ -217,8 +217,8 @@ def test_criterion_05_gradient_flow(tau0_bundle):
 def _zoom_oracle(A, b, prob, half, rounds, pts):
     # the objective straight from the design A and targets b
     p = A.shape[1]
-    P = prob.constraint_ops.reshape(prob.constraint_ops.shape[0], p, -1)
-    eye = np.eye(prob.constraint_ops.shape[2])
+    P = prob.constraint_ops.reshape(prob.constraint_ops.shape[0], -1, p)
+    eye = np.eye(prob.constraint_ops.shape[1])
 
     def objective(G):
         r = G @ A.T - b
@@ -227,7 +227,7 @@ def _zoom_oracle(A, b, prob, half, rounds, pts):
     def feasible(G):
         ok = np.ones(G.shape[0], dtype=bool)
         for i in range(P.shape[0]):
-            C = (G @ P[i]).reshape(G.shape[0], 2, 2) + prob.tau[i] * eye
+            C = (G @ P[i].T).reshape(G.shape[0], 2, 2) + prob.tau[i] * eye
             ok &= np.linalg.eigvalsh(C)[:, -1] <= 1e-9
         return ok
 
@@ -251,9 +251,9 @@ def test_criterion_06_solver_optimality_oracle():
     for p, m, pts in ((4, 1, 7), (6, 2, 5)):
         A = rng.normal(size=(12, p))
         b = rng.normal(size=12) * 2
-        ops = rng.normal(size=(m, p, 2, 2))
-        ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
-        ops[:, 0] = -np.eye(2)    # strictly feasible direction
+        ops = rng.normal(size=(m, p, 2, 2)).transpose(0, 2, 3, 1)    # drawn (m, p, 2, 2)
+        ops = 0.5 * (ops + ops.transpose(0, 2, 1, 3))
+        ops[..., 0] = -np.eye(2)    # strictly feasible direction
         prob = lsq_problem(A, b, 0.1, ops, np.full(m, 0.2))
         rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10,
                                                         max_iters=300000))

@@ -433,8 +433,9 @@ def test_malformed_command_parameters_are_errors(workspace, capsys, command, set
     ("export-field", ["--data", "missing.csv", "--set", "bounds=-5,5,-5,5"]),
     ("train", ["--test", "missing.csv", "--out", "missing.out"]),
     ("grid-eval", ["--test", "missing.csv"]),
+    ("train", ["--seed", "3"]),
 ], ids=["export-field-seed", "eval-seed", "grid-eval-seed", "rollout-seed", "rollout-data-test",
-        "export-field-data", "train-test-out", "grid-eval-test"])
+        "export-field-data", "train-test-out", "grid-eval-test", "train-seed"])
 def test_unread_flags_are_usage_errors(workspace, capsys, command, args):
     # a flag that the command does not read is a usage error, as an unknown one is
     with pytest.raises(SystemExit) as exc:
@@ -443,6 +444,20 @@ def test_unread_flags_are_usage_errors(workspace, capsys, command, args):
     assert exc.value.code == 2
     assert "unrecognized arguments" in err
     assert all(arg.split("=")[0] in err for arg in args if arg.startswith("--") and arg != "--set")
+
+
+def test_set_seed_writes_the_model_of_a_config_seed(workspace, tmp_path):
+    # the feature-map seed is a config key like any other: --set seed=3 over
+    # the config writes the bytes that a config file holding "seed": 3 writes
+    (tmp_path / "seed3.json").write_text(json.dumps({**CLI_CONFIG, "seed": 3}))
+    train = ["train", "--data", str(workspace / "train.csv")]
+    assert main([*train, "--config", str(workspace / "config.json"), "--set", "seed=3",
+                 "--model", str(tmp_path / "set.json")]) == 0
+    assert main([*train, "--config", str(tmp_path / "seed3.json"),
+                 "--model", str(tmp_path / "file.json")]) == 0
+    model = (tmp_path / "set.json").read_bytes()
+    assert model == (tmp_path / "file.json").read_bytes()
+    assert model != (workspace / "model.json").read_bytes()       # trained with seed 0
 
 
 def test_train_requires_data_and_model(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _exact import eval_kernel, exact_field_eval, exact_ridge_fit
+from _exact import dense_projector, eval_kernel, exact_field_eval, exact_ridge_fit
 from cvfield import features
 from cvfield.dynamics import TrainedField
 from cvfield.errors import DimensionError
@@ -114,7 +114,8 @@ def test_jacobian_zero_coefficients():
 def test_projector_empty_zset_is_identity():
     fm = features.sample_feature_map(GS, 20, 2, seed=1)
     proj = features.build_vanishing_projector(fm, np.zeros((0, 2)))
-    np.testing.assert_allclose(proj.L, np.eye(proj.L.shape[0]), atol=1e-15)
+    L = dense_projector(proj)
+    np.testing.assert_allclose(L, np.eye(L.shape[0]), atol=1e-15)
 
 
 def test_projector_idempotent_and_vanishing():
@@ -123,35 +124,36 @@ def test_projector_idempotent_and_vanishing():
     for kind in (GS, CF):
         fm = features.sample_feature_map(kind, 80, 2, seed=2)
         proj = features.build_vanishing_projector(fm, Z)
-        np.testing.assert_allclose(proj.L @ proj.L, proj.L, atol=1e-9)
+        L = dense_projector(proj)
+        np.testing.assert_allclose(L @ L, L, atol=1e-9)
         for _ in range(5):
-            theta = proj.L @ rng.normal(size=proj.L.shape[0])
+            theta = L @ rng.normal(size=L.shape[0])
             vals = features.field_values(fm, theta, Z)
             assert np.abs(vals).max() <= 1e-9
 
 
 def test_symmetrized_jacobian_basis_consistency():
-    # at every point of a batch, contracting the basis with theta reproduces
-    # the symmetrized jacobian of the projected field, and the adjoint
-    # identity holds exactly
+    # at every point of a batch, the basis is C-ordered (m, n, n, p), the
+    # layout the solver reads without a copy; E[i] @ theta reproduces the
+    # symmetrized jacobian of the projected field, and the adjoint identity
+    # holds exactly
     rng = np.random.default_rng(12)
     X = rng.normal(size=(7, 2)) * 2
     for kind in (CF, GS):
         fm = features.sample_feature_map(kind, 40, 2, seed=4)
         proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
         B = features.symmetrized_jacobian_basis(fm, proj, X)
-        assert B.shape == (7, fm.feature_dim, 2, 2)
+        assert B.shape == (7, 2, 2, fm.feature_dim) and B.flags.c_contiguous
         theta = rng.normal(size=fm.feature_dim)
-        J = features.field_jacobians(fm, proj.L @ theta, X)
-        np.testing.assert_allclose(np.einsum("ipab,p->iab", B, theta),
-                                   0.5 * (J + J.transpose(0, 2, 1)), atol=1e-12)
+        J = features.field_jacobians(fm, dense_projector(proj) @ theta, X)
+        np.testing.assert_allclose(B @ theta, 0.5 * (J + J.transpose(0, 2, 1)), atol=1e-12)
         M = rng.normal(size=(2, 2))
         for Bi in B:
-            lhs = float(np.sum(np.tensordot(theta, Bi, axes=1) * M))
-            rhs = float(theta @ np.tensordot(Bi, M, axes=([1, 2], [0, 1])))
+            lhs = float(np.sum((Bi @ theta) * M))
+            rhs = float(theta @ np.tensordot(Bi, M, axes=([0, 1], [0, 1])))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
     assert features.symmetrized_jacobian_basis(fm, proj, np.empty((0, 2))).shape == (
-        0, fm.feature_dim, 2, 2)
+        0, 2, 2, fm.feature_dim)
 
 
 @pytest.mark.parametrize("entry", ["projector", "jacobian-basis", "assembly", "field"])
@@ -191,7 +193,7 @@ def test_potential_gradient_is_negative_field():
     rng = np.random.default_rng(14)
     fm = features.sample_feature_map(CF, 60, 2, seed=5)
     proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
-    theta = proj.L @ rng.normal(size=60)
+    theta = dense_projector(proj) @ rng.normal(size=60)
     h = 1e-6
     for _ in range(10):
         x = rng.normal(size=2) * 2

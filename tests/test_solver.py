@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _exact import dense_projector
 from _lsq import lsq_problem
 from _synth import s_demos
 from cvfield import TrainConfig, features, solver, train_field
@@ -62,24 +63,25 @@ def test_assemble_problem_matches_explicit_design(kind, num_z):
     cp = rng.normal(size=(5, 2))
     prob = assemble_problem(fm, proj, (X, Xdot), cp, 0.01, 0.3)
     p = fm.feature_dim
-    A = features.feature_rows(fm, X) @ proj.L
+    L = dense_projector(proj)
+    A = features.feature_rows(fm, X) @ L
     b = Xdot.ravel()
     assert prob.gram.shape == (p, p) and prob.moment.shape == (p,)
-    assert prob.constraint_ops.shape == (5, p, 2, 2)
+    assert prob.constraint_ops.shape == (5, 2, 2, p)
     np.testing.assert_allclose(prob.tau, 0.3)
     _close(prob.gram, A.T @ A, 1e-12)
     _close(prob.moment, A.T @ b, 1e-12)
     assert abs(prob.btb - b @ b) <= 1e-12 * (b @ b)
 
-    # the Jacobian basis of the raw map (projector I) times the dense L
-    identity = features.VanishingProjector(np.eye(p), np.zeros((p, 0)), np.empty((0, 2)))
+    # the Jacobian basis of the raw map (projector I, no equilibria) times the dense L
+    identity = features.build_vanishing_projector(fm, np.empty((0, 2)))
     raw = features.symmetrized_jacobian_basis(fm, identity, cp)
-    _close(prob.constraint_ops, np.einsum("ikab,kj->ijab", raw, proj.L), 1e-13)
+    _close(prob.constraint_ops, raw @ L, 1e-13)
     np.testing.assert_allclose(prob.constraint_ops,
-                               prob.constraint_ops.transpose(0, 1, 3, 2), atol=1e-12)
+                               prob.constraint_ops.transpose(0, 2, 1, 3), atol=1e-12)
     theta = rng.normal(size=p)
     field = TrainedField(fm, proj, theta, proj.Z)
-    _close(field.eta, proj.L @ theta, 1e-13)
+    _close(field.eta, L @ theta, 1e-13)
     # the oracle's design rows evaluate the projected field
     np.testing.assert_allclose(A @ theta, field.eval(X).ravel(), atol=1e-10)
 
@@ -102,7 +104,7 @@ def test_report_objective_matches_the_direct_form():
     rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-4, eps_rel=1e-9,
                                                     max_iters=250000))
     assert rep.converged
-    A = features.feature_rows(fm, X) @ proj.L
+    A = features.feature_rows(fm, X) @ dense_projector(proj)
     b = Xdot.ravel()
     direct = float(np.sum((A @ rep.theta - b) ** 2) + prob.lam * rep.theta @ rep.theta)
     assert abs(rep.objective - direct) <= 1e-12 * prob.btb
@@ -133,8 +135,8 @@ def _zoom_oracle(A, b, prob, start, half, rounds=45, pts=7):
     the design A and targets b, not from the problem's normal equations."""
     p = start.size
     tau = prob.tau
-    P = prob.constraint_ops.reshape(prob.constraint_ops.shape[0], p, -1)
-    eye = np.eye(prob.constraint_ops.shape[2]).ravel()
+    P = prob.constraint_ops.reshape(prob.constraint_ops.shape[0], -1, p)
+    eye = np.eye(prob.constraint_ops.shape[1]).ravel()
 
     def objective(G):
         r = G @ A.T - b
@@ -143,7 +145,7 @@ def _zoom_oracle(A, b, prob, start, half, rounds=45, pts=7):
     def feasible(G):
         ok = np.ones(G.shape[0], dtype=bool)
         for i in range(P.shape[0]):
-            C = (G @ P[i]).reshape(G.shape[0], 2, 2) + tau[i] * eye.reshape(2, 2)
+            C = (G @ P[i].T).reshape(G.shape[0], 2, 2) + tau[i] * eye.reshape(2, 2)
             ok &= np.linalg.eigvalsh(C)[:, -1] <= 1e-9
         return ok
 
@@ -165,12 +167,13 @@ def _zoom_oracle(A, b, prob, start, half, rounds=45, pts=7):
 def _random_lmi_problem(rng, p, m, rows=12, tau=0.2, k=2):
     # criterion 06's random problems: random symmetric k x k operators with one
     # coordinate anchored to -I so the strictly feasible cone is nonempty;
-    # returns (A, b, problem)
+    # returns (A, b, problem).  The draws fill (m, p, k, k), as criterion 06's
+    # do, and are moved to the operators' (m, k, k, p)
     A = rng.normal(size=(rows, p))
     b = rng.normal(size=rows) * 2
-    ops = rng.normal(size=(m, p, k, k))
-    ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
-    ops[:, 0] = -np.eye(k)
+    ops = rng.normal(size=(m, p, k, k)).transpose(0, 2, 3, 1)
+    ops = 0.5 * (ops + ops.transpose(0, 2, 1, 3))
+    ops[..., 0] = -np.eye(k)
     return A, b, lsq_problem(A, b, 0.1, ops, np.full(m, tau))
 
 
@@ -179,7 +182,7 @@ def test_ipm_unconstrained_equals_ridge():
     A = rng.normal(size=(20, 6))
     b = rng.normal(size=20)
     lam = 0.1
-    prob = lsq_problem(A, b, lam, np.empty((0, 6, 2, 2)), np.zeros(0))
+    prob = lsq_problem(A, b, lam, np.empty((0, 2, 2, 6)), np.zeros(0))
     rep = interior_point_solve(prob, SolverSettings())
     ref = np.linalg.solve(A.T @ A + lam * np.eye(6), A.T @ b)
     np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
@@ -242,7 +245,7 @@ def test_ipm_phase1_certifies_indefinite_cone(tau):
     # yet no operator is zero.  The certified rate bound is at rounding level:
     # eps <= (2 rho u)^1/2 with rho = |diag(1, -1)|_F^2 / (m n p) = 1
     prob = _scalar_problem(tau=tau)
-    prob.constraint_ops = np.diag([1.0, -1.0])[None, None]
+    prob.constraint_ops = np.diag([1.0, -1.0])[None, :, :, None]
     rep = interior_point_solve(prob, SolverSettings())
     assert rep.stop_reason == "infeasible" and not rep.converged
     assert 0.0 <= rep.contraction_bound <= np.sqrt(2.0 * np.finfo(float).eps)
@@ -256,10 +259,10 @@ def test_ipm_contraction_bound_is_sound(rate):
     # trace-free: the run either finds a feasible theta or reports a bound
     # that no unit theta beats, e_0 included
     rng = np.random.default_rng(5)
-    ops = rng.normal(size=(20, 30, 2, 2))
-    ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
-    ops -= np.einsum("ipaa->p", ops)[None, :, None, None] / 40.0 * np.eye(2)
-    ops[:, 0] = -rate * np.eye(2)
+    ops = rng.normal(size=(20, 30, 2, 2)).transpose(0, 2, 3, 1)
+    ops = 0.5 * (ops + ops.transpose(0, 2, 1, 3))
+    ops -= np.einsum("iaap->p", ops) / 40.0 * np.eye(2)[:, :, None]
+    ops[..., 0] = -rate * np.eye(2)
     prob = lsq_problem(rng.normal(size=(90, 30)), 10.0 * rng.normal(size=90), 0.1,
                        ops, np.full(20, 0.5))
     rep = interior_point_solve(prob, SolverSettings())
@@ -381,6 +384,47 @@ def test_indefinite_schur_complement_stalls(monkeypatch, path):
     assert rep.stop_reason == "stalled" and rep.iters == 0
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("fault", ["nan-solve", "nan-schur-numpy"])
+def test_nonfinite_newton_step_stalls_at_once(monkeypatch, k, fault):
+    # every Schur complement after P's gives a direction that is not finite:
+    # "nan-solve" through a factor whose solves return nan, as a factor
+    # holding nan does, and "nan-schur-numpy" through a Schur
+    # complement holding a nan, which the np.linalg fallback must refuse as
+    # LAPACKE's dpotrf does.  Either way the phase stalls at that step, with
+    # no LinAlgError from LAPACK's 3 x 3 eigenvalue routines and no back-off,
+    # so the start's two factors are the only ones taken
+    factor, first = solver._cholesky_solver, iter([True])
+    if fault == "nan-solve":
+        def faulty(S):
+            solve = factor(S)
+            return solve if next(first, False) else lambda v: solve(v) * np.nan
+    else:
+        _numpy_path(monkeypatch)
+
+        def faulty(S):
+            if not next(first, False):
+                S[0, 0] = np.nan
+            return factor(S)
+    monkeypatch.setattr(solver, "_cholesky_solver", faulty)
+    blocks, cholesky = [], solver._cholesky
+    monkeypatch.setattr(solver, "_cholesky", lambda M: blocks.append(M.shape) or cholesky(M))
+    _, _, prob = _random_lmi_problem(np.random.default_rng(3), 6, 3, tau=3.0, k=k)
+    rep = interior_point_solve(prob, SolverSettings())
+    assert rep.stop_reason == "stalled" and rep.iters == 0
+    assert blocks == [(3, k, k)] * 2
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_cholesky_refuses_nan_blocks_of_any_size(k):
+    # numpy's OpenBLAS factors a block holding nan without raising; the
+    # kernel refuses it, as the 2 x 2 closed form does
+    blocks = _spd_blocks(np.random.default_rng(53), 5, k, 1e3)
+    assert solver._cholesky(blocks) is not None
+    blocks[3, k - 1, 0] = blocks[3, 0, k - 1] = np.nan
+    assert solver._cholesky(blocks) is None
+
+
 def _spd_blocks(rng, m, k, spread):
     # m random symmetric positive definite k x k blocks whose scales run
     # geometrically over `spread` from the first block to the last
@@ -421,15 +465,14 @@ def test_packed_rows_give_the_full_schur_complement(k):
     # vec(r_i^T G_ij r_i), and F dx unpacks to r_i^T G_i(dx) r_i
     rng = np.random.default_rng(30 + k)
     m, d = 6, 9
-    G = rng.normal(size=(m, d, k, k))
-    G = G + G.transpose(0, 1, 3, 2)
+    G = rng.normal(size=(m, d, k, k)).transpose(0, 2, 3, 1)
+    G = G + G.transpose(0, 2, 1, 3)
     r = rng.normal(size=(m, k, k))
     rows, weights, slots = solver._svec(k)
     assert rows.size == k * (k + 1) // 2
-    F = solver._scaled_rows(r, np.ascontiguousarray(G.reshape(m, d, k * k).transpose(0, 2, 1)),
-                            rows, weights)
+    F = solver._scaled_rows(r, G, rows, weights)
     assert F.shape == (m * rows.size, d)
-    scaled = np.einsum("iba,ijbc,icd->ijad", r, G, r)
+    scaled = np.einsum("iba,ibcj,icd->ijad", r, G, r)
     full = scaled.reshape(m, d, k * k).transpose(0, 2, 1).reshape(m * k * k, d)
     ref = full.T @ full
     assert np.max(np.abs(F.T @ F - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -603,6 +646,29 @@ def test_phase2_forms_one_product_with_P_per_iterate(monkeypatch):
     assert steps > 0 and phase2_products == steps + 1
 
 
+def test_newton_steps_read_the_operators_in_place(monkeypatch):
+    # the operators keep the (m, n, n, p) layout that assembly builds them
+    # in: phase II's steps read the problem's array itself, and phase I's
+    # only copy is the operators with its t column, -I, appended
+    seen, scaled_rows = [], solver._scaled_rows
+    monkeypatch.setattr(solver, "_scaled_rows",
+                        lambda r, G, *args: seen.append(G) or scaled_rows(r, G, *args))
+    fm, proj, pairs, cp = _s_curve_inputs(200)
+    prob = assemble_problem(fm, proj, pairs, cp, 0.01, 0.0)
+    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-4, eps_rel=1e-9,
+                                                    max_iters=250000))
+    assert rep.converged
+    p, ops = fm.feature_dim, prob.constraint_ops
+    phase1 = [G for G in seen if G.shape[-1] == p + 1]
+    phase2 = [G for G in seen if G.shape[-1] == p]
+    assert len(phase1) + len(phase2) == len(seen) == rep.iters and phase1 and phase2
+    assert all(np.shares_memory(G, ops) for G in phase2)
+    for G in phase1:
+        assert not np.shares_memory(G, ops)
+        assert np.array_equal(G[..., :p], ops)
+        assert np.array_equal(G[..., p], np.broadcast_to(-np.eye(2), G.shape[:3]))
+
+
 def _admm_block(**block):
     # the solver settings an "admm" config block loads to
     return TrainConfig.from_dict({"admm": block}).solver
@@ -613,7 +679,7 @@ def test_config_block_unconstrained_equals_ridge():
     A = rng.normal(size=(20, 6))
     b = rng.normal(size=20)
     lam = 0.1
-    prob = lsq_problem(A, b, lam, np.empty((0, 6, 2, 2)), np.zeros(0))
+    prob = lsq_problem(A, b, lam, np.empty((0, 2, 2, 6)), np.zeros(0))
     rep = interior_point_solve(prob, _admm_block())
     ref = np.linalg.solve(A.T @ A + lam * np.eye(6), A.T @ b)
     np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
@@ -640,8 +706,8 @@ def test_config_block_deterministic():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(16, 4))
     b = rng.normal(size=16)
-    ops = rng.normal(size=(2, 4, 2, 2))
-    ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
+    ops = rng.normal(size=(2, 4, 2, 2)).transpose(0, 2, 3, 1)
+    ops = 0.5 * (ops + ops.transpose(0, 2, 1, 3))
     prob = lsq_problem(A, b, 0.05, ops, np.full(2, 0.1))
     r1 = interior_point_solve(prob, _admm_block(rho=2.0, max_iters=300))
     r2 = interior_point_solve(prob, _admm_block(rho=2.0, max_iters=300))
@@ -654,10 +720,10 @@ def test_config_block_matches_grid_search_oracle():
     p = 4
     A = rng.normal(size=(10, p))
     b = rng.normal(size=10) * 2
-    ops = rng.normal(size=(1, p, 2, 2))
-    ops = 0.5 * (ops + ops.transpose(0, 1, 3, 2))
+    ops = rng.normal(size=(1, p, 2, 2)).transpose(0, 2, 3, 1)
+    ops = 0.5 * (ops + ops.transpose(0, 2, 1, 3))
     # anchor one coordinate to -I so the strictly feasible cone is nonempty
-    ops[0, 0] = -np.eye(2)
+    ops[0, ..., 0] = -np.eye(2)
     prob = lsq_problem(A, b, 0.1, ops, np.array([0.2]))
     rep = interior_point_solve(prob, _admm_block(rho=2.0, eps_abs=1e-10, eps_rel=1e-10,
                                                  max_iters=200000, adapt_rho=True))
