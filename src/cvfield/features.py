@@ -20,8 +20,9 @@ Equilibria are enforced exactly by the vanishing projector
 L = I - Q Q^T, with Q an orthonormal basis of range [Phi(z_1) ... Phi(z_p)].
 The projected features Phi^Z(x) = L Phi(x) span fields that are zero at
 every z, and L theta is the effective coefficient vector of the raw map.
-Q has r = n |Z| columns, far fewer than feature_dim, so L is applied in
-its rank-r form v - Q (Q^T v), never as a dense product.  Q is a function
+Q has r = n |Z| columns, far fewer than feature_dim, so the projector is
+held as Q and Z alone and L is applied in its rank-r form v - Q (Q^T v):
+the dense (feature_dim, feature_dim) L is never formed.  Q is a function
 of the map and the equilibria alone: `build_vanishing_projector` is the one
 place it is made, for training and for loading a model alike.
 """
@@ -29,7 +30,7 @@ place it is made, for training and for loading a model alike.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -62,9 +63,14 @@ class FeatureMap:
 
 @dataclass(frozen=True, eq=False)
 class VanishingProjector:
-    """Projector L = I - Q Q^T onto the complement of range Phi(Z)."""
+    """Projector L = I - Q Q^T onto the complement of range Phi(Z), held as
+    its basis Q and Z; L itself is never formed.
 
-    L: np.ndarray        # (feature_dim, feature_dim)
+    The first constructor argument is accepted and discarded, so that a
+    positional call that also passes a dense L builds the same projector,
+    which has no L attribute; the package passes None."""
+
+    L: InitVar[object]   # serves bench/tests/test_checks.py; goes with the next benchmark change
     basis: np.ndarray    # Q, (feature_dim, r)
     Z: np.ndarray        # (p, n), possibly empty
 
@@ -166,8 +172,8 @@ def field_jacobians(fm, coeffs, X):
 
 
 def build_vanishing_projector(fm, Z):
-    """Orthonormal basis of range Phi(Z) and the projector L = I - Q Q^T,
-    for equilibria Z (k, n).
+    """The projector L = I - Q Q^T for equilibria Z (k, n), held as the
+    orthonormal basis Q of range Phi(Z).
 
     Requires feature_dim > n |Z|.  If the stacked feature block is
     rank-deficient the achieved range is projected out and a warning is
@@ -186,8 +192,7 @@ def build_vanishing_projector(fm, Z):
         warnings.warn(
             f"feature block at Z is rank deficient ({rank} < {fm.n * Z.shape[0]}); "
             "projecting the achieved range only")
-    Q = U[:, :rank]
-    return VanishingProjector(np.eye(p) - Q @ Q.T, Q, Z)
+    return VanishingProjector(None, U[:, :rank], Z)
 
 
 def symmetrized_jacobian_basis(fm, proj, X):

@@ -165,15 +165,17 @@ def train_field(demos, config):
     regression.  Returns (field, report, averaged_demo).
     """
     config.validate()
-    avg = resample_and_average(fill_velocities(demos, config.preprocess), config.preprocess)
-    cpoints = subsample_constraint_points(avg, config.constraint_points)
-    kind = KernelKind(config.kernel, config.sigma)
-    fm = sample_feature_map(kind, config.num_features, demos.dim, config.seed)
-    Z = np.zeros((1, demos.dim))          # goal sits at the origin after loading
-    proj = build_vanishing_projector(fm, Z)
-    with single_blas_thread():        # model bytes independent of the core count
+    # every BLAS call of training at one thread, the projector's SVD included:
+    # the model bytes do not depend on the core count, and no two-thread call
+    # runs just before assembly and the solve, which measured slower after one
+    with single_blas_thread():
+        avg = resample_and_average(fill_velocities(demos, config.preprocess), config.preprocess)
+        cpoints = subsample_constraint_points(avg, config.constraint_points)
+        kind = KernelKind(config.kernel, config.sigma)
+        fm = sample_feature_map(kind, config.num_features, demos.dim, config.seed)
+        Z = np.zeros((1, demos.dim))          # goal sits at the origin after loading
+        proj = build_vanishing_projector(fm, Z)
         problem = assemble_problem(fm, proj, (avg.positions, avg.velocities),
                                    cpoints, config.lam, config.tau)
         report = interior_point_solve(problem, config.solver)
-    fieldobj = TrainedField(fm, proj, report.theta, Z)
-    return fieldobj, report, avg
+    return TrainedField(fm, proj, report.theta, Z), report, avg

@@ -1064,13 +1064,18 @@ def test_train_field_restores_blas_threads(monkeypatch, angle_train, solve_raise
     get, put = _openblas_threads()
     inside = []
 
+    def projector(fm, Z):
+        inside.append(get())
+        return real_projector(fm, Z)
+
     def solve(problem, settings):
         inside.append(get())
         if solve_raises:
             raise RuntimeError("solver failure")
         return real_solve(problem, settings)
 
-    real_solve = training.interior_point_solve
+    real_projector, real_solve = training.build_vanishing_projector, training.interior_point_solve
+    monkeypatch.setattr(training, "build_vanishing_projector", projector)
     monkeypatch.setattr(training, "interior_point_solve", solve)
     cfg = TrainConfig(sigma=10.0, num_features=50, constraint_points=20)
     original = get()
@@ -1082,7 +1087,7 @@ def test_train_field_restores_blas_threads(monkeypatch, angle_train, solve_raise
                 train_field(angle_train, cfg)
         else:
             train_field(angle_train, cfg)
-        assert inside == [1]
+        assert inside == [1, 1]
         assert get() == before
     finally:
         put(original)

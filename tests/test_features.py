@@ -1,10 +1,13 @@
 """Random feature maps: sampling, evaluation, jacobians, projector."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from _exact import dense_projector, eval_kernel, exact_field_eval, exact_ridge_fit
-from cvfield import features
+from cvfield import features, modelfile
 from cvfield.dynamics import TrainedField
 from cvfield.errors import DimensionError
 from cvfield.kernels import KernelKind
@@ -130,6 +133,24 @@ def test_projector_idempotent_and_vanishing():
             theta = L @ rng.normal(size=L.shape[0])
             vals = features.field_values(fm, theta, Z)
             assert np.abs(vals).max() <= 1e-9
+
+
+def test_projector_holds_its_basis_only(tmp_path, angle_model):
+    # at feature_dim 1000 a dense L would be one 8 MB (p, p) array; the
+    # projector is Q and Z, for a trained and a loaded field alike
+    fm = features.sample_feature_map(CF, 1000, 2, seed=0)
+    tracemalloc.start()
+    try:
+        proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * 1000 * 8
+    assert [f.name for f in dataclasses.fields(proj)] == ["basis", "Z"]
+    field = angle_model[0]
+    modelfile.save_model(tmp_path / "model.json", field)
+    loaded = modelfile.load_model(tmp_path / "model.json")[0]
+    assert not hasattr(field.proj, "L") and not hasattr(loaded.proj, "L")
 
 
 def test_symmetrized_jacobian_basis_consistency():
