@@ -29,7 +29,6 @@ import numpy as np
 
 from . import features
 from .errors import DataError, DimensionError, IntegrationError
-from .kernels import CURL_FREE
 
 #:  Dormand-Prince 4(5) tableau
 _A = [
@@ -334,8 +333,8 @@ def export_field_grid(f, bounds, resolution):
 
     bounds = (x1_min, x1_max, x2_min, x2_max); resolution points per axis.
     Returns (column_names, values) with columns x1, x2, f1, f2, lambda_max
-    and, for curl-free trained fields, the potential V.  Rows iterate x2
-    outer, x1 inner (x1 varies fastest).
+    and, for a trained field whose family has a potential (curl-free), V.
+    Rows iterate x2 outer, x1 inner (x1 varies fastest).
     """
     b = np.asarray(bounds, dtype=float).ravel()
     if b.shape[0] != 4:
@@ -353,7 +352,7 @@ def export_field_grid(f, bounds, resolution):
     lam = max_contraction_eigenvalues(f, X)
     cols = ["x1", "x2", "f1", "f2", "lambda_max"]
     out = [X[:, 0], X[:, 1], vals[:, 0], vals[:, 1], lam]
-    if isinstance(f, TrainedField) and f.map.kind.variant == CURL_FREE:
+    if isinstance(f, TrainedField) and f.map.form.potential is not None:
         cols.append("V")
         out.append(features.potential_from_features(f.map, f.eta, X))
     return cols, np.stack(out, axis=1)

@@ -1,16 +1,13 @@
-"""Random Fourier feature maps for the two matrix-valued kernels.
+"""Random Fourier feature maps, the vanishing projector, and every quantity
+computed from a map's rows.
 
 A map of s scalar frequencies approximates the kernel through
 Phi(x)^T Phi(y) ~= K(x, y), where Phi(x) is a (feature_dim, n) matrix
-whose row k is the field sqrt(2/s) g(w_k^T x + b_k) u_k^T, for a scalar
-profile g and a direction u_k (Brault, d'Alche-Buc & Heinonen, "Random
-Fourier Features for Operator-Valued Kernels", 2016).  `_table` gives
-the two kernels in this one form:
-
-* Gaussian separable:  g = cos and u_k a unit vector, feature_dim = s * n.
-  Feature k = j n + c is phi_j(x) e_c, with
-  phi_j(x) = sqrt(2/s) cos(w_j^T x + b_j): coefficients are feature-major.
-* curl-free:  g = sin and u_k = w_k, feature_dim = s.
+whose row k is the field sqrt(2/s) g(W[k] x + b[k]) U[k]^T.  The rows
+W, b, U and the profile g come from the family's entry of `kernels.FORMS`;
+a `FeatureMap` builds its rows once, and the features, normal equations,
+fields, Jacobians and potential below are each one expression over them,
+whatever the family.
 
 Frequencies are drawn from N(0, sigma^-2 I) and phases from U[0, 2 pi)
 with a counter-based generator, so a (kind, s, n, seed) tuple always
@@ -30,19 +27,34 @@ place it is made, for training and for loading a model alike.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError
-from .kernels import CURL_FREE, GAUSSIAN_SEPARABLE, KernelKind
+from .kernels import FORMS, KernelKind
 
 
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
+    """s random frequencies and phases of a kernel family, with the rows
+    W, b, U that the family's form builds from them, once per map."""
+
     kind: KernelKind
     freqs: np.ndarray    # (s, n), units 1/mm
     phases: np.ndarray   # (s,), in [0, 2 pi)
+    W: np.ndarray = field(init=False, repr=False)   # (feature_dim, n)
+    b: np.ndarray = field(init=False, repr=False)   # (feature_dim,)
+    U: np.ndarray = field(init=False, repr=False)   # (feature_dim, n)
+
+    def __post_init__(self):
+        for name, rows in zip("WbU", self.form.rows(self.freqs, self.phases)):
+            object.__setattr__(self, name, rows)
+
+    @property
+    def form(self):
+        """The family's random-feature form, its entry of `kernels.FORMS`."""
+        return FORMS[self.kind.variant]
 
     @property
     def s(self):
@@ -54,7 +66,7 @@ class FeatureMap:
 
     @property
     def feature_dim(self):
-        return self.s * self.n if self.kind.variant == GAUSSIAN_SEPARABLE else self.s
+        return self.W.shape[0]
 
     @property
     def scale(self):
@@ -112,32 +124,21 @@ def sample_feature_map(kind, s, n, seed):
     return FeatureMap(kind, freqs, phases)
 
 
-def _table(fm):
-    """(W, b, U, g, g') of the per-feature form: feature k is the field
-    sqrt(2/s) g(W[k] x + b[k]) U[k], with W and U (feature_dim, n) and
-    b (feature_dim,)."""
-    if fm.kind.variant == GAUSSIAN_SEPARABLE:
-        return (np.repeat(fm.freqs, fm.n, axis=0), np.repeat(fm.phases, fm.n),
-                np.tile(np.eye(fm.n), (fm.s, 1)), np.cos, lambda a: -np.sin(a))
-    return fm.freqs, fm.phases, fm.freqs, np.sin, np.cos
-
-
-def _angles(X, W, b):
+def _angles(X, fm):
     # the feature products are einsums, not BLAS products: BLAS rounds a row
     # differently depending on how many rows share the call, and a point's
     # field value must have the same bits alone or in a batch (a batch of
     # rollouts relies on it)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    a = np.einsum("nd,ds->ns", X, np.ascontiguousarray(W.T))
-    a += b
+    a = np.einsum("nd,ds->ns", X, np.ascontiguousarray(fm.W.T))
+    a += fm.b
     return a
 
 
 def feature_rows(fm, X):
     """Stacked transposed features [Phi(x_1)^T; ...], shape (N n, feature_dim);
     its transpose is the block [Phi(x_1) ... Phi(x_N)]."""
-    W, b, U, g, _ = _table(fm)
-    rows = fm.scale * g(_angles(X, W, b))[:, None, :] * U.T[None, :, :]
+    rows = fm.scale * fm.form.g(_angles(X, fm))[:, None, :] * fm.U.T[None, :, :]
     return rows.reshape(-1, fm.feature_dim)
 
 
@@ -146,12 +147,11 @@ def normal_equations(fm, X, Y):
     X (N, n) and the fields y = Y.ravel() at them, Y (N, n), without forming
     A.  With the (N, feature_dim) profiles G = g(X W^T + b),
     A^T A = (2/s) (G^T G) o (U U^T) and A^T y = sqrt(2/s) sum_c (G^T Y) o U."""
-    W, b, U, g, _ = _table(fm)
-    G = g(_angles(X, W, b))
-    moment = fm.scale * np.sum((G.T @ Y) * U, axis=1)
+    G = fm.form.g(_angles(X, fm))
+    moment = fm.scale * np.sum((G.T @ Y) * fm.U, axis=1)
     gram = G.T @ G
     del G                     # freed before U U^T: two (N or p, p) arrays held at most
-    gram *= U @ U.T
+    gram *= fm.U @ fm.U.T
     gram *= 2.0 / fm.s
     return gram, moment
 
@@ -159,16 +159,14 @@ def normal_equations(fm, X, Y):
 def field_values(fm, coeffs, X):
     """Fields f(x_t) = Phi(x_t)^T coeffs for a batch of points, (N, n); each
     row is computed independently of the others (see `_angles`)."""
-    W, b, U, g, _ = _table(fm)
-    return np.einsum("nk,dk->nd", fm.scale * (g(_angles(X, W, b)) * coeffs),
-                     np.ascontiguousarray(U.T))
+    return np.einsum("nk,dk->nd", fm.scale * (fm.form.g(_angles(X, fm)) * coeffs),
+                     np.ascontiguousarray(fm.U.T))
 
 
 def field_jacobians(fm, coeffs, X):
     """Jacobians of f at a batch of points, shape (N, n, n)."""
-    W, b, U, _, dg = _table(fm)
-    c = fm.scale * dg(_angles(X, W, b)) * coeffs                   # (N, feature_dim)
-    return np.einsum("gk,ka,kb->gab", c, U, W)
+    c = fm.scale * fm.form.dg(_angles(X, fm)) * coeffs     # (N, feature_dim)
+    return np.einsum("gk,ka,kb->gab", c, fm.U, fm.W)
 
 
 def build_vanishing_projector(fm, Z):
@@ -204,20 +202,19 @@ def symmetrized_jacobian_basis(fm, proj, X):
     feature axis is last, as in `field_jacobians`, and this is the layout the
     solver reads: E.reshape(-1, feature_dim) is the map theta -> vec C(theta)."""
     X = as_points(X, fm.n, "constraint points")
-    m, n, p = X.shape[0], fm.n, fm.feature_dim
-    W, b, U, _, dg = _table(fm)
-    # raw[i, c, d, k] = sqrt(2/s) g'(w_k^T x_i + b_k) u_k[c] w_k[d], shape (m, n, n, p)
-    raw = (fm.scale * dg(_angles(X, W, b)))[:, None, None, :] * (U.T[:, None] * W.T[None])
-    J = proj.apply(raw.reshape(m * n * n, p)).reshape(m, n, n, p)
+    # raw[i, c, d, k] = sqrt(2/s) g'(W[k] x_i + b[k]) U[k, c] W[k, d], shape (m, n, n, p)
+    raw = fm.scale * fm.form.dg(_angles(X, fm))[:, None, None, :] * (fm.U.T[:, None] * fm.W.T[None])
+    J = proj.apply(raw.reshape(-1, fm.feature_dim)).reshape(raw.shape)
     return 0.5 * (J + J.transpose(0, 2, 1, 3))   # leaves the symmetric curl-free J as it is
 
 
 def potential_from_features(fm, coeffs, X):
-    """Scalar potential V with f = -grad V, for the curl-free map, at (N, n) points.
+    """Scalar potential V with f = -grad V at (N, n) points, for a family
+    whose form has a potential profile P (curl-free: P = cos).
 
-    V(x) = sqrt(2/s) sum_j coeffs_j cos(w_j^T x + b_j); pass the effective
+    V(x) = sqrt(2/s) sum_k coeffs_k P(W[k] x + b[k]); pass the effective
     coefficients L theta of a vanishing field, as for `field_values`.
     """
-    if fm.kind.variant != CURL_FREE:
-        raise ValueError("potentials are defined for the curl-free map only")
-    return fm.scale * (np.cos(_angles(X, fm.freqs, fm.phases)) @ np.asarray(coeffs))
+    if fm.form.potential is None:
+        raise ValueError(f"the {fm.kind.variant} map is not a gradient field and has no potential")
+    return fm.scale * (fm.form.potential(_angles(X, fm)) @ np.asarray(coeffs))

@@ -518,7 +518,8 @@ def interior_point_solve(problem, settings=None):
     m, n = ops.shape[:2]
     eye = np.eye(n)
 
-    P = 2.0 * problem.gram + 2.0 * problem.lam * np.eye(p)
+    P = 2.0 * problem.gram
+    P.flat[::p + 1] += 2.0 * problem.lam          # + 2 lam I, on the diagonal in place
     q = -2.0 * problem.moment
     solve_P = _cholesky_solver(P.copy())
     if solve_P is None:
@@ -558,7 +559,7 @@ def interior_point_solve(problem, settings=None):
             return gap, ("feasible" if x[-1] < 0.0
                          else "infeasible" if gap <= np.finfo(float).eps else None)
 
-        e_t = np.eye(p + 1)[p]
+        e_t = np.append(np.zeros(p), 1.0)
         G1 = np.concatenate([ops, np.broadcast_to(-eye[:, :, None], (m, n, n, 1))], axis=-1)
         x1, steps1, gap, reason = _interior_point(rho * np.diag(1.0 - e_t), e_t, G1, 0.0 * h,
                                                   e_t, st.max_iters, phase1_stop)

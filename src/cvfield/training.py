@@ -70,7 +70,7 @@ class TrainConfig:
         if self.solver.max_iters < 1:
             raise ConfigError("solver.max_iters must be at least 1")
         if self.solver.eps_abs < 0 or self.solver.eps_rel < 0:
-            raise ConfigError("solver tolerances must be nonnegative")
+            raise ConfigError("solver.eps_abs and solver.eps_rel must be nonnegative")
         return self
 
     def to_dict(self):

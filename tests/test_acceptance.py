@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from _exact import eval_kernel
-from _lsq import lsq_problem
+from _lsq import lsq_problem, zoom_oracle
 from _synth import angle_demos, s_demos, write_demo_csv
 from cvfield import TrainConfig, modelfile, train_field
 from cvfield.cli import main
@@ -214,37 +214,6 @@ def test_criterion_05_gradient_flow(tau0_bundle):
              f"max |grad V + f| = {worst_grad:.2e} relative (bound 1e-5)")
 
 
-def _zoom_oracle(A, b, prob, half, rounds, pts):
-    # the objective straight from the design A and targets b
-    p = A.shape[1]
-    P = prob.constraint_ops.reshape(prob.constraint_ops.shape[0], -1, p)
-    eye = np.eye(prob.constraint_ops.shape[1])
-
-    def objective(G):
-        r = G @ A.T - b
-        return np.sum(r * r, axis=1) + prob.lam * np.sum(G * G, axis=1)
-
-    def feasible(G):
-        ok = np.ones(G.shape[0], dtype=bool)
-        for i in range(P.shape[0]):
-            C = (G @ P[i].T).reshape(G.shape[0], 2, 2) + prob.tau[i] * eye
-            ok &= np.linalg.eigvalsh(C)[:, -1] <= 1e-9
-        return ok
-
-    center = np.zeros(p)
-    best_val = np.inf
-    for _ in range(rounds):
-        axes = [np.linspace(c - half, c + half, pts) for c in center]
-        G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p)
-        vals = objective(G)
-        vals[~feasible(G)] = np.inf
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val, center = float(vals[k]), G[k]
-        half *= 0.6
-    return best_val
-
-
 def test_criterion_06_solver_optimality_oracle():
     rng = np.random.default_rng(3)
     gaps = []
@@ -260,7 +229,7 @@ def test_criterion_06_solver_optimality_oracle():
         assert rep.converged
         val = float(np.sum((A @ rep.theta - b) ** 2) + 0.1 * rep.theta @ rep.theta)
         half = 2.0 * np.linalg.norm(rep.theta) + 1.0
-        oracle_val = _zoom_oracle(A, b, prob, half, rounds=50, pts=pts)
+        oracle_val = zoom_oracle(A, b, prob, half, rounds=50, pts=pts)
         gaps.append(abs(val - oracle_val) / max(1.0, oracle_val))
     # scalar KKT toy: pull to +2 clamped at -0.5
     toy = lsq_problem(np.array([[1.0]]), np.array([2.0]), 0.01,

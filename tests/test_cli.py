@@ -21,8 +21,8 @@ from cvfield import TrainConfig, cli, metrics, modelfile, solver, train_field, t
 from cvfield.cli import cmd_export_field, main
 from cvfield.dataset import (load_demonstrations, resample_and_average,
                              subsample_constraint_points)
-from cvfield.dynamics import TrainedField, max_contraction_eigenvalues
-from cvfield.errors import ConfigError, DataError, ParseError
+from cvfield.dynamics import RolloutBatch, TrainedField, max_contraction_eigenvalues
+from cvfield.errors import ConfigError, DataError, IntegrationError, ParseError
 from cvfield.features import build_vanishing_projector, field_values, sample_feature_map
 from cvfield.kernels import KernelKind
 from cvfield.solver import SolverSettings
@@ -66,6 +66,16 @@ def test_config_validation():
         TrainConfig(sigma=-1.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(solver=SolverSettings(max_iters=0)).validate()
+
+
+@pytest.mark.parametrize("settings, key", [
+    ({"num_features": 0}, "num_features"),
+    ({"seed": -1}, "seed"),
+    ({"solver": {"eps_abs": -1}}, "solver.eps_abs"),
+], ids=["num_features-zero", "seed-negative", "eps_abs-negative"])
+def test_config_out_of_range_names_the_key(settings, key):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}\b"):
+        TrainConfig.from_dict(settings)
 
 
 def test_config_dict_round_trip():
@@ -446,6 +456,15 @@ def test_unread_flags_are_usage_errors(workspace, capsys, command, args):
     assert all(arg.split("=")[0] in err for arg in args if arg.startswith("--") and arg != "--set")
 
 
+def test_set_that_descends_into_a_value_is_an_error(workspace, capsys):
+    rc = main(["train", "--data", str(workspace / "train.csv"),
+               "--model", str(workspace / "unwritten_model.json"),
+               "--set", "a=1", "--set", "a.b=2"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: cannot descend into 'a.b'\n"
+    assert not (workspace / "unwritten_model.json").exists()
+
+
 def test_set_seed_writes_the_model_of_a_config_seed(workspace, tmp_path):
     # the feature-map seed is a config key like any other: --set seed=3 over
     # the config writes the bytes that a config file holding "seed": 3 writes
@@ -722,6 +741,18 @@ def test_rollout_max_step_may_be_inf(workspace, capsys, max_step):
         assert main(["rollout", "--model", str(workspace / "model.json"), "--out", str(out),
                      "--set", "x0=10,20", *extra]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_rollout_that_fails_to_integrate_is_an_error(workspace, capsys, monkeypatch):
+    failed = IntegrationError("step size underflow", last_time=0.5, last_state=np.zeros(2))
+    monkeypatch.setattr(cli, "rollout", lambda f, X0, settings: RolloutBatch([failed], 7))
+    out = workspace / "unwritten_rollout.csv"
+    rc = main(["rollout", "--model", str(workspace / "model.json"), "--out", str(out),
+               "--set", "x0=10,20"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: step size underflow\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_rollout_requires_start(workspace, capsys):

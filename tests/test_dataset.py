@@ -100,6 +100,18 @@ def test_load_rejects_malformed_input(tmp_path):
         load_demonstrations(empty_dir)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("t,x1,y1", "unrecognized column layout"),
+    ("t,x1,x2,v1", "1 velocity columns for 2 position columns"),
+], ids=["unrecognized-layout", "velocity-count"])
+def test_header_layout_errors_name_line_1(tmp_path, header, message):
+    width = header.count(",") + 1
+    rows = "".join(",".join([str(t)] * width) + "\n" for t in range(3))
+    with pytest.raises(ParseError, match=message) as exc:
+        load_demonstrations(_write(tmp_path, header + "\n" + rows))
+    assert exc.value.line == 1
+
+
 def test_load_rejects_non_finite_values(tmp_path):
     # a NaN time would slip past the strictly-increasing check, since every
     # comparison with NaN is false

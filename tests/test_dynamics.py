@@ -260,6 +260,22 @@ def test_export_grid_separable_has_no_potential():
     assert rows.shape == (9, 5)
 
 
+def test_separable_rollout_builds_its_feature_rows_once(monkeypatch):
+    # the separable map's rows repeat each frequency over the n unit
+    # directions, U = np.tile(I, (s, 1)): the map builds them once, when it
+    # is made, and no field evaluation of a batched rollout builds them again
+    tile, tiles = np.tile, []
+    monkeypatch.setattr(np, "tile", lambda *a, **k: tiles.append(a) or tile(*a, **k))
+    fm = features.sample_feature_map(KernelKind("gaussian_separable", 20.0), 30, 2, seed=1)
+    assert len(tiles) == 1
+    proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
+    theta = np.random.default_rng(2).normal(size=60)
+    f = TrainedField(fm, proj, theta, np.zeros((1, 2)))
+    batch = rollout(f, np.array([[10.0, 20.0], [-5.0, 3.0], [8.0, -8.0]]),
+                    IntegratorSettings(horizon=2.0))
+    assert batch.n_field_evals > 3 and len(tiles) == 1
+
+
 def test_export_grid_validation():
     f = Linear(-np.eye(2))
     with pytest.raises(DimensionError):

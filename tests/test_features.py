@@ -1,6 +1,7 @@
 """Random feature maps: sampling, evaluation, jacobians, projector."""
 
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,20 @@ def test_sampling_deterministic_in_seed():
     np.testing.assert_array_equal(a.phases, b.phases)
     assert not np.array_equal(a.freqs, c.freqs)
     assert a.freqs.shape == (64, 2) and a.phases.shape == (64,)
+
+
+def test_sampling_needs_a_feature():
+    with pytest.raises(ValueError, match="need at least one feature"):
+        features.sample_feature_map(CF, 0, 2, seed=0)
+
+
+@pytest.mark.parametrize("kind", [GS, CF], ids=["separable", "curl-free"])
+def test_feature_maps_pickle(kind):
+    # a map holds arrays and its kind, not its form's functions
+    fm = features.sample_feature_map(kind, 6, 2, seed=1)
+    again = pickle.loads(pickle.dumps(fm))
+    X = np.random.default_rng(0).normal(size=(4, 2))
+    assert np.array_equal(features.feature_rows(again, X), features.feature_rows(fm, X))
 
 
 def test_frequency_scale_matches_bandwidth():
@@ -153,6 +168,15 @@ def test_projector_holds_its_basis_only(tmp_path, angle_model):
     assert not hasattr(field.proj, "L") and not hasattr(loaded.proj, "L")
 
 
+def test_projector_warns_when_the_block_at_z_is_rank_deficient():
+    # with every phase 0, each curl-free feature sqrt(2/s) sin(w^T x) w
+    # vanishes at the origin, so Phi(0) = 0 spans nothing to project out
+    fm = features.FeatureMap(CF, np.random.default_rng(0).normal(size=(8, 2)), np.zeros(8))
+    with pytest.warns(UserWarning, match=r"rank deficient \(0 < 2\)"):
+        proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
+    assert proj.basis.shape == (8, 0)
+
+
 def test_symmetrized_jacobian_basis_consistency():
     # at every point of a batch, the basis is C-ordered (m, n, n, p), the
     # layout the solver reads without a copy; E[i] @ theta reproduces the
@@ -208,6 +232,13 @@ def test_potential_single_feature_value():
     fm = features.FeatureMap(CF, np.array([[1.0, 0.0]]), np.array([0.0]))
     V = features.potential_from_features(fm, np.array([1.0]), np.zeros((1, 2)))[0]
     assert abs(float(V) - 1.4142135623730951) <= 1e-15
+
+
+def test_potential_of_a_separable_map_is_an_error():
+    # the separable features are not gradients: the form has no potential
+    fm = features.sample_feature_map(GS, 5, 2, seed=0)
+    with pytest.raises(ValueError, match="gaussian_separable map .* has no potential"):
+        features.potential_from_features(fm, np.zeros(10), np.zeros((1, 2)))
 
 
 def test_potential_gradient_is_negative_field():

@@ -1,10 +1,14 @@
 """Matrix-valued kernels, vanishing construction and the exact ridge path."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from _exact import (ConditioningError, ExactModel, eval_kernel, eval_vanishing_kernel,
                     exact_field_eval, exact_potential_eval, exact_ridge_fit, gram_matrix)
+import cvfield
 from cvfield.errors import DimensionError
 from cvfield.kernels import KernelKind
 
@@ -15,10 +19,30 @@ CF = KernelKind("curl_free", 1.0)
 def test_kind_validation():
     with pytest.raises(ValueError):
         KernelKind("bogus", 1.0)
+    with pytest.raises(ValueError, match="unknown kernel variant"):
+        KernelKind(["curl_free"], 1.0)          # unhashable, as a JSON list is
     with pytest.raises(ValueError):
         KernelKind("gaussian_separable", 0.0)
     with pytest.raises(DimensionError):
         eval_kernel(CF, np.zeros(3), np.zeros(2))
+
+
+def _kernel_comparisons(path):
+    """Line numbers of the comparisons in the module at `path` with an operand
+    that reads `.variant` or names CURL_FREE or GAUSSIAN_SEPARABLE."""
+    names = {"CURL_FREE", "GAUSSIAN_SEPARABLE"}
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(sub, ast.Attribute) and sub.attr in names | {"variant"}
+                    or isinstance(sub, ast.Name) and sub.id in names for sub in ast.walk(node))]
+
+
+def test_no_module_but_kernels_compares_kernel_families():
+    # each family's random-feature form is its entry of kernels.FORMS, and
+    # every other module reads the entry instead of testing which family it is
+    found = [f"{path.name}:{line}" for path in sorted(Path(cvfield.__file__).parent.glob("*.py"))
+             if path.name != "kernels.py" for line in _kernel_comparisons(path)]
+    assert found == []
 
 
 def test_separable_at_identical_points():

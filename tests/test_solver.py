@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from _exact import dense_projector
-from _lsq import lsq_problem
+from _lsq import lsq_problem, zoom_oracle
 from _synth import s_demos
 from cvfield import TrainConfig, features, solver, train_field
 from cvfield.dataset import resample_and_average, subsample_constraint_points
@@ -127,41 +127,6 @@ def test_assembly_memory_stays_below_the_design():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * M, f"assembly peak {peak / 2**20:.1f} MiB > {3 * M / 2**20:.1f} MiB"
-
-
-def _zoom_oracle(A, b, prob, start, half, rounds=45, pts=7):
-    """Feasible grid search that zooms on the incumbent; convexity makes
-    the local refinement global.  The objective is evaluated directly from
-    the design A and targets b, not from the problem's normal equations."""
-    p = start.size
-    tau = prob.tau
-    P = prob.constraint_ops.reshape(prob.constraint_ops.shape[0], -1, p)
-    eye = np.eye(prob.constraint_ops.shape[1]).ravel()
-
-    def objective(G):
-        r = G @ A.T - b
-        return np.sum(r * r, axis=1) + prob.lam * np.sum(G * G, axis=1)
-
-    def feasible(G):
-        ok = np.ones(G.shape[0], dtype=bool)
-        for i in range(P.shape[0]):
-            C = (G @ P[i].T).reshape(G.shape[0], 2, 2) + tau[i] * eye.reshape(2, 2)
-            ok &= np.linalg.eigvalsh(C)[:, -1] <= 1e-9
-        return ok
-
-    center = start.copy()
-    best_val, best = np.inf, center
-    for _ in range(rounds):
-        axes = [np.linspace(c - half, c + half, pts) for c in center]
-        G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p)
-        vals = objective(G)
-        vals[~feasible(G)] = np.inf
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val, best = vals[k], G[k]
-        center = best
-        half *= 0.6
-    return best, best_val
 
 
 def _random_lmi_problem(rng, p, m, rows=12, tau=0.2, k=2):
@@ -317,7 +282,7 @@ def test_ipm_matches_grid_search_oracle():
         assert rep.max_constraint_violation < 0.0
         val = float(np.sum((A @ rep.theta - b) ** 2) + prob.lam * rep.theta @ rep.theta)
         half = 2.0 * np.linalg.norm(rep.theta) + 1.0
-        _, oracle_val = _zoom_oracle(A, b, prob, np.zeros(p), half, rounds=50, pts=pts)
+        oracle_val = zoom_oracle(A, b, prob, half, rounds=50, pts=pts)
         assert abs(val - oracle_val) <= 1e-4 * max(1.0, oracle_val)
 
 
@@ -729,7 +694,7 @@ def test_config_block_matches_grid_search_oracle():
                                                  max_iters=200000, adapt_rho=True))
     assert rep.converged
     half = 2.0 * np.linalg.norm(rep.theta) + 1.0
-    _, oracle_val = _zoom_oracle(A, b, prob, np.zeros(p), half)
+    oracle_val = zoom_oracle(A, b, prob, half, rounds=45, pts=7)
     val = float(np.sum((A @ rep.theta - b) ** 2) + 0.1 * rep.theta @ rep.theta)
     # the solve must not be beaten by more than the grid resolution allows,
     # and must itself come within 1e-4 relative of the oracle value
