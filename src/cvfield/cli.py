@@ -125,7 +125,8 @@ def cmd_eval(model_path, data_path, test_path=None, out=None, grid_k=16, grid_on
     leave out demonstrations whose rollout failed to integrate; when there
     are any, it warns on stderr and returns EXIT_ROLLOUT_FAILURES.  `eval`
     scores reproduction in a `metrics.forked` child while this process
-    scores the grid, with the output and errors of running them in turn.
+    scores the grid, with the output and errors of running the grid first
+    and reproduction after it: when both fail, the grid's error is raised.
     """
     fieldobj, config, _ = modelfile.load_model(model_path)
     # the preprocess block alone, so that older configs (soft ones too) still load

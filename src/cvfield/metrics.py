@@ -15,17 +15,20 @@ far (in DTW cost) they stray from the closest demonstration.
 integrates every grid start in lock-step, and `dtw_distance` scores the
 (K, T, n) stack of resampled rollouts against each demonstration in one
 call.  Those per-demonstration calls are split over the CPUs in the
-affinity mask: the demonstrations are dealt round-robin into one group per
+affinity mask: the demonstrations are split into contiguous groups, one per
 CPU (at most one per demonstration), the calling process scores the first
 group, and a `forked` child scores each other group.  Each cost is computed
 by the same `dtw_distance` call on the same inputs wherever it runs, so the
 costs, and every grid statistic, have the same bits on any number of cores.
 
-`forked` is the package's one fork site; `cvfield eval` also uses it to run
-`evaluate` in a child while `grid_evaluate` runs.  The DTW children run only
-elementwise numpy.  The `evaluate` child also calls LAPACK, for the
-goal-crossing roots (`numpy.polynomial.polyroots` in `dynamics`), and BLAS,
-for `np.linalg.norm` of one state.  The fork copies no BLAS thread; a
+`forked` is the package's one fork site, and a prefetch: the function it
+yields returns, or raises, what fn() would where it is called, and fn()
+runs in this process only when there is no child or the child failed.
+`cvfield eval` also uses it to run `evaluate` in a child while
+`grid_evaluate` runs.  The DTW children run only elementwise numpy.  The
+`evaluate` child also calls LAPACK, for the goal-crossing roots
+(`numpy.polynomial.polyroots` in `dynamics`), and BLAS, for
+`np.linalg.norm` of one state.  The fork copies no BLAS thread; a
 forked child still ran a 600 x 600 product after this process had started
 OpenBLAS's threads, with this process's bits, and the `eval` document has
 the same bytes on 1, 2 and 3 usable CPUs.
@@ -190,39 +193,38 @@ def _usable_cpus():
 
 @contextmanager
 def forked(fn):
-    """Computes fn() in a forked child while the block runs, and yields a
-    function that returns fn()'s result.
+    """Prefetches fn() in a forked child while the block runs, and yields a
+    function that returns, or raises, what fn() would at the point where it
+    is called.
 
-    The block sees what it would see had fn() run here just before it: the
-    yielded function returns fn()'s result, and when the block raises, an
-    error of fn() is raised in place of the block's.  The child pickles
-    fn()'s result into a pipe and leaves through `os._exit`.  With one
-    usable CPU, or when the fork fails, fn() runs here before the block; it
-    also runs here, after the child, when the child exits non-zero or its
-    data does not unpickle.  Run here or there, it is the same code, with
-    the same bits.  The yielded function waits for the child; leaving the
-    block kills and reaps a child it has not waited for.
+    The child pickles fn()'s result into a pipe and leaves through
+    `os._exit`; the yielded function waits for it and unpickles its result.
+    fn() runs here only when that function is called and there is no child
+    (one usable CPU, or the pipe or the fork failed) or the child failed (it
+    exited non-zero, or its result does not unpickle).  Run here or there,
+    it is the same code, with the same bits.  Leaving the block kills and
+    reaps a child whose result was not read; an error raised in the block
+    propagates unchanged, and no fn() runs here for it.
     """
     pid, pipe = _fork(fn) if _usable_cpus() > 1 else (None, None)
-    joined = (True, fn()) if pid is None else None      # (ok, value), once known
 
     def result():
-        nonlocal joined
-        if joined is None:
+        nonlocal pid
+        if pid is not None:
             with pipe:
                 data = pipe.read()
-            joined = _unpickled(data) if os.waitpid(pid, 0)[1] == 0 else (False, None)
-        return joined[1] if joined[0] else fn()
+            status, pid = os.waitpid(pid, 0)[1], None
+            if status == 0:
+                try:
+                    return pickle.loads(data)
+                except Exception:       # any failure, as fn() run here gives the answer
+                    pass
+        return fn()
 
     try:
         yield result
-    except Exception:
-        if joined is None:      # fn()'s error, if it has one, goes first
-            os.kill(pid, signal.SIGKILL)
-            result()
-        raise
     finally:
-        if joined is None:
+        if pid is not None:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -254,37 +256,26 @@ def _fork(fn):
     return pid, open(rfd, "rb")
 
 
-def _unpickled(data):
-    """(True, the object pickled in data), or (False, None) when it does not
-    unpickle."""
-    try:
-        return True, pickle.loads(data)
-    except Exception:       # any failure, as fn() run here gives the answer
-        return False, None
-
-
 def _dtw_per_demo(P, demos):
     """[dtw_distance(P, b) for b in demos], scored on up to `_usable_cpus()`
     processes.
 
-    The demonstrations are dealt round-robin into W = min(CPUs, len(demos))
-    groups.  This process scores group 0 and each other group is `forked`,
-    so a group whose child fails is scored here, by the same function, and
-    the costs have the same bits on any number of CPUs; no child outlives
-    the call.  A child runs only `dtw_distance`, which is elementwise numpy
-    and never calls BLAS.
+    The demonstrations are split into W = min(CPUs, len(demos)) contiguous
+    groups (`np.array_split` of their indices).  This process scores group
+    0 and each other group is `forked`, so a group whose child fails is
+    scored here, by the same function, and the costs, concatenated in demo
+    order, have the same bits on any number of CPUs; no child outlives the
+    call.  A child runs only `dtw_distance`, which is elementwise numpy and
+    never calls BLAS.
     """
-    workers = min(_usable_cpus(), len(demos))
-    groups = [range(w, len(demos), workers) for w in range(workers)]
+    groups = np.array_split(np.arange(len(demos)), min(_usable_cpus(), len(demos)))
 
     def score(group):
         return [dtw_distance(P, demos[i]) for i in group]
 
     with ExitStack() as stack:
         pending = [stack.enter_context(forked(partial(score, g))) for g in groups[1:]]
-        scored = [score(groups[0])] + [result() for result in pending]
-    by_demo = {i: row for group, rows in zip(groups, scored) for i, row in zip(group, rows)}
-    return [by_demo[i] for i in range(len(demos))]
+        return score(groups[0]) + [row for result in pending for row in result()]
 
 
 def evaluate(f, train, test):
@@ -352,8 +343,9 @@ def grid_evaluate(f, demos, grid_k=16):
     is resampled uniformly to GRID_DTW_SAMPLES points; its DTW cost is the
     minimum over demonstrations, from one batched `dtw_distance` call per
     demonstration.  Those calls run on up to as many processes as there are
-    usable CPUs (see `_dtw_per_demo`), and the costs have the same bits on
-    any number of cores; no child process outlives the call.
+    usable CPUs, in contiguous groups of demonstrations (see
+    `_dtw_per_demo`), and the costs have the same bits on any number of
+    cores; no child process outlives the call.
     """
     starts = _grid_starts(demos, grid_k)
     horizon = 30.0 * float(np.mean([d.duration for d in demos.demos]))

@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import (PreprocessConfig, fill_velocities, resample_and_average,
                       subsample_constraint_points)
 from .dynamics import TrainedField
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .features import build_vanishing_projector, sample_feature_map
 from .kernels import CURL_FREE, KernelKind
 from .solver import SolverSettings, assemble_problem, interior_point_solve, single_blas_thread
@@ -65,6 +65,8 @@ class TrainConfig:
         try:
             KernelKind(self.kernel, self.sigma)
             self.preprocess.validate()
+        except DataError as exc:            # PreprocessConfig's, named by its config key
+            raise ConfigError(f"preprocess.{exc}")
         except ValueError as exc:
             raise ConfigError(str(exc))
         if self.solver.max_iters < 1:

@@ -72,7 +72,10 @@ def test_config_validation():
     ({"num_features": 0}, "num_features"),
     ({"seed": -1}, "seed"),
     ({"solver": {"eps_abs": -1}}, "solver.eps_abs"),
-], ids=["num_features-zero", "seed-negative", "eps_abs-negative"])
+    ({"preprocess": {"smoothing_window": 4}}, "preprocess.smoothing_window"),
+    ({"preprocess": {"resample_len": 1}}, "preprocess.resample_len"),
+], ids=["num_features-zero", "seed-negative", "eps_abs-negative", "smoothing_window-even",
+        "resample_len-one"])
 def test_config_out_of_range_names_the_key(settings, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)}\b"):
         TrainConfig.from_dict(settings)
@@ -629,12 +632,25 @@ def test_eval_grid_error_kills_the_evaluate_child(workspace, capsys, monkeypatch
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_eval_reports_the_evaluate_error_before_the_grid_error(workspace, capsys, monkeypatch):
+def test_eval_grid_error_runs_no_evaluate_here(workspace, capsys, monkeypatch):
+    # the killed child's work is not redone: the grid's error is reported
+    # without evaluate running in this process
+    evaluate, parent, here = metrics.evaluate, os.getpid(), []
+    monkeypatch.setattr(metrics, "evaluate", lambda *a: here.append(os.getpid() == parent)
+                        or evaluate(*a))
+    monkeypatch.setattr(metrics, "grid_evaluate", _fails("grid failed"))
+    runs = _eval_on_cpus(workspace, capsys, monkeypatch, 2)
+    assert runs == (1, "", "error: grid failed\n", None, 1)
+    assert here == []
+
+
+def test_eval_reports_the_grid_error_before_the_evaluate_error(workspace, capsys, monkeypatch):
+    # the grid is scored first, so its error wins on any number of CPUs
     monkeypatch.setattr(metrics, "evaluate", _fails("evaluate failed"))
     monkeypatch.setattr(metrics, "grid_evaluate", _fails("grid failed"))
     for cpus in (1, 2):
         assert _eval_on_cpus(workspace, capsys, monkeypatch, cpus)[:4] == (
-            1, "", "error: evaluate failed\n", None)
+            1, "", "error: grid failed\n", None)
 
 
 @pytest.mark.parametrize("grid_k", ["0", "-4"])
@@ -938,6 +954,7 @@ def _with(doc, key, value):
                  id="freqs-flat-one-short"),
     pytest.param("feature_map.freqs", lambda v: v[:-1], id="freqs-row-missing"),
     pytest.param("feature_map.freqs", lambda v: [[x, None] for x, _ in v], id="freqs-null"),
+    pytest.param("feature_map.freqs", lambda v: [[1.0]] + v[1:], id="freqs-ragged"),
     pytest.param("feature_map.phases", lambda v: v + [0.5], id="phases-long"),
     pytest.param("equilibria", [[0.0, 0.0, 0.0]], id="equilibria-width"),
     # n |Z| = 200 = feature_dim: no capacity is left once the projector is rebuilt

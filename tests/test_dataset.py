@@ -143,6 +143,29 @@ def test_unreadable_csv_is_a_parse_error_naming_file_and_line(tmp_path, capsys, 
         monkeypatch.setattr(dataset, "_read_fast", lambda path: None)
 
 
+@pytest.mark.parametrize("times, positions, velocities, error, message", [
+    pytest.param(np.arange(3.0), np.zeros((2, 2)), None, DimensionError, "equal length",
+                 id="times-long"),
+    pytest.param(np.arange(0.0), np.zeros((0, 2)), None, DataError, "empty demonstration",
+                 id="empty"),
+    pytest.param(np.arange(2.0), np.zeros((2, 2)), np.zeros((2, 3)), DimensionError,
+                 "match positions", id="velocities-shape"),
+])
+def test_demonstration_rejects_inconsistent_arrays(times, positions, velocities, error, message):
+    with pytest.raises(error, match=message):
+        Demonstration(times, positions, velocities)
+
+
+def test_train_rejects_a_demonstration_of_one_sample(tmp_path, capsys):
+    # velocity columns skip the finite differences, so the average is the
+    # first step to see the one-row demonstration
+    path = _write(tmp_path, "demo_id,t,x1,x2,v1,v2\n0,0,1,1,-1,-1\n0,1,0,0,0,0\n"
+                            "1,0,2,2,-2,-2\n")
+    assert main(["train", "--data", str(path), "--model", str(tmp_path / "m.json")]) == 1
+    assert "each demonstration needs at least 2 samples" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_load_rejects_nonmonotone_times(tmp_path):
     p = _write(tmp_path, "t,x1,x2\n0,0,0\n2,1,1\n1,2,2\n")
     with pytest.raises(DataError):
@@ -247,6 +270,11 @@ def test_average_requires_velocities():
     dset = DemoSet([Demonstration(t, np.zeros((5, 2)))], np.zeros(2))
     with pytest.raises(DataError):
         resample_and_average(dset)
+
+
+def test_average_needs_a_demonstration():
+    with pytest.raises(DataError, match="no demonstrations to average"):
+        resample_and_average(DemoSet([], np.zeros(2)))
 
 
 def test_subsample_counts_and_membership():

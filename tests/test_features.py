@@ -33,6 +33,11 @@ def test_sampling_needs_a_feature():
         features.sample_feature_map(CF, 0, 2, seed=0)
 
 
+def test_sampling_needs_a_state_dimension():
+    with pytest.raises(ValueError, match="state dimension must be at least 1"):
+        features.sample_feature_map(CF, 10, 0, seed=0)
+
+
 @pytest.mark.parametrize("kind", [GS, CF], ids=["separable", "curl-free"])
 def test_feature_maps_pickle(kind):
     # a map holds arrays and its kind, not its form's functions

@@ -397,6 +397,13 @@ def test_evaluate_counts_a_failed_demonstration_of_both_sets_once():
         np.linalg.norm(below[0].positions[0]) * np.mean(1.0 - np.exp(-below[0].times)), rel=1e-3)
 
 
+def test_evaluate_needs_train_demonstrations():
+    t = np.linspace(0.0, 1.0, 11)
+    test = DemoSet([Demonstration(t, np.ones((11, 2)), np.zeros((11, 2)))], np.zeros(2))
+    with pytest.raises(DataError, match="no train demonstrations"):
+        evaluate(Linear(-np.eye(2)), DemoSet([], np.zeros(2)), test)
+
+
 def test_evaluate_rejects_sets_of_two_dimensions():
     t = np.linspace(0.0, 1.0, 11)
     sets = [DemoSet([Demonstration(t, np.ones((11, n)), np.zeros((11, n)))], np.zeros(n))
@@ -470,9 +477,10 @@ def _three_demos():
 
 
 def test_grid_evaluate_same_bits_on_any_number_of_cpus(monkeypatch):
-    # 3 demonstrations on 2 CPUs deal unevenly: this process scores 0 and 2,
-    # the child 1.  Five sequences on 2 or 3 CPUs give a child two of them,
-    # which must come back in their own places.
+    # 3 demonstrations on 2 CPUs split unevenly: this process scores 0 and 1,
+    # the child 2.  Five sequences on 2 or 3 CPUs give a child two of them
+    # (3 and 4 on 2 CPUs, 2 and 3 on 3), which must come back in their own
+    # places.
     dset, field = _three_demos(), Linear(-0.5 * np.eye(2))
     rng = np.random.default_rng(0)
     P, seqs = rng.normal(size=(5, 30, 2)), [rng.normal(size=(20 + i, 2)) for i in range(5)]
@@ -536,7 +544,7 @@ def test_forked_returns_the_childs_result(monkeypatch):
         assert len(forks) == forks_made
 
 
-def test_forked_runs_fn_before_the_block_when_the_fork_fails(monkeypatch):
+def test_forked_runs_fn_where_its_result_is_read_when_the_fork_fails(monkeypatch):
     _with_cpus(monkeypatch, 2)
 
     def no_fork():
@@ -547,7 +555,37 @@ def test_forked_runs_fn_before_the_block_when_the_fork_fails(monkeypatch):
     with metrics.forked(lambda: order.append("fn") or os.getpid()) as result:
         order.append("block")
         assert result() == os.getpid()
-    assert order == ["fn", "block"]
+    assert order == ["block", "fn"]
+
+
+def test_forked_block_that_raises_runs_no_fn_here(monkeypatch):
+    # the block's error propagates unchanged, and fn() never runs in this
+    # process to find an error of its own
+    parent, here = os.getpid(), []
+
+    def fn():
+        if os.getpid() == parent:
+            here.append("fn")
+        raise DataError("fn failed")
+
+    for cpus, forks_made in ((1, 0), (2, 1)):
+        forks = _with_cpus(monkeypatch, cpus)
+        with pytest.raises(RuntimeError, match="block failed"):
+            with metrics.forked(fn):
+                raise RuntimeError("block failed")
+        assert len(forks) == forks_made and here == []
+
+
+def test_forked_block_left_unread_leaves_no_child(monkeypatch):
+    # the child would take a minute: leaving the block must kill it, not wait
+    forks = _with_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with metrics.forked(lambda: time.sleep(60.0)):
+        pass
+    assert time.monotonic() - start < 30.0
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class _ClaimsItsMaker:

@@ -543,6 +543,17 @@ def test_start_without_a_factor_stalls(monkeypatch):
     assert rep.stop_reason == "stalled" and rep.iters == 0
 
 
+def test_step_that_never_factors_backs_off_and_stalls(monkeypatch):
+    # after the start's two factors no slack or dual factors: the step is
+    # halved 40 times, each trying both, and the phase stalls without a step
+    factor, calls = solver._cholesky, []
+    monkeypatch.setattr(solver, "_cholesky",
+                        lambda M: calls.append(1) or (factor(M) if len(calls) <= 2 else None))
+    rep = interior_point_solve(_scalar_problem(), SolverSettings())
+    assert rep.stop_reason == "stalled" and rep.iters == 0
+    assert len(calls) == 2 + 2 * 40
+
+
 def test_planar_newton_steps_call_no_lapack_on_blocks(monkeypatch):
     # 2 x 2 blocks take the closed forms in both phases, with the steps the
     # LAPACK kernels took (3 + 10); 3 x 3 blocks still reach LAPACK (2 + 8)
