@@ -26,17 +26,17 @@ from .errors import ConfigError, DimensionError, IntegrationError
 from .training import TrainConfig, read_settings, train_field
 
 
-@dataclass
+@dataclass(frozen=True)
 class _GridParams:
     grid_k: int = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class _RolloutParams(IntegratorSettings):
     x0: list[float] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ExportParams:
     bounds: list[float] = field(default_factory=list)
     resolution: int = 50

@@ -46,7 +46,10 @@ class Demonstration:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float).ravel()
-        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
+        self.positions = np.asarray(self.positions, dtype=float)
+        if self.positions.ndim != 2:
+            raise DimensionError(f"positions must be (T, n), not shape {self.positions.shape}: "
+                                 "a 1-D motion is (T, 1)")
         if self.times.shape[0] != self.positions.shape[0]:
             raise DimensionError("times and positions must have equal length")
         if self.times.size == 0:
@@ -54,7 +57,7 @@ class Demonstration:
         if np.any(np.diff(self.times) <= 0):
             raise DataError("times must be strictly increasing")
         if self.velocities is not None:
-            self.velocities = np.atleast_2d(np.asarray(self.velocities, dtype=float))
+            self.velocities = np.asarray(self.velocities, dtype=float)
             if self.velocities.shape != self.positions.shape:
                 raise DimensionError("velocities must match positions in shape")
 
@@ -81,15 +84,18 @@ class DemoSet:
         return self.demos[0].dim
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocessConfig:
+    """Settings of velocity estimation and averaging, checked when built: a
+    value out of range is a DataError naming its key."""
+
     smoothing_window: int = 5     # odd, >= 1
     resample_len: int = 1000
 
-    def validate(self):
-        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
+    def __post_init__(self):
+        if not self.smoothing_window >= 1 or self.smoothing_window % 2 == 0:
             raise DataError("smoothing_window must be odd and >= 1")
-        if self.resample_len < 2:
+        if not self.resample_len >= 2:
             raise DataError("resample_len must be at least 2")
 
 
@@ -245,15 +251,13 @@ def _moving_average(values, window):
     return (csum[hi] - csum[lo]) / (hi - lo)[:, None]
 
 
-def finite_difference_velocities(demo, cfg=None):
+def finite_difference_velocities(demo, cfg=PreprocessConfig()):
     """Estimate velocities by central differences plus moving-average smoothing.
 
     Interior samples use the centered difference over the bracketing
     timestamps, the ends use one-sided differences; affine trajectories
     reproduce their exact velocity.  Returns a new Demonstration.
     """
-    cfg = cfg or PreprocessConfig()
-    cfg.validate()
     if demo.length < 3:
         raise DataError("need at least 3 samples for central differences")
     t, x = demo.times, demo.positions
@@ -264,13 +268,13 @@ def finite_difference_velocities(demo, cfg=None):
     return Demonstration(t.copy(), x.copy(), _moving_average(v, cfg.smoothing_window))
 
 
-def fill_velocities(dset, cfg=None):
+def fill_velocities(dset, cfg=PreprocessConfig()):
     """The set with missing velocities estimated by `finite_difference_velocities`."""
     return DemoSet([d if d.velocities is not None else finite_difference_velocities(d, cfg)
                     for d in dset.demos], dset.goal)
 
 
-def resample_and_average(dset, cfg=None):
+def resample_and_average(dset, cfg=PreprocessConfig()):
     """Pointwise average of all demonstrations on a common time grid.
 
     Every demonstration is linearly resampled to `resample_len` points
@@ -279,8 +283,6 @@ def resample_and_average(dset, cfg=None):
     trajectory stays dynamically consistent.  The averaged trajectory ends
     exactly at the origin.
     """
-    cfg = cfg or PreprocessConfig()
-    cfg.validate()
     demos = dset.demos
     if not demos:
         raise DataError("no demonstrations to average")

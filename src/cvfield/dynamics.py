@@ -94,13 +94,31 @@ class TrainedField:
         return features.field_jacobians(self.map, self.eta, X)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorSettings:
+    """Settings of `rollout`, checked when built: every horizon is positive
+    and finite, rel_tol and abs_tol are finite, nonnegative and not both 0,
+    max_step is positive and goal_radius is not nan, and a value that is not
+    is a DataError naming its key."""
+
     rel_tol: float = 1e-3
     abs_tol: float = 1e-6       # mm
     max_step: float = np.inf    # seconds
     goal_radius: float = 1.0    # mm; <= 0 disables the goal event
     horizon: float = 10.0       # seconds; or a (K,) array, one per start of a batch
+
+    def __post_init__(self):
+        H = np.asarray(self.horizon, dtype=float)
+        # each test is False for nan
+        for key, ok, what in (("horizon", np.all((H > 0) & np.isfinite(H)), "positive and finite"),
+                              ("rel_tol", 0.0 <= self.rel_tol < np.inf, "finite and nonnegative"),
+                              ("abs_tol", 0.0 <= self.abs_tol < np.inf, "finite and nonnegative"),
+                              ("abs_tol", self.abs_tol > 0.0 or self.rel_tol > 0.0,
+                               "positive when rel_tol is 0"),
+                              ("max_step", self.max_step > 0.0, "positive"),
+                              ("goal_radius", not np.isnan(self.goal_radius), "a number")):
+            if not ok:
+                raise DataError(f"{key} must be {what}, got {getattr(self, key)}")
 
 
 @dataclass
@@ -195,9 +213,8 @@ def rollout(f, X0, settings=None, t_eval=None):
     bitwise the same alone or in any batch, provided the field's arithmetic
     does not depend on the batch size (a TrainedField's does not).
 
-    settings.horizon is one positive, finite horizon or a (K,) array of
-    them; rel_tol and abs_tol are finite, nonnegative and not both 0,
-    max_step is positive and goal_radius is not nan.  t_eval is a list of K
+    settings, an `IntegratorSettings` (its values checked when it was
+    built), gives one horizon or a (K,) array of them.  t_eval is a list of K
     increasing 1-D arrays, one per start, requesting dense-output samples at
     those times (seconds, relative to the start); without it the accepted
     integrator steps are returned.  The goal event is checked over the whole
@@ -216,14 +233,6 @@ def rollout(f, X0, settings=None, t_eval=None):
     if H.shape not in ((), (K,)):
         raise DimensionError("horizon must be one number or one per start")
     H = np.broadcast_to(H, (K,))
-    for key, ok, what in (("horizon", np.all((H > 0) & np.isfinite(H)), "positive and finite"),
-                          ("rel_tol", 0.0 <= s.rel_tol < np.inf, "finite and nonnegative"),
-                          ("abs_tol", 0.0 <= s.abs_tol < np.inf, "finite and nonnegative"),
-                          ("abs_tol", s.abs_tol > 0.0 or s.rel_tol > 0.0, "positive when rel_tol is 0"),
-                          ("max_step", s.max_step > 0.0, "positive"),
-                          ("goal_radius", not np.isnan(s.goal_radius), "a number")):
-        if not ok:
-            raise DataError(f"{key} must be {what}, got {getattr(s, key)}")
     if t_eval is not None:
         t_eval = [np.asarray(te, dtype=float) for te in t_eval]
         if len(t_eval) != K or any(te.ndim != 1 for te in t_eval):

@@ -320,6 +320,8 @@ def evaluate(f, train, test):
 
 
 def _grid_starts(dset, grid_k):
+    if not dset.demos:
+        raise DataError("no demonstrations to span the grid")
     pts = np.vstack([d.positions for d in dset.demos])
     if pts.shape[1] != 2:
         raise DimensionError("grid evaluation supports 2-D data only")

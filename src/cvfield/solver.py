@@ -102,7 +102,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 
 @dataclass
@@ -133,11 +133,19 @@ class ConstrainedLSQProblem:
             raise DimensionError("constraint operators disagree with the feature count")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverSettings:
+    """Settings of `interior_point_solve` (see the module docstring), checked
+    when built: a value out of range is a ConfigError naming its key."""
+
     max_iters: int = 4000
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
+
+    def __post_init__(self):
+        for key, bound in (("max_iters", 1), ("eps_abs", 0), ("eps_rel", 0)):
+            if not getattr(self, key) >= bound:           # nan fails it
+                raise ConfigError(f"{key} must be at least {bound}")
 
 
 @dataclass
@@ -164,9 +172,10 @@ def assemble_problem(fm, proj, pairs, cpoints, lam, tau):
     features, feature_rows(fm, X) L, and b = Xdot.ravel(); A itself is
     never formed: gram = L (A_raw^T A_raw) L and moment = L A_raw^T b.
     """
-    X, Xdot = (np.atleast_2d(np.asarray(a, dtype=float)) for a in pairs)
-    if X.shape != Xdot.shape or X.shape[1] != fm.n:
-        raise DimensionError("positions and velocities must be (N, n) with n matching the map")
+    X, Xdot = (features.as_points(a, fm.n, name)
+               for a, name in zip(pairs, ("positions", "velocities")))
+    if X.shape != Xdot.shape:
+        raise DimensionError("positions and velocities must hold the same number of points")
     gram, moment = features.normal_equations(fm, X, Xdot)
     b = Xdot.ravel()
     ops = features.symmetrized_jacobian_basis(fm, proj, cpoints)

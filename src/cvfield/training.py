@@ -30,14 +30,17 @@ _RETIRED_KEYS = {"solver": {"rho": None, "adapt_rho": None, "slack_weight": 0},
                  "preprocess": {"constraint_points": None}}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Training configuration.
+    """Training configuration, checked when it is built: a value out of range
+    is a ConfigError, and the object cannot be changed afterwards
+    (`dataclasses.replace` builds a new one and checks it again).
 
     `solver` holds the `SolverSettings` of `interior_point_solve`, which
     imposes the constraints hard and reads `max_iters` as its cap on Newton
     steps and `eps_abs` + `eps_rel` |objective| as its phase II duality-gap
-    tolerance.  `from_dict` reads a mapping, such as a config file, with
+    tolerance.  `solver` and `preprocess` check their own values when they
+    are built.  `from_dict` reads a mapping, such as a config file, with
     `read_settings`, which also reads `solver` under its old name, `admm`.
     """
 
@@ -51,29 +54,19 @@ class TrainConfig:
     solver: SolverSettings = field(default_factory=SolverSettings, metadata={"was": "admm"})
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
 
-    def validate(self):
-        if self.num_features < 1:
-            raise ConfigError("num_features must be at least 1")
-        if not self.lam > 0:
-            raise ConfigError("lambda must be positive (0 is rejected)")
-        if self.tau < 0:
-            raise ConfigError("tau must be nonnegative")
-        if self.constraint_points < 1:
-            raise ConfigError("constraint_points must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+    def __post_init__(self):
+        # each test is False for nan
+        for ok, message in ((self.num_features >= 1, "num_features must be at least 1"),
+                            (self.lam > 0, "lambda must be positive (0 is rejected)"),
+                            (self.tau >= 0, "tau must be nonnegative"),
+                            (self.constraint_points >= 1, "constraint_points must be at least 1"),
+                            (self.seed >= 0, "seed must be a nonnegative integer")):
+            if not ok:
+                raise ConfigError(message)
         try:
             KernelKind(self.kernel, self.sigma)
-            self.preprocess.validate()
-        except DataError as exc:            # PreprocessConfig's, named by its config key
-            raise ConfigError(f"preprocess.{exc}")
         except ValueError as exc:
             raise ConfigError(str(exc))
-        if self.solver.max_iters < 1:
-            raise ConfigError("solver.max_iters must be at least 1")
-        if self.solver.eps_abs < 0 or self.solver.eps_rel < 0:
-            raise ConfigError("solver.eps_abs and solver.eps_rel must be nonnegative")
-        return self
 
     def to_dict(self):
         d = asdict(self)
@@ -82,7 +75,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return read_settings(cls, d or {}).validate()
+        return read_settings(cls, d or {})
 
 
 def _read(value, hint, default=None):
@@ -125,7 +118,11 @@ def read_settings(cls, mapping, section=None):
     number (or inf where that is the default), `list[float]` a list or the
     string "a,b,...", a settings dataclass a mapping; other types as given.
     NumPy integers and reals read as Python ones.
-    An unknown key or a bad value is a ConfigError that names the key.
+    An unknown key or a bad value is a ConfigError that names the key, a
+    nested section's with the section's key in front (`solver.max_iters`):
+    that holds too for a value that the settings class rejects when it is
+    built, as each checks its own values.  Nested sections are built first,
+    so theirs is the error reported when both are bad.
     """
     if not isinstance(mapping, Mapping):
         raise ConfigError(f"{section or 'settings'} must be a mapping of settings, "
@@ -156,7 +153,10 @@ def read_settings(cls, mapping, section=None):
                 what = "a number or inf" if f.default == np.inf else _KINDS[hint]
                 raise ConfigError(f"{prefix}{key} must be {what}, got {_shown(value)}")
         values[f.name] = value
-    return cls(**values)
+    try:
+        return cls(**values)
+    except (ConfigError, DataError) as exc:         # the check of `cls`'s own values
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def train_field(demos, config):
@@ -166,7 +166,6 @@ def train_field(demos, config):
     constraint points, draws the feature map and solves the constrained
     regression.  Returns (field, report, averaged_demo).
     """
-    config.validate()
     # every BLAS call of training at one thread, the projector's SVD included:
     # the model bytes do not depend on the core count, and no two-thread call
     # runs just before assembly and the solve, which measured slower after one

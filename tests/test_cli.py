@@ -1,13 +1,15 @@
 """Command-line round trips, configuration parsing and model persistence."""
 
+import ast
 import ctypes
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +21,7 @@ from _forks import with_cpus
 from _synth import s_demos, write_demo_csv
 from cvfield import TrainConfig, cli, metrics, modelfile, solver, train_field, training
 from cvfield.cli import cmd_export_field, main
-from cvfield.dataset import (load_demonstrations, resample_and_average,
+from cvfield.dataset import (PreprocessConfig, load_demonstrations, resample_and_average,
                              subsample_constraint_points)
 from cvfield.dynamics import RolloutBatch, TrainedField, max_contraction_eigenvalues
 from cvfield.errors import ConfigError, DataError, IntegrationError, ParseError
@@ -55,17 +57,62 @@ def workspace(tmp_path_factory, angle_train, angle_test):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(lam=0.0).validate()
+        TrainConfig(lam=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(kernel="rbf").validate()
+        TrainConfig(kernel="rbf")
     with pytest.raises(ConfigError):
-        TrainConfig(tau=-0.1).validate()
+        TrainConfig(tau=-0.1)
     with pytest.raises(ConfigError):
-        TrainConfig(constraint_points=0).validate()
+        TrainConfig(constraint_points=0)
     with pytest.raises(ConfigError):
-        TrainConfig(sigma=-1.0).validate()
+        TrainConfig(sigma=-1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(solver=SolverSettings(max_iters=0)).validate()
+        TrainConfig(solver=SolverSettings(max_iters=0))
+
+
+@pytest.mark.parametrize("cls, key, value", [
+    (TrainConfig, "tau", np.nan),
+    (SolverSettings, "eps_abs", np.nan),
+    (SolverSettings, "eps_rel", np.nan),
+    (SolverSettings, "max_iters", 0),
+], ids=["tau-nan", "eps_abs-nan", "eps_rel-nan", "max_iters-zero"])
+def test_settings_are_checked_when_built(cls, key, value):
+    # every bound is `not value >= bound`, which nan fails
+    with pytest.raises(ConfigError, match=rf"^{key} must be"):
+        cls(**{key: value})
+
+
+def test_settings_cannot_change_and_replace_checks_again():
+    cfg = TrainConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.tau = 1.0
+    assert replace(cfg, tau=1.0).tau == 1.0 and cfg.tau == 0.0
+    with pytest.raises(ConfigError, match="^tau must be nonnegative"):
+        replace(cfg, tau=-1.0)
+    with pytest.raises(DataError, match="^smoothing_window must be odd"):
+        replace(PreprocessConfig(), smoothing_window=4)
+
+
+def _validate_uses(path):
+    """Lines of `path` that define a `validate` or call one."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == "validate"
+            or isinstance(node, ast.Call) and "validate" in (getattr(node.func, "attr", None),
+                                                             getattr(node.func, "id", None))]
+
+
+def test_settings_are_frozen_and_nothing_validates():
+    # a settings object checks its values when it is built and cannot change
+    # afterwards, so no module has a validate() to define or to call
+    paths = sorted(Path(cvfield.__file__).parent.glob("*.py"))
+    settings = {name: obj for path in paths
+                for name, obj in vars(importlib.import_module(f"cvfield.{path.stem}")).items()
+                if is_dataclass(obj) and isinstance(obj, type)
+                and name.endswith(("Settings", "Config", "Params"))}
+    assert {"TrainConfig", "SolverSettings", "PreprocessConfig", "IntegratorSettings",
+            "_RolloutParams", "_GridParams", "_ExportParams"} <= set(settings)
+    assert [name for name, cls in settings.items() if not cls.__dataclass_params__.frozen] == []
+    assert [f"{path.name}:{line}" for path in paths for line in _validate_uses(path)] == []
 
 
 @pytest.mark.parametrize("settings, key", [
@@ -74,8 +121,11 @@ def test_config_validation():
     ({"solver": {"eps_abs": -1}}, "solver.eps_abs"),
     ({"preprocess": {"smoothing_window": 4}}, "preprocess.smoothing_window"),
     ({"preprocess": {"resample_len": 1}}, "preprocess.resample_len"),
+    ({"solver": {"eps_rel": -1}}, "solver.eps_rel"),
+    # a nested section is built, and checked, before the config that holds it
+    ({"tau": -1, "preprocess": {"resample_len": 1}}, "preprocess.resample_len"),
 ], ids=["num_features-zero", "seed-negative", "eps_abs-negative", "smoothing_window-even",
-        "resample_len-one"])
+        "resample_len-one", "eps_rel-negative", "nested-section-first"])
 def test_config_out_of_range_names_the_key(settings, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)}\b"):
         TrainConfig.from_dict(settings)
@@ -909,6 +959,25 @@ def test_eval_reads_models_with_retired_keys(workspace, capsys, tmp_path, slack_
         assert rc == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_eval_rejects_a_model_whose_preprocess_block_is_invalid(workspace, capsys, tmp_path):
+    # the stored preprocess block is read, and checked, as training reads it
+    doc = json.loads((workspace / "model.json").read_text())
+    doc["config"]["preprocess"]["smoothing_window"] = 4
+    model = tmp_path / "even_window.json"
+    model.write_text(json.dumps(doc))
+    rc = main(["eval", "--model", str(model), "--data", str(workspace / "train.csv"),
+               "--test", str(workspace / "test.csv"), "--set", "grid_k=4"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: preprocess.smoothing_window must be odd and >= 1\n"
+
+
+def test_rollout_reports_a_bad_setting_before_it_opens_the_model(tmp_path, capsys):
+    rc = main(["rollout", "--model", str(tmp_path / "missing.json"),
+               "--set", "x0=10,20", "--set", "max_step=0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: max_step must be positive, got 0\n"
 
 
 def test_model_file_rejects_malformed(workspace, tmp_path):

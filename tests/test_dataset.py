@@ -150,6 +150,9 @@ def test_unreadable_csv_is_a_parse_error_naming_file_and_line(tmp_path, capsys, 
                  id="empty"),
     pytest.param(np.arange(2.0), np.zeros((2, 2)), np.zeros((2, 3)), DimensionError,
                  "match positions", id="velocities-shape"),
+    # a flat array is not read as one sample of a T-dimensional motion
+    pytest.param(np.linspace(0, 1, 5), np.linspace(0, 1, 5), None, DimensionError,
+                 r"shape \(5,\): a 1-D motion is \(T, 1\)", id="positions-flat"),
 ])
 def test_demonstration_rejects_inconsistent_arrays(times, positions, velocities, error, message):
     with pytest.raises(error, match=message):

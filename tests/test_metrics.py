@@ -619,3 +619,5 @@ def test_grid_evaluate_validation():
                                    np.zeros((5, 1)))], np.zeros(1))
     with pytest.raises(DimensionError):
         grid_evaluate(Linear(-np.eye(1)), one_d, grid_k=16)
+    with pytest.raises(DataError, match="no demonstrations"):
+        grid_evaluate(Linear(-np.eye(2)), DemoSet([], np.zeros(2)))
