@@ -1,12 +1,15 @@
 """Command line interface: it only parses the arguments and runs the commands.
 
-Commands: train, eval, rollout, export-field, grid-eval.  Settings come from
-a JSON object file (--config) with --set key=value overrides; nested keys
-use dots (e.g. --set solver.max_iters=200).  Command parameters (rollout
-start point, export bounds, ...) travel the same way, and each command
-reads its own through `training.read_settings`.  Each command takes only
-the flags and keys it reads; any other flag is a usage error and any other
-key a ConfigError.
+Commands: train, eval, rollout, export-field, grid-eval, each one entry of
+`_COMMANDS`: its help, the file flags it takes and those it needs, its
+settings class and its handler.  Settings come from a JSON object file
+(--config) with --set key=value overrides; nested keys use dots (e.g.
+--set solver.max_iters=200).  Command parameters (rollout start point,
+export bounds, grid size) travel the same way.  `main` reads them into the
+command's settings class with `training.read_settings`, which checks them,
+before the handler opens any file.  Each command takes only the flags and
+keys it reads; any other flag is a usage error and any other key a
+ConfigError.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +34,9 @@ from .training import TrainConfig, read_settings, train_field
 class _GridParams:
     grid_k: int = 16
 
+    def __post_init__(self):
+        metrics.grid_side(self.grid_k)
+
 
 @dataclass(frozen=True)
 class _RolloutParams(IntegratorSettings):
@@ -40,6 +47,10 @@ class _RolloutParams(IntegratorSettings):
 class _ExportParams:
     bounds: list[float] = field(default_factory=list)
     resolution: int = 50
+
+    def __post_init__(self):
+        if len(self.bounds) != 4:
+            raise ConfigError("bounds must be 4 numbers (--set bounds=x1min,x1max,x2min,x2max)")
 
 
 def _settings(args):
@@ -95,17 +106,17 @@ _NOT_FEASIBLE = {
 }
 
 
-def cmd_train(config, data_path, model_path):
-    demos = load_demonstrations(data_path)
+def cmd_train(config, data, model):
+    demos = load_demonstrations(data)
     fieldobj, report, _ = train_field(demos, config)
-    modelfile.save_model(model_path, fieldobj, config.to_dict(), report)
+    modelfile.save_model(model, fieldobj, config.to_dict(), report)
     print(f"trained on {len(demos.demos)} demonstrations "
           f"({config.kernel}, sigma={config.sigma}, s={config.num_features})")
     print(f"iters={report.iters} converged={report.converged} stop={report.stop_reason} "
           f"gap={report.gap:.3e}")
     print(f"objective={report.objective:.6e} "
           f"max_constraint_violation={report.max_constraint_violation:.3e}")
-    print(f"model written to {model_path}")
+    print(f"model written to {model}")
     if not report.converged:
         messages = _NOT_CONVERGED if report.contraction_bound is None else _NOT_FEASIBLE
         print(messages[report.stop_reason].format_map(vars(report)), file=sys.stderr)
@@ -117,9 +128,11 @@ def cmd_train(config, data_path, model_path):
 EXIT_ROLLOUT_FAILURES = 3
 
 
-def cmd_eval(model_path, data_path, test_path=None, out=None, grid_k=16, grid_only=False):
+def cmd_eval(params, model, data, test=None, out=None, grid_only=False):
     """`eval` writes {"eval": ..., "grid_eval": ...}; with grid_only, as for
     `grid-eval`, only the grid block, on the training demonstrations.
+    `params` is a `_GridParams`, whose grid_k was checked when it was built,
+    so a bad grid_k is reported before the model or any data file is read.
 
     Missing velocities are filled as in training.  The error means of `eval`
     leave out demonstrations whose rollout failed to integrate; when there
@@ -128,16 +141,16 @@ def cmd_eval(model_path, data_path, test_path=None, out=None, grid_k=16, grid_on
     scores the grid, with the output and errors of running the grid first
     and reproduction after it: when both fail, the grid's error is raised.
     """
-    fieldobj, config, _ = modelfile.load_model(model_path)
+    fieldobj, config, _ = modelfile.load_model(model)
     # the preprocess block alone, so that older configs (soft ones too) still load
     preprocess = read_settings(PreprocessConfig, config.get("preprocess", {}), "preprocess")
-    train = _load_for(fieldobj, data_path, preprocess)
+    train = _load_for(fieldobj, data, preprocess)
     if grid_only:
-        doc = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=grid_k))
+        doc = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=params.grid_k))
     else:
-        test = _load_for(fieldobj, test_path, preprocess) if test_path else train
-        with metrics.forked(lambda: metrics.evaluate(fieldobj, train, test)) as evaluated:
-            grid = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=grid_k))
+        held_out = _load_for(fieldobj, test, preprocess) if test else train
+        with metrics.forked(lambda: metrics.evaluate(fieldobj, train, held_out)) as evaluated:
+            grid = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=params.grid_k))
             report = asdict(evaluated())
         doc = {"eval": report, "grid_eval": grid}
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -163,13 +176,12 @@ def _load_for(fieldobj, path, preprocess):
     return fill_velocities(demos, preprocess)
 
 
-def cmd_rollout(model_path, params, out=None):
-    p = read_settings(_RolloutParams, params)
-    fieldobj, _, _ = modelfile.load_model(model_path)
+def cmd_rollout(params, model, out):
+    fieldobj, _, _ = modelfile.load_model(model)
     n = fieldobj.map.n
-    if len(p.x0) != n:
+    if len(params.x0) != n:
         raise ConfigError(f"x0 must be a start point of {n} numbers (--set x0=x1,x2,...)")
-    ro = rollout(fieldobj, np.array([p.x0]), p).results[0]
+    ro = rollout(fieldobj, np.array([params.x0]), params).results[0]
     if isinstance(ro, IntegrationError):
         raise ro
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)]
@@ -180,14 +192,11 @@ def cmd_rollout(model_path, params, out=None):
     return 0
 
 
-def cmd_export_field(model_path, params, out):
-    p = read_settings(_ExportParams, params)
-    if len(p.bounds) != 4:
-        raise ConfigError("bounds must be 4 numbers (--set bounds=x1min,x1max,x2min,x2max)")
-    fieldobj, _, _ = modelfile.load_model(model_path)
+def cmd_export_field(params, model, out):
+    fieldobj, _, _ = modelfile.load_model(model)
     if fieldobj.map.n != 2:
-        raise DimensionError(f"{model_path} is a {fieldobj.map.n}-D model; export-field needs 2-D")
-    cols, rows = export_field_grid(fieldobj, p.bounds, p.resolution)
+        raise DimensionError(f"{model} is a {fieldobj.map.n}-D model; export-field needs 2-D")
+    cols, rows = export_field_grid(fieldobj, params.bounds, params.resolution)
     _write_csv(out, cols, rows)
     print(f"wrote {rows.shape[0]} grid rows to {out}")
     return 0
@@ -205,6 +214,23 @@ def _write_csv(path, header, rows):
             fh.close()
 
 
+# each command: (help, the file flags it takes, those of them it needs, its
+# settings class, a frozen dataclass that checks its values when it is built,
+# and its handler, run(settings, **flags) -> exit status)
+_COMMANDS = {
+    "train": ("fit a field to demonstrations and write a model file",
+              ("data", "model"), ("data", "model"), TrainConfig, cmd_train),
+    "eval": ("score reproduction and grid convergence for a model",
+             ("model", "data", "test", "out"), ("model", "data"), _GridParams, cmd_eval),
+    "rollout": ("integrate a model from --set x0=... and write the trajectory",
+                ("model", "out"), ("model",), _RolloutParams, cmd_rollout),
+    "export-field": ("tabulate the field on a grid (--set bounds=..,resolution=..)",
+                     ("model", "out"), ("model", "out"), _ExportParams, cmd_export_field),
+    "grid-eval": ("grid convergence statistics only", ("model", "data", "out"),
+                  ("model", "data"), _GridParams, partial(cmd_eval, grid_only=True)),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cvfield",
@@ -212,47 +238,24 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {"data": "training demonstrations (CSV file or directory)",
              "test": "held-out demonstrations", "model": "model file path", "out": "output path"}
-
-    def add(name, help_text, *flags):
+    for name, (help_text, flags, *_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON object of settings")
         for flag in flags:
             p.add_argument(f"--{flag}", help=helps[flag])
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config or command parameter")
-
-    add("train", "fit a field to demonstrations and write a model file", "data", "model")
-    add("eval", "score reproduction and grid convergence for a model",
-        "model", "data", "test", "out")
-    add("rollout", "integrate a model from --set x0=... and write the trajectory", "model", "out")
-    add("export-field", "tabulate the field on a grid (--set bounds=..,resolution=..)",
-        "model", "out")
-    add("grid-eval", "grid convergence statistics only", "model", "data", "out")
     return parser
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ConfigError(f"--{name} is required for this command")
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    _, flags, needs, cls, run = _COMMANDS[args.command]
     try:
-        if args.command == "train":
-            _require(args, "data", "model")
-            return cmd_train(TrainConfig.from_dict(_settings(args)), args.data, args.model)
-        if args.command in ("eval", "grid-eval"):
-            _require(args, "model", "data")
-            grid_k = read_settings(_GridParams, _settings(args)).grid_k
-            return cmd_eval(args.model, args.data, getattr(args, "test", None), args.out,
-                            grid_k=grid_k, grid_only=args.command == "grid-eval")
-        if args.command == "rollout":
-            _require(args, "model")
-            return cmd_rollout(args.model, _settings(args), args.out)
-        _require(args, "model", "out")          # export-field
-        return cmd_export_field(args.model, _settings(args), args.out)
+        for flag in needs:
+            if getattr(args, flag) is None:
+                raise ConfigError(f"--{flag} is required for this command")
+        return run(read_settings(cls, _settings(args)), **{f: getattr(args, f) for f in flags})
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

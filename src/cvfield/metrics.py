@@ -288,10 +288,12 @@ def evaluate(f, train, test):
     reproduction's states.  Each set's errors average the demonstrations it
     kept.  A demonstration whose rollouts fail is left out, and one held by
     both sets counts once in integration_failures and the goal statistics.
-    Sets of two state dimensions are a DimensionError.
+    An empty set is a DataError and sets of two state dimensions are a
+    DimensionError, both found before any rollout.
     """
-    if not train.demos:
-        raise DataError("no train demonstrations")
+    for name, dset in (("train", train), ("test", test)):
+        if not dset.demos:
+            raise DataError(f"no {name} demonstrations")
     demos = list({id(d): d for d in [*train.demos, *test.demos]}.values())
     if len({d.dim for d in demos}) > 1:
         raise DimensionError("train and test demonstrations differ in state dimension")
@@ -304,8 +306,6 @@ def evaluate(f, train, test):
             if not isinstance(r, IntegrationError) and not isinstance(lr, IntegrationError)}
     errors = []
     for name, dset in (("train", train), ("test", test)):
-        if not dset.demos:
-            raise DataError(f"no {name} demonstrations")
         ours = [d for d in dset.demos if id(d) in kept]
         if not ours:
             raise DataError(f"all {name} rollouts failed")
@@ -319,15 +319,21 @@ def evaluate(f, train, test):
                       integration_failures=len(demos) - len(kept))
 
 
+def grid_side(grid_k):
+    """The side g of a square grid of grid_k = g * g starts; any other grid_k,
+    such as 0 or 15, is a DataError."""
+    if not grid_k >= 1 or round(np.sqrt(grid_k)) ** 2 != grid_k:
+        raise DataError(f"grid_k must be a positive perfect square, got {grid_k}")
+    return round(np.sqrt(grid_k))
+
+
 def _grid_starts(dset, grid_k):
     if not dset.demos:
         raise DataError("no demonstrations to span the grid")
     pts = np.vstack([d.positions for d in dset.demos])
     if pts.shape[1] != 2:
         raise DimensionError("grid evaluation supports 2-D data only")
-    if not grid_k >= 1 or round(np.sqrt(grid_k)) ** 2 != grid_k:
-        raise DataError(f"grid_k must be a positive perfect square, got {grid_k}")
-    g = round(np.sqrt(grid_k))
+    g = grid_side(grid_k)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     pad = 0.1 * (hi - lo)
     axes = [np.linspace(lo[d] - pad[d], hi[d] + pad[d], g) for d in range(2)]

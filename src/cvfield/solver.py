@@ -131,6 +131,8 @@ class ConstrainedLSQProblem:
             raise DimensionError("one tau per constraint point required")
         if self.constraint_ops.shape[-1] != p:
             raise DimensionError("constraint operators disagree with the feature count")
+        if not np.all(self.tau >= 0):           # False for nan
+            raise ValueError("every tau must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line round trips, configuration parsing and model persistence."""
 
+import argparse
 import ast
 import ctypes
 import importlib
@@ -862,9 +863,8 @@ def test_export_field_lambda_column(workspace):
     for k in (0, 50, 99):
         cp = cps[k]
         out = workspace / f"local_{k}.csv"
-        rc = cmd_export_field(workspace / "model.json",
-                              {"bounds": [cp[0] - 1, cp[0] + 1, cp[1] - 1, cp[1] + 1],
-                               "resolution": 3}, out)
+        rc = cmd_export_field(cli._ExportParams([cp[0] - 1, cp[0] + 1, cp[1] - 1, cp[1] + 1],
+                                                resolution=3), workspace / "model.json", out)
         assert rc == 0
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         mid = rows[4]
@@ -978,6 +978,50 @@ def test_rollout_reports_a_bad_setting_before_it_opens_the_model(tmp_path, capsy
                "--set", "x0=10,20", "--set", "max_step=0"])
     assert rc == 1
     assert capsys.readouterr().err == "error: max_step must be positive, got 0\n"
+
+
+@pytest.mark.parametrize("cls, key, value", [(cli._GridParams, "grid_k", 15),
+                                             (cli._ExportParams, "bounds", [1.0, 2.0])],
+                         ids=["grid_k-not-square", "bounds-two"])
+def test_command_parameters_are_checked_when_built(cls, key, value):
+    with pytest.raises(ValueError, match=rf"^{key} must be"):
+        cls(**{key: value})
+
+
+@pytest.mark.parametrize("command", ["eval", "grid-eval"])
+def test_grid_k_is_checked_before_any_file_is_read(workspace, capsys, monkeypatch, command):
+    forks, reads = with_cpus(monkeypatch, 2), []
+    for module, name in ((cli, "load_demonstrations"), (modelfile, "load_model")):
+        monkeypatch.setattr(module, name, lambda *a, read=getattr(module, name), name=name:
+                            reads.append(name) or read(*a))
+    argv = [command, "--model", str(workspace / "model.json"),
+            "--data", str(workspace / "train.csv"), "--set", "grid_k=15"]
+    if command == "eval":
+        argv += ["--test", str(workspace / "test.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: grid_k must be a positive perfect square, got 15\n"
+    assert reads == [] and forks == []
+
+
+def test_main_reads_every_command_from_one_table():
+    # the parser's subcommands and their flags are those of cli._COMMANDS,
+    # each command's settings class is a frozen dataclass, and main runs a
+    # command from its entry without comparing anything with its name
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {name: [flag for action in p._actions for flag in action.option_strings
+                     if flag not in ("-h", "--help")] for name, p in subparsers.items()}
+    assert parsed == {name: ["--config", *[f"--{flag}" for flag in flags], "--set"]
+                      for name, (_, flags, *_) in cli._COMMANDS.items()}
+    for _, flags, needs, cls, _ in cli._COMMANDS.values():
+        assert set(needs) <= set(flags)
+        assert is_dataclass(cls) and cls.__dataclass_params__.frozen
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert [node.lineno for node in ast.walk(main_def) if isinstance(node, ast.Compare)
+            and any(isinstance(sub, ast.Attribute) and sub.attr == "command"
+                    for sub in ast.walk(node))] == []
 
 
 def test_model_file_rejects_malformed(workspace, tmp_path):

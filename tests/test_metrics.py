@@ -404,6 +404,16 @@ def test_evaluate_needs_train_demonstrations():
         evaluate(Linear(-np.eye(2)), DemoSet([], np.zeros(2)), test)
 
 
+def test_evaluate_checks_both_sets_before_any_rollout(monkeypatch):
+    calls, real = [], dynamics.rollout
+    monkeypatch.setattr(dynamics, "rollout", lambda *a, **k: calls.append(1) or real(*a, **k))
+    t = np.linspace(0.0, 1.0, 11)
+    train = DemoSet([Demonstration(t, np.ones((11, 2)), np.zeros((11, 2)))], np.zeros(2))
+    with pytest.raises(DataError, match="^no test demonstrations"):
+        evaluate(Linear(-np.eye(2)), train, DemoSet([], np.zeros(2)))
+    assert calls == []
+
+
 def test_evaluate_rejects_sets_of_two_dimensions():
     t = np.linspace(0.0, 1.0, 11)
     sets = [DemoSet([Demonstration(t, np.ones((11, n)), np.zeros((11, n)))], np.zeros(n))

@@ -43,6 +43,13 @@ def test_problem_validation():
     with pytest.raises(DimensionError):
         ConstrainedLSQProblem(np.eye(2), np.zeros(3), 1.0, 0.1, np.empty((0, 2, 2, 2)),
                               np.zeros(0))
+    # no certificate holds for a negative or nan rate: with C(theta) =
+    # theta diag(1, -1), tau = -1 is met by theta = 1, which phase I called
+    # infeasible, and nan stalled with a nan violation
+    ops = np.diag([1.0, -1.0])[None, :, :, None]
+    for tau in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="^every tau must be nonnegative"):
+            lsq_problem([[1.0]], [2.0], 0.01, ops, [tau])
 
 
 def _close(got, want, rtol):
