@@ -113,7 +113,7 @@ def cmd_train(config, data, model):
     print(f"trained on {len(demos.demos)} demonstrations "
           f"({config.kernel}, sigma={config.sigma}, s={config.num_features})")
     print(f"iters={report.iters} converged={report.converged} stop={report.stop_reason} "
-          f"gap={report.gap:.3e}")
+          f"gap={report.gap:.3e} rank={report.rank} binding={report.binding}")
     print(f"objective={report.objective:.6e} "
           f"max_constraint_violation={report.max_constraint_violation:.3e}")
     print(f"model written to {model}")

@@ -124,21 +124,25 @@ def sample_feature_map(kind, s, n, seed):
     return FeatureMap(kind, freqs, phases)
 
 
-def _angles(X, fm):
+def _profile(fm, g, X):
+    """g(W[k] x + b[k]) at the points X, (N, feature_dim): g is evaluated on
+    the s distinct angles w_j^T x + b_j once, and its values repeated over
+    the rows that share an angle (the form's `repeats`)."""
     # the feature products are einsums, not BLAS products: BLAS rounds a row
     # differently depending on how many rows share the call, and a point's
     # field value must have the same bits alone or in a batch (a batch of
     # rollouts relies on it)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    a = np.einsum("nd,ds->ns", X, np.ascontiguousarray(fm.W.T))
-    a += fm.b
-    return a
+    a = np.einsum("nd,ds->ns", X, np.ascontiguousarray(fm.freqs.T))
+    a += fm.phases
+    k = fm.form.repeats(fm.n)
+    return g(a) if k == 1 else np.repeat(g(a), k, axis=1)
 
 
 def feature_rows(fm, X):
     """Stacked transposed features [Phi(x_1)^T; ...], shape (N n, feature_dim);
     its transpose is the block [Phi(x_1) ... Phi(x_N)]."""
-    rows = fm.scale * fm.form.g(_angles(X, fm))[:, None, :] * fm.U.T[None, :, :]
+    rows = fm.scale * _profile(fm, fm.form.g, X)[:, None, :] * fm.U.T[None, :, :]
     return rows.reshape(-1, fm.feature_dim)
 
 
@@ -147,7 +151,7 @@ def normal_equations(fm, X, Y):
     X (N, n) and the fields y = Y.ravel() at them, Y (N, n), without forming
     A.  With the (N, feature_dim) profiles G = g(X W^T + b),
     A^T A = (2/s) (G^T G) o (U U^T) and A^T y = sqrt(2/s) sum_c (G^T Y) o U."""
-    G = fm.form.g(_angles(X, fm))
+    G = _profile(fm, fm.form.g, X)
     moment = fm.scale * np.sum((G.T @ Y) * fm.U, axis=1)
     gram = G.T @ G
     del G                     # freed before U U^T: two (N or p, p) arrays held at most
@@ -158,14 +162,14 @@ def normal_equations(fm, X, Y):
 
 def field_values(fm, coeffs, X):
     """Fields f(x_t) = Phi(x_t)^T coeffs for a batch of points, (N, n); each
-    row is computed independently of the others (see `_angles`)."""
-    return np.einsum("nk,dk->nd", fm.scale * (fm.form.g(_angles(X, fm)) * coeffs),
+    row is computed independently of the others (see `_profile`)."""
+    return np.einsum("nk,dk->nd", fm.scale * (_profile(fm, fm.form.g, X) * coeffs),
                      np.ascontiguousarray(fm.U.T))
 
 
 def field_jacobians(fm, coeffs, X):
     """Jacobians of f at a batch of points, shape (N, n, n)."""
-    c = fm.scale * fm.form.dg(_angles(X, fm)) * coeffs     # (N, feature_dim)
+    c = fm.scale * _profile(fm, fm.form.dg, X) * coeffs     # (N, feature_dim)
     return np.einsum("gk,ka,kb->gab", c, fm.U, fm.W)
 
 
@@ -203,7 +207,8 @@ def symmetrized_jacobian_basis(fm, proj, X):
     solver reads: E.reshape(-1, feature_dim) is the map theta -> vec C(theta)."""
     X = as_points(X, fm.n, "constraint points")
     # raw[i, c, d, k] = sqrt(2/s) g'(W[k] x_i + b[k]) U[k, c] W[k, d], shape (m, n, n, p)
-    raw = fm.scale * fm.form.dg(_angles(X, fm))[:, None, None, :] * (fm.U.T[:, None] * fm.W.T[None])
+    raw = (fm.scale * _profile(fm, fm.form.dg, X)[:, None, None, :]
+           * (fm.U.T[:, None] * fm.W.T[None]))
     J = proj.apply(raw.reshape(-1, fm.feature_dim)).reshape(raw.shape)
     return 0.5 * (J + J.transpose(0, 2, 1, 3))   # leaves the symmetric curl-free J as it is
 
@@ -217,4 +222,4 @@ def potential_from_features(fm, coeffs, X):
     """
     if fm.form.potential is None:
         raise ValueError(f"the {fm.kind.variant} map is not a gradient field and has no potential")
-    return fm.scale * (fm.form.potential(_angles(X, fm)) @ np.asarray(coeffs))
+    return fm.scale * (_profile(fm, fm.form.potential, X) @ np.asarray(coeffs))

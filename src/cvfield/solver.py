@@ -21,10 +21,11 @@ Nesterov-Todd scaling and Mehrotra's predictor-corrector, after CVXOPT's
 `coneqp` (Vandenberghe, "The CVXOPT linear and quadratic cone program
 solvers", 2010).  It works in the problem's own structure: m blocks of
 n x n, and one p x p Schur complement 2 A^T A + 2 lam I + F^T F per Newton
-step, where the (m n(n+1)/2, p) matrix F holds the scaled operators
-r_i^T E_ij r_i packed as CVXOPT's svec (the lower triangle, off-diagonals
-times sqrt 2), so F^T F sums tr(r^T E_ij r r^T E_ik r) with n(n+1)/2 rows
-per point, not n^2.  The scaling r_i comes from one batched symmetric
+step (r x r in a basis of the problem's range, below), where the
+(m n(n+1)/2, p) matrix F holds the scaled operators r_i^T E_ij r_i packed
+as CVXOPT's svec (the lower triangle, off-diagonals times sqrt 2), so
+F^T F sums tr(r^T E_ij r r^T E_ik r) with n(n+1)/2 rows per point, not
+n^2.  The scaling r_i comes from one batched symmetric
 eigendecomposition (Todd, Toh & Tutuncu, "On the Nesterov-Todd direction in
 semidefinite programming", SIAM J. Optim., 1998): with Ls, Lz the Cholesky
 factors of the slack s_i and the dual z_i, B = Lz^T Ls and
@@ -64,6 +65,33 @@ eps <= (2 rho u)^1/2 (at once, with eps = 0, when every E_ij is zero).
 Phase II starts from theta_ridge + a theta_c, strictly feasible by Weyl's
 inequality, and keeps s_i = -C_i(theta) - tau_i I positive definite.
 
+`solve_in_range`, which `training.train_field` calls, solves in the
+problem's numerical range.  Write G for the (m n n, p) matrix
+theta -> vec C(theta).  A part of theta orthogonal to range([A^T, G^T])
+changes neither the fit nor any constraint and only adds lam times its
+squared norm, so the optimum lies in that range, as do phase I's: the
+feature-space form of the representer argument for fits through evaluation
+and derivative functionals (Zhou, "Derivative reproducing properties for
+kernel methods in learning theory", 2008).  Where the data and the
+constraint points lie on one curve, the range is small (r = 55 and 62 of
+p = 200 and 1000 on the benchmark's inputs).  `_range_basis` finds it with
+a one-pass randomized range finder (Halko, Martinsson & Tropp, "Finding
+structure with randomness", SIAM Rev., 2011): Gaussian sketches
+gram^2 Omega_1 and G^T Omega_2 of SKETCH_COLUMNS columns, drawn from
+Philox with a fixed key, each cut by its SVD at RANGE_CUT of its largest
+singular value (a sketch whose cut keeps every column is drawn again twice
+as wide), then merged with the moment's direction by one more SVD cut
+alike.  `interior_point_solve` solves the reduced problem
+(Q^T gram Q, Q^T moment, b^T b, lam, C o Q, tau), whose Newton systems are
+r x r, and theta = Q theta_r.  The certificate is the full problem's:
+theta is feasible and the reduced run's dual blocks z are >= 0 there, so
+<s, z> + rd^T P^-1 rd / 2, with the full dual residual
+rd = P theta + q + G^T z and the full P's one factor, is a duality gap as in
+phase II.  Where it misses the tolerance, the cut is multiplied by _WIDEN
+and the problem solved again; once the cut is below unit roundoff, Q is the
+identity and the solve is the full one.  After a phase I stop the bound is
+|C*(z)| / tr z on the full operators, which holds for any z >= 0.
+
 `SolverSettings`: `max_iters` caps the Newton steps of both phases, and
 phase II stops once its certified duality gap, an upper bound on objective
 minus optimum, falls to eps_abs + eps_rel |objective|.  The report's `gap`
@@ -72,7 +100,10 @@ is the certified duality gap of the phase the run ended in, and
 gap set no new low for _STALL_STEPS steps, or a Newton system, direction or
 step failed, a direction that is not finite included); `converged` is read
 from it.  After a phase I stop, theta is the ridge optimum and
-`contraction_bound` is set.
+`contraction_bound` is set.  The report also holds the dual blocks z_i
+where the run stopped, their weights tr z_i and the count of points that
+hold BINDING_SHARE of them (`binding`), and `rank`, the r of the basis
+theta was solved in (p for `interior_point_solve`).
 
 The solver uses only deterministic dense linear algebra, and every solve
 goes through `_cholesky_solver`.  The ridge matrix P = 2 A^T A + 2 lam I
@@ -96,7 +127,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +181,10 @@ class SolverSettings:
                 raise ConfigError(f"{key} must be at least {bound}")
 
 
+# a point binds when it is among the fewest that hold this share of sum_i tr z_i
+BINDING_SHARE = 0.99
+
+
 @dataclass
 class SolveReport:
     theta: np.ndarray
@@ -157,12 +192,27 @@ class SolveReport:
     gap: float
     objective: float
     max_constraint_violation: float
+    dual: np.ndarray               # z, (m, n, n): the dual blocks where the run stopped
+    rank: int                      # r, the columns of the basis theta was solved in
     stop_reason: str | None = None
     contraction_bound: float | None = None
 
     @property
     def converged(self):
         return self.stop_reason == "converged"
+
+    @property
+    def weights(self):
+        """The per-point weights tr z_i, (m,)."""
+        return np.trace(self.dual, axis1=1, axis2=2)
+
+    @property
+    def binding(self):
+        """The count of points whose weights hold BINDING_SHARE of their sum
+        (0 when the sum is 0)."""
+        w = np.sort(self.weights)[::-1]
+        total = float(np.sum(w))
+        return int(np.searchsorted(np.cumsum(w), BINDING_SHARE * total)) + 1 if total > 0 else 0
 
 
 def assemble_problem(fm, proj, pairs, cpoints, lam, tau):
@@ -422,7 +472,7 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
     reason a stop reason or None (read after the first iterate only).  A
     run whose bound sets no new low for _STALL_STEPS steps, or whose Newton
     system, scaling, direction or step fails, has stalled.  Returns
-    (x, steps, gap, reason).
+    (x, steps, gap, reason, z), z the (m, k, k) dual blocks at x.
     """
     m, k, _, d = G.shape
     kk = k * k
@@ -459,18 +509,18 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
         if reason is None and steps - best_step >= _STALL_STEPS:
             reason = "stalled"          # the certified gap stopped shrinking
         if reason is not None:
-            return x, steps, gap, reason
+            return x, steps, gap, reason, z
 
         # a start that rounding leaves without a factor stalls like a block
         # that cannot be scaled; an accepted step always has both factors
         scaling = None if Ls is None or Lz is None else _nt_scaling(Ls, Lz)
         if scaling is None:
-            return x, steps, gap, "stalled"
+            return x, steps, gap, "stalled", z
         lam, r = scaling
         F = _scaled_rows(r, G, rows, weights)
         solve = _cholesky_solver(P + F.T @ F)
         if solve is None:
-            return x, steps, gap, "stalled"
+            return x, steps, gap, "stalled", z
         Lam = lam[:, :, None] * eye
         rc_aff = -Lam @ Lam
         li = 1.0 / np.sqrt(lam)
@@ -487,7 +537,7 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
         # a factor holding nan gives a direction that is not finite; ds is
         # dm - dz, and the corrector solves with the same factor
         if not np.isfinite(dz).all():
-            return x, steps, gap, "stalled"
+            return x, steps, gap, "stalled", z
         a = min(1.0, _step_to_boundary(li, ds, dz))
         mu = sz / (m * k)
         mu_aff = float(np.sum((Lam + a * ds) * (Lam + a * dz))) / (m * k)
@@ -508,14 +558,61 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
                 break
             a *= 0.5
         else:
-            return x, steps, gap, "stalled"
+            return x, steps, gap, "stalled", z
         x, s, z = x_new, s_new, z_new
         Px = P @ x
         steps += 1
 
 
+def _ridge(problem):
+    """(P, q) = (2 A^T A + 2 lam I, -2 A^T b) of the problem's normal
+    equations: the objective is 1/2 theta^T P theta + q^T theta + b^T b."""
+    P = 2.0 * problem.gram
+    P.flat[::P.shape[0] + 1] += 2.0 * problem.lam      # + 2 lam I, on the diagonal in place
+    return P, -2.0 * problem.moment
+
+
+def _ridge_solver(P, lam):
+    """v -> P^-1 v from one Cholesky factor of a copy of the ridge matrix P;
+    np.linalg.LinAlgError when lam is too small for P to have one."""
+    solve_P = _cholesky_solver(P.copy())
+    if solve_P is None:
+        raise np.linalg.LinAlgError(f"lambda = {lam:g} is too small: the ridge matrix "
+                                    "2 A^T A + 2 lambda I is not numerically positive definite")
+    return solve_P
+
+
+def _objective(x, Px, q, btb):
+    # |A x - b|^2 + lam |x|^2 as 1/2 x^T P x + q^T x + b^T b
+    return 0.5 * float(x @ Px) + float(q @ x) + btb
+
+
+def _duality_gap(sz, rd, solve_P):
+    """Objective minus dual value at a feasible x and a dual z >= 0, from
+    sz = <s, z> and the dual residual rd = P x + q + G^T z: the Lagrangian
+    at z is minimized by x - P^-1 rd, so the gap is sz + rd^T P^-1 rd / 2."""
+    return sz + 0.5 * float(rd @ solve_P(rd))
+
+
+def _shift(tau):
+    # the tightened constraints are C_i(theta) + shift_i I <= 0
+    return tau + CONTRACTION_MARGIN * (1.0 + tau)
+
+
+def _report(problem, P, q, x, steps, gap, reason, dual, rank, bound=None):
+    """The report of theta = x, its objective and violation on the problem's
+    own normal equations and operators."""
+    ops = problem.constraint_ops
+    violation = _max_eigenvalue(ops, x, problem.tau) if ops.shape[0] else float("-inf")
+    return SolveReport(theta=x, iters=steps, gap=gap,
+                       objective=_objective(x, P @ x, q, problem.btb),
+                       max_constraint_violation=violation, dual=dual, rank=rank,
+                       stop_reason=reason, contraction_bound=bound)
+
+
 def interior_point_solve(problem, settings=None):
-    """Solve the problem by the primal-dual interior-point method.
+    """Solve the problem by the primal-dual interior-point method, in all p
+    coordinates (the report's rank is p).
 
     See the module docstring for how `settings` is read and what theta
     the report holds; the report is `converged` when the gap met its
@@ -529,28 +626,16 @@ def interior_point_solve(problem, settings=None):
     m, n = ops.shape[:2]
     eye = np.eye(n)
 
-    P = 2.0 * problem.gram
-    P.flat[::p + 1] += 2.0 * problem.lam          # + 2 lam I, on the diagonal in place
-    q = -2.0 * problem.moment
-    solve_P = _cholesky_solver(P.copy())
-    if solve_P is None:
-        raise np.linalg.LinAlgError(f"lambda = {problem.lam:g} is too small: the ridge matrix "
-                                    "2 A^T A + 2 lambda I is not numerically positive definite")
+    P, q = _ridge(problem)
+    solve_P = _ridge_solver(P, problem.lam)
     theta = solve_P(-q)                  # the unconstrained ridge optimum
 
-    def objective(x, Px):
-        # |A x - b|^2 + lam |x|^2 as 1/2 x^T P x + q^T x + b^T b
-        return 0.5 * float(x @ Px) + float(q @ x) + problem.btb
-
-    def report(x, steps, gap, reason, bound=None):
-        violation = _max_eigenvalue(ops, x, problem.tau) if m else float("-inf")
-        return SolveReport(theta=x, iters=steps, gap=gap, objective=objective(x, P @ x),
-                           max_constraint_violation=violation, stop_reason=reason,
-                           contraction_bound=bound)
+    def report(x, steps, gap, reason, z, bound=None):
+        return _report(problem, P, q, x, steps, gap, reason, z, p, bound)
 
     if m == 0:
-        return report(theta, 0, 0.0, "converged")
-    shift = problem.tau + CONTRACTION_MARGIN * (1.0 + problem.tau)
+        return report(theta, 0, 0.0, "converged", np.zeros((0, n, n)))
+    shift = _shift(problem.tau)
     h = -shift[:, None, None] * eye
     worst = _max_eigenvalue(ops, theta, shift)
 
@@ -559,7 +644,7 @@ def interior_point_solve(problem, settings=None):
         # phase I over x = (theta, t), from e_t = (0, 1); see the module docstring
         rho = float(np.sum(ops * ops)) / (m * n * p)
         if rho == 0.0:                       # C_i(theta) = 0 for every theta
-            return report(theta, 0, 0.0, "infeasible", 0.0)
+            return report(theta, 0, 0.0, "infeasible", np.zeros((m, n, n)), 0.0)
         bound = {}
 
         def phase1_stop(x, Px, sz, rd):
@@ -572,18 +657,111 @@ def interior_point_solve(problem, settings=None):
 
         e_t = np.append(np.zeros(p), 1.0)
         G1 = np.concatenate([ops, np.broadcast_to(-eye[:, :, None], (m, n, n, 1))], axis=-1)
-        x1, steps1, gap, reason = _interior_point(rho * np.diag(1.0 - e_t), e_t, G1, 0.0 * h,
-                                                  e_t, st.max_iters, phase1_stop)
+        x1, steps1, gap, reason, z = _interior_point(rho * np.diag(1.0 - e_t), e_t, G1, 0.0 * h,
+                                                     e_t, st.max_iters, phase1_stop)
         if reason != "feasible":
-            return report(theta, steps1, gap, reason, bound["eps"])
+            return report(theta, steps1, gap, reason, z, bound["eps"])
         # Weyl: lambda_max(C_i(theta + a theta_c) + shift_i I) <= worst - a lam_c,
         # lam_c = -max_i lambda_max(C_i(theta_c)) > 0: this a leaves 1% of worst + lam_c
         lam_c = -_max_eigenvalue(ops, x1[:p], np.zeros(m))
         theta = theta + (1.01 * worst / lam_c + 1.0) * x1[:p]
 
     def phase2_stop(x, Px, sz, rd):
-        gap = sz + 0.5 * float(rd @ solve_P(rd))
-        return gap, ("converged" if gap <= st.eps_abs + st.eps_rel * objective(x, Px) else None)
+        gap = _duality_gap(sz, rd, solve_P)
+        tol = st.eps_abs + st.eps_rel * _objective(x, Px, q, problem.btb)
+        return gap, ("converged" if gap <= tol else None)
 
-    x, steps, gap, reason = _interior_point(P, q, ops, h, theta, st.max_iters - steps1, phase2_stop)
-    return report(x, steps1 + steps, gap, reason)
+    x, steps, gap, reason, z = _interior_point(P, q, ops, h, theta, st.max_iters - steps1,
+                                               phase2_stop)
+    return report(x, steps1 + steps, gap, reason, z)
+
+
+# the range basis (see the module docstring): each block's sketch starts at
+# SKETCH_COLUMNS columns and doubles while the cut keeps every column; the cut
+# is relative to the largest singular value, and each widening of the basis
+# multiplies it by _WIDEN, down to the identity once it is below unit roundoff
+SKETCH_COLUMNS = 64
+RANGE_CUT = 1e-8
+_WIDEN = 1e-3
+_SKETCH_KEY = 20110302           # Philox key of the sketch's Gaussian draws
+
+
+def _range_basis(problem, cut):
+    """An orthonormal basis Q (p, r) of the problem's numerical range at the
+    relative `cut`: the moment's direction, and the left singular vectors
+    above the cut of seeded sketches gram^2 Omega_1 and G^T Omega_2 (G the
+    (m n n, p) matrix theta -> vec C(theta)), merged by one more SVD cut
+    alike.  The identity when the cut is below unit roundoff or keeps all
+    p columns."""
+    p = problem.moment.shape[0]
+    if not cut >= np.finfo(float).eps:
+        return np.eye(p)
+    Gop = problem.constraint_ops.reshape(-1, p)
+    rng = np.random.Generator(np.random.Philox(key=_SKETCH_KEY))
+    kept = [problem.moment[:, None] / (np.linalg.norm(problem.moment) or 1.0)]
+    for apply, rows in ((lambda W: problem.gram @ (problem.gram @ W), p),
+                        (lambda W: Gop.T @ W, Gop.shape[0])):
+        width, most = min(SKETCH_COLUMNS, p, rows), min(p, rows)
+        while width:
+            U, sv, _ = np.linalg.svd(apply(rng.standard_normal((rows, width))),
+                                     full_matrices=False)
+            keep = sv > cut * sv[0]
+            if width == most or not keep.all():
+                kept.append(U[:, keep])
+                break
+            width = min(2 * width, most)
+    U, sv, _ = np.linalg.svd(np.hstack(kept), full_matrices=False)
+    Q = U[:, sv > cut * sv[0]]
+    return np.eye(p) if Q.shape[1] == p else Q
+
+
+def solve_in_range(problem, settings=None):
+    """Solve the problem in a basis Q of its numerical range: theta = Q theta_r,
+    theta_r from `interior_point_solve` on the reduced problem (Q^T gram Q,
+    Q^T moment, b^T b, lam, C o Q, tau).
+
+    The certificate is the full problem's: the report's gap is the duality
+    gap of theta and the reduced run's z on the full problem, and where it
+    misses eps_abs + eps_rel |objective| after a converged reduced run, Q
+    is widened and the problem solved again, until Q is the identity.  The
+    objective and the violation are the full problem's, `iters` counts
+    the Newton steps of every run against `max_iters`, and `rank` is r.
+    After a phase I stop, theta is the ridge optimum over range Q and the
+    contraction bound is |C*(z)| / tr z on the full operators.  Raises
+    np.linalg.LinAlgError as `interior_point_solve` does.
+    """
+    st = settings or SolverSettings()
+    p = problem.moment.shape[0]
+    ops = problem.constraint_ops
+    m, n = ops.shape[:2]
+    Gop = ops.reshape(-1, p)
+    P, q = _ridge(problem)
+    h = -_shift(problem.tau)[:, None, None] * np.eye(n)
+    solve_P, steps, cut = None, 0, RANGE_CUT
+    while True:
+        Q = _range_basis(problem, cut)
+        r = Q.shape[1]
+        reduced = ConstrainedLSQProblem(Q.T @ (problem.gram @ Q), Q.T @ problem.moment,
+                                        problem.btb, problem.lam,
+                                        (Gop @ Q).reshape(m, n, n, r), problem.tau)
+        rep = interior_point_solve(reduced, replace(st, max_iters=st.max_iters - steps))
+        steps += rep.iters
+        theta, z = Q @ rep.theta, rep.dual
+        if rep.contraction_bound is not None:
+            # a phase I stop: |C*(z)| / tr z bounds the rate for any z >= 0
+            trz = float(np.sum(rep.weights))
+            bound = (float(np.linalg.norm(Gop.T @ z.ravel())) / trz if trz > 0.0
+                     else rep.contraction_bound)
+            return _report(problem, P, q, theta, steps, rep.gap, rep.stop_reason, z, r, bound)
+        solve_P = solve_P or _ridge_solver(P, problem.lam)
+        Ptheta = P @ theta
+        gap = _duality_gap(float(np.sum((h - _apply(ops, theta)) * z)),
+                           Ptheta + q + Gop.T @ z.ravel(), solve_P)
+        reason = rep.stop_reason
+        if (reason == "converged" and r < p
+                and gap > st.eps_abs + st.eps_rel * _objective(theta, Ptheta, q, problem.btb)):
+            if steps < st.max_iters:
+                cut *= _WIDEN
+                continue
+            reason = "max_iters"
+        return _report(problem, P, q, theta, steps, gap, reason, z, r)

@@ -20,7 +20,7 @@ from .dynamics import TrainedField
 from .errors import ConfigError, DataError
 from .features import build_vanishing_projector, sample_feature_map
 from .kernels import CURL_FREE, KernelKind
-from .solver import SolverSettings, assemble_problem, interior_point_solve, single_blas_thread
+from .solver import SolverSettings, assemble_problem, single_blas_thread, solve_in_range
 
 # keys in older config files that nothing reads, each with the one value it may
 # hold (None: any): a former solver's step size and its adaptation; the
@@ -36,11 +36,11 @@ class TrainConfig:
     is a ConfigError, and the object cannot be changed afterwards
     (`dataclasses.replace` builds a new one and checks it again).
 
-    `solver` holds the `SolverSettings` of `interior_point_solve`, which
+    `solver` holds the `SolverSettings` of `solve_in_range`, which
     imposes the constraints hard and reads `max_iters` as its cap on Newton
     steps and `eps_abs` + `eps_rel` |objective| as its phase II duality-gap
-    tolerance.  `solver` and `preprocess` check their own values when they
-    are built.  `from_dict` reads a mapping, such as a config file, with
+    tolerance, certified for the full problem.  `solver` and `preprocess`
+    check their own values when they are built.  `from_dict` reads a mapping, such as a config file, with
     `read_settings`, which also reads `solver` under its old name, `admm`.
     """
 
@@ -164,7 +164,8 @@ def train_field(demos, config):
 
     Fills in missing velocities, averages the demonstrations, subsamples
     constraint points, draws the feature map and solves the constrained
-    regression.  Returns (field, report, averaged_demo).
+    regression in a basis of its numerical range (`solve_in_range`).
+    Returns (field, report, averaged_demo).
     """
     # every BLAS call of training at one thread, the projector's SVD included:
     # the model bytes do not depend on the core count, and no two-thread call
@@ -178,5 +179,5 @@ def train_field(demos, config):
         proj = build_vanishing_projector(fm, Z)
         problem = assemble_problem(fm, proj, (avg.positions, avg.velocities),
                                    cpoints, config.lam, config.tau)
-        report = interior_point_solve(problem, config.solver)
+        report = solve_in_range(problem, config.solver)
     return TrainedField(fm, proj, report.theta, Z), report, avg

@@ -339,8 +339,8 @@ def test_train_step_cap_message(workspace, capsys):
 def test_train_infeasible_tau_message(workspace, capsys, monkeypatch):
     # with every constraint operator zeroed, no theta reaches sym J <= -tau I
     import dataclasses
-    solve = training.interior_point_solve
-    monkeypatch.setattr(training, "interior_point_solve", lambda problem, settings: solve(
+    solve = training.solve_in_range
+    monkeypatch.setattr(training, "solve_in_range", lambda problem, settings: solve(
         dataclasses.replace(problem, constraint_ops=np.zeros_like(problem.constraint_ops)),
         settings))
     rc = _train_weak(workspace, "infeasible", tau=0.5)
@@ -352,6 +352,22 @@ def test_train_infeasible_tau_message(workspace, capsys, monkeypatch):
     assert "e > 0.000e+00" in out.err
     assert "num_features, sigma" in out.err and "lower tau" not in out.err
     assert "step cap" not in out.err
+
+
+def test_train_with_too_few_features_stops_infeasible(tmp_path, capsys):
+    # three curl-free features keep one direction once the goal's two are
+    # projected out, and no multiple of it contracts at all 100 points:
+    # phase I, run in range Q (r = 1), stops "infeasible" and names a finite
+    # bound computed on the full operators; 99 of the 100 points carry it
+    data, config = _scurve_inputs(tmp_path)
+    rc = main(["train", "--config", str(config), "--data", str(data),
+               "--model", str(tmp_path / "model.json"), "--set", "num_features=3"])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert "stop=infeasible" in out.out and "rank=1 binding=99" in out.out
+    bound = float(re.search(r"for every e > (\S+);", out.err).group(1))
+    assert 0.0 <= bound <= 1e-12
+    assert "no theta contracts at every constraint point" in out.err
 
 
 @pytest.mark.parametrize("stop", ["max_iters", "stalled"])
@@ -385,11 +401,12 @@ def test_train_rejects_lambda_too_small_for_the_ridge_matrix(workspace, capsys):
 
 
 def test_train_stall_at_small_lambda_advises_raising_it(tmp_path, capsys):
-    # at lambda = 1e-12, P factors but is so ill-conditioned that phase II
-    # stalls with gap about 1: loosening the tolerances alone would not help
+    # at lambda = 1e-14, P factors but is so ill-conditioned that phase II
+    # stalls with gap about 1e-2, 100 times its tolerance: loosening the
+    # tolerances alone would not help (at 1e-12 the solve in range Q converges)
     data, config = _scurve_inputs(tmp_path)
     rc = main(["train", "--config", str(config), "--data", str(data),
-               "--model", str(tmp_path / "model.json"), "--set", "lambda=1e-12"])
+               "--model", str(tmp_path / "model.json"), "--set", "lambda=1e-14"])
     out = capsys.readouterr()
     assert rc == 2
     assert "stop=stalled" in out.out
@@ -1235,9 +1252,9 @@ def test_train_field_restores_blas_threads(monkeypatch, angle_train, solve_raise
             raise RuntimeError("solver failure")
         return real_solve(problem, settings)
 
-    real_projector, real_solve = training.build_vanishing_projector, training.interior_point_solve
+    real_projector, real_solve = training.build_vanishing_projector, training.solve_in_range
     monkeypatch.setattr(training, "build_vanishing_projector", projector)
-    monkeypatch.setattr(training, "interior_point_solve", solve)
+    monkeypatch.setattr(training, "solve_in_range", solve)
     cfg = TrainConfig(sigma=10.0, num_features=50, constraint_points=20)
     original = get()
     try:

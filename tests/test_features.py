@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from _exact import dense_projector, eval_kernel, exact_field_eval, exact_ridge_fit
-from cvfield import features, modelfile
+from cvfield import features, kernels, modelfile
 from cvfield.dynamics import TrainedField
 from cvfield.errors import DimensionError
 from cvfield.kernels import KernelKind
@@ -26,6 +26,29 @@ def test_sampling_deterministic_in_seed():
     np.testing.assert_array_equal(a.phases, b.phases)
     assert not np.array_equal(a.freqs, c.freqs)
     assert a.freqs.shape == (64, 2) and a.phases.shape == (64,)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_separable_profile_repeats_its_distinct_angles(monkeypatch, n):
+    # the separable rows repeat each frequency's angle over the n directions:
+    # the profile is evaluated on the (N, s) distinct angles only, and field
+    # values and Jacobians keep the bits of the formula over every row,
+    # g(X W^T + b)
+    fm = features.sample_feature_map(KernelKind("gaussian_separable", 2.0), 40, n, seed=3)
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(64, n)) * 3.0
+    eta = rng.normal(size=fm.feature_dim)
+    a = np.einsum("nd,ds->ns", X, np.ascontiguousarray(fm.W.T))
+    a += fm.b
+    values = np.einsum("nk,dk->nd", fm.scale * (np.cos(a) * eta), np.ascontiguousarray(fm.U.T))
+    jacobians = np.einsum("gk,ka,kb->gab", fm.scale * -np.sin(a) * eta, fm.U, fm.W)
+    shapes, form = [], kernels.FORMS["gaussian_separable"]
+    monkeypatch.setitem(kernels.FORMS, "gaussian_separable", form._replace(
+        g=lambda a: shapes.append(a.shape) or form.g(a),
+        dg=lambda a: shapes.append(a.shape) or form.dg(a)))
+    assert np.array_equal(features.field_values(fm, eta, X), values)
+    assert np.array_equal(features.field_jacobians(fm, eta, X), jacobians)
+    assert shapes == [(64, 40)] * 2
 
 
 def test_sampling_needs_a_feature():

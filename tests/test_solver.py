@@ -93,11 +93,11 @@ def test_assemble_problem_matches_explicit_design(kind, num_z):
     np.testing.assert_allclose(A @ theta, field.eval(X).ravel(), atol=1e-10)
 
 
-def _s_curve_inputs(s):
+def _s_curve_inputs(s, kernel="curl_free"):
     # the benchmark's train-scurve inputs at s features: the tests/_synth.py
     # S-curve, curl-free, sigma = 20, m = 100; returns (fm, proj, pairs, cp)
     avg = resample_and_average(s_demos(num=4, samples=1000, seed=1))
-    fm = features.sample_feature_map(KernelKind("curl_free", 20.0), s, 2, seed=0)
+    fm = features.sample_feature_map(KernelKind(kernel, 20.0), s, 2, seed=0)
     proj = features.build_vanishing_projector(fm, np.zeros((1, 2)))
     return fm, proj, (avg.positions, avg.velocities), subsample_constraint_points(avg, 100)
 
@@ -175,6 +175,112 @@ def test_ipm_scalar_clamp():
     t_star = -0.5 - CONTRACTION_MARGIN * 1.5
     f_star = (t_star - 2.0) ** 2 + 0.01 * t_star**2
     assert 0.0 <= rep.objective - f_star <= rep.gap + 1e-12
+
+
+def test_dual_weight_is_the_kkt_multiplier():
+    # at the clamp t, 2 (t - 2) + 2 lam t + z = 0: the multiplier of
+    # theta <= -tau is z = 2 (2 - t) - 2 lam t, and the one point binds
+    prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
+    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
+    assert rep.converged and rep.dual.shape == (1, 1, 1) and rep.rank == 1
+    t_star = -0.5 - CONTRACTION_MARGIN * 1.5
+    assert rep.weights[0] == pytest.approx(2.0 * (2.0 - t_star) - 0.02 * t_star, rel=1e-8)
+    assert rep.binding == 1
+
+
+def _complementarity(prob, rep):
+    # sum_i <s_i, z_i>, s_i = -(tau_i + margin (1 + tau_i)) I - C_i(theta) on
+    # the problem's own operators
+    m, n = prob.constraint_ops.shape[:2]
+    shift = prob.tau + CONTRACTION_MARGIN * (1.0 + prob.tau)
+    C = prob.constraint_ops.reshape(-1, prob.moment.shape[0]) @ rep.theta
+    s = -shift[:, None, None] * np.eye(n) - C.reshape(m, n, n)
+    return float(np.sum(s * rep.dual))
+
+
+def test_complementarity_is_at_most_the_gap():
+    # the gap is <s, z> plus a nonnegative dual-residual term, for the
+    # problem solved in all coordinates and, on the full problem, in range Q
+    _, _, small = _random_lmi_problem(np.random.default_rng(3), 6, 3, tau=3.0)
+    fm, proj, pairs, cp = _s_curve_inputs(200)
+    bench = assemble_problem(fm, proj, pairs, cp, 0.01, 0.0)
+    settings = SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000)
+    for prob, solve in ((small, interior_point_solve), (bench, interior_point_solve),
+                        (bench, solver.solve_in_range)):
+        rep = solve(prob, settings)
+        assert rep.converged
+        assert np.all(np.linalg.eigvalsh(rep.dual) >= 0.0)
+        assert 0.0 <= _complementarity(prob, rep) <= rep.gap
+    # the bench inputs: 4 of the 100 points hold 99% of the weight
+    assert rep.binding == 4 and rep.weights.shape == (100,)
+
+
+def _planted_problem(rng):
+    # a criterion 06 problem whose last coordinate neither the design nor
+    # the constraints read, rotated so that theta_perp = R^T e_last is no
+    # axis: theta_perp is orthogonal to range([A^T, G^T])
+    A, b, prob = _random_lmi_problem(rng, p=8, m=3)
+    R, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+    A = np.hstack([A, np.zeros((A.shape[0], 1))]) @ R
+    ops = np.concatenate([prob.constraint_ops, np.zeros((3, 2, 2, 1))], axis=-1) @ R
+    return lsq_problem(A, b, prob.lam, ops, prob.tau), R.T[:, -1]
+
+
+def test_planted_direction_leaves_the_optimum_unchanged():
+    prob, perp = _planted_problem(np.random.default_rng(11))
+    settings = SolverSettings(eps_abs=1e-10, eps_rel=1e-10)
+    full = interior_point_solve(prob, settings)
+    reduced = solver.solve_in_range(prob, settings)
+    assert full.converged and reduced.converged
+    assert full.rank == 9 and reduced.rank == 8
+    assert abs(reduced.objective - full.objective) <= max(full.gap, reduced.gap)
+    assert abs(reduced.theta @ perp) <= 1e-14 * np.linalg.norm(reduced.theta)
+    assert reduced.max_constraint_violation < 0.0
+
+
+def test_certificate_widens_a_coarse_basis(monkeypatch):
+    # the separable map at s = 500 (p = 1000): cut at 1e-6, the reduced
+    # problem converges but theta = Q theta_r misses the full problem's
+    # tolerance (objective +6e-4 against 1.1e-4), so the certificate widens
+    # Q by _WIDEN and solves again
+    fm, proj, pairs, cp = _s_curve_inputs(500, "gaussian_separable")
+    prob = assemble_problem(fm, proj, pairs, cp, 0.01, 0.0)
+    assert prob.moment.shape == (1000,)
+    settings = SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000)
+    default = solver.solve_in_range(prob, settings)
+    cuts, runs = [], []
+    basis, inner = solver._range_basis, solver.interior_point_solve
+    monkeypatch.setattr(solver, "_range_basis",
+                        lambda prob, cut: cuts.append(cut) or basis(prob, cut))
+    monkeypatch.setattr(solver, "interior_point_solve",
+                        lambda prob, st: runs.append(inner(prob, st)) or runs[-1])
+    monkeypatch.setattr(solver, "RANGE_CUT", 1e-6)
+    rep = solver.solve_in_range(prob, settings)
+    assert cuts == [1e-6, 1e-6 * solver._WIDEN]
+    assert [run.stop_reason for run in runs] == ["converged", "converged"]
+    assert runs[0].rank < runs[1].rank == rep.rank < 1000
+    assert rep.converged and rep.iters == runs[0].iters + runs[1].iters
+    assert rep.gap <= settings.eps_abs + settings.eps_rel * rep.objective
+    assert default.converged and default.rank < 1000
+    assert abs(rep.objective - default.objective) <= max(rep.gap, default.gap)
+
+
+def test_train_factors_reduced_newton_systems(monkeypatch):
+    # the bench inputs (as _s_curve_inputs(200)): every Newton system is
+    # r x r (phase II) or (r + 1) x (r + 1) (phase I) with r < p, after the
+    # reduced ridge matrix; the full ridge matrix is factored once, for the
+    # certificate
+    orders, factor = [], solver._cholesky_solver
+    monkeypatch.setattr(solver, "_cholesky_solver",
+                        lambda S: orders.append(S.shape[0]) or factor(S))
+    cfg = TrainConfig(kernel="curl_free", sigma=20.0, num_features=200, lam=0.01, tau=0.0,
+                      constraint_points=100, seed=0,
+                      solver=SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000))
+    _, rep, _ = train_field(s_demos(num=4, samples=1000, seed=1), cfg)
+    r, p = rep.rank, 200
+    assert rep.converged and r < p
+    phase1 = orders.count(r + 1)
+    assert phase1 > 0 and orders == [r] + [r + 1] * phase1 + [r] * (rep.iters - phase1) + [p]
 
 
 def test_ipm_flags_step_cap():
@@ -615,9 +721,9 @@ def test_phase2_forms_one_product_with_P_per_iterate(monkeypatch):
 
     def counted(P, *args):
         before = products[0]
-        x, steps, gap, reason = inner(P, *args)
-        runs.append((isinstance(P, CountedGram), steps, products[0] - before))
-        return x, steps, gap, reason
+        result = inner(P, *args)
+        runs.append((isinstance(P, CountedGram), result[1], products[0] - before))
+        return result
 
     monkeypatch.setattr(solver, "_interior_point", counted)
     _, _, prob = _random_lmi_problem(np.random.default_rng(3), 6, 3, tau=3.0)
