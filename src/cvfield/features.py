@@ -127,7 +127,7 @@ def sample_feature_map(kind, s, n, seed):
 def _profile(fm, g, X):
     """g(W[k] x + b[k]) at the points X, (N, feature_dim): g is evaluated on
     the s distinct angles w_j^T x + b_j once, and its values repeated over
-    the rows that share an angle (the form's `repeats`)."""
+    the feature_dim / s consecutive rows that share each angle."""
     # the feature products are einsums, not BLAS products: BLAS rounds a row
     # differently depending on how many rows share the call, and a point's
     # field value must have the same bits alone or in a batch (a batch of
@@ -135,7 +135,7 @@ def _profile(fm, g, X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     a = np.einsum("nd,ds->ns", X, np.ascontiguousarray(fm.freqs.T))
     a += fm.phases
-    k = fm.form.repeats(fm.n)
+    k = fm.feature_dim // fm.s
     return g(a) if k == 1 else np.repeat(g(a), k, axis=1)
 
 

@@ -29,13 +29,12 @@ GAUSSIAN_SEPARABLE = "gaussian_separable"
 CURL_FREE = "curl_free"
 
 # an entry of FORMS: rows(freqs, phases) -> (W, b, U), with W and U
-# (feature_dim, n) and b (feature_dim,); repeats(n), the number of
-# consecutive rows that share each frequency's angle, so that row k's angle
-# W[k] x + b[k] is w_j^T x + b_j for j = k // repeats(n); the profile g and
-# its derivative dg; and potential, the profile P with P' = -g when every
-# field of the map is f = -grad V, V(x) = sqrt(2/s) sum_k eta_k P(W[k] x + b[k]),
-# else None
-FeatureForm = namedtuple("FeatureForm", "rows repeats g dg potential")
+# (feature_dim, n) and b (feature_dim,), each frequency's rows consecutive:
+# row k's angle W[k] x + b[k] is w_j^T x + b_j for j = k // (feature_dim / s);
+# the profile g and its derivative dg; and potential, the profile P with
+# P' = -g when every field of the map is f = -grad V,
+# V(x) = sqrt(2/s) sum_k eta_k P(W[k] x + b[k]), else None
+FeatureForm = namedtuple("FeatureForm", "rows g dg potential")
 
 
 def _separable_rows(freqs, phases):
@@ -43,9 +42,8 @@ def _separable_rows(freqs, phases):
     return np.repeat(freqs, n, axis=0), np.repeat(phases, n), np.tile(np.eye(n), (s, 1))
 
 
-FORMS = {GAUSSIAN_SEPARABLE: FeatureForm(_separable_rows, lambda n: n, np.cos,
-                                         lambda a: -np.sin(a), None),
-         CURL_FREE: FeatureForm(lambda w, b: (w, b, w), lambda n: 1, np.sin, np.cos, np.cos)}
+FORMS = {GAUSSIAN_SEPARABLE: FeatureForm(_separable_rows, np.cos, lambda a: -np.sin(a), None),
+         CURL_FREE: FeatureForm(lambda w, b: (w, b, w), np.sin, np.cos, np.cos)}
 
 
 @dataclass(frozen=True)

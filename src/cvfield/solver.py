@@ -79,18 +79,20 @@ a one-pass randomized range finder (Halko, Martinsson & Tropp, "Finding
 structure with randomness", SIAM Rev., 2011): Gaussian sketches
 gram^2 Omega_1 and G^T Omega_2 of SKETCH_COLUMNS columns, drawn from
 Philox with a fixed key, each cut by its SVD at RANGE_CUT of its largest
-singular value (a sketch whose cut keeps every column is drawn again twice
-as wide), then merged with the moment's direction by one more SVD cut
-alike.  `interior_point_solve` solves the reduced problem
-(Q^T gram Q, Q^T moment, b^T b, lam, C o Q, tau), whose Newton systems are
-r x r, and theta = Q theta_r.  The certificate is the full problem's:
+singular value, then merged with the moment's direction by one more SVD cut
+alike; a sketch whose cut keeps every column may have missed part of its
+block's range, and then Q is the identity.  `interior_point_solve` solves
+the reduced problem (Q^T gram Q, Q^T moment, b^T b, lam, C o Q, tau), whose
+Newton systems are r x r, and theta = Q theta_r.  The certificate is the full problem's:
 theta is feasible and the reduced run's dual blocks z are >= 0 there, so
 <s, z> + rd^T P^-1 rd / 2, with the full dual residual
 rd = P theta + q + G^T z and the full P's one factor, is a duality gap as in
 phase II.  Where it misses the tolerance, the cut is multiplied by _WIDEN
 and the problem solved again; once the cut is below unit roundoff, Q is the
 identity and the solve is the full one.  After a phase I stop the bound is
-|C*(z)| / tr z on the full operators, which holds for any z >= 0.
+|C*(z)| / tr z on the full operators, which holds for any z >= 0; a reduced
+"infeasible" stop whose bound there exceeds the full phase I's (2 rho u)^1/2
+widens the cut alike, since Q may have dropped a contracting direction.
 
 `SolverSettings`: `max_iters` caps the Newton steps of both phases, and
 phase II stops once its certified duality gap, an upper bound on objective
@@ -676,10 +678,10 @@ def interior_point_solve(problem, settings=None):
     return report(x, steps1 + steps, gap, reason, z)
 
 
-# the range basis (see the module docstring): each block's sketch starts at
-# SKETCH_COLUMNS columns and doubles while the cut keeps every column; the cut
-# is relative to the largest singular value, and each widening of the basis
-# multiplies it by _WIDEN, down to the identity once it is below unit roundoff
+# the range basis (see the module docstring): each block's sketch has
+# SKETCH_COLUMNS columns; the cut is relative to the largest singular value,
+# and each widening of the basis multiplies it by _WIDEN, down to the
+# identity once it is below unit roundoff
 SKETCH_COLUMNS = 64
 RANGE_CUT = 1e-8
 _WIDEN = 1e-3
@@ -691,8 +693,9 @@ def _range_basis(problem, cut):
     relative `cut`: the moment's direction, and the left singular vectors
     above the cut of seeded sketches gram^2 Omega_1 and G^T Omega_2 (G the
     (m n n, p) matrix theta -> vec C(theta)), merged by one more SVD cut
-    alike.  The identity when the cut is below unit roundoff or keeps all
-    p columns."""
+    alike.  The identity when the cut is below unit roundoff, when a sketch
+    narrower than its block's input keeps every column (the block's range
+    may be wider than the sketch), or when Q would have all p columns."""
     p = problem.moment.shape[0]
     if not cut >= np.finfo(float).eps:
         return np.eye(p)
@@ -701,15 +704,15 @@ def _range_basis(problem, cut):
     kept = [problem.moment[:, None] / (np.linalg.norm(problem.moment) or 1.0)]
     for apply, rows in ((lambda W: problem.gram @ (problem.gram @ W), p),
                         (lambda W: Gop.T @ W, Gop.shape[0])):
-        width, most = min(SKETCH_COLUMNS, p, rows), min(p, rows)
-        while width:
-            U, sv, _ = np.linalg.svd(apply(rng.standard_normal((rows, width))),
-                                     full_matrices=False)
-            keep = sv > cut * sv[0]
-            if width == most or not keep.all():
-                kept.append(U[:, keep])
-                break
-            width = min(2 * width, most)
+        width = min(SKETCH_COLUMNS, p, rows)
+        if width == 0:                   # no constraint points
+            continue
+        U, sv, _ = np.linalg.svd(apply(rng.standard_normal((rows, width))),
+                                 full_matrices=False)
+        keep = sv > cut * sv[0]
+        if keep.all() and width < rows:
+            return np.eye(p)
+        kept.append(U[:, keep])
     U, sv, _ = np.linalg.svd(np.hstack(kept), full_matrices=False)
     Q = U[:, sv > cut * sv[0]]
     return np.eye(p) if Q.shape[1] == p else Q
@@ -722,8 +725,10 @@ def solve_in_range(problem, settings=None):
 
     The certificate is the full problem's: the report's gap is the duality
     gap of theta and the reduced run's z on the full problem, and where it
-    misses eps_abs + eps_rel |objective| after a converged reduced run, Q
-    is widened and the problem solved again, until Q is the identity.  The
+    misses eps_abs + eps_rel |objective| after a converged reduced run, or
+    where the contraction bound of an "infeasible" one exceeds the full
+    phase I's roundoff level, Q is widened and the problem solved again,
+    until Q is the identity.  The
     objective and the violation are the full problem's, `iters` counts
     the Newton steps of every run against `max_iters`, and `rank` is r.
     After a phase I stop, theta is the ridge optimum over range Q and the
@@ -747,21 +752,27 @@ def solve_in_range(problem, settings=None):
         rep = interior_point_solve(reduced, replace(st, max_iters=st.max_iters - steps))
         steps += rep.iters
         theta, z = Q @ rep.theta, rep.dual
-        if rep.contraction_bound is not None:
-            # a phase I stop: |C*(z)| / tr z bounds the rate for any z >= 0
+        reason, bound = rep.stop_reason, rep.contraction_bound
+        if bound is not None:
+            # a phase I stop: |C*(z)| / tr z bounds the rate for any z >= 0,
+            # and an "infeasible" one must meet the full phase I's roundoff
+            # level (2 rho u)^1/2, rho = |E|_F^2 / (m n p)
             trz = float(np.sum(rep.weights))
-            bound = (float(np.linalg.norm(Gop.T @ z.ravel())) / trz if trz > 0.0
-                     else rep.contraction_bound)
-            return _report(problem, P, q, theta, steps, rep.gap, rep.stop_reason, z, r, bound)
-        solve_P = solve_P or _ridge_solver(P, problem.lam)
-        Ptheta = P @ theta
-        gap = _duality_gap(float(np.sum((h - _apply(ops, theta)) * z)),
-                           Ptheta + q + Gop.T @ z.ravel(), solve_P)
-        reason = rep.stop_reason
-        if (reason == "converged" and r < p
-                and gap > st.eps_abs + st.eps_rel * _objective(theta, Ptheta, q, problem.btb)):
+            if trz > 0.0:
+                bound = float(np.linalg.norm(Gop.T @ z.ravel())) / trz
+            gap = rep.gap
+            rho = float(np.sum(ops * ops)) / (m * n * p)
+            missed = reason == "infeasible" and bound > (2.0 * rho * np.finfo(float).eps) ** 0.5
+        else:
+            solve_P = solve_P or _ridge_solver(P, problem.lam)
+            Ptheta = P @ theta
+            gap = _duality_gap(float(np.sum((h - _apply(ops, theta)) * z)),
+                               Ptheta + q + Gop.T @ z.ravel(), solve_P)
+            tol = st.eps_abs + st.eps_rel * _objective(theta, Ptheta, q, problem.btb)
+            missed = reason == "converged" and gap > tol
+        if missed and r < p:
             if steps < st.max_iters:
                 cut *= _WIDEN
                 continue
             reason = "max_iters"
-        return _report(problem, P, q, theta, steps, gap, reason, z, r)
+        return _report(problem, P, q, theta, steps, gap, reason, z, r, bound)

@@ -239,10 +239,10 @@ def test_planted_direction_leaves_the_optimum_unchanged():
 
 
 def test_certificate_widens_a_coarse_basis(monkeypatch):
-    # the separable map at s = 500 (p = 1000): cut at 1e-6, the reduced
-    # problem converges but theta = Q theta_r misses the full problem's
-    # tolerance (objective +6e-4 against 1.1e-4), so the certificate widens
-    # Q by _WIDEN and solves again
+    # the separable map at s = 500 (p = 1000): cut at 1e-4 (r = 42), the
+    # reduced problem converges but theta = Q theta_r misses the full
+    # problem's tolerance (objective +12.5 against 1.1e-4), so the
+    # certificate widens Q by _WIDEN (r = 67) and solves again
     fm, proj, pairs, cp = _s_curve_inputs(500, "gaussian_separable")
     prob = assemble_problem(fm, proj, pairs, cp, 0.01, 0.0)
     assert prob.moment.shape == (1000,)
@@ -254,15 +254,42 @@ def test_certificate_widens_a_coarse_basis(monkeypatch):
                         lambda prob, cut: cuts.append(cut) or basis(prob, cut))
     monkeypatch.setattr(solver, "interior_point_solve",
                         lambda prob, st: runs.append(inner(prob, st)) or runs[-1])
-    monkeypatch.setattr(solver, "RANGE_CUT", 1e-6)
+    monkeypatch.setattr(solver, "RANGE_CUT", 1e-4)
     rep = solver.solve_in_range(prob, settings)
-    assert cuts == [1e-6, 1e-6 * solver._WIDEN]
+    assert cuts == [1e-4, 1e-4 * solver._WIDEN]
     assert [run.stop_reason for run in runs] == ["converged", "converged"]
     assert runs[0].rank < runs[1].rank == rep.rank < 1000
     assert rep.converged and rep.iters == runs[0].iters + runs[1].iters
     assert rep.gap <= settings.eps_abs + settings.eps_rel * rep.objective
     assert default.converged and default.rank < 1000
     assert abs(rep.objective - default.objective) <= max(rep.gap, default.gap)
+
+
+def test_certificate_widens_a_basis_that_drops_a_contracting_direction(monkeypatch):
+    # C_1(theta) = (theta_0 - 1e-4 theta_1) I, C_2(theta) = (-theta_0 -
+    # 1e-4 theta_1) I: theta_0 alone contracts at one point only, but any
+    # theta_1 > 0 contracts at both.  Cut at 1e-3, Q drops theta_1's
+    # direction of range(G^T) (singular value 1e-4 of the largest), and the
+    # reduced phase I stops "infeasible"; on the full operators its bound is
+    # 1e-4, far above the full phase I's roundoff level, so the certificate
+    # widens Q (to the identity) and the full problem converges
+    ops = np.zeros((2, 2, 2, 2))
+    ops[:, :, :, 0] = np.array([1.0, -1.0])[:, None, None] * np.eye(2)
+    ops[:, :, :, 1] = -1e-4 * np.eye(2)
+    prob = lsq_problem(np.array([[1.0, 0.0]]), np.array([1.0]), 1.0, ops, np.zeros(2))
+    cuts, runs = [], []
+    basis, inner = solver._range_basis, solver.interior_point_solve
+    monkeypatch.setattr(solver, "_range_basis",
+                        lambda prob, cut: cuts.append(cut) or basis(prob, cut))
+    monkeypatch.setattr(solver, "interior_point_solve",
+                        lambda prob, st: runs.append(inner(prob, st)) or runs[-1])
+    monkeypatch.setattr(solver, "RANGE_CUT", 1e-3)
+    rep = solver.solve_in_range(prob)
+    assert cuts == [1e-3, 1e-3 * solver._WIDEN]
+    assert [run.stop_reason for run in runs] == ["infeasible", "converged"]
+    assert [run.rank for run in runs] == [1, 2] and rep.rank == 2
+    assert rep.converged and rep.contraction_bound is None
+    assert rep.max_constraint_violation < 0.0 and rep.theta[1] > 0.0
 
 
 def test_train_factors_reduced_newton_systems(monkeypatch):
