@@ -7,16 +7,19 @@ the variant is detected from the header.  A directory path is read as one
 file per demonstration (sorted by name).
 
 A file is read in one pass: after the whole-text checks (a quote, the
-csv module's field-size limit, the header) and a filter that drops blank
-rows, its data rows go to one `np.loadtxt` call.  That call rejects rows
-of unequal width and cells that are not plain numbers; its block must be
-as wide as the header and finite; and a converter on the demo_id column
-codes the ids in order of first appearance while the rows are parsed, so
-one stable sort by code groups the rows.  Where that pass meets anything
-unusual, the file is read again row by row with the csv module, which
-accepts what it can and raises a ParseError naming the line of the first
-malformed row.  Both readers give the same arrays for every file the
-first one accepts.
+csv module's field-size limit, the header), its lines go to one
+`np.loadtxt` call as they are.  That call skips empty lines, takes a
+trailing CR as the end of its line, and rejects rows of unequal width,
+cells that are not plain numbers and a CR inside a line; its block must
+be as wide as the header and finite; and a converter on the demo_id
+column codes the ids in order of first appearance while the rows are
+parsed, so one stable sort by code groups the rows.  Only where that call
+raises are the lines cut at every CR and the blank and comma-only rows,
+which `_read_rows` skips too, dropped for one more call with a fresh
+coder.  Where that pass meets anything else unusual, the file is read
+again row by row with the csv module, which accepts what it can and
+raises a ParseError naming the line of the first malformed row.  Both
+readers give the same arrays for every file the first one accepts.
 
 Positions are millimetres, times seconds.  On load every demonstration is
 translated so that its end point, the motion goal, sits exactly at the
@@ -128,6 +131,16 @@ def _read_text(path):
                          line=head.count(b"\n") + 1) from None
 
 
+def _load_block(rows, has_id):
+    """(block, ids) of the data rows from one `np.loadtxt` call, with the
+    demo_ids coded in order of first appearance as the rows are parsed;
+    ValueError where loadtxt rejects a row."""
+    ids = {}
+    coder = {0: lambda cell: ids.setdefault(cell.strip(), len(ids))} if has_id else None
+    # comments=None: a '#' cell is malformed, not the start of a comment
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, converters=coder), ids
+
+
 def _read_fast(path):
     """(n, has_v, {demo_id: rows}) of `path` from one `np.loadtxt` call, or
     None where the file has anything `_read_rows` might read differently or
@@ -135,12 +148,16 @@ def _read_fast(path):
     header it rejects, or no data rows (checked here), or rows of unequal
     width, a cell that is not a number or a non-finite value (rejected by
     `np.loadtxt`, or by the test of its block against the header)."""
-    # \r\n and \r end a line, as they end a csv row
-    text = _read_text(path).replace("\r\n", "\n").replace("\r", "\n")
+    text = _read_text(path)
     if '"' in text:
         return None
+    # \r\n and \r end a line, as they end a csv row.  loadtxt takes a
+    # trailing \r as the end of its line and refuses one inside it, so the
+    # lines are cut at \r here only where the header's line holds a lone one
     lines = text.split("\n")
     del text                        # peak memory: one copy of the file at a time
+    if "\r" in lines[0][:-1]:
+        lines = [row for line in lines for row in line.split("\r")]
     if max(map(len, lines)) > csv.field_size_limit():
         return None
     header = lines[0].split(",")
@@ -148,18 +165,23 @@ def _read_fast(path):
         has_id, n, has_v = _parse_header(path, header)
     except ParseError:
         return None
-    rows = [line for line in lines[1:] if line.replace(",", "").strip()]
-    if not rows:
+    rows = lines[1:]
+    # no data rows: loadtxt would warn where every line is empty
+    if not any(line.replace(",", "").strip() for line in rows):
         return None
-    # demo_ids are coded in order of first appearance as the rows are parsed
-    ids = {}
-    coder = {0: lambda cell: ids.setdefault(cell.strip(), len(ids))} if has_id else None
     try:
-        # comments=None: a '#' cell is malformed, not the start of a comment
-        block = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, converters=coder)
+        block, ids = _load_block(rows, has_id)
     except ValueError:
-        return None
-    if block.shape != (len(rows), len(header)) or not np.all(np.isfinite(block)):
+        # a blank or comma-only row, a \r inside a line, or a malformed row:
+        # cut at every \r, drop the rows _read_rows skips, and try once more
+        # with a fresh coder
+        rows = [row for line in rows for row in line.split("\r")
+                if row.replace(",", "").strip()]
+        try:
+            block, ids = _load_block(rows, has_id)
+        except ValueError:
+            return None
+    if block.shape[1] != len(header) or not np.all(np.isfinite(block)):
         return None
     if not has_id:
         return n, has_v, {None: block}

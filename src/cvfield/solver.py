@@ -32,7 +32,9 @@ factors of the slack s_i and the dual z_i, B = Lz^T Ls and
 B B^T = U diag(lam^2) U^T, r_i = Lz U diag(lam^-1/2) gives
 r^T s r = r^-1 z r^-T = diag(lam).  A block too ill-conditioned for that
 (lam^2 <= 0) stalls the run like a failed Newton system.  The slacks, the
-step to the cone's boundary and its back-off stay in the n x n form.
+step to the cone's boundary and its back-off stay in the n x n form; the
+step reads both directions (ds, dz) stacked in one pass, and each back-off
+trial factors the new slack and dual stacked in one call.
 The paper's motions are planar, so its blocks are 2 x 2, and every small
 eigendecomposition and factor a step needs has a closed form that numpy
 evaluates elementwise over the whole stack (`_eigvalsh`, `_eigh`,
@@ -87,12 +89,15 @@ Newton systems are r x r, and theta = Q theta_r.  The certificate is the full pr
 theta is feasible and the reduced run's dual blocks z are >= 0 there, so
 <s, z> + rd^T P^-1 rd / 2, with the full dual residual
 rd = P theta + q + G^T z and the full P's one factor, is a duality gap as in
-phase II.  Where it misses the tolerance, the cut is multiplied by _WIDEN
-and the problem solved again; once the cut is below unit roundoff, Q is the
-identity and the solve is the full one.  After a phase I stop the bound is
-|C*(z)| / tr z on the full operators, which holds for any z >= 0; a reduced
-"infeasible" stop whose bound there exceeds the full phase I's (2 rho u)^1/2
-widens the cut alike, since Q may have dropped a contracting direction.
+phase II.  Where it misses the tolerance, or where the reduced phase II
+stalled, the cut is multiplied by _WIDEN and the problem solved again; once
+the cut is below unit roundoff, Q is the identity and the solve is the full
+one.  Every round's theta is feasible, so a solve that ends without
+converging reports the round with the smallest certified gap.  After a
+phase I stop the bound is |C*(z)| / tr z on the full operators, which holds
+for any z >= 0; a reduced "infeasible" stop whose bound there exceeds the
+full phase I's (2 rho u)^1/2 widens the cut alike, since Q may have dropped
+a contracting direction.
 
 `SolverSettings`: `max_iters` caps the Newton steps of both phases, and
 phase II stops once its certified duality gap, an upper bound on objective
@@ -326,10 +331,17 @@ def _cholesky_solver(S):
         x = np.array(v, dtype=float)
         if x.shape != (n,):             # dtrsv reads and writes n entries of x
             raise DimensionError(f"a solve with a factor of order {n} needs {n} entries")
+        data = x.ctypes.data
         for trans in (_NO_TRANS, _TRANS):
-            trsv(_COL_MAJOR, _LOWER, trans, _NON_UNIT, n, factor, n, x.ctypes.data, 1)
+            trsv(_COL_MAJOR, _LOWER, trans, _NON_UNIT, n, factor, n, data, 1)
         return x
     return solve
+
+
+def _mean_radius(M):
+    # the eigenvalues of the 2 x 2 blocks M = [[a, b], [b, c]] are mean -+ radius
+    a, b, c = M[..., 0, 0], M[..., 1, 0], M[..., 1, 1]
+    return 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
 
 
 def _eigvalsh(M):
@@ -338,8 +350,7 @@ def _eigvalsh(M):
     M = [[a, b], [b, c]], and LAPACK for any other k."""
     if M.shape[-1] != 2:
         return np.linalg.eigvalsh(M)
-    a, b, c = M[..., 0, 0], M[..., 1, 0], M[..., 1, 1]
-    mean, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    mean, rad = _mean_radius(M)
     w = np.empty(M.shape[:-1])
     np.subtract(mean, rad, out=w[..., 0])
     np.add(mean, rad, out=w[..., 1])
@@ -410,11 +421,17 @@ CONTRACTION_MARGIN = 1e-9
 _STALL_STEPS = 10
 
 
-def _step_to_boundary(li, *X):
-    """Largest a with diag(lam_i) + a X_i >= 0 for every block of every X
-    (inf if none), from li = lam^-1/2: -1 over the smallest eigenvalue of
-    the blocks li X li, from `_eigvalsh` (closed form for k = 2)."""
-    low = min(float(np.min(_eigvalsh(li[:, :, None] * x * li[:, None, :]))) for x in X)
+def _step_to_boundary(li, X):
+    """Largest a with diag(lam_i) + a X_ji >= 0 for every block i of every
+    direction j of the stacked (j, m, k, k) X (inf if none), from
+    li = lam^-1/2: -1 over the smallest eigenvalue of the blocks li X li,
+    mean - hypot((a - c)/2, b) alone for k = 2, LAPACK's for any other k."""
+    M = li[:, :, None] * X * li[:, None, :]
+    if M.shape[-1] == 2:
+        mean, rad = _mean_radius(M)
+        low = float(np.min(mean - rad))
+    else:
+        low = float(np.min(np.linalg.eigvalsh(M)[..., 0]))
     return -1.0 / low if low < 0.0 else np.inf
 
 
@@ -529,39 +546,47 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
         lsum = lam[:, :, None] + lam[:, None, :]
 
         def direction(rc):
-            # scaled ds + dz = lam <> rc,  G dx + ds = 0,  P dx + G^T dz = -rd
+            # scaled ds + dz = lam <> rc,  G dx + ds = 0,  P dx + G^T dz = -rd;
+            # (ds, dz) stacked as one (2, m, k, k) array
             dm = 2.0 * rc / lsum
             dx = solve(-rd - F.T @ (dm.reshape(m, kk)[:, rows] * weights).ravel())
             Fdx = ((F @ dx).reshape(m, -1) / weights)[:, slots].reshape(m, k, k)
-            return dx, -Fdx, dm + Fdx
+            D = np.empty((2, m, k, k))
+            np.negative(Fdx, out=D[0])
+            np.add(dm, Fdx, out=D[1])
+            return dx, D
 
-        _, ds, dz = direction(rc_aff)
+        _, D = direction(rc_aff)
         # a factor holding nan gives a direction that is not finite; ds is
         # dm - dz, and the corrector solves with the same factor
-        if not np.isfinite(dz).all():
+        if not np.isfinite(D[1]).all():
             return x, steps, gap, "stalled", z
-        a = min(1.0, _step_to_boundary(li, ds, dz))
+        a = min(1.0, _step_to_boundary(li, D))
         mu = sz / (m * k)
-        mu_aff = float(np.sum((Lam + a * ds) * (Lam + a * dz))) / (m * k)
+        s_aff, z_aff = Lam + a * D
+        mu_aff = float(np.sum(s_aff * z_aff)) / (m * k)
         sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
-        corr = sigma * mu * eye - 0.5 * (ds @ dz + dz @ ds)
-        dx, ds, dz = direction(rc_aff + corr)
-        a = min(1.0, 0.99 * _step_to_boundary(li, ds, dz))
-        dz = r @ dz @ r.transpose(0, 2, 1)
+        cross = D @ D[::-1]                     # ds dz and dz ds in one product
+        corr = sigma * mu * eye - 0.5 * (cross[0] + cross[1])
+        dx, D = direction(rc_aff + corr)
+        a = min(1.0, 0.99 * _step_to_boundary(li, D))
+        dz = r @ D[1] @ r.transpose(0, 2, 1)
         # rounding can leave the recomputed slack outside the cone: back off;
-        # the factors that accept the step serve the next one
+        # the slack and the dual are factored in one stacked call, and the
+        # factors that accept the step serve the next one
         for _ in range(40):
             x_new = x + a * dx
-            s_new = h - _apply(G, x_new)
+            stacked = np.empty((2, m, k, k))           # the new slack and dual
+            np.subtract(h, _apply(G, x_new), out=stacked[0])
             z_new = z + a * dz
-            z_new = 0.5 * (z_new + z_new.transpose(0, 2, 1))
-            Ls, Lz = _cholesky(s_new), _cholesky(z_new)
-            if Ls is not None and Lz is not None:
+            np.multiply(0.5, z_new + z_new.transpose(0, 2, 1), out=stacked[1])
+            L = _cholesky(stacked)
+            if L is not None:
                 break
             a *= 0.5
         else:
             return x, steps, gap, "stalled", z
-        x, s, z = x_new, s_new, z_new
+        x, (s, z), (Ls, Lz) = x_new, stacked, L
         Px = P @ x
         steps += 1
 
@@ -725,15 +750,17 @@ def solve_in_range(problem, settings=None):
 
     The certificate is the full problem's: the report's gap is the duality
     gap of theta and the reduced run's z on the full problem, and where it
-    misses eps_abs + eps_rel |objective| after a converged reduced run, or
-    where the contraction bound of an "infeasible" one exceeds the full
-    phase I's roundoff level, Q is widened and the problem solved again,
-    until Q is the identity.  The
+    misses eps_abs + eps_rel |objective| after a converged reduced run, where
+    the reduced phase II stalled, or where the contraction bound of an
+    "infeasible" one exceeds the full phase I's roundoff level, Q is widened
+    and the problem solved again, until Q is the identity.  The
     objective and the violation are the full problem's, `iters` counts
     the Newton steps of every run against `max_iters`, and `rank` is r.
-    After a phase I stop, theta is the ridge optimum over range Q and the
-    contraction bound is |C*(z)| / tr z on the full operators.  Raises
-    np.linalg.LinAlgError as `interior_point_solve` does.
+    Where phase II ends without converging, the report holds the round
+    whose certified gap is the smallest.  After a phase I stop, theta is the
+    ridge optimum over range Q and the contraction bound is |C*(z)| / tr z
+    on the full operators.  Raises np.linalg.LinAlgError as
+    `interior_point_solve` does.
     """
     st = settings or SolverSettings()
     p = problem.moment.shape[0]
@@ -742,7 +769,7 @@ def solve_in_range(problem, settings=None):
     Gop = ops.reshape(-1, p)
     P, q = _ridge(problem)
     h = -_shift(problem.tau)[:, None, None] * np.eye(n)
-    solve_P, steps, cut = None, 0, RANGE_CUT
+    solve_P, steps, cut, best = None, 0, RANGE_CUT, None
     while True:
         Q = _range_basis(problem, cut)
         r = Q.shape[1]
@@ -769,10 +796,16 @@ def solve_in_range(problem, settings=None):
             gap = _duality_gap(float(np.sum((h - _apply(ops, theta)) * z)),
                                Ptheta + q + Gop.T @ z.ravel(), solve_P)
             tol = st.eps_abs + st.eps_rel * _objective(theta, Ptheta, q, problem.btb)
-            missed = reason == "converged" and gap > tol
+            # a stall in range Q may be Q's: a wider Q may converge
+            missed = reason == "stalled" or reason == "converged" and gap > tol
+            if best is None or gap < best[0]:
+                best = gap, theta, z, r
         if missed and r < p:
             if steps < st.max_iters:
                 cut *= _WIDEN
                 continue
             reason = "max_iters"
+        if bound is None and reason != "converged":
+            # each round's theta is feasible and certified by its gap
+            gap, theta, z, r = best
         return _report(problem, P, q, theta, steps, gap, reason, z, r, bound)

@@ -402,8 +402,9 @@ def test_train_rejects_lambda_too_small_for_the_ridge_matrix(workspace, capsys):
 
 def test_train_stall_at_small_lambda_advises_raising_it(tmp_path, capsys):
     # at lambda = 1e-14, P factors but is so ill-conditioned that phase II
-    # stalls with gap about 1e-2, 100 times its tolerance: loosening the
-    # tolerances alone would not help (at 1e-12 the solve in range Q converges)
+    # stalls in every basis up to the full space, the best with gap about
+    # 3e-3, 30 times its tolerance: loosening the tolerances alone would not
+    # help (at 1e-12 the solve in range Q converges)
     data, config = _scurve_inputs(tmp_path)
     rc = main(["train", "--config", str(config), "--data", str(data),
                "--model", str(tmp_path / "model.json"), "--set", "lambda=1e-14"])

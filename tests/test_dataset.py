@@ -401,7 +401,11 @@ _EDGE_FILES = {
     "crlf": ("t,x1,x2\r\n0,0,0\r\n1,1,1\r\n", True),
     "cr": ("t,x1\r0,0\r1,2\r", True),
     "blank-lines": ("t,x1,x2\n\n0,0,0\n   \n , ,\n1,1,1\n\n", True),
+    "crlf-blank-lines": ("t,x1\r\n\r\n0,0\r\n \r\n1,1\r\n", True),
+    "cr-inside-a-line": ("t,x1\n0,0\r1,1\n2,2\n", True),
+    "comma-rows-only": ("t,x1\n , \n,\n", False),
     "interleaved-ids": ("demo_id,t,x1\nb,0,0\n a ,0,5\nb,1,1\na,1,6\nb,2,2\n", True),
+    "blank-rows-between-ids": ("demo_id,t,x1\nb,0,0\n,,\na,0,5\n \nb,1,1\na,1,6\n", True),
     "id-only-row": ("demo_id,t,x1\na,0,0\nb\na,1,1\n", False),
     "underscore": ("t,x1\n0,1_0\n1,2\n", False),
     "nan": ("t,x1\n0,0\n1,nan\n", False),
@@ -455,6 +459,20 @@ def test_many_interleaved_ids_group_as_the_line_by_line_parser_does(tmp_path):
     assert list(fast[2]) == list(ref[2]) == ids
     for key in ids:
         assert fast[2][key].shape == (3, 2)
+        assert np.array_equal(_bits(fast[2][key]), _bits(ref[2][key]))
+
+
+def test_retry_after_a_comma_only_row_codes_the_ids_afresh(tmp_path):
+    # loadtxt's first call codes the comma-only row's empty id before it
+    # fails on that row; the retry drops it and the whitespace-only row and
+    # codes the ids afresh, so the groups are _read_rows's, keys included
+    path = tmp_path / "edge.csv"
+    path.write_bytes(_EDGE_FILES["blank-rows-between-ids"][0].encode())
+    fast, ref = dataset._read_fast(path), dataset._read_rows(path)
+    assert fast is not None
+    assert fast[:2] == ref[:2] == (1, False)
+    assert list(fast[2]) == list(ref[2]) == ["b", "a"]
+    for key in ref[2]:
         assert np.array_equal(_bits(fast[2][key]), _bits(ref[2][key]))
 
 

@@ -292,6 +292,69 @@ def test_certificate_widens_a_basis_that_drops_a_contracting_direction(monkeypat
     assert rep.max_constraint_violation < 0.0 and rep.theta[1] > 0.0
 
 
+def test_reduced_stall_widens_the_basis(monkeypatch):
+    # the bench inputs (as _s_curve_inputs(200)): in the first reduced run,
+    # after the ridge factor and phase I's two Newton systems, phase II's
+    # second Newton system fails to factor, so the run stalls after 2 + 1
+    # steps.  A stall in range Q may be Q's: Q is widened by _WIDEN, and the
+    # wider run converges with the full problem's certificate
+    fm, proj, pairs, cp = _s_curve_inputs(200)
+    prob = assemble_problem(fm, proj, pairs, cp, 0.01, 0.0)
+    settings = SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000)
+    cuts, runs, factors = [], [], []
+    basis, inner, factor = solver._range_basis, solver.interior_point_solve, solver._cholesky_solver
+
+    def fails_in_the_first_run(S):
+        factors.append(S.shape[0])
+        return None if not runs and len(factors) == 5 else factor(S)
+
+    monkeypatch.setattr(solver, "_cholesky_solver", fails_in_the_first_run)
+    monkeypatch.setattr(solver, "_range_basis",
+                        lambda prob, cut: cuts.append(cut) or basis(prob, cut))
+    monkeypatch.setattr(solver, "interior_point_solve",
+                        lambda prob, st: runs.append(inner(prob, st)) or runs[-1])
+    rep = solver.solve_in_range(prob, settings)
+    assert cuts == [solver.RANGE_CUT, solver.RANGE_CUT * solver._WIDEN]
+    assert [run.stop_reason for run in runs] == ["stalled", "converged"]
+    assert runs[0].iters == 3 and runs[0].rank < runs[1].rank == rep.rank < 200
+    assert rep.converged and rep.iters == runs[0].iters + runs[1].iters
+    assert rep.gap <= settings.eps_abs + settings.eps_rel * rep.objective
+
+
+def test_stalled_widening_reports_the_round_with_the_smallest_gap(monkeypatch):
+    # the bench inputs at lambda = 1e-14: phase II stalls at r = 55, at the
+    # wider r = 75 and in all p = 200 coordinates.  Each round's theta is
+    # feasible, and the report holds the one whose certified gap on the full
+    # problem is the smallest, not the last
+    fm, proj, pairs, cp = _s_curve_inputs(200)
+    prob = assemble_problem(fm, proj, pairs, cp, 1e-14, 0.0)
+    settings = SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000)
+    bases, runs = [], []
+    basis, inner = solver._range_basis, solver.interior_point_solve
+    monkeypatch.setattr(solver, "_range_basis",
+                        lambda prob, cut: bases.append(basis(prob, cut)) or bases[-1])
+    monkeypatch.setattr(solver, "interior_point_solve",
+                        lambda prob, st: runs.append(inner(prob, st)) or runs[-1])
+    rep = solver.solve_in_range(prob, settings)
+    assert [run.stop_reason for run in runs] == ["stalled"] * 3
+    assert [run.rank for run in runs] == [55, 75, 200]
+    P, q = solver._ridge(prob)
+    solve_P = solver._ridge_solver(P, prob.lam)
+    h = -solver._shift(prob.tau)[:, None, None] * np.eye(2)
+    Gop = prob.constraint_ops.reshape(-1, 200)
+    gaps = []
+    for Q, run in zip(bases, runs):
+        theta = Q @ run.theta
+        slack = h - (Gop @ theta).reshape(-1, 2, 2)
+        gaps.append(solver._duality_gap(float(np.sum(slack * run.dual)),
+                                        P @ theta + q + Gop.T @ run.dual.ravel(), solve_P))
+    best = int(np.argmin(gaps))
+    assert rep.stop_reason == "stalled" and rep.iters == sum(run.iters for run in runs)
+    assert rep.gap == gaps[best] < gaps[-1] and rep.rank == runs[best].rank
+    assert np.array_equal(rep.theta, bases[best] @ runs[best].theta)
+    assert np.array_equal(rep.dual, runs[best].dual)
+
+
 def test_train_factors_reduced_newton_systems(monkeypatch):
     # the bench inputs (as _s_curve_inputs(200)): every Newton system is
     # r x r (phase II) or (r + 1) x (r + 1) (phase I) with r < p, after the
@@ -684,14 +747,39 @@ def test_start_without_a_factor_stalls(monkeypatch):
 
 
 def test_step_that_never_factors_backs_off_and_stalls(monkeypatch):
-    # after the start's two factors no slack or dual factors: the step is
-    # halved 40 times, each trying both, and the phase stalls without a step
-    factor, calls = solver._cholesky, []
-    monkeypatch.setattr(solver, "_cholesky",
-                        lambda M: calls.append(1) or (factor(M) if len(calls) <= 2 else None))
+    # after the start's two factors of m = 1 block each, no slack or dual
+    # factors: the step is halved 40 times, each trying both in one stacked
+    # call of 2 m blocks, the slack's and the dual's, and the phase stalls
+    # without a step
+    factor, shapes = solver._cholesky, []
+    monkeypatch.setattr(solver, "_cholesky", lambda M: shapes.append(M.shape)
+                        or (factor(M) if len(shapes) <= 2 else None))
     rep = interior_point_solve(_scalar_problem(), SolverSettings())
     assert rep.stop_reason == "stalled" and rep.iters == 0
-    assert len(calls) == 2 + 2 * 40
+    assert shapes == [(1, 1, 1)] * 2 + [(2, 1, 1, 1)] * 40
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_block_kernels_give_the_bits_of_separate_calls(k):
+    # the back-off factors the slack and the dual in one call, and the step
+    # to the boundary reads both directions in one pass: each gives the bits
+    # of one call per stack, and a stack holding one block without a factor
+    # has none
+    rng = np.random.default_rng(54)
+    s, z = _spd_blocks(rng, 6, k, 1e3), _spd_blocks(rng, 6, k, 1e6)
+    L = solver._cholesky(np.stack((s, z)))
+    assert np.array_equal(L, np.stack((solver._cholesky(s), solver._cholesky(z))))
+    z[4] = -z[4]
+    assert solver._cholesky(np.stack((s, z))) is None
+    li = 1.0 / np.sqrt(rng.uniform(0.1, 10.0, size=(6, k)))
+    X = rng.normal(size=(2, 6, k, k))
+    X = X + X.transpose(0, 1, 3, 2)
+    # one pass over both directions, against the smallest eigenvalue of each
+    # direction's blocks from `_eigvalsh`
+    low = min(float(np.min(solver._eigvalsh(li[:, :, None] * x * li[:, None, :]))) for x in X)
+    assert low < 0.0
+    assert solver._step_to_boundary(li, X) == -1.0 / low
+    assert solver._step_to_boundary(li, np.abs(X) * np.eye(k)) == np.inf
 
 
 def test_planar_newton_steps_call_no_lapack_on_blocks(monkeypatch):
