@@ -19,7 +19,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -137,9 +137,11 @@ def cmd_eval(params, model, data, test=None, out=None, grid_only=False):
     Missing velocities are filled as in training.  The error means of `eval`
     leave out demonstrations whose rollout failed to integrate; when there
     are any, it warns on stderr and returns EXIT_ROLLOUT_FAILURES.  `eval`
-    scores reproduction in a `metrics.forked` child while this process
-    scores the grid, with the output and errors of running the grid first
-    and reproduction after it: when both fail, the grid's error is raised.
+    scores reproduction in a `metrics.forked` child, which also loads and
+    checks the held-out set, while this process scores the grid, with the
+    output and errors of running the grid first and reproduction after it:
+    when both fail, the grid's error is raised, and with one CPU a bad
+    held-out file is reported after the grid.
     """
     fieldobj, config, _ = modelfile.load_model(model)
     # the preprocess block alone, so that older configs (soft ones too) still load
@@ -148,8 +150,11 @@ def cmd_eval(params, model, data, test=None, out=None, grid_only=False):
     if grid_only:
         doc = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=params.grid_k))
     else:
-        held_out = _load_for(fieldobj, test, preprocess) if test else train
-        with metrics.forked(lambda: metrics.evaluate(fieldobj, train, held_out)) as evaluated:
+        def reproduction():
+            held_out = _load_for(fieldobj, test, preprocess) if test else train
+            return metrics.evaluate(fieldobj, train, held_out)
+
+        with metrics.forked(reproduction) as evaluated:
             grid = asdict(metrics.grid_evaluate(fieldobj, train, grid_k=params.grid_k))
             report = asdict(evaluated())
         doc = {"eval": report, "grid_eval": grid}
@@ -231,7 +236,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser():
+    """The one parser of the process: it holds no state between parses."""
     parser = argparse.ArgumentParser(
         prog="cvfield",
         description="learn and evaluate contracting vector fields from demonstrations")

@@ -247,14 +247,16 @@ def rollout(f, X0, settings=None, t_eval=None):
     ptr = np.zeros(K, dtype=int)
     reached = np.zeros(K, dtype=bool)
     failures = [None] * K
+    # each start's samples as blocks of times (T_i,) and states (T_i, n): one
+    # array per step, not one per sample for np.asarray to convert row by row
     ts, xs = [[] for _ in range(K)], [[] for _ in range(K)]
     if event_on:
         reached = _norms(X0) <= s.goal_radius
     active = ~reached
     for r in range(K):
         if t_eval is None or reached[r]:
-            ts[r].append(0.0)
-            xs[r].append(X0[r].copy())
+            ts[r].append(np.zeros(1))
+            xs[r].append(X0[r:r + 1].copy())
 
     f0 = np.zeros((K, n))
     if active.any():
@@ -317,13 +319,13 @@ def rollout(f, X0, settings=None, t_eval=None):
                 end = int(np.searchsorted(te, t_stop[p] + 1e-12, side="right"))
                 if end > ptr[r]:
                     th = np.clip((te[ptr[r]:end] - t[r]) / hc[p, 0], 0.0, 1.0)
-                    ts[r].extend(te[ptr[r]:end])
-                    xs[r].extend(_dense_eval(C[p:p + 1], th[:, None]))
+                    ts[r].append(te[ptr[r]:end])
+                    xs[r].append(_dense_eval(C[p:p + 1], th[:, None]))
                     ptr[r] = end
                 if not hit[p]:
                     continue
-            ts[r].append(t_stop[p])
-            xs[r].append(x_stop[p])
+            ts[r].append(t_stop[p:p + 1])
+            xs[r].append(x_stop[p:p + 1])
 
         done, go = idx[hit], idx[~hit]
         reached[done], active[done] = True, False
@@ -331,8 +333,8 @@ def rollout(f, X0, settings=None, t_eval=None):
         h[go] *= np.minimum(5.0, np.maximum(0.2, 0.9 * (err + 1e-16) ** -0.2))[~hit]
 
     results = [failures[r] if failures[r] is not None else RolloutResult(
-        np.asarray(ts[r], dtype=float), np.asarray(xs[r]).reshape(-1, n),
-        bool(reached[r]), float(ts[r][-1]) if reached[r] else None, int(nev[r]))
+        np.concatenate([np.empty(0), *ts[r]]), np.concatenate([np.empty((0, n)), *xs[r]]),
+        bool(reached[r]), float(ts[r][-1][-1]) if reached[r] else None, int(nev[r]))
         for r in range(K)]
     return RolloutBatch(results, int(nev.sum()))
 

@@ -126,8 +126,9 @@ def sample_feature_map(kind, s, n, seed):
 
 def _profile(fm, g, X):
     """g(W[k] x + b[k]) at the points X, (N, feature_dim): g is evaluated on
-    the s distinct angles w_j^T x + b_j once, and its values repeated over
-    the feature_dim / s consecutive rows that share each angle."""
+    the s distinct angles w_j^T x + b_j once, in place in their (N, s) array,
+    and its values repeated over the feature_dim / s consecutive rows that
+    share each angle."""
     # the feature products are einsums, not BLAS products: BLAS rounds a row
     # differently depending on how many rows share the call, and a point's
     # field value must have the same bits alone or in a batch (a batch of
@@ -136,7 +137,8 @@ def _profile(fm, g, X):
     a = np.einsum("nd,ds->ns", X, np.ascontiguousarray(fm.freqs.T))
     a += fm.phases
     k = fm.feature_dim // fm.s
-    return g(a) if k == 1 else np.repeat(g(a), k, axis=1)
+    g(a, out=a)
+    return a if k == 1 else np.repeat(a, k, axis=1)
 
 
 def feature_rows(fm, X):
@@ -163,13 +165,17 @@ def normal_equations(fm, X, Y):
 def field_values(fm, coeffs, X):
     """Fields f(x_t) = Phi(x_t)^T coeffs for a batch of points, (N, n); each
     row is computed independently of the others (see `_profile`)."""
-    return np.einsum("nk,dk->nd", fm.scale * (_profile(fm, fm.form.g, X) * coeffs),
-                     np.ascontiguousarray(fm.U.T))
+    G = _profile(fm, fm.form.g, X)
+    G *= coeffs
+    G *= fm.scale                         # in place: no (N, feature_dim) temporaries
+    return np.einsum("nk,dk->nd", G, np.ascontiguousarray(fm.U.T))
 
 
 def field_jacobians(fm, coeffs, X):
     """Jacobians of f at a batch of points, shape (N, n, n)."""
-    c = fm.scale * _profile(fm, fm.form.dg, X) * coeffs     # (N, feature_dim)
+    c = _profile(fm, fm.form.dg, X)      # (N, feature_dim)
+    c *= fm.scale
+    c *= coeffs
     return np.einsum("gk,ka,kb->gab", c, fm.U, fm.W)
 
 

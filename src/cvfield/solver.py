@@ -83,9 +83,10 @@ gram^2 Omega_1 and G^T Omega_2 of SKETCH_COLUMNS columns, drawn from
 Philox with a fixed key, each cut by its SVD at RANGE_CUT of its largest
 singular value, then merged with the moment's direction by one more SVD cut
 alike; a sketch whose cut keeps every column may have missed part of its
-block's range, and then Q is the identity.  `interior_point_solve` solves
-the reduced problem (Q^T gram Q, Q^T moment, b^T b, lam, C o Q, tau), whose
-Newton systems are r x r, and theta = Q theta_r.  The certificate is the full problem's:
+block's range, and then Q is the identity.  The body of
+`interior_point_solve`, without its report, solves the reduced problem
+(Q^T gram Q, Q^T moment, b^T b, lam, C o Q, tau), whose Newton systems are
+r x r, and theta = Q theta_r.  The certificate is the full problem's:
 theta is feasible and the reduced run's dual blocks z are >= 0 there, so
 <s, z> + rd^T P^-1 rd / 2, with the full dual residual
 rd = P theta + q + G^T z and the full P's one factor, is a duality gap as in
@@ -626,7 +627,7 @@ def _shift(tau):
     return tau + CONTRACTION_MARGIN * (1.0 + tau)
 
 
-def _report(problem, P, q, x, steps, gap, reason, dual, rank, bound=None):
+def _report(problem, P, q, x, steps, gap, reason, dual, rank, bound):
     """The report of theta = x, its objective and violation on the problem's
     own normal equations and operators."""
     ops = problem.constraint_ops
@@ -647,21 +648,26 @@ def interior_point_solve(problem, settings=None):
     normal equations.  Raises np.linalg.LinAlgError when lam is too small
     for the ridge matrix 2 A^T A + 2 lam I to have a Cholesky factor.
     """
-    st = settings or SolverSettings()
-    p = problem.moment.shape[0]
+    P, q = _ridge(problem)
+    x, steps, gap, reason, z, bound = _solve(problem, settings or SolverSettings(), P, q)
+    return _report(problem, P, q, x, steps, gap, reason, z, q.shape[0], bound)
+
+
+def _solve(problem, st, P, q):
+    """(theta, steps, gap, stop reason, z, contraction bound) of the
+    interior-point method on the problem, whose ridge matrix and linear term
+    are P and q: the body of `interior_point_solve`, without its report.  The
+    bound is None unless the run stopped in phase I."""
+    p = q.shape[0]
     ops = problem.constraint_ops
     m, n = ops.shape[:2]
     eye = np.eye(n)
 
-    P, q = _ridge(problem)
     solve_P = _ridge_solver(P, problem.lam)
     theta = solve_P(-q)                  # the unconstrained ridge optimum
 
-    def report(x, steps, gap, reason, z, bound=None):
-        return _report(problem, P, q, x, steps, gap, reason, z, p, bound)
-
     if m == 0:
-        return report(theta, 0, 0.0, "converged", np.zeros((0, n, n)))
+        return theta, 0, 0.0, "converged", np.zeros((0, n, n)), None
     shift = _shift(problem.tau)
     h = -shift[:, None, None] * eye
     worst = _max_eigenvalue(ops, theta, shift)
@@ -671,7 +677,7 @@ def interior_point_solve(problem, settings=None):
         # phase I over x = (theta, t), from e_t = (0, 1); see the module docstring
         rho = float(np.sum(ops * ops)) / (m * n * p)
         if rho == 0.0:                       # C_i(theta) = 0 for every theta
-            return report(theta, 0, 0.0, "infeasible", np.zeros((m, n, n)), 0.0)
+            return theta, 0, 0.0, "infeasible", np.zeros((m, n, n)), 0.0
         bound = {}
 
         def phase1_stop(x, Px, sz, rd):
@@ -687,7 +693,7 @@ def interior_point_solve(problem, settings=None):
         x1, steps1, gap, reason, z = _interior_point(rho * np.diag(1.0 - e_t), e_t, G1, 0.0 * h,
                                                      e_t, st.max_iters, phase1_stop)
         if reason != "feasible":
-            return report(theta, steps1, gap, reason, z, bound["eps"])
+            return theta, steps1, gap, reason, z, bound["eps"]
         # Weyl: lambda_max(C_i(theta + a theta_c) + shift_i I) <= worst - a lam_c,
         # lam_c = -max_i lambda_max(C_i(theta_c)) > 0: this a leaves 1% of worst + lam_c
         lam_c = -_max_eigenvalue(ops, x1[:p], np.zeros(m))
@@ -700,7 +706,7 @@ def interior_point_solve(problem, settings=None):
 
     x, steps, gap, reason, z = _interior_point(P, q, ops, h, theta, st.max_iters - steps1,
                                                phase2_stop)
-    return report(x, steps1 + steps, gap, reason, z)
+    return x, steps1 + steps, gap, reason, z, None
 
 
 # the range basis (see the module docstring): each block's sketch has
@@ -745,8 +751,9 @@ def _range_basis(problem, cut):
 
 def solve_in_range(problem, settings=None):
     """Solve the problem in a basis Q of its numerical range: theta = Q theta_r,
-    theta_r from `interior_point_solve` on the reduced problem (Q^T gram Q,
-    Q^T moment, b^T b, lam, C o Q, tau).
+    theta_r from the interior-point method of `interior_point_solve` on the
+    reduced problem (Q^T gram Q, Q^T moment, b^T b, lam, C o Q, tau), whose
+    own objective and violation are never computed.
 
     The certificate is the full problem's: the report's gap is the duality
     gap of theta and the reduced run's z on the full problem, and where it
@@ -776,18 +783,17 @@ def solve_in_range(problem, settings=None):
         reduced = ConstrainedLSQProblem(Q.T @ (problem.gram @ Q), Q.T @ problem.moment,
                                         problem.btb, problem.lam,
                                         (Gop @ Q).reshape(m, n, n, r), problem.tau)
-        rep = interior_point_solve(reduced, replace(st, max_iters=st.max_iters - steps))
-        steps += rep.iters
-        theta, z = Q @ rep.theta, rep.dual
-        reason, bound = rep.stop_reason, rep.contraction_bound
+        x, taken, gap, reason, z, bound = _solve(
+            reduced, replace(st, max_iters=st.max_iters - steps), *_ridge(reduced))
+        steps += taken
+        theta = Q @ x
         if bound is not None:
             # a phase I stop: |C*(z)| / tr z bounds the rate for any z >= 0,
             # and an "infeasible" one must meet the full phase I's roundoff
             # level (2 rho u)^1/2, rho = |E|_F^2 / (m n p)
-            trz = float(np.sum(rep.weights))
+            trz = float(np.sum(np.trace(z, axis1=1, axis2=2)))
             if trz > 0.0:
                 bound = float(np.linalg.norm(Gop.T @ z.ravel())) / trz
-            gap = rep.gap
             rho = float(np.sum(ops * ops)) / (m * n * p)
             missed = reason == "infeasible" and bound > (2.0 * rho * np.finfo(float).eps) ** 0.5
         else:

@@ -750,6 +750,34 @@ def test_eval_rejects_demonstrations_of_another_dimension(workspace, capsys, com
     assert err == f"error: {bad}: demonstrations have state dimension 3, the model 2\n"
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_eval_checks_the_held_out_set_in_the_reproduction_child(workspace, capsys, monkeypatch,
+                                                                cpus):
+    # the --test file is loaded and checked by the function that `eval`
+    # forks, so the grid runs first; the child's error is raised here as it
+    # would be in the serial run, naming the file (and line), and a grid
+    # error still wins over it
+    with_cpus(monkeypatch, cpus)
+    grid_evaluate, grids = metrics.grid_evaluate, []
+    monkeypatch.setattr(metrics, "grid_evaluate", lambda *a, **k: grids.append(cpus)
+                        or grid_evaluate(*a, **k))
+    malformed, three_d = workspace / "malformed_test.csv", workspace / "three_d_test.csv"
+    malformed.write_text("t,x1,x2\n0.0,1.0,2.0\n0.5,1.0,oops\n1.0,0.0,0.0\n")
+    three_d.write_text("t,x1,x2,x3\n0.0,3.0,2.0,1.0\n1.0,0.0,0.0,0.0\n")
+    expected = {
+        malformed: f"error: line 3: {malformed}: could not convert string to float: 'oops'\n",
+        three_d: f"error: {three_d}: demonstrations have state dimension 3, the model 2\n"}
+    for path, err in expected.items():
+        assert main(["eval", "--model", str(workspace / "model.json"),
+                     "--data", str(workspace / "train.csv"), "--test", str(path)]) == 1
+        assert capsys.readouterr() == ("", err)
+    assert grids == [cpus] * 2
+    monkeypatch.setattr(metrics, "grid_evaluate", _fails("grid failed"))
+    assert main(["eval", "--model", str(workspace / "model.json"),
+                 "--data", str(workspace / "train.csv"), "--test", str(malformed)]) == 1
+    assert capsys.readouterr() == ("", "error: grid failed\n")
+
+
 def test_grid_commands_reject_a_model_that_is_not_2d(tmp_path, capsys):
     # eval, grid-eval and export-field work on the plane; a 3-D model is our
     # error before any evaluation, not numpy's broadcast error

@@ -10,7 +10,7 @@ from _exact import (ConditioningError, ExactModel, eval_kernel, eval_vanishing_k
                     exact_field_eval, exact_potential_eval, exact_ridge_fit, gram_matrix)
 import cvfield
 from cvfield.errors import DimensionError
-from cvfield.kernels import KernelKind
+from cvfield.kernels import FORMS, KernelKind
 
 GS = KernelKind("gaussian_separable", 1.0)
 CF = KernelKind("curl_free", 1.0)
@@ -43,6 +43,56 @@ def test_no_module_but_kernels_compares_kernel_families():
     found = [f"{path.name}:{line}" for path in sorted(Path(cvfield.__file__).parent.glob("*.py"))
              if path.name != "kernels.py" for line in _kernel_comparisons(path)]
     assert found == []
+
+
+def test_no_module_but_kernels_computes_a_feature_profile():
+    # the profiles live in kernels.FORMS alone; the solver's 2 x 2
+    # eigenvector angles are no profile
+    package = Path(cvfield.__file__).parent
+    found = [f"{name}:{node.lineno}" for name in ("features.py", "dynamics.py", "metrics.py")
+             for node in ast.walk(ast.parse((package / name).read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("sin", "cos", "tan")
+             and isinstance(node.value, ast.Name) and node.value.id == "np"]
+    assert found == []
+
+
+def _angles():
+    # uniform angles, small ones, multiples of pi / 2 and magnitudes up to
+    # 1e300, each sign
+    rng = np.random.default_rng(5)
+    magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, 50_000)
+    return np.concatenate([rng.uniform(-100.0, 100.0, 200_000), rng.normal(size=50_000) * 1e-3,
+                           np.arange(-4000, 4001) * (np.pi / 2), magnitudes, -magnitudes,
+                           [0.0, -0.0, 5e-324, np.pi, 1e300, -1e300]])
+
+
+@pytest.mark.parametrize("variant, references", [
+    ("curl_free", (np.sin, np.cos, np.cos)),
+    ("gaussian_separable", (np.cos, lambda a: -np.sin(a), None)),
+], ids=["curl-free", "separable"])
+def test_profiles_are_sine_and_cosine(variant, references):
+    # g, dg and the potential profile are the half-angle forms of numpy's
+    # sine and cosine to 4.5e-16; like a ufunc, each writes into out, and it
+    # gives the same bits for one row, a batch and a strided view
+    a = _angles()
+    form = FORMS[variant]
+    batch = np.random.default_rng(6).uniform(-60.0, 60.0, (64, 200))
+    for profile, reference in zip((form.g, form.dg, form.potential), references):
+        if reference is None:
+            assert profile is None
+            continue
+        values = profile(a)
+        assert np.all(np.isfinite(values))
+        assert np.max(np.abs(values - reference(a))) <= 4.5e-16
+        out = batch.copy()
+        assert profile(out, out=out) is out
+        assert np.array_equal(out, profile(batch))
+        assert np.array_equal(out, np.vstack([profile(row[None]) for row in batch]))
+        wide = np.zeros((64, 400))
+        wide[:, ::2] = batch
+        strided = wide[:, ::2]
+        profile(strided, out=strided)
+        assert np.array_equal(wide[:, ::2], out) and not wide[:, 1::2].any()
 
 
 def test_separable_at_identical_points():

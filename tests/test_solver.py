@@ -9,6 +9,7 @@ must change nothing.
 import gc
 import tracemalloc
 import warnings
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,19 @@ def test_planted_direction_leaves_the_optimum_unchanged():
     assert reduced.max_constraint_violation < 0.0
 
 
+# a reduced run of `solve_in_range`: what `solver._solve` hands back
+_Run = namedtuple("_Run", "theta iters gap stop_reason dual bound")
+
+
+def _record_reduced_runs(monkeypatch):
+    """A list that gets each reduced run of `solve_in_range` as a _Run; a
+    run's rank r is theta.size."""
+    runs, inner = [], solver._solve
+    monkeypatch.setattr(solver, "_solve", lambda *args: runs.append(_Run(*inner(*args)))
+                        or runs[-1])
+    return runs
+
+
 def test_certificate_widens_a_coarse_basis(monkeypatch):
     # the separable map at s = 500 (p = 1000): cut at 1e-4 (r = 42), the
     # reduced problem converges but theta = Q theta_r misses the full
@@ -248,17 +262,14 @@ def test_certificate_widens_a_coarse_basis(monkeypatch):
     assert prob.moment.shape == (1000,)
     settings = SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000)
     default = solver.solve_in_range(prob, settings)
-    cuts, runs = [], []
-    basis, inner = solver._range_basis, solver.interior_point_solve
+    cuts, basis, runs = [], solver._range_basis, _record_reduced_runs(monkeypatch)
     monkeypatch.setattr(solver, "_range_basis",
                         lambda prob, cut: cuts.append(cut) or basis(prob, cut))
-    monkeypatch.setattr(solver, "interior_point_solve",
-                        lambda prob, st: runs.append(inner(prob, st)) or runs[-1])
     monkeypatch.setattr(solver, "RANGE_CUT", 1e-4)
     rep = solver.solve_in_range(prob, settings)
     assert cuts == [1e-4, 1e-4 * solver._WIDEN]
     assert [run.stop_reason for run in runs] == ["converged", "converged"]
-    assert runs[0].rank < runs[1].rank == rep.rank < 1000
+    assert runs[0].theta.size < runs[1].theta.size == rep.rank < 1000
     assert rep.converged and rep.iters == runs[0].iters + runs[1].iters
     assert rep.gap <= settings.eps_abs + settings.eps_rel * rep.objective
     assert default.converged and default.rank < 1000
@@ -277,17 +288,14 @@ def test_certificate_widens_a_basis_that_drops_a_contracting_direction(monkeypat
     ops[:, :, :, 0] = np.array([1.0, -1.0])[:, None, None] * np.eye(2)
     ops[:, :, :, 1] = -1e-4 * np.eye(2)
     prob = lsq_problem(np.array([[1.0, 0.0]]), np.array([1.0]), 1.0, ops, np.zeros(2))
-    cuts, runs = [], []
-    basis, inner = solver._range_basis, solver.interior_point_solve
+    cuts, basis, runs = [], solver._range_basis, _record_reduced_runs(monkeypatch)
     monkeypatch.setattr(solver, "_range_basis",
                         lambda prob, cut: cuts.append(cut) or basis(prob, cut))
-    monkeypatch.setattr(solver, "interior_point_solve",
-                        lambda prob, st: runs.append(inner(prob, st)) or runs[-1])
     monkeypatch.setattr(solver, "RANGE_CUT", 1e-3)
     rep = solver.solve_in_range(prob)
     assert cuts == [1e-3, 1e-3 * solver._WIDEN]
     assert [run.stop_reason for run in runs] == ["infeasible", "converged"]
-    assert [run.rank for run in runs] == [1, 2] and rep.rank == 2
+    assert [run.theta.size for run in runs] == [1, 2] and rep.rank == 2
     assert rep.converged and rep.contraction_bound is None
     assert rep.max_constraint_violation < 0.0 and rep.theta[1] > 0.0
 
@@ -301,8 +309,8 @@ def test_reduced_stall_widens_the_basis(monkeypatch):
     fm, proj, pairs, cp = _s_curve_inputs(200)
     prob = assemble_problem(fm, proj, pairs, cp, 0.01, 0.0)
     settings = SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000)
-    cuts, runs, factors = [], [], []
-    basis, inner, factor = solver._range_basis, solver.interior_point_solve, solver._cholesky_solver
+    cuts, factors, runs = [], [], _record_reduced_runs(monkeypatch)
+    basis, factor = solver._range_basis, solver._cholesky_solver
 
     def fails_in_the_first_run(S):
         factors.append(S.shape[0])
@@ -311,12 +319,10 @@ def test_reduced_stall_widens_the_basis(monkeypatch):
     monkeypatch.setattr(solver, "_cholesky_solver", fails_in_the_first_run)
     monkeypatch.setattr(solver, "_range_basis",
                         lambda prob, cut: cuts.append(cut) or basis(prob, cut))
-    monkeypatch.setattr(solver, "interior_point_solve",
-                        lambda prob, st: runs.append(inner(prob, st)) or runs[-1])
     rep = solver.solve_in_range(prob, settings)
     assert cuts == [solver.RANGE_CUT, solver.RANGE_CUT * solver._WIDEN]
     assert [run.stop_reason for run in runs] == ["stalled", "converged"]
-    assert runs[0].iters == 3 and runs[0].rank < runs[1].rank == rep.rank < 200
+    assert runs[0].iters == 3 and runs[0].theta.size < runs[1].theta.size == rep.rank < 200
     assert rep.converged and rep.iters == runs[0].iters + runs[1].iters
     assert rep.gap <= settings.eps_abs + settings.eps_rel * rep.objective
 
@@ -329,15 +335,12 @@ def test_stalled_widening_reports_the_round_with_the_smallest_gap(monkeypatch):
     fm, proj, pairs, cp = _s_curve_inputs(200)
     prob = assemble_problem(fm, proj, pairs, cp, 1e-14, 0.0)
     settings = SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000)
-    bases, runs = [], []
-    basis, inner = solver._range_basis, solver.interior_point_solve
+    bases, basis, runs = [], solver._range_basis, _record_reduced_runs(monkeypatch)
     monkeypatch.setattr(solver, "_range_basis",
                         lambda prob, cut: bases.append(basis(prob, cut)) or bases[-1])
-    monkeypatch.setattr(solver, "interior_point_solve",
-                        lambda prob, st: runs.append(inner(prob, st)) or runs[-1])
     rep = solver.solve_in_range(prob, settings)
     assert [run.stop_reason for run in runs] == ["stalled"] * 3
-    assert [run.rank for run in runs] == [55, 75, 200]
+    assert [run.theta.size for run in runs] == [55, 75, 200]
     P, q = solver._ridge(prob)
     solve_P = solver._ridge_solver(P, prob.lam)
     h = -solver._shift(prob.tau)[:, None, None] * np.eye(2)
@@ -350,7 +353,7 @@ def test_stalled_widening_reports_the_round_with_the_smallest_gap(monkeypatch):
                                         P @ theta + q + Gop.T @ run.dual.ravel(), solve_P))
     best = int(np.argmin(gaps))
     assert rep.stop_reason == "stalled" and rep.iters == sum(run.iters for run in runs)
-    assert rep.gap == gaps[best] < gaps[-1] and rep.rank == runs[best].rank
+    assert rep.gap == gaps[best] < gaps[-1] and rep.rank == runs[best].theta.size
     assert np.array_equal(rep.theta, bases[best] @ runs[best].theta)
     assert np.array_equal(rep.dual, runs[best].dual)
 
