@@ -12,37 +12,55 @@ box and reports how many reach the goal ball, how long they take, and how
 far (in DTW cost) they stray from the closest demonstration.
 
 `grid_evaluate` is two batched passes: one `dynamics.rollout` call
-integrates every grid start in lock-step, and `dtw_distance` scores the
-(K, T, n) stack of resampled rollouts against each demonstration in one
-call.  Those per-demonstration calls are split over the CPUs in the
-affinity mask: the demonstrations are split into contiguous groups, one per
-CPU (at most one per demonstration), the calling process scores the first
-group, and a `forked` child scores each other group.  Each cost is computed
-by the same `dtw_distance` call on the same inputs wherever it runs, so the
-costs, and every grid statistic, have the same bits on any number of cores.
+integrates every grid start in lock-step, and a search scores each
+resampled rollout against its closest demonstration only.  Every column j
+of a DTW cost table lies on the warping path, so DTW(a, b) >= Σ_j min_i
+|a_i - b_j|; over runs of DTW_BOUND_RUN demonstration samples about a
+centre c_s this gives the lower bound Σ_s max(0, |s| min_i |a_i - c_s| -
+Σ_j |b_j - c_s|) (the lower-bound cascade of exact nearest-neighbour DTW
+search: Keogh & Ratanamahatana, KAIS 2005; Rakthanmanon et al., KDD 2012).
+A term that covers the rounding of its Gram expansion is subtracted, so
+the bound also holds for the computed values.  Each start tries its
+demonstrations in increasing order of bound and skips a pair whose bound
+exceeds its best cost so far by the factor 1 + DTW_PRUNE_MARGIN, which
+covers the rounding of the bound's sum and of the DTW's; the pairs left at
+each rank are scored in one `dtw_distance` call per demonstration length,
+each lane against its own demonstration.  So each start's cost has the
+bits of the minimum over all pairs.  The starts are split over the CPUs in
+the affinity mask: into contiguous groups, one per CPU (at most one per
+start), the calling process scores the first group, and a `forked` child
+scores each other group.  A start's cost has the same bits in any group,
+so the costs, and every grid statistic, have the same bits on any number
+of cores.
 
 `forked` is the package's one fork site, and a prefetch: the function it
 yields returns, or raises, what fn() would where it is called, and fn()
 runs in this process only when there is no child or the child failed.
 `cvfield eval` also uses it to run `evaluate` in a child while
-`grid_evaluate` runs.  The DTW children run only elementwise numpy.  The
-`evaluate` child also calls LAPACK, for the goal-crossing roots
-(`numpy.polynomial.polyroots` in `dynamics`), and BLAS, for
-`np.linalg.norm` of one state.  The fork copies no BLAS thread; a
-forked child still ran a 600 x 600 product after this process had started
-OpenBLAS's threads, with this process's bits, and the `eval` document has
-the same bytes on 1, 2 and 3 usable CPUs.
+`grid_evaluate` runs.  The DTW children run elementwise numpy and one
+small BLAS product per (start, demonstration) pair, below the size at
+which OpenBLAS starts its threads.  The `evaluate` child also calls
+LAPACK, for the goal-crossing roots (`numpy.polynomial.polyroots` in
+`dynamics`), and BLAS, for `np.linalg.norm` of one state.  The fork
+copies no BLAS thread; a forked child still ran a 600 x 600 product after
+this process had started OpenBLAS's threads, with this process's bits, and
+the `eval` document has the same bytes on 1, 2 and 3 usable CPUs.
 
 `dtw_distance` fills the cost table by anti-diagonals: every cell on
 diagonal i + j = k depends only on diagonals k - 1 and k - 2, so one
 diagonal of a block of tables is a few elementwise operations.  The K
 sequences (lanes) go through in blocks of DTW_LANES = 64, and the lane is
-the innermost axis of every buffer: `a` as (n, T, lanes), `b` reversed and
-repeated as (n, M, lanes), the diagonals as (3, T + 1, lanes).  Each
-operand of a diagonal is then one contiguous (<= T, lanes) block, which
-numpy runs as a single loop.
-The repeated `b` is n * M * 64 doubles (1 MB at M = 1000) whatever K is.
-One sequence is a batch of one, as is one rollout start.
+the innermost axis of every buffer: `a` as (n, T, lanes), `b` reversed as
+(n, M, lanes), one sequence repeated across the lanes or each lane's own,
+the diagonals as (3, T + 1, lanes).  Each operand of a diagonal is then
+one contiguous (<= T, lanes) block, which numpy runs as a single loop.
+The lanes' `b` is n * M * 64 doubles (1 MB at M = 1000) whatever K is.
+One sequence is a batch of one, as is one rollout start.  `b` also takes a
+stack, one sequence per lane, so that the grid's search scores the pairs
+of one rank, each start against its own demonstration, in one wavefront:
+one call per demonstration in its place made 4-6 wavefronts per group of
+32 grid starts, and took 111-141 ms against 77-79 ms (in one process on a
+2-vCPU machine).
 """
 
 from __future__ import annotations
@@ -64,6 +82,11 @@ from .errors import DataError, DimensionError, IntegrationError
 GRID_DTW_SAMPLES = 250
 #: sequences (lanes) that `dtw_distance` carries through one wavefront
 DTW_LANES = 64
+#: consecutive demonstration samples that share one centre in the DTW bound
+DTW_BOUND_RUN = 4
+#: relative excess of a pair's DTW bound over its start's best cost that
+#: skips the pair; it covers the rounding of the bound and of the DTW
+DTW_PRUNE_MARGIN = 1e-6
 
 
 @dataclass
@@ -118,39 +141,39 @@ def dtw_distance(a, b):
 
     Full window, no normalization: the summed cost along the optimal
     monotone alignment path.  `a` is a batch (K, T, n) of K sequences of
-    equal length and `b` one sequence (M, n); returns a (K,) array, one cost
-    per sequence of `a`.
+    equal length, and `b` either one sequence (M, n), scored against every
+    sequence of `a`, or a stack (K, M, n), its k-th sequence scored against
+    the k-th of `a`; returns a (K,) array, one cost per sequence of `a`.
 
     D[i, j] = d(a_i, b_j) + min(D[i-1, j], D[i, j-1], D[i-1, j-1]) is
     solved one anti-diagonal at a time for up to DTW_LANES sequences (lanes)
     together; the arithmetic of each lane is elementwise, so its cost has
-    the same bits alone or in any batch.  Lanes are the innermost axis of
-    every buffer, so each operand of a diagonal is one contiguous
-    (width, lanes) block.
+    the same bits alone or in any batch, against one `b` or a stack.  Lanes
+    are the innermost axis of every buffer, so each operand of a diagonal is
+    one contiguous (width, lanes) block.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 3 or b.ndim != 2:
-        raise DimensionError("a must be (K, T, n) and b (M, n)")
-    if a.shape[2] != b.shape[1]:
+    if a.ndim != 3 or b.ndim not in (2, 3):
+        raise DimensionError("a must be (K, T, n) and b (M, n) or (K, M, n)")
+    if b.ndim == 3 and b.shape[0] != a.shape[0]:
+        raise DimensionError("a stack b must hold one sequence per sequence of a")
+    if a.shape[2] != b.shape[-1]:
         raise DimensionError("sequences must share their state dimension")
-    if a.shape[0] == 0 or a.shape[1] == 0 or b.shape[0] == 0:
+    if a.shape[0] == 0 or a.shape[1] == 0 or b.shape[-2] == 0:
         raise DataError("empty sequence")
-    K = a.shape[0]
-    costs = np.empty(K)
-    bK = None
-    for s in range(0, K, DTW_LANES):
-        aT = np.ascontiguousarray(a[s:s + DTW_LANES].transpose(2, 1, 0))   # (n, T, lanes)
-        if bK is None or bK.shape[2] != aT.shape[2]:
-            # b reversed and repeated across the lanes: (n, M, lanes)
-            bK = np.repeat(b[::-1].T[:, :, None], aT.shape[2], axis=2)
+    b = np.broadcast_to(b, a.shape[:1] + b.shape[-2:])
+    costs = np.empty(a.shape[0])
+    for s in range(0, a.shape[0], DTW_LANES):
+        aT = np.ascontiguousarray(a[s:s + DTW_LANES].transpose(2, 1, 0))     # (n, T, lanes)
+        bK = np.ascontiguousarray(b[s:s + DTW_LANES, ::-1].transpose(2, 1, 0))  # (n, M, lanes)
         costs[s:s + DTW_LANES] = _dtw_lanes(aT, bK)
     return costs
 
 
 def _dtw_lanes(aT, bK):
-    """DTW costs of the lanes of aT (n, T, L) against bK (n, M, L), the one
-    sequence reversed and repeated across the L lanes."""
+    """DTW costs of the lanes of aT (n, T, L) against those of bK (n, M, L),
+    each lane's sequence reversed."""
     n, T, L = aT.shape
     M = bK.shape[1]
     # anti-diagonal wavefront: cell (i, j) lies on diagonal k = i + j and
@@ -256,26 +279,104 @@ def _fork(fn):
     return pid, open(rfd, "rb")
 
 
-def _dtw_per_demo(P, demos):
-    """[dtw_distance(P, b) for b in demos], scored on up to `_usable_cpus()`
-    processes.
+def _run_bounds(b, slack):
+    """(right, cc, sizes, spreads) of the runs of DTW_BOUND_RUN consecutive
+    samples of b (M, n).  Run s holds the samples j of [DTW_BOUND_RUN s,
+    DTW_BOUND_RUN (s + 1)), and its centre c_s is its middle one.  right is
+    [-2 c; 1] (n + 1, S), cc holds |c_s|², and spreads Σ_j |b_j - c_s|,
+    rounded up by the factor 1 + slack."""
+    first = np.arange(0, len(b), DTW_BOUND_RUN)
+    sizes = np.minimum(DTW_BOUND_RUN, len(b) - first)
+    centres = b[first + (sizes - 1) // 2]
+    dist = np.sqrt(np.sum(np.square(b - np.repeat(centres, sizes, axis=0)), axis=1))
+    right = np.vstack([-2.0 * centres.T, np.ones(len(centres))])
+    return (right, np.sum(np.square(centres), axis=1), sizes,
+            np.add.reduceat(dist, first) * (1.0 + slack))
 
-    The demonstrations are split into W = min(CPUs, len(demos)) contiguous
-    groups (`np.array_split` of their indices).  This process scores group
-    0 and each other group is `forked`, so a group whose child fails is
-    scored here, by the same function, and the costs, concatenated in demo
-    order, have the same bits on any number of CPUs; no child outlives the
-    call.  A child runs only `dtw_distance`, which is elementwise numpy and
-    never calls BLAS.
+
+def _dtw_lower_bounds(P, demos):
+    """(K, D) lower bounds of dtw_distance(P, b) for each demonstration b.
+
+    Every column j of a cost table lies on the warping path, so DTW(a, b) >=
+    Σ_j min_i |a_i - b_j|, and by the triangle inequality each run s of
+    `_run_bounds` adds at least max(0, |s| min_i |a_i - c_s| - Σ_j |b_j - c_s|).
+    The squared minima come from the Gram product [a, |a|²] @ [-2 c; 1] of
+    each (start, demonstration) pair, plus |c|², whose rounding error is at
+    most a few (n + 3) ulps of |a_i|² + |c_s|²: `slack` = 16 (n + 3) eps
+    times max_i |a_i|² + |c_s|² is subtracted, and each spread rounded up by
+    the same factor, so each computed run term is at most (1 + 4u) times its
+    exact value, and the computed bound at most 1 + (S + 4) u times the exact
+    DTW of the pair (u the unit roundoff, S the runs; barring overflow and
+    underflow).  One product is T (n + 1) S multiply-adds (187,500 for 250
+    samples against 1,000 in runs of 4 at n = 2), which OpenBLAS runs on
+    the calling thread, so a forked child starts no BLAS thread to spin on
+    the CPU of another group.
     """
-    groups = np.array_split(np.arange(len(demos)), min(_usable_cpus(), len(demos)))
+    n = P.shape[2]
+    slack = 16 * (n + 3) * np.finfo(float).eps
+    runs = [_run_bounds(b, slack) for b in demos]
+    bounds = np.empty((len(P), len(demos)))
+    for k, a in enumerate(P):
+        aa = np.sum(np.square(a), axis=1)
+        left = np.column_stack([a, aa])
+        for d, (right, cc, sizes, spreads) in enumerate(runs):
+            sq = np.min(left @ right, axis=0) + cc
+            sq -= slack * (aa.max() + cc)
+            near = np.sqrt(np.maximum(sq, 0.0))
+            bounds[k, d] = np.sum(np.maximum(sizes * near - spreads, 0.0))
+    return bounds
+
+
+def _closest_costs(P, demos):
+    """min over demonstrations b of dtw_distance(P, b): (K,), with the bits of
+    that brute-force minimum, from the pairs `_dtw_lower_bounds` leaves open.
+
+    Each start tries its demonstrations in increasing order of bound, and a
+    pair whose bound exceeds the start's best cost so far by the factor
+    1 + DTW_PRUNE_MARGIN is skipped.  The computed bound is at most
+    1 + (S + 4) u times the exact DTW, and the computed DTW, a sum of
+    T + M - 1 distances along its path, at least 1 - (T + M + n + 3) u times
+    it, so the margin proves that a skipped pair's computed cost is no less
+    than the best while T + 2M + n < 10^9.  The pairs left at each rank are
+    scored in one `dtw_distance` call per demonstration length, each lane
+    against its own demonstration.
+    """
+    bounds = _dtw_lower_bounds(P, demos)
+    order = np.argsort(bounds, axis=1, kind="stable")
+    lengths = np.array([len(b) for b in demos])
+    rows = np.arange(len(P))
+    best = np.full(len(P), np.inf)
+    for rank in range(len(demos)):
+        pick = order[:, rank]
+        # a nan bound proves nothing, and a nan cost stays the minimum
+        live = ~(bounds[rows, pick] > best * (1.0 + DTW_PRUNE_MARGIN))
+        for m in np.unique(lengths[pick[live]]):
+            idx = np.flatnonzero(live & (lengths[pick] == m))
+            costs = dtw_distance(P[idx], np.stack([demos[d] for d in pick[idx]]))
+            best[idx] = np.minimum(best[idx], costs)
+    return best
+
+
+def _closest_per_start(P, demos):
+    """`_closest_costs(P, demos)`, scored on up to `_usable_cpus()` processes.
+
+    The starts are split into W = min(CPUs, K) contiguous groups
+    (`np.array_split` of their indices).  This process scores group 0 and
+    each other group is `forked`, so a group whose child fails is scored
+    here, by the same function.  A start's cost has the same bits in any
+    group, so the costs, concatenated in start order, have the same bits on
+    any number of CPUs; no child outlives the call.  A child runs only
+    elementwise numpy and the bounds' small Gram products, which start no
+    BLAS thread.
+    """
+    groups = np.array_split(np.arange(len(P)), min(_usable_cpus(), len(P)))
 
     def score(group):
-        return [dtw_distance(P, demos[i]) for i in group]
+        return _closest_costs(P[group], demos)
 
     with ExitStack() as stack:
         pending = [stack.enter_context(forked(partial(score, g))) for g in groups[1:]]
-        return score(groups[0]) + [row for result in pending for row in result()]
+        return np.concatenate([score(groups[0])] + [result() for result in pending])
 
 
 def evaluate(f, train, test):
@@ -349,11 +450,16 @@ def grid_evaluate(f, demos, grid_k=16):
     `dynamics.rollout` call; a start that fails to integrate counts toward
     the goal distance with its last state and has no DTW cost.  Each rollout
     is resampled uniformly to GRID_DTW_SAMPLES points; its DTW cost is the
-    minimum over demonstrations, from one batched `dtw_distance` call per
-    demonstration.  Those calls run on up to as many processes as there are
-    usable CPUs, in contiguous groups of demonstrations (see
-    `_dtw_per_demo`), and the costs have the same bits on any number of
-    cores; no child process outlives the call.
+    minimum over demonstrations, found by `_closest_costs`: a column lower
+    bound of every (start, demonstration) pair, less a term that covers the
+    rounding of its Gram expansion, orders each start's demonstrations, and
+    a pair whose bound exceeds the start's best cost so far by the relative
+    margin DTW_PRUNE_MARGIN, which covers the rounding of the bound's sum
+    and of the DTW's, is never scored.  So the minimum has the bits of
+    scoring every pair.  The starts are split into contiguous groups over
+    up to as many processes as there are usable CPUs (see
+    `_closest_per_start`), and the costs have the same bits on any number
+    of cores; no child process outlives the call.
     """
     starts = _grid_starts(demos, grid_k)
     horizon = 30.0 * float(np.mean([d.duration for d in demos.demos]))
@@ -371,9 +477,8 @@ def grid_evaluate(f, demos, grid_k=16):
                                for c in range(ro.states.shape[1])], axis=1))
     grid_dtwd = float("nan")
     if paths:
-        P = np.stack(paths)
-        grid_dtwd = float(np.mean(np.min(
-            _dtw_per_demo(P, [d.positions for d in demos.demos]), axis=0)))
+        grid_dtwd = float(np.mean(_closest_per_start(np.stack(paths),
+                                                     [d.positions for d in demos.demos])))
     return GridEvalReport(
         grid_fraction_reached=reached / starts.shape[0],
         grid_duration=float(np.mean(durations)) if durations else None,

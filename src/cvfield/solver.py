@@ -447,7 +447,8 @@ def _nt_scaling(Ls, Lz):
     be more accurate, and would scale a block whose B B^T has lost its
     smaller eigenvalue to rounding."""
     B = Lz.transpose(0, 2, 1) @ Ls
-    lam2, U = _eigh(B @ B.transpose(0, 2, 1))
+    # a contiguous copy: numpy's stacked matmul by a transposed view is slow
+    lam2, U = _eigh(B @ np.ascontiguousarray(B.transpose(0, 2, 1)))
     if not lam2[:, 0].min() > 0.0:
         return None
     lam = np.sqrt(lam2)
@@ -571,7 +572,7 @@ def _interior_point(P, q, G, h, x, max_steps, stop):
         corr = sigma * mu * eye - 0.5 * (cross[0] + cross[1])
         dx, D = direction(rc_aff + corr)
         a = min(1.0, 0.99 * _step_to_boundary(li, D))
-        dz = r @ D[1] @ r.transpose(0, 2, 1)
+        dz = r @ D[1] @ np.ascontiguousarray(r.transpose(0, 2, 1))
         # rounding can leave the recomputed slack outside the cone: back off;
         # the slack and the dual are factored in one stacked call, and the
         # factors that accept the step serve the next one

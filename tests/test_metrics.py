@@ -17,8 +17,9 @@ from cvfield import dynamics, metrics
 from cvfield.dataset import Demonstration, DemoSet
 from cvfield.dynamics import IntegratorSettings, rollout
 from cvfield.errors import DataError, DimensionError
-from cvfield.metrics import (DTW_LANES, GRID_DTW_SAMPLES, EvalReport, _dtw_per_demo, dtw_distance,
-                             evaluate, grid_evaluate, trajectory_error, velocity_error)
+from cvfield.metrics import (DTW_LANES, GRID_DTW_SAMPLES, EvalReport, _closest_costs,
+                             _closest_per_start, _dtw_lower_bounds, dtw_distance, evaluate,
+                             grid_evaluate, trajectory_error, velocity_error)
 
 
 class Linear:
@@ -200,6 +201,13 @@ def test_dtw_lane_blocks_match_table_oracle_bitwise(k, n, t, m):
     assert costs.shape == (k,)
     assert np.array_equal(costs, _dtw_table(P, b))
     assert np.array_equal(costs, [dtw_distance(P[q:q + 1], b)[0] for q in range(k)])
+    # a stack b, one sequence per lane: k copies of b give the same bits, and
+    # each lane of a stack of distinct sequences those of its own batch of one
+    assert np.array_equal(dtw_distance(P, np.repeat(b[None], k, axis=0)), costs)
+    B = rng.normal(size=(k, m, n))
+    stacked = dtw_distance(P, B)
+    assert stacked.shape == (k,)
+    assert np.array_equal(stacked, [dtw_distance(P[q:q + 1], B[q])[0] for q in range(k)])
 
 
 def test_dtw_input_layouts_and_dtypes_give_the_same_bits():
@@ -238,6 +246,17 @@ def test_dtw_batch_validation():
         dtw_distance(np.empty((0, 5, 2)), b)
     with pytest.raises(DataError):
         dtw_distance(np.empty((3, 0, 2)), b)
+    # a stack b: one (M, n) sequence per sequence of a
+    with pytest.raises(DimensionError, match="one sequence per sequence"):
+        dtw_distance(np.zeros((3, 5, 2)), np.zeros((2, 4, 2)))
+    with pytest.raises(DimensionError, match="one sequence per sequence"):
+        dtw_distance(np.zeros((3, 5, 2)), np.zeros((4, 4, 2)))
+    with pytest.raises(DimensionError, match="state dimension"):
+        dtw_distance(np.zeros((3, 5, 2)), np.zeros((3, 4, 3)))
+    with pytest.raises(DimensionError):
+        dtw_distance(np.zeros((3, 5, 2)), np.zeros((1, 3, 4, 2)))
+    with pytest.raises(DataError):
+        dtw_distance(np.zeros((3, 5, 2)), np.empty((3, 0, 2)))
 
 
 def test_dtw_symmetry_and_validation():
@@ -250,6 +269,62 @@ def test_dtw_symmetry_and_validation():
         dtw_distance(a[None], rng.normal(size=(4, 3)))
     with pytest.raises(DataError):
         dtw_distance(np.empty((1, 0, 2)), b)
+
+
+def _sequences(draw, shape, offset):
+    """Walks of `shape` (..., length, n) about `offset` (n,): each starts
+    within 20 of it and moves at most 1 per coordinate and sample."""
+    size = int(np.prod(shape))
+    steps = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size,
+                                   max_size=size))).reshape(shape)
+    steps[..., 0, :] *= 20.0
+    return offset + np.cumsum(steps, axis=-2)
+
+
+@st.composite
+def _offset_pairs(draw):
+    """A (K, T, n) batch and one (M, n) sequence about a common offset of up
+    to 1e6 mm, where the Gram expansion of a squared distance cancels most."""
+    n = draw(st.integers(1, 3))
+    k, t, m = draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    offset = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    return _sequences(draw, (k, t, n), offset), _sequences(draw, (m, n), offset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_offset_pairs())
+def test_dtw_lower_bound_never_exceeds_the_cost(pair):
+    P, b = pair
+    bounds = _dtw_lower_bounds(P, [b])
+    assert bounds.shape == (P.shape[0], 1)
+    assert np.all(bounds[:, 0] <= dtw_distance(P, b))
+
+
+@st.composite
+def _start_sets(draw):
+    """A (K, T, n) batch and 1-6 demonstrations of their own lengths, with
+    exact ties (a demonstration given twice, one equal to a start) and near
+    ones (a demonstration moved by up to 0.01 per sample)."""
+    n, k, t = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    offset = np.full(n, draw(st.sampled_from([0.0, 40.0, 1e6])))
+    P = _sequences(draw, (k, t, n), offset)
+    demos = [_sequences(draw, (m, n), offset)
+             for m in draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        demos.insert(draw(st.integers(0, len(demos))), demos[0].copy())
+    if draw(st.booleans()):
+        demos.append(demos[0] + _sequences(draw, demos[0].shape, 0.0) / 400.0)
+    if draw(st.booleans()):
+        demos.insert(draw(st.integers(0, len(demos))), P[draw(st.integers(0, k - 1))].copy())
+    return P, demos
+
+
+@settings(max_examples=200, deadline=None)
+@given(_start_sets())
+def test_closest_costs_equal_the_brute_force_minimum_bitwise(case):
+    P, demos = case
+    brute = np.min([dtw_distance(P, b) for b in demos], axis=0)
+    assert np.array_equal(_closest_costs(P, demos), brute)
 
 
 def test_evaluate_self_consistency(decay_model):
@@ -474,6 +549,23 @@ def test_grid_dtwd_matches_per_pair_oracle(angle_model, angle_train):
     assert grid.grid_dtwd == float(np.mean(minima))
 
 
+def test_grid_evaluate_scores_fewer_pairs_than_all(monkeypatch, angle_model, angle_train):
+    # the bound must leave most (start, demonstration) pairs unscored: 16
+    # starts against 4 demonstrations score 18 pairs, 16 of them at rank 0
+    field, _, _ = angle_model
+    scored = []
+
+    def tally(a, b):
+        scored.append(len(a))
+        return dtw_distance(a, b)
+
+    _with_cpus(monkeypatch, 1)
+    monkeypatch.setattr(metrics, "dtw_distance", tally)
+    grid_evaluate(field, angle_train, grid_k=16)
+    assert len(angle_train.demos) == 4
+    assert 16 <= sum(scored) < 16 * 4 // 2
+
+
 def test_grid_evaluate_deterministic(angle_model, angle_train):
     field, _, _ = angle_model
     a = grid_evaluate(field, angle_train, grid_k=16)
@@ -487,20 +579,19 @@ def _three_demos():
 
 
 def test_grid_evaluate_same_bits_on_any_number_of_cpus(monkeypatch):
-    # 3 demonstrations on 2 CPUs split unevenly: this process scores 0 and 1,
-    # the child 2.  Five sequences on 2 or 3 CPUs give a child two of them
-    # (3 and 4 on 2 CPUs, 2 and 3 on 3), which must come back in their own
-    # places.
+    # five starts split unevenly: on 2 CPUs this process scores starts 0-2
+    # and the child 3 and 4; on 3 CPUs this process 0 and 1, the children 2
+    # and 3, and 4.  Each child's costs must come back in their own places,
+    # with the bits of the brute-force minimum over every pair.
     dset, field = _three_demos(), Linear(-0.5 * np.eye(2))
     rng = np.random.default_rng(0)
     P, seqs = rng.normal(size=(5, 30, 2)), [rng.normal(size=(20 + i, 2)) for i in range(5)]
-    serial = [dtw_distance(P, b) for b in seqs]
+    brute = np.min([dtw_distance(P, b) for b in seqs], axis=0)
     reports = []
     for cpus in (1, 2, 3):
         forks = _with_cpus(monkeypatch, cpus)
-        costs = _dtw_per_demo(P, seqs)
+        assert np.array_equal(_closest_per_start(P, seqs), brute)
         assert len(forks) == cpus - 1
-        assert all(np.array_equal(c, s) for c, s in zip(costs, serial, strict=True))
         reports.append(grid_evaluate(field, dset, grid_k=16))
         assert len(forks) == 2 * (cpus - 1)
     assert reports[0] == reports[1] == reports[2]
