@@ -21,7 +21,7 @@ from .metrics import (EvalReport, GridEvalReport, dtw_distance, evaluate,
                       grid_evaluate, trajectory_error, velocity_error)
 from .modelfile import load_model, save_model
 from .solver import (ConstrainedLSQProblem, SolveReport, SolverSettings,
-                     assemble_problem, interior_point_solve, solve_in_range)
+                     assemble_problem, solve_in_range)
 from .training import TrainConfig, read_settings, train_field
 
 __version__ = "0.1.0"

@@ -57,12 +57,16 @@ class Demonstration:
             raise DimensionError("times and positions must have equal length")
         if self.times.size == 0:
             raise DataError("empty demonstration")
-        if np.any(np.diff(self.times) <= 0):
-            raise DataError("times must be strictly increasing")
         if self.velocities is not None:
             self.velocities = np.asarray(self.velocities, dtype=float)
             if self.velocities.shape != self.positions.shape:
                 raise DimensionError("velocities must match positions in shape")
+        for name in ("times", "positions", "velocities"):
+            values = getattr(self, name)
+            if values is not None and not np.isfinite(values).all():
+                raise DataError(f"{name} must be finite")
+        if not np.all(np.diff(self.times) > 0):          # nan fails it
+            raise DataError("times must be strictly increasing")
 
     @property
     def length(self):

@@ -106,7 +106,7 @@ class GridEvalReport:
     grid_fraction_reached: float
     grid_duration: float | None
     grid_distance_to_goal: float
-    grid_dtwd: float
+    grid_dtwd: float | None
 
 
 def _mean_error(reference, values):
@@ -448,7 +448,9 @@ def grid_evaluate(f, demos, grid_k=16):
     side; each start is integrated for 30x the mean demonstration duration
     with the goal event active, all starts in one batched
     `dynamics.rollout` call; a start that fails to integrate counts toward
-    the goal distance with its last state and has no DTW cost.  Each rollout
+    the goal distance with its last state and has no DTW cost, so
+    grid_dtwd is None when no start integrates, as grid_duration is when
+    none reaches the goal.  Each rollout
     is resampled uniformly to GRID_DTW_SAMPLES points; its DTW cost is the
     minimum over demonstrations, found by `_closest_costs`: a column lower
     bound of every (start, demonstration) pair, less a term that covers the
@@ -475,7 +477,7 @@ def grid_evaluate(f, demos, grid_k=16):
         grid_t = np.linspace(ro.times[0], ro.times[-1], GRID_DTW_SAMPLES)
         paths.append(np.stack([np.interp(grid_t, ro.times, ro.states[:, c])
                                for c in range(ro.states.shape[1])], axis=1))
-    grid_dtwd = float("nan")
+    grid_dtwd = None
     if paths:
         grid_dtwd = float(np.mean(_closest_per_start(np.stack(paths),
                                                      [d.positions for d in demos.demos])))

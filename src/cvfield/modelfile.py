@@ -18,7 +18,10 @@ evaluates identically to the trained one.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import stat
 
 import numpy as np
 
@@ -52,8 +55,12 @@ def save_model(path, field, config=None, report=None):
     Loading rebuilds the projector from the map and the equilibria, so a
     field whose projector basis is not exactly that one would load as
     another field: it is a DataError, and nothing is written.  The document
-    is encoded before the file is opened, so a config that JSON cannot
-    encode raises TypeError and leaves an existing file as it was."""
+    is encoded first, so a config that JSON cannot encode raises TypeError,
+    and then written to a new file beside the path's target that replaces
+    it whole, so a failed write leaves no part of a file: an existing model
+    stays as it was, and the new file is removed.  The new file gets the
+    mode that `open(path, "w")` gives: an existing file's, else 0o666 less
+    the umask."""
     if not np.array_equal(field.proj.basis,
                           build_vanishing_projector(field.map, field.equilibria).basis):
         raise DataError("the field's vanishing projector is not the one of its feature "
@@ -74,8 +81,21 @@ def save_model(path, field, config=None, report=None):
         "solve_report": report if isinstance(report, dict) or report is None else report_summary(report),
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+    try:
+        # os.open applies the umask to 0o666, as open(path, "w") does
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as fh:
+            fh.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(tmp, target)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):     # os.open may have failed
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename = os.fspath(path)               # name the model file
+        raise
 
 
 def _numbers(key, value, shape):

@@ -16,7 +16,7 @@ of `features.symmetrized_jacobian_basis`: its reshape to (m n n, p) is the
 map theta -> vec C(theta), so every C_i(theta) is one matrix-vector
 product, and phase II reads the problem's array without a copy.
 
-`interior_point_solve` is a primal-dual path-following method with
+`_solve` is a primal-dual path-following method with
 Nesterov-Todd scaling and Mehrotra's predictor-corrector, after CVXOPT's
 `coneqp` (Vandenberghe, "The CVXOPT linear and quadratic cone program
 solvers", 2010).  It works in the problem's own structure: m blocks of
@@ -67,26 +67,28 @@ eps <= (2 rho u)^1/2 (at once, with eps = 0, when every E_ij is zero).
 Phase II starts from theta_ridge + a theta_c, strictly feasible by Weyl's
 inequality, and keeps s_i = -C_i(theta) - tau_i I positive definite.
 
-`solve_in_range`, which `training.train_field` calls, solves in the
-problem's numerical range.  Write G for the (m n n, p) matrix
-theta -> vec C(theta).  A part of theta orthogonal to range([A^T, G^T])
-changes neither the fit nor any constraint and only adds lam times its
-squared norm, so the optimum lies in that range, as do phase I's: the
-feature-space form of the representer argument for fits through evaluation
-and derivative functionals (Zhou, "Derivative reproducing properties for
-kernel methods in learning theory", 2008).  Where the data and the
-constraint points lie on one curve, the range is small (r = 55 and 62 of
-p = 200 and 1000 on the benchmark's inputs).  `_range_basis` finds it with
-a one-pass randomized range finder (Halko, Martinsson & Tropp, "Finding
-structure with randomness", SIAM Rev., 2011): Gaussian sketches
-gram^2 Omega_1 and G^T Omega_2 of SKETCH_COLUMNS columns, drawn from
-Philox with a fixed key, each cut by its SVD at RANGE_CUT of its largest
-singular value, then merged with the moment's direction by one more SVD cut
-alike; a sketch whose cut keeps every column may have missed part of its
-block's range, and then Q is the identity.  The body of
-`interior_point_solve`, without its report, solves the reduced problem
-(Q^T gram Q, Q^T moment, b^T b, lam, C o Q, tau), whose Newton systems are
-r x r, and theta = Q theta_r.  The certificate is the full problem's:
+`solve_in_range`, the solver's one entry point, which
+`training.train_field` calls, solves in the problem's numerical range.
+Write G for the (m n n, p) matrix theta -> vec C(theta).  A part of theta
+orthogonal to range([A^T, G^T]) changes neither the fit nor any
+constraint and only adds lam times its squared norm, so the optimum lies
+in that range, as do phase I's: the feature-space form of the representer
+argument for fits through evaluation and derivative functionals (Zhou,
+"Derivative reproducing properties for kernel methods in learning
+theory", 2008).  Where the data and the constraint points lie on one
+curve, the range is small (r = 55 and 62 of p = 200 and 1000 on the
+benchmark's inputs).  `_range_basis` finds it with a one-pass randomized
+range finder (Halko, Martinsson & Tropp, "Finding structure with
+randomness", SIAM Rev., 2011): Gaussian sketches gram^2 Omega_1 and
+G^T Omega_2 of SKETCH_COLUMNS columns, drawn from Philox with a fixed key,
+each cut by its SVD at RANGE_CUT of its largest singular value, then
+merged with the moment's direction by one more SVD cut alike; a sketch
+whose cut keeps every column may have missed part of its block's range,
+and then Q is the identity.  `_solve` solves the reduced problem
+(Q^T gram Q, Q^T moment, b^T b, lam, C o Q, tau) in all its r
+coordinates, so its Newton systems are r x r, and theta = Q theta_r; with
+Q the identity, Q^T gram Q and C o Q are gram and C to the bit, and the
+solve is the full one.  The certificate is the full problem's:
 theta is feasible and the reduced run's dual blocks z are >= 0 there, so
 <s, z> + rd^T P^-1 rd / 2, with the full dual residual
 rd = P theta + q + G^T z and the full P's one factor, is a duality gap as in
@@ -111,7 +113,7 @@ from it.  After a phase I stop, theta is the ridge optimum and
 `contraction_bound` is set.  The report also holds the dual blocks z_i
 where the run stopped, their weights tr z_i and the count of points that
 hold BINDING_SHARE of them (`binding`), and `rank`, the r of the basis
-theta was solved in (p for `interior_point_solve`).
+theta was solved in (p where Q is the identity).
 
 The solver uses only deterministic dense linear algebra, and every solve
 goes through `_cholesky_solver`.  The ridge matrix P = 2 A^T A + 2 lam I
@@ -176,8 +178,8 @@ class ConstrainedLSQProblem:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Settings of `interior_point_solve` (see the module docstring), checked
-    when built: a value out of range is a ConfigError naming its key."""
+    """Settings of `solve_in_range` (see the module docstring), checked when
+    built: a value out of range is a ConfigError naming its key."""
 
     max_iters: int = 4000
     eps_abs: float = 1e-6
@@ -201,7 +203,7 @@ class SolveReport:
     objective: float
     max_constraint_violation: float
     dual: np.ndarray               # z, (m, n, n): the dual blocks where the run stopped
-    rank: int                      # r, the columns of the basis theta was solved in
+    rank: int                      # r, the columns of the basis theta was solved in; p for Q = I
     stop_reason: str | None = None
     contraction_bound: float | None = None
 
@@ -628,37 +630,13 @@ def _shift(tau):
     return tau + CONTRACTION_MARGIN * (1.0 + tau)
 
 
-def _report(problem, P, q, x, steps, gap, reason, dual, rank, bound):
-    """The report of theta = x, its objective and violation on the problem's
-    own normal equations and operators."""
-    ops = problem.constraint_ops
-    violation = _max_eigenvalue(ops, x, problem.tau) if ops.shape[0] else float("-inf")
-    return SolveReport(theta=x, iters=steps, gap=gap,
-                       objective=_objective(x, P @ x, q, problem.btb),
-                       max_constraint_violation=violation, dual=dual, rank=rank,
-                       stop_reason=reason, contraction_bound=bound)
-
-
-def interior_point_solve(problem, settings=None):
-    """Solve the problem by the primal-dual interior-point method, in all p
-    coordinates (the report's rank is p).
-
-    See the module docstring for how `settings` is read and what theta
-    the report holds; the report is `converged` when the gap met its
-    tolerance, and `objective` is |A theta - b|^2 + lam |theta|^2 evaluated from the
-    normal equations.  Raises np.linalg.LinAlgError when lam is too small
-    for the ridge matrix 2 A^T A + 2 lam I to have a Cholesky factor.
-    """
-    P, q = _ridge(problem)
-    x, steps, gap, reason, z, bound = _solve(problem, settings or SolverSettings(), P, q)
-    return _report(problem, P, q, x, steps, gap, reason, z, q.shape[0], bound)
-
-
-def _solve(problem, st, P, q):
+def _solve(problem, st):
     """(theta, steps, gap, stop reason, z, contraction bound) of the
-    interior-point method on the problem, whose ridge matrix and linear term
-    are P and q: the body of `interior_point_solve`, without its report.  The
-    bound is None unless the run stopped in phase I."""
+    interior-point method on the problem in all its coordinates, with
+    `st` its SolverSettings; the bound is None unless the run stopped in
+    phase I.  Raises np.linalg.LinAlgError when lam is too small for the
+    ridge matrix 2 A^T A + 2 lam I to have a Cholesky factor."""
+    P, q = _ridge(problem)
     p = q.shape[0]
     ops = problem.constraint_ops
     m, n = ops.shape[:2]
@@ -752,9 +730,9 @@ def _range_basis(problem, cut):
 
 def solve_in_range(problem, settings=None):
     """Solve the problem in a basis Q of its numerical range: theta = Q theta_r,
-    theta_r from the interior-point method of `interior_point_solve` on the
-    reduced problem (Q^T gram Q, Q^T moment, b^T b, lam, C o Q, tau), whose
-    own objective and violation are never computed.
+    theta_r from the interior-point method, `_solve`, on the reduced problem
+    (Q^T gram Q, Q^T moment, b^T b, lam, C o Q, tau), whose own objective
+    and violation are never computed.
 
     The certificate is the full problem's: the report's gap is the duality
     gap of theta and the reduced run's z on the full problem, and where it
@@ -767,8 +745,8 @@ def solve_in_range(problem, settings=None):
     Where phase II ends without converging, the report holds the round
     whose certified gap is the smallest.  After a phase I stop, theta is the
     ridge optimum over range Q and the contraction bound is |C*(z)| / tr z
-    on the full operators.  Raises np.linalg.LinAlgError as
-    `interior_point_solve` does.
+    on the full operators.  Raises np.linalg.LinAlgError when lam is too
+    small for the ridge matrix 2 A^T A + 2 lam I to have a Cholesky factor.
     """
     st = settings or SolverSettings()
     p = problem.moment.shape[0]
@@ -785,7 +763,7 @@ def solve_in_range(problem, settings=None):
                                         problem.btb, problem.lam,
                                         (Gop @ Q).reshape(m, n, n, r), problem.tau)
         x, taken, gap, reason, z, bound = _solve(
-            reduced, replace(st, max_iters=st.max_iters - steps), *_ridge(reduced))
+            reduced, replace(st, max_iters=st.max_iters - steps))
         steps += taken
         theta = Q @ x
         if bound is not None:
@@ -815,4 +793,8 @@ def solve_in_range(problem, settings=None):
         if bound is None and reason != "converged":
             # each round's theta is feasible and certified by its gap
             gap, theta, z, r = best
-        return _report(problem, P, q, theta, steps, gap, reason, z, r, bound)
+        violation = _max_eigenvalue(ops, theta, problem.tau) if m else float("-inf")
+        return SolveReport(theta=theta, iters=steps, gap=gap,
+                           objective=_objective(theta, P @ theta, q, problem.btb),
+                           max_constraint_violation=violation, dual=z, rank=r,
+                           stop_reason=reason, contraction_bound=bound)

@@ -24,7 +24,7 @@ from cvfield.features import (build_vanishing_projector, feature_rows,
                               sample_feature_map)
 from cvfield.kernels import KernelKind
 from cvfield.metrics import evaluate, grid_evaluate
-from cvfield.solver import SolverSettings, assemble_problem, interior_point_solve
+from cvfield.solver import SolverSettings, assemble_problem, solve_in_range
 
 LN_1000 = 6.907755278982137
 
@@ -76,7 +76,7 @@ def _ridge_field(dset, sigma, num_features, seed):
     proj = build_vanishing_projector(fm, np.zeros((1, 2)))
     prob = assemble_problem(fm, proj, (avg.positions, avg.velocities),
                             np.empty((0, 2)), 0.01, 0.0)
-    rep = interior_point_solve(prob, SolverSettings())
+    rep = solve_in_range(prob, SolverSettings())
     return TrainedField(fm, proj, rep.theta, np.zeros((1, 2))), rep
 
 
@@ -224,8 +224,8 @@ def test_criterion_06_solver_optimality_oracle():
         ops = 0.5 * (ops + ops.transpose(0, 2, 1, 3))
         ops[..., 0] = -np.eye(2)    # strictly feasible direction
         prob = lsq_problem(A, b, 0.1, ops, np.full(m, 0.2))
-        rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10,
-                                                        max_iters=300000))
+        rep = solve_in_range(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10,
+                                                  max_iters=300000))
         assert rep.converged
         val = float(np.sum((A @ rep.theta - b) ** 2) + 0.1 * rep.theta @ rep.theta)
         half = 2.0 * np.linalg.norm(rep.theta) + 1.0
@@ -234,8 +234,8 @@ def test_criterion_06_solver_optimality_oracle():
     # scalar KKT toy: pull to +2 clamped at -0.5
     toy = lsq_problem(np.array([[1.0]]), np.array([2.0]), 0.01,
                       np.ones((1, 1, 1, 1)), np.array([0.5]))
-    toy_rep = interior_point_solve(toy, SolverSettings(eps_abs=1e-9, eps_rel=1e-9,
-                                                       max_iters=100000))
+    toy_rep = solve_in_range(toy, SolverSettings(eps_abs=1e-9, eps_rel=1e-9,
+                                                 max_iters=100000))
     toy_err = abs(toy_rep.theta[0] + 0.5)
     ok = max(gaps) <= 1e-4 and toy_err <= 1e-5
     _verdict(6, "solver optimality oracle", ok,

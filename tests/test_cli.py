@@ -3,10 +3,12 @@
 import argparse
 import ast
 import ctypes
+import errno
 import importlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -612,6 +614,32 @@ def test_grid_eval_json(workspace, capsys):
     assert doc["grid_fraction_reached"] == 1.0
 
 
+def test_grid_without_an_integrated_rollout_writes_null(workspace, capsys, monkeypatch):
+    # a field that is nan everywhere integrates no grid start: grid_dtwd has
+    # no cost to average and is null, as grid_duration is, not the token
+    # NaN, which is not JSON
+    load = modelfile.load_model
+
+    def nan_field(path):
+        field, config, report = load(path)
+        return (SimpleNamespace(map=field.map, eval=lambda X: np.full(np.shape(X), np.nan)),
+                config, report)
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    monkeypatch.setattr(modelfile, "load_model", nan_field)
+    out = workspace / "nan_grid.json"
+    rc = main(["grid-eval", "--model", str(workspace / "model.json"),
+               "--data", str(workspace / "train.csv"), "--set", "grid_k=4", "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert rc == 0
+    for text in (printed, out.read_text()):
+        doc = json.loads(text, parse_constant=refuse)
+        assert doc["grid_dtwd"] is None and doc["grid_duration"] is None
+        assert doc["grid_fraction_reached"] == 0.0
+
+
 def test_eval_fills_missing_velocities(workspace, capsys, angle_train, angle_test):
     # train estimates missing velocities by finite differences, so eval must too
     write_demo_csv(workspace / "bare_train.csv", angle_train, velocities=False)
@@ -982,6 +1010,49 @@ def test_save_model_that_cannot_encode_leaves_the_old_file(workspace, tmp_path):
         modelfile.save_model(path, field, {**config, "note": object()}, report)
     assert path.read_bytes() == (workspace / "model.json").read_bytes()
     assert np.array_equal(modelfile.load_model(path)[0].theta, field.theta)
+
+
+def test_save_model_whose_write_fails_leaves_the_old_file(workspace, tmp_path, monkeypatch):
+    # a write that fails, as on a full disk, leaves the earlier model byte
+    # for byte and no temporary file beside it
+    path = tmp_path / "model.json"
+    old = (workspace / "model.json").read_bytes()
+    path.write_bytes(old)
+    field, config, report = modelfile.load_model(path)
+
+    def full_disk(*args, **kwargs):
+        fh = open(*args, **kwargs)
+
+        def write(text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(modelfile, "open", full_disk, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        modelfile.save_model(path, field, config, report)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_save_model_gives_the_mode_and_errors_of_open(workspace, tmp_path):
+    # a new model file gets the mode open(path, "w") gives, an existing one
+    # keeps its own, and an error names the path as given
+    field, config, report = modelfile.load_model(workspace / "model.json")
+    new, reference = tmp_path / "new.json", tmp_path / "reference.json"
+    with open(reference, "w"):
+        pass
+    modelfile.save_model(new, field, config, report)
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    new.chmod(0o640)
+    modelfile.save_model(new, field, config, report)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert new.read_bytes() == (workspace / "model.json").read_bytes()
+    missing = tmp_path / "missing" / "model.json"
+    with pytest.raises(FileNotFoundError) as exc:
+        modelfile.save_model(missing, field, config, report)
+    assert exc.value.filename == str(missing)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "reference.json"]
 
 
 @pytest.mark.parametrize("slack_weight", [0.0, 5])

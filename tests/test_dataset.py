@@ -113,12 +113,14 @@ def test_header_layout_errors_name_line_1(tmp_path, header, message):
 
 
 def test_load_rejects_non_finite_values(tmp_path):
-    # a NaN time would slip past the strictly-increasing check, since every
-    # comparison with NaN is false
-    with pytest.raises(ParseError) as exc:
+    # the reader names the file, the row and its line, before any
+    # Demonstration sees the value
+    with pytest.raises(ParseError, match=r"nan\.csv: non-finite value in \['nan', '1', '1'\]$") \
+            as exc:
         load_demonstrations(_write(tmp_path, "t,x1,x2\n0,0,0\nnan,1,1\n2,2,2\n", "nan.csv"))
     assert exc.value.line == 3
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(ParseError, match=r"inf\.csv: non-finite value in \['2', 'inf', '2'\]$") \
+            as exc:
         load_demonstrations(_write(tmp_path, "t,x1,x2\n0,0,0\n1,1,1\n2,inf,2\n", "inf.csv"))
     assert exc.value.line == 4
 
@@ -153,6 +155,20 @@ def test_unreadable_csv_is_a_parse_error_naming_file_and_line(tmp_path, capsys, 
     # a flat array is not read as one sample of a T-dimensional motion
     pytest.param(np.linspace(0, 1, 5), np.linspace(0, 1, 5), None, DimensionError,
                  r"shape \(5,\): a 1-D motion is \(T, 1\)", id="positions-flat"),
+    # a non-finite value fails here, not as an SVD that does not converge
+    # in training; a nan time passes `np.any(np.diff(times) <= 0)`
+    pytest.param([0.0, np.nan, 2.0], np.zeros((3, 2)), None, DataError,
+                 "^times must be finite$", id="times-nan"),
+    pytest.param([0.0, 1.0, np.inf], np.zeros((3, 2)), None, DataError,
+                 "^times must be finite$", id="times-inf"),
+    pytest.param([np.nan], np.zeros((1, 2)), None, DataError,
+                 "^times must be finite$", id="times-nan-one-sample"),
+    pytest.param(np.arange(3.0), [[0.0, 0.0], [np.nan, 1.0], [0.0, 0.0]], None, DataError,
+                 "^positions must be finite$", id="positions-nan"),
+    pytest.param(np.arange(3.0), np.zeros((3, 2)), [[0.0, 0.0], [0.0, -np.inf], [0.0, 0.0]],
+                 DataError, "^velocities must be finite$", id="velocities-inf"),
+    pytest.param([0.0, 2.0, 1.0], np.zeros((3, 2)), None, DataError,
+                 "^times must be strictly increasing$", id="times-decreasing"),
 ])
 def test_demonstration_rejects_inconsistent_arrays(times, positions, velocities, error, message):
     with pytest.raises(error, match=message):

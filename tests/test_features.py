@@ -12,7 +12,7 @@ from cvfield import features, kernels, modelfile
 from cvfield.dynamics import TrainedField
 from cvfield.errors import DimensionError
 from cvfield.kernels import KernelKind
-from cvfield.solver import SolverSettings, assemble_problem, interior_point_solve
+from cvfield.solver import SolverSettings, assemble_problem, solve_in_range
 
 GS = KernelKind("gaussian_separable", 1.0)
 CF = KernelKind("curl_free", 1.0)
@@ -329,7 +329,7 @@ def test_feature_ridge_approaches_exact_ridge():
         fm = features.sample_feature_map(kind, num, 2, seed=6)
         proj = features.build_vanishing_projector(fm, np.zeros((0, 2)))
         prob = assemble_problem(fm, proj, (X, Xdot), np.zeros((0, 2)), 0.01, 0.0)
-        rep = interior_point_solve(prob, SolverSettings())
+        rep = solve_in_range(prob, SolverSettings())
         got = features.field_values(fm, rep.theta, holdout)
         rel[num] = np.sqrt(np.mean(np.sum((got - ref) ** 2, axis=1))) / rms_ref
 

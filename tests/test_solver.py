@@ -2,11 +2,18 @@
 
 The `test_config_block_*` tests load `admm` config blocks, retired keys
 (`rho`, `adapt_rho`) included, through `TrainConfig.from_dict` and solve
-with the settings they load to in `interior_point_solve`: the retired keys
+with the settings they load to in `solve_in_range`: the retired keys
 must change nothing.
+
+The solver's one entry point is `solve_in_range`.  A test of the solve in
+all p coordinates reaches it in one of two ways: `solve_in_range` with
+`_range_basis` pinned to the identity (`_identity_basis`), or
+`solver._solve`, the interior-point method itself, on the full problem.
 """
 
+import ast
 import gc
+import inspect
 import tracemalloc
 import warnings
 from collections import namedtuple
@@ -24,7 +31,7 @@ from cvfield.dynamics import TrainedField
 from cvfield.errors import DimensionError
 from cvfield.kernels import KernelKind
 from cvfield.solver import (CONTRACTION_MARGIN, ConstrainedLSQProblem, SolverSettings,
-                            assemble_problem, interior_point_solve)
+                            assemble_problem, solve_in_range)
 
 CF = KernelKind("curl_free", 1.0)
 GS = KernelKind("gaussian_separable", 1.0)
@@ -51,6 +58,12 @@ def test_problem_validation():
     for tau in (-1.0, np.nan):
         with pytest.raises(ValueError, match="^every tau must be nonnegative"):
             lsq_problem([[1.0]], [2.0], 0.01, ops, [tau])
+
+
+def _identity_basis(monkeypatch):
+    """Pin `solve_in_range` to Q = I: one round, the solve in all p
+    coordinates, whose reduced problem has the full one's bits."""
+    monkeypatch.setattr(solver, "_range_basis", lambda prob, cut: np.eye(prob.moment.shape[0]))
 
 
 def _close(got, want, rtol):
@@ -109,8 +122,8 @@ def test_report_objective_matches_the_direct_form():
     # settings: s = 200, lambda = 0.01, tau = 0)
     fm, proj, (X, Xdot), cp = _s_curve_inputs(200)
     prob = assemble_problem(fm, proj, (X, Xdot), cp, 0.01, 0.0)
-    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-4, eps_rel=1e-9,
-                                                    max_iters=250000))
+    rep = solve_in_range(prob, SolverSettings(eps_abs=1e-4, eps_rel=1e-9,
+                                              max_iters=250000))
     assert rep.converged
     A = features.feature_rows(fm, X) @ dense_projector(proj)
     b = Xdot.ravel()
@@ -156,17 +169,23 @@ def test_ipm_unconstrained_equals_ridge():
     b = rng.normal(size=20)
     lam = 0.1
     prob = lsq_problem(A, b, lam, np.empty((0, 2, 2, 6)), np.zeros(0))
-    rep = interior_point_solve(prob, SolverSettings())
+    rep = solve_in_range(prob, SolverSettings())
     ref = np.linalg.solve(A.T @ A + lam * np.eye(6), A.T @ b)
     np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
     assert rep.converged and rep.iters == 0
     assert rep.max_constraint_violation == float("-inf")
-    assert rep.gap == 0.0
+    # with no constraint point the full solve stops at the ridge optimum,
+    # whose gap is exactly 0; the report's is the certificate's,
+    # rd^T P^-1 rd / 2 of the rounded dual residual
+    theta, iters, gap, reason, _, _ = solver._solve(prob, SolverSettings())
+    np.testing.assert_allclose(theta, ref, atol=1e-10)
+    assert reason == "converged" and iters == 0
+    assert gap == 0.0
 
 
 def test_ipm_scalar_clamp():
     prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
-    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
+    rep = solve_in_range(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
     assert rep.converged and rep.stop_reason == "converged"
     assert abs(rep.theta[0] + 0.5) <= 1e-5
     # strictly feasible: the iterate never leaves the cone's interior
@@ -182,7 +201,7 @@ def test_dual_weight_is_the_kkt_multiplier():
     # at the clamp t, 2 (t - 2) + 2 lam t + z = 0: the multiplier of
     # theta <= -tau is z = 2 (2 - t) - 2 lam t, and the one point binds
     prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
-    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
+    rep = solve_in_range(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
     assert rep.converged and rep.dual.shape == (1, 1, 1) and rep.rank == 1
     t_star = -0.5 - CONTRACTION_MARGIN * 1.5
     assert rep.weights[0] == pytest.approx(2.0 * (2.0 - t_star) - 0.02 * t_star, rel=1e-8)
@@ -199,16 +218,18 @@ def _complementarity(prob, rep):
     return float(np.sum(s * rep.dual))
 
 
-def test_complementarity_is_at_most_the_gap():
+def test_complementarity_is_at_most_the_gap(monkeypatch):
     # the gap is <s, z> plus a nonnegative dual-residual term, for the
     # problem solved in all coordinates and, on the full problem, in range Q
     _, _, small = _random_lmi_problem(np.random.default_rng(3), 6, 3, tau=3.0)
     fm, proj, pairs, cp = _s_curve_inputs(200)
     bench = assemble_problem(fm, proj, pairs, cp, 0.01, 0.0)
     settings = SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000)
-    for prob, solve in ((small, interior_point_solve), (bench, interior_point_solve),
-                        (bench, solver.solve_in_range)):
-        rep = solve(prob, settings)
+    for prob, in_range in ((small, False), (bench, False), (bench, True)):
+        with monkeypatch.context() as patch:
+            if not in_range:
+                _identity_basis(patch)
+            rep = solve_in_range(prob, settings)
         assert rep.converged
         assert np.all(np.linalg.eigvalsh(rep.dual) >= 0.0)
         assert 0.0 <= _complementarity(prob, rep) <= rep.gap
@@ -227,16 +248,36 @@ def _planted_problem(rng):
     return lsq_problem(A, b, prob.lam, ops, prob.tau), R.T[:, -1]
 
 
-def test_planted_direction_leaves_the_optimum_unchanged():
+def test_planted_direction_leaves_the_optimum_unchanged(monkeypatch):
     prob, perp = _planted_problem(np.random.default_rng(11))
     settings = SolverSettings(eps_abs=1e-10, eps_rel=1e-10)
-    full = interior_point_solve(prob, settings)
+    with monkeypatch.context() as patch:
+        _identity_basis(patch)
+        full = solve_in_range(prob, settings)
     reduced = solver.solve_in_range(prob, settings)
     assert full.converged and reduced.converged
     assert full.rank == 9 and reduced.rank == 8
     assert abs(reduced.objective - full.objective) <= max(full.gap, reduced.gap)
     assert abs(reduced.theta @ perp) <= 1e-14 * np.linalg.norm(reduced.theta)
     assert reduced.max_constraint_violation < 0.0
+
+
+def test_one_public_function_returns_a_solve_report():
+    # `solve_in_range` is the solver's one entry point: of the module's
+    # public functions, aliases included, it alone builds a SolveReport or
+    # calls a function of the module that does
+    tree = ast.parse(Path(solver.__file__).read_text())
+    calls = {fn.name: {call.func.id for call in ast.walk(fn)
+                       if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    reporting, grown = {"SolveReport"}, True
+    while grown:
+        more = {name for name, called in calls.items() if called & reporting}
+        grown, reporting = not more <= reporting, reporting | more
+    public = sorted(name for name, fn in inspect.getmembers(solver, inspect.isfunction)
+                    if not name.startswith("_") and fn.__module__ == solver.__name__
+                    and fn.__name__ in reporting)
+    assert public == ["solve_in_range"]
 
 
 # a reduced run of `solve_in_range`: what `solver._solve` hands back
@@ -378,7 +419,7 @@ def test_train_factors_reduced_newton_systems(monkeypatch):
 
 def test_ipm_flags_step_cap():
     prob = _scalar_problem()
-    rep = interior_point_solve(prob, SolverSettings(max_iters=2))
+    rep = solve_in_range(prob, SolverSettings(max_iters=2))
     assert not rep.converged
     assert rep.stop_reason == "max_iters"
     assert rep.iters == 2
@@ -389,7 +430,7 @@ def test_ipm_stalls_on_unreachable_tolerance():
     # a zero gap tolerance cannot be met in floating point: the run must stop
     # on its own long before the step cap, with finite residuals
     prob = _scalar_problem()
-    rep = interior_point_solve(prob, SolverSettings(eps_abs=0.0, eps_rel=0.0, max_iters=4000))
+    rep = solve_in_range(prob, SolverSettings(eps_abs=0.0, eps_rel=0.0, max_iters=4000))
     assert not rep.converged
     assert rep.stop_reason == "stalled"
     assert rep.iters < 100
@@ -402,7 +443,7 @@ def test_ipm_phase1_reports_infeasible_tau():
     # infeasible before any step, and theta is the ridge fit
     prob = _scalar_problem(tau=0.5)
     prob.constraint_ops = np.zeros((1, 1, 1, 1))
-    rep = interior_point_solve(prob, SolverSettings())
+    rep = solve_in_range(prob, SolverSettings())
     assert not rep.converged
     assert rep.stop_reason == "infeasible"
     assert rep.iters == 0 and rep.contraction_bound == 0.0
@@ -417,7 +458,7 @@ def test_ipm_phase1_certifies_indefinite_cone(tau):
     # eps <= (2 rho u)^1/2 with rho = |diag(1, -1)|_F^2 / (m n p) = 1
     prob = _scalar_problem(tau=tau)
     prob.constraint_ops = np.diag([1.0, -1.0])[None, :, :, None]
-    rep = interior_point_solve(prob, SolverSettings())
+    rep = solve_in_range(prob, SolverSettings())
     assert rep.stop_reason == "infeasible" and not rep.converged
     assert 0.0 <= rep.contraction_bound <= np.sqrt(2.0 * np.finfo(float).eps)
     assert 0.0 <= rep.gap <= np.finfo(float).eps
@@ -436,7 +477,7 @@ def test_ipm_contraction_bound_is_sound(rate):
     ops[..., 0] = -rate * np.eye(2)
     prob = lsq_problem(rng.normal(size=(90, 30)), 10.0 * rng.normal(size=90), 0.1,
                        ops, np.full(20, 0.5))
-    rep = interior_point_solve(prob, SolverSettings())
+    rep = solve_in_range(prob, SolverSettings())
     assert rep.stop_reason in ("converged", "infeasible")
     if rep.stop_reason == "converged":
         assert rep.max_constraint_violation < 0.0 and rep.contraction_bound is None
@@ -450,7 +491,7 @@ def test_ipm_phase2_start_is_inside_when_ridge_grazes_the_cone(offset):
     # phase II must still start strictly inside the cone, not on its boundary
     edge = -0.5 - CONTRACTION_MARGIN * 1.5
     prob = _scalar_problem(target=(edge + offset) * 1.01, lam=0.01, tau=0.5)
-    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-12, eps_rel=1e-12))
+    rep = solve_in_range(prob, SolverSettings(eps_abs=1e-12, eps_rel=1e-12))
     assert rep.stop_reason == "converged" and rep.max_constraint_violation < 0.0
 
 
@@ -470,8 +511,8 @@ def test_fast_rates_on_the_s_curve_are_feasible(tau):
 def test_ipm_deterministic():
     rng = np.random.default_rng(5)
     _, _, prob = _random_lmi_problem(rng, p=4, m=3)
-    r1 = interior_point_solve(prob, SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
-    r2 = interior_point_solve(prob, SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
+    r1 = solve_in_range(prob, SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
+    r2 = solve_in_range(prob, SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
     assert r1.converged
     assert np.array_equal(r1.theta, r2.theta)
     assert r1.objective == r2.objective and r1.gap == r2.gap
@@ -483,7 +524,7 @@ def test_ipm_matches_grid_search_oracle():
     rng = np.random.default_rng(3)
     for p, m, pts in ((4, 1, 7), (6, 2, 5)):
         A, b, prob = _random_lmi_problem(rng, p, m)
-        rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
+        rep = solve_in_range(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
         assert rep.converged
         assert rep.max_constraint_violation < 0.0
         val = float(np.sum((A @ rep.theta - b) ** 2) + prob.lam * rep.theta @ rep.theta)
@@ -551,7 +592,7 @@ def test_indefinite_schur_complement_stalls(monkeypatch, path):
     factor, first = solver._cholesky_solver, iter([True])
     monkeypatch.setattr(solver, "_cholesky_solver",
                         lambda S: factor(S if next(first, False) else -S))
-    rep = interior_point_solve(_scalar_problem(), SolverSettings())
+    rep = solve_in_range(_scalar_problem(), SolverSettings())
     assert rep.stop_reason == "stalled" and rep.iters == 0
 
 
@@ -581,7 +622,7 @@ def test_nonfinite_newton_step_stalls_at_once(monkeypatch, k, fault):
     blocks, cholesky = [], solver._cholesky
     monkeypatch.setattr(solver, "_cholesky", lambda M: blocks.append(M.shape) or cholesky(M))
     _, _, prob = _random_lmi_problem(np.random.default_rng(3), 6, 3, tau=3.0, k=k)
-    rep = interior_point_solve(prob, SolverSettings())
+    rep = solve_in_range(prob, SolverSettings())
     assert rep.stop_reason == "stalled" and rep.iters == 0
     assert blocks == [(3, k, k)] * 2
 
@@ -659,14 +700,16 @@ def test_packed_rows_give_the_full_schur_complement(k):
 
 
 def test_newton_steps_never_call_svd(monkeypatch):
-    # the Nesterov-Todd scaling comes from one eigh, in both phases
+    # the Nesterov-Todd scaling comes from one eigh, in both phases; the
+    # range basis, whose sketches are cut by SVDs, is pinned to Q = I
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
     rng = np.random.default_rng(3)
     _, _, prob = _random_lmi_problem(rng, 6, 3, tau=3.0)
+    _identity_basis(monkeypatch)
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
+    rep = solve_in_range(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
     assert rep.converged and rep.iters > 0
     assert rep.max_constraint_violation < 0.0
 
@@ -745,7 +788,7 @@ def test_start_without_a_factor_stalls(monkeypatch):
     # phase "stalled" before any step, as a block that cannot be scaled does
     factor, first = solver._cholesky, iter([None])
     monkeypatch.setattr(solver, "_cholesky", lambda M: next(first, factor(M)))
-    rep = interior_point_solve(_scalar_problem(), SolverSettings())
+    rep = solve_in_range(_scalar_problem(), SolverSettings())
     assert rep.stop_reason == "stalled" and rep.iters == 0
 
 
@@ -757,7 +800,7 @@ def test_step_that_never_factors_backs_off_and_stalls(monkeypatch):
     factor, shapes = solver._cholesky, []
     monkeypatch.setattr(solver, "_cholesky", lambda M: shapes.append(M.shape)
                         or (factor(M) if len(shapes) <= 2 else None))
-    rep = interior_point_solve(_scalar_problem(), SolverSettings())
+    rep = solve_in_range(_scalar_problem(), SolverSettings())
     assert rep.stop_reason == "stalled" and rep.iters == 0
     assert shapes == [(1, 1, 1)] * 2 + [(2, 1, 1, 1)] * 40
 
@@ -811,11 +854,11 @@ def test_planar_newton_steps_call_no_lapack_on_blocks(monkeypatch):
     monkeypatch.setattr(solver, "_interior_point", counted)
     settings = SolverSettings(eps_abs=1e-10, eps_rel=1e-10)
     _, _, planar = _random_lmi_problem(np.random.default_rng(3), 6, 3, tau=3.0)
-    rep = interior_point_solve(planar, settings)
+    rep = solve_in_range(planar, settings)
     assert rep.converged and phases == [3, 10] and rep.iters == 13
     assert seen == []
     _, _, spatial = _random_lmi_problem(np.random.default_rng(3), 6, 3, tau=3.0, k=3)
-    rep = interior_point_solve(spatial, settings)
+    rep = solve_in_range(spatial, settings)
     assert rep.converged and phases[2:] == [2, 8]
     assert {name for name, k in seen} == {"eigh", "eigvalsh", "cholesky"}
     assert {k for _, k in seen} == {3}
@@ -846,7 +889,7 @@ def test_phase2_forms_one_product_with_P_per_iterate(monkeypatch):
     monkeypatch.setattr(solver, "_interior_point", counted)
     _, _, prob = _random_lmi_problem(np.random.default_rng(3), 6, 3, tau=3.0)
     prob.gram = prob.gram.view(CountedGram)
-    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
+    rep = solve_in_range(prob, SolverSettings(eps_abs=1e-10, eps_rel=1e-10))
     assert rep.converged
     assert [of_gram for of_gram, _, _ in runs] == [False, True]     # both phases ran
     _, steps, phase2_products = runs[1]
@@ -856,19 +899,21 @@ def test_phase2_forms_one_product_with_P_per_iterate(monkeypatch):
 def test_newton_steps_read_the_operators_in_place(monkeypatch):
     # the operators keep the (m, n, n, p) layout that assembly builds them
     # in: phase II's steps read the problem's array itself, and phase I's
-    # only copy is the operators with its t column, -I, appended
+    # only copy is the operators with its t column, -I, appended.  The
+    # full solve reads the problem as given; `solve_in_range` hands it
+    # the reduced operators C o Q
     seen, scaled_rows = [], solver._scaled_rows
     monkeypatch.setattr(solver, "_scaled_rows",
                         lambda r, G, *args: seen.append(G) or scaled_rows(r, G, *args))
     fm, proj, pairs, cp = _s_curve_inputs(200)
     prob = assemble_problem(fm, proj, pairs, cp, 0.01, 0.0)
-    rep = interior_point_solve(prob, SolverSettings(eps_abs=1e-4, eps_rel=1e-9,
-                                                    max_iters=250000))
-    assert rep.converged
+    _, iters, _, reason, _, _ = solver._solve(
+        prob, SolverSettings(eps_abs=1e-4, eps_rel=1e-9, max_iters=250000))
+    assert reason == "converged"
     p, ops = fm.feature_dim, prob.constraint_ops
     phase1 = [G for G in seen if G.shape[-1] == p + 1]
     phase2 = [G for G in seen if G.shape[-1] == p]
-    assert len(phase1) + len(phase2) == len(seen) == rep.iters and phase1 and phase2
+    assert len(phase1) + len(phase2) == len(seen) == iters and phase1 and phase2
     assert all(np.shares_memory(G, ops) for G in phase2)
     for G in phase1:
         assert not np.shares_memory(G, ops)
@@ -887,7 +932,7 @@ def test_config_block_unconstrained_equals_ridge():
     b = rng.normal(size=20)
     lam = 0.1
     prob = lsq_problem(A, b, lam, np.empty((0, 2, 2, 6)), np.zeros(0))
-    rep = interior_point_solve(prob, _admm_block())
+    rep = solve_in_range(prob, _admm_block())
     ref = np.linalg.solve(A.T @ A + lam * np.eye(6), A.T @ b)
     np.testing.assert_allclose(rep.theta, ref, atol=1e-10)
     assert rep.converged and rep.max_constraint_violation == float("-inf")
@@ -895,8 +940,8 @@ def test_config_block_unconstrained_equals_ridge():
 
 def test_config_block_scalar_clamp():
     prob = _scalar_problem(target=2.0, lam=0.01, tau=0.5)
-    rep = interior_point_solve(prob, _admm_block(rho=5.0, eps_abs=1e-8, eps_rel=1e-8,
-                                                 max_iters=20000))
+    rep = solve_in_range(prob, _admm_block(rho=5.0, eps_abs=1e-8, eps_rel=1e-8,
+                                           max_iters=20000))
     assert rep.converged
     assert abs(rep.theta[0] + 0.5) <= 1e-5
     assert rep.max_constraint_violation <= 1e-5
@@ -904,7 +949,7 @@ def test_config_block_scalar_clamp():
 
 def test_config_block_flags_nonconvergence():
     prob = _scalar_problem()
-    rep = interior_point_solve(prob, _admm_block(rho=5.0, max_iters=3))
+    rep = solve_in_range(prob, _admm_block(rho=5.0, max_iters=3))
     assert not rep.converged
     assert rep.iters == 3
 
@@ -916,8 +961,8 @@ def test_config_block_deterministic():
     ops = rng.normal(size=(2, 4, 2, 2)).transpose(0, 2, 3, 1)
     ops = 0.5 * (ops + ops.transpose(0, 2, 1, 3))
     prob = lsq_problem(A, b, 0.05, ops, np.full(2, 0.1))
-    r1 = interior_point_solve(prob, _admm_block(rho=2.0, max_iters=300))
-    r2 = interior_point_solve(prob, _admm_block(rho=2.0, max_iters=300))
+    r1 = solve_in_range(prob, _admm_block(rho=2.0, max_iters=300))
+    r2 = solve_in_range(prob, _admm_block(rho=2.0, max_iters=300))
     assert np.array_equal(r1.theta, r2.theta)
     assert r1.objective == r2.objective
 
@@ -932,8 +977,8 @@ def test_config_block_matches_grid_search_oracle():
     # anchor one coordinate to -I so the strictly feasible cone is nonempty
     ops[0, ..., 0] = -np.eye(2)
     prob = lsq_problem(A, b, 0.1, ops, np.array([0.2]))
-    rep = interior_point_solve(prob, _admm_block(rho=2.0, eps_abs=1e-10, eps_rel=1e-10,
-                                                 max_iters=200000, adapt_rho=True))
+    rep = solve_in_range(prob, _admm_block(rho=2.0, eps_abs=1e-10, eps_rel=1e-10,
+                                           max_iters=200000, adapt_rho=True))
     assert rep.converged
     half = 2.0 * np.linalg.norm(rep.theta) + 1.0
     oracle_val = zoom_oracle(A, b, prob, half, rounds=45, pts=7)
